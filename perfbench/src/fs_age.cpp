@@ -447,7 +447,12 @@ Result run_fs_age(const RunArgs& args) {
   const double cp_p50_us = percentile(cp_us, 0.5);
 
   result.metric("setup_s", setup_s, "s");
-  result.metric("op_us_p50", percentile(window_us, 0.5), "us");
+  // One sample per replay: its apply_many + consistency_point time per block
+  // op (Fig. 5's µs/op for one aged file system). The per-window p50 of the
+  // same cost is in DETAIL but not gated: a typical window is small, so its
+  // cost leans on the fixed per-CP file work and drifts with the host's file
+  // system (README, "Reading the numbers").
+  result.metric("op_us_p50", median(update_ns_per_op) * 1e-3, "us");
   result.metric("ops_per_s", median(ops_per_s), "1/s");
   result.metric("io_pages_per_op", io_pages / ops, "pages/op");
   result.metric("space_overhead_pct", space_pct, "%");
@@ -459,8 +464,9 @@ Result run_fs_age(const RunArgs& args) {
       .num("cp_flush_ms_p50", cp_p50_us * 1e-3)
       .num("cp_flush_ms_p99", percentile(cp_us, 0.99) * 1e-3)
       .num("maintain_us_per_op", median(maintain_us_per_op))
-      .num("op_us_p90", percentile(window_us, 0.9))
-      .num("op_us_p99", percentile(window_us, 0.99))
+      .num("window_us_p50", percentile(window_us, 0.5))
+      .num("window_us_p90", percentile(window_us, 0.9))
+      .num("window_us_p99", percentile(window_us, 0.99))
       .num("space_overhead_pct", space_pct)
       .num("failed_op_fraction", static_cast<double>(result.failed) /
                                      static_cast<double>(result.attempted));
@@ -470,8 +476,9 @@ Result run_fs_age(const RunArgs& args) {
       .num("cp_windows", static_cast<double>(window_us.size()));
   result.detail.obj("paper_metrics", paper)
       .obj("samples", samples)
-      .str("op", "one CP window's apply_many + consistency_point time per block op "
-                 "(Fig. 5's series); ops_per_s = block ops per second of that time")
+      .str("op", "op_us_p50 = median over replays of apply_many + consistency_point "
+                 "time per block op (Fig. 5); window_us_* = the same cost per CP "
+                 "window; ops_per_s = block ops per second of that time")
       .num("records", static_cast<double>(records))
       .num("cps_per_record", static_cast<double>(cps))
       .num("block_ops_per_round", ops)
