@@ -1,8 +1,8 @@
 // Shared plumbing for the reproduction benches: scaled paper configurations
 // and consistent table printing. Every bench binary prints (a) the scale
 // factors it uses relative to the paper, (b) the measured series/rows, and
-// (c) the paper's target numbers next to ours where applicable, so
-// EXPERIMENTS.md can be regenerated from bench output alone.
+// (c) the paper's target numbers next to ours where applicable. The gated
+// benchmark and its per-layer ledger are described in perfbench/README.md.
 #pragma once
 
 #include <chrono>

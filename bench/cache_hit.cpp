@@ -3,12 +3,14 @@
 // targets — a clone-heavy fleet whose volumes hard-link the same physical
 // run files.
 //
-// One base volume is filled and snapshotted, then cloned CoW N-1 times; a
-// round-robin query sweep then touches every volume. Under the shared cache
-// a page read through any volume is a hit for all of them ((st_dev, st_ino)
-// keying dedups the hard links by construction), so the working set is the
-// *unique* physical pages. Split per volume, each private cache holds
-// budget/N pages of a working set N times larger and thrashes.
+// One base volume is filled and snapshotted, then cloned CoW N-1 times
+// through the service; a round-robin query sweep then touches every volume.
+// Under the service's shared cache a page read through any volume is a hit
+// for all of them ((st_dev, st_ino) keying dedups the hard links by
+// construction), so the working set is the *unique* physical pages. The
+// per-volume arm reopens the same volume directories as bare BacklogDbs,
+// each reading through its own cache of budget/N pages: a working set N
+// times larger, which thrashes.
 //
 // The result cache is disabled in both modes so every query exercises the
 // block layer under test. Emits one JSONROW per mode:
@@ -22,10 +24,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/backlog_db.hpp"
 #include "service/service.hpp"
 #include "storage/block_cache.hpp"
 #include "storage/env.hpp"
@@ -70,9 +76,10 @@ void fill_base(bsvc::VolumeManager& vm) {
   vm.maintain("vol0").get();
 }
 
-/// Build the fleet, run the sweeps, read the counters. `shared` selects the
-/// service-wide cache; otherwise each volume gets an equal slice of the
-/// same byte budget through the deprecated cache_pages knob.
+/// Build the fleet through the service, run the sweeps, read the counters.
+/// `shared` queries through the service and its one cache; otherwise the
+/// volume directories are reopened as bare BacklogDbs, each reading through
+/// a private cache that holds an equal slice of the same byte budget.
 ModeResult run_mode(bool shared) {
   bs::TempDir dir("backlog_cache_hit");
   bsvc::ServiceOptions so;
@@ -80,22 +87,38 @@ ModeResult run_mode(bool shared) {
   so.root = dir.path();
   so.db_options.expected_ops_per_cp = kBlocks;
   so.sync_writes = false;
-  so.cache.enable_result_cache = false;  // isolate the block layer
-  if (shared) {
-    so.cache.enable_block_cache = true;
-    so.cache.capacity_bytes = kBudgetPages * bs::kPageSize;
-    so.cache.block_cache_shards = 4;
-  } else {
-    so.cache.enable_block_cache = false;
-    so.db_options.cache_pages = kBudgetPages / kVolumes;
-  }
-  bsvc::VolumeManager vm(so);
+  so.cache.result_cache_entries = 0;  // isolate the block layer
+  so.cache.capacity_bytes = kBudgetPages * bs::kPageSize;
+  so.cache.block_cache_shards = 4;
+  auto vm = std::make_unique<bsvc::VolumeManager>(so);
 
-  vm.open_volume("vol0");
-  fill_base(vm);
-  const bc::Epoch snap = vm.take_snapshot("vol0").get();
+  vm->open_volume("vol0");
+  fill_base(*vm);
+  const bc::Epoch snap = vm->take_snapshot("vol0").get();
   for (std::size_t v = 1; v < kVolumes; ++v) {
-    vm.clone_volume("vol0", "vol" + std::to_string(v), 0, snap);
+    vm->clone_volume("vol0", "vol" + std::to_string(v), 0, snap);
+  }
+
+  // Per-volume mode queries the same directories as bare BacklogDbs.
+  std::deque<bs::Env> envs;
+  std::deque<bs::BlockCache> caches;
+  std::deque<bc::BacklogDb> dbs;
+  std::function<void(std::size_t, bc::BlockNo)> query =
+      [&vm](std::size_t v, bc::BlockNo b) {
+        (void)vm->query("vol" + std::to_string(v), b).get();
+      };
+  if (!shared) {
+    vm.reset();
+    for (std::size_t v = 0; v < kVolumes; ++v) {
+      bs::Env& env = envs.emplace_back(so.root / ("vol" + std::to_string(v)));
+      env.set_sync(false);
+      bc::BacklogOptions o = so.db_options;
+      o.shared_cache = &caches.emplace_back(
+          kBudgetPages / kVolumes * bs::kPageSize, /*shards=*/1);
+      o.result_cache_entries = 0;
+      dbs.emplace_back(env, o);
+    }
+    query = [&dbs](std::size_t v, bc::BlockNo b) { (void)dbs[v].query(b); };
   }
 
   const std::uint64_t total_keys = kBlocks * kCps;
@@ -114,7 +137,7 @@ ModeResult run_mode(bool shared) {
       // the same physical page from eight doors (its best case).
       for (std::size_t v = 0; v < kVolumes; ++v) {
         const double t0 = bench::now_seconds();
-        (void)vm.query("vol" + std::to_string(v), b).get();
+        query(v, b);
         lat_us.push_back(
             static_cast<std::uint64_t>((bench::now_seconds() - t0) * 1e6));
       }
@@ -128,7 +151,12 @@ ModeResult run_mode(bool shared) {
     if (sweep == 1 || p99 < r.p99_us) r.p99_us = p99;
   }
 
-  const auto block = vm.cache_stats().block;
+  bs::BlockCacheStats block;
+  if (shared) block = vm->cache_stats().block;
+  for (const bs::BlockCache& cache : caches) {
+    block.hits += cache.stats().hits;
+    block.misses += cache.stats().misses;
+  }
   r.hits = block.hits;
   r.misses = block.misses;
   r.hit_ratio = block.hit_ratio();

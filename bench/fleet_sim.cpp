@@ -21,13 +21,13 @@
 // worker kill/restart, forced explicit migrations, an aggressive Balancer,
 // and snapshot/clone/destroy churn on dedicated volumes. Chaos also runs
 // the full durability pipeline (group-commit WAL on every volume) and adds
-// two rounds on top of the random kills: shard kills landed exactly when a
-// shard's WAL pipeline passes an armed injection point (wal_appended,
-// wal_synced, cp_flushed, registry_persisted, wal_truncated — the same five
-// points the crash matrix forks at), and a wounded-volume round that arms a
-// sticky EIO write fault on a dedicated volume, checks the degradation is
-// graceful (writes fail with typed kWounded, reads keep serving), then
-// heals it by reopen. The binary exits non-zero if the verifier diverges,
+// two rounds on top of the random kills, both through the fault registry
+// (util/fault_points.hpp): shard kills landed exactly when a shard passes
+// an armed wal.* or cp.* point (the points the crash matrix forks at), and
+// a wounded-volume round that arms a sticky EIO append failure on one
+// dedicated volume, checks the degradation is graceful (writes fail with
+// typed kWounded, reads keep serving), then heals it by disarming and
+// reopening. The binary exits non-zero if the verifier diverges,
 // any operation is dropped, or a wounded-volume check fails.
 //
 // Output: one JSONROW per QoS class (`row":"slo"`) plus config/fleet/chaos
@@ -45,6 +45,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -54,6 +55,7 @@
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/clock.hpp"
+#include "util/fault_points.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -285,21 +287,11 @@ struct ChaosCounters {
   std::atomic<std::uint64_t> wound_failures{0};
 };
 
-/// The five durability ordering points ServiceOptions::wal_checkpoint fires
-/// at — the same names the crash matrix forks on in test_wal_recovery.
-constexpr const char* kWalPoints[] = {"wal_appended", "wal_synced",
-                                      "cp_flushed", "registry_persisted",
-                                      "wal_truncated"};
-
-/// Synchronizes the chaos actor's shard kills with the durability pipeline:
-/// the actor arms one point, the first shard thread to pass it trips the
-/// switch and records itself (the hook runs on the shard thread, so
-/// WorkerPool::current_shard() names it), and the actor kills that exact
-/// shard — the worker dies at its next chunk boundary, i.e. with that
-/// shard's WAL window / CP mid-flight just past the armed point. Nothing
-/// may be lost: parked group-commit acks must deliver on restart.
-struct WalKillSwitch {
-  std::atomic<int> armed{-1};  // index into kWalPoints, -1 disarmed
+/// The chaos actor's fault registry, and the shard its one-shot kill-switch
+/// action last fired on (the action runs on the shard thread, so
+/// WorkerPool::current_shard() names it). Outlives the VolumeManager.
+struct ChaosFaults {
+  util::FaultPoints points;
   std::atomic<std::size_t> hit_shard{bsvc::WorkerPool::kNoShard};
 };
 
@@ -311,8 +303,13 @@ struct WalKillSwitch {
 /// actor).
 void chaos_loop(bsvc::VolumeManager& vm, const Config& cfg,
                 std::atomic<bool>& stop, ChaosCounters& counters,
-                WalKillSwitch& wal_kill) {
+                ChaosFaults& faults) {
   util::Rng rng(cfg.seed ^ 0xc4a05u);
+  // The durability pipeline's points, as the crash matrix forks on them.
+  std::vector<std::string_view> kill_points;
+  for (const std::string_view p : util::kFaultPoints) {
+    if (p.starts_with("wal.") || p.starts_with("cp.")) kill_points.push_back(p);
+  }
   std::deque<std::string> churn_clones;
   std::uint64_t churn_seq = 0;
   // Monotonic across rounds: blocks consumed by a refused (wounded) batch
@@ -329,25 +326,29 @@ void chaos_loop(bsvc::VolumeManager& vm, const Config& cfg,
       counters.restarts.fetch_add(1, std::memory_order_relaxed);
     }
     if (stop.load(std::memory_order_acquire)) break;
-    // 1b. Kill at a WAL injection point: arm one of the five durability
-    // ordering points and kill whichever shard trips it — the worker dies
-    // with open group-commit windows / a mid-flight CP on that shard, and
+    // 1b. Kill at a durability point: arm one of the pipeline's ordering
+    // points and kill whichever shard trips it — the worker dies at its next
+    // chunk boundary with open group-commit windows / a mid-flight CP, and
     // restart must still deliver every parked ack (the reaper counts any
     // loss as a dropped op).
     {
-      const int point = static_cast<int>(rng.below(
-          sizeof kWalPoints / sizeof kWalPoints[0]));
-      wal_kill.hit_shard.store(bsvc::WorkerPool::kNoShard,
-                               std::memory_order_release);
-      wal_kill.armed.store(point, std::memory_order_release);
+      const std::string_view point =
+          kill_points[rng.below(kill_points.size())];
+      faults.hit_shard.store(bsvc::WorkerPool::kNoShard,
+                             std::memory_order_release);
+      const util::FaultPoints::Id kill = faults.points.arm(
+          point, util::FaultAction::call([&faults] {
+                   faults.hit_shard.store(bsvc::WorkerPool::current_shard(),
+                                          std::memory_order_release);
+                 }).once());
       std::size_t shard = bsvc::WorkerPool::kNoShard;
       for (int spins = 0;
            spins < 150 && !stop.load(std::memory_order_acquire); ++spins) {
-        shard = wal_kill.hit_shard.load(std::memory_order_acquire);
+        shard = faults.hit_shard.load(std::memory_order_acquire);
         if (shard != bsvc::WorkerPool::kNoShard) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      wal_kill.armed.store(-1, std::memory_order_release);
+      faults.points.disarm(kill);
       if (shard < cfg.shards && vm.kill_shard(shard)) {
         counters.kills.fetch_add(1, std::memory_order_relaxed);
         counters.wal_point_kills.fetch_add(1, std::memory_order_relaxed);
@@ -394,17 +395,17 @@ void chaos_loop(bsvc::VolumeManager& vm, const Config& cfg,
     }
     if (stop.load(std::memory_order_acquire)) break;
     // 4. Wound/heal the dedicated wound volume (no open-loop or verifier
-    // traffic touches it): arm a sticky EIO write fault on its private Env,
-    // then check the degradation contract live — the next write fails with
-    // typed kWounded, reads keep serving, and a reopen (close + open with a
-    // fresh Env) heals it. Every violated check counts a wound_failure,
-    // which fails the run.
+    // traffic touches it): arm a sticky EIO append failure aimed at it
+    // alone, then check the degradation contract live — the next write
+    // fails with typed kWounded, reads keep serving, and disarming plus a
+    // reopen (close + open with a fresh Env) heals it. Every violated check
+    // counts a wound_failure, which fails the run.
+    util::FaultPoints::Id wound = 0;
     try {
       vm.apply_batch("wound-a", make_batch(wound_st, 16))
           .get();  // a healed volume accepts writes
-      vm.with_env("wound-a", [](bs::Env& env, bc::BacklogDb&) {
-          env.set_write_fault({bs::Env::WriteFaultMode::kEio, 0, true});
-        }).get();
+      wound = faults.points.arm("env.append",
+                                util::FaultAction::fail().on("wound-a"));
       bool wounded_as_expected = false;
       try {
         vm.apply_batch("wound-a", make_batch(wound_st, 16)).get();
@@ -425,11 +426,13 @@ void chaos_loop(bsvc::VolumeManager& vm, const Config& cfg,
         // may fail; the volume closes regardless (teardown is uncondi-
         // tional) and the reopen below recovers the last acked state.
       }
+      faults.points.disarm(wound);
       vm.open_volume("wound-a");
       vm.apply_batch("wound-a", make_batch(wound_st, 16))
           .get();  // the reopen healed it
       counters.heals.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& e) {
+      faults.points.disarm(wound);
       counters.wound_failures.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(stderr, "wound round failed: %s\n", e.what());
     }
@@ -439,9 +442,8 @@ void chaos_loop(bsvc::VolumeManager& vm, const Config& cfg,
 
 int run(const Config& cfg) {
   bs::TempDir dir("backlog_fleet_sim");
-  // Declared before the VolumeManager so the wal_checkpoint hook can still
-  // read it while the manager tears down (final CPs fire the points too).
-  WalKillSwitch wal_kill;
+  // Declared before the VolumeManager, which borrows its registry.
+  ChaosFaults faults;
   bsvc::ServiceOptions opts;
   opts.shards = cfg.shards;
   opts.root = dir.path();
@@ -449,21 +451,13 @@ int run(const Config& cfg) {
   opts.db_options.expected_ops_per_cp = 4096;
   if (cfg.chaos) {
     // Chaos runs the full durability pipeline underneath the fleet: every
-    // ack is fsync-covered via the group-commit window, and the injection
-    // hook feeds the kill switch so the actor can land shard kills at
-    // exact pipeline points. quiet/overload keep the CP-only seed config
-    // (their SLO baselines predate the WAL).
+    // ack is fsync-covered via the group-commit window, and the fault
+    // registry lets the actor land shard kills at exact pipeline points
+    // and wound one volume. quiet/overload keep the CP-only seed config
+    // (their SLO baselines predate the WAL) and no registry.
     opts.wal_enabled = true;
     opts.wal_commit_window_micros = 2000;
-    opts.wal_checkpoint = [&wal_kill](std::string_view point) {
-      int want = wal_kill.armed.load(std::memory_order_acquire);
-      if (want < 0 || point != kWalPoints[want]) return;
-      if (wal_kill.armed.compare_exchange_strong(want, -1,
-                                                 std::memory_order_acq_rel)) {
-        wal_kill.hit_shard.store(bsvc::WorkerPool::current_shard(),
-                                 std::memory_order_release);
-      }
-    };
+    opts.faults = &faults.points;
   }
   bsvc::VolumeManager vm(opts);
 
@@ -570,7 +564,7 @@ int run(const Config& cfg) {
       }
     });
     chaos_thread = std::thread(
-        [&] { chaos_loop(vm, cfg, chaos_stop, chaos_counters, wal_kill); });
+        [&] { chaos_loop(vm, cfg, chaos_stop, chaos_counters, faults); });
   }
 
   // --- the open-loop dispatcher ---------------------------------------------

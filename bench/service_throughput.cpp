@@ -19,8 +19,9 @@
 //   (e) balancer A/B at 4 shards — every volume forced onto shard 0, then
 //       the same workload with the Balancer off vs on: aggregate ops/s,
 //       p99, moves made and the final imbalance metric;
-//   (f) clone cost — copy-on-write clone_volume vs the legacy full byte
-//       copy across a >= 16x spread of volume sizes: CoW clone latency must
+//   (f) clone cost — copy-on-write clone_volume vs the byte-copy fallback
+//       (EXDEV armed on env.link, as on a file system that cannot link)
+//       across a >= 16x spread of volume sizes: CoW clone latency must
 //       be O(metadata), i.e. essentially flat in volume size, while the
 //       copy path grows linearly (the speedup column is the headline).
 //
@@ -28,6 +29,7 @@
 // maintenance is active throughout, so p99 query latency reflects
 // query-while-maintenance interference, not an idle system.
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -38,6 +40,7 @@
 #include "bench_common.hpp"
 #include "fsim/multi_tenant.hpp"
 #include "service/service.hpp"
+#include "util/fault_points.hpp"
 
 using namespace backlog;
 
@@ -416,10 +419,11 @@ void run_dispatch_overhead(std::uint64_t total, std::size_t batch) {
 // --- sweep (f): clone cost — CoW vs full copy ---------------------------------
 
 /// Builds one `src` volume of ~`ops` block operations (committed and
-/// compacted, so the durable state is settled), then measures clone_volume
-/// with the given mode. CoW clones are timed as the min of three
-/// clone+destroy rounds (the operation is sub-millisecond; min-of-3 shields
-/// the flatness signal from scheduler noise); the full copy is timed once.
+/// compacted, so the durable state is settled), then measures clone_volume;
+/// `cow` false arms EXDEV on env.link, so every run takes the byte-copy
+/// fallback. CoW clones are timed as the min of three clone+destroy rounds
+/// (the operation is sub-millisecond; min-of-3 shields the flatness signal
+/// from scheduler noise); the full copy is timed once.
 double measure_clone_micros(std::uint64_t ops, bool cow,
                             std::uint64_t* db_bytes_out,
                             std::uint64_t* shared_bytes_out) {
@@ -429,7 +433,9 @@ double measure_clone_micros(std::uint64_t ops, bool cow,
   so.root = dir.path();
   so.db_options.expected_ops_per_cp = 2000;
   so.sync_writes = false;
-  so.cow_clone = cow;
+  util::FaultPoints faults;
+  if (!cow) faults.arm("env.link", util::FaultAction::fail(EXDEV));
+  so.faults = cow ? nullptr : &faults;
   service::VolumeManager vm(so);
   vm.open_volume("src");
 
@@ -471,7 +477,7 @@ double measure_clone_micros(std::uint64_t ops, bool cow,
 
 void run_clone_cost(const std::vector<std::uint64_t>& sizes) {
   std::printf("%10s %12s %14s %14s %9s %8s\n", "ops", "db_bytes",
-              "cow_clone_us", "copy_clone_us", "speedup", "shared%");
+              "cow_us", "copy_us", "speedup", "shared%");
   double cow_min = 0, cow_max = 0, largest_speedup = 0;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const std::uint64_t ops = sizes[i];

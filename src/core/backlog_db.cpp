@@ -95,14 +95,11 @@ BacklogDb::BacklogDb(storage::Env& env, BacklogOptions options)
       throw std::invalid_argument(
           "BacklogOptions: file_tag must be [A-Za-z0-9._-] (it names files)");
   }
-  // Note: cache_pages == 0 (with no shared cache) is a documented value
-  // (disable the page cache, used by the cold-cache experiments); the
-  // service layer doesn't hit this path — hosted volumes read through the
-  // injected service-wide cache.
-  //
-  // Attach whichever cache this db reads through to the Env so deleting a
-  // run's last link invalidates its cached pages before the inode can be
-  // recycled. Never override a cache the service already attached.
+  // cache_pages == 0 (no shared cache) disables the page cache, which the
+  // cold-cache experiments use. Attach whichever cache this db reads
+  // through to the Env so deleting a run's last link invalidates its cached
+  // pages before the inode can be recycled. Never override a cache the
+  // service already attached.
   if (env_.block_cache() == nullptr) env_.set_block_cache(&cache_);
   if (env_.file_exists(kManifestName)) {
     load_manifest();
@@ -241,14 +238,18 @@ CpFlushStats BacklogDb::consistency_point() {
   flush_table(ws_.encode_from_sorted(), kFromRecordSize, Table::kFrom);
   flush_table(ws_.encode_to_sorted(), kToRecordSize, Table::kTo);
   ws_.clear();
-  if (options_.checkpoint) options_.checkpoint("cp_flushed");
+  if (options_.faults != nullptr)
+    options_.faults->check(util::fault_point("cp.flushed"),
+                           env_.fault_volume());
 
   // The CP is committed by the manifest write (the "root node written last"
   // rule of write-anywhere systems, §2) — so the registry advances first and
   // the manifest records the post-CP state.
   registry_.advance_cp();
   persist_registry();
-  if (options_.checkpoint) options_.checkpoint("registry_persisted");
+  if (options_.faults != nullptr)
+    options_.faults->check(util::fault_point("cp.registry_persisted"),
+                           env_.fault_volume());
   ops_since_cp_ = 0;
   ++mutations_;
 

@@ -13,14 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -50,13 +48,10 @@ struct BacklogOptions {
   /// The Combined RS may grow its filter up to 1 MB (§5.1).
   std::size_t combined_bloom_max_bytes = 1024 * 1024;
 
-  /// DEPRECATED — page budget of the *private* fallback cache, in 4 KB
+  /// Page budget of the private cache a standalone db builds, in 4 KB
   /// pages (paper: 32 MB, §6.1). Only consulted when `shared_cache` is
-  /// null: bare-library users keep the old one-cache-per-db behavior
-  /// unchanged. Service deployments ignore it — the VolumeManager owns one
-  /// service-wide storage::BlockCache sized by service::CacheOptions and
-  /// injects it below; migrate by setting `shared_cache` (and size the
-  /// budget there) instead of tuning per-volume pages.
+  /// null; hosted volumes read through the VolumeManager's one service-wide
+  /// cache, sized by service::CacheOptions, and ignore it.
   std::size_t cache_pages = 8192;
 
   /// Service-wide block cache (borrowed; must outlive the db). When set,
@@ -108,14 +103,13 @@ struct BacklogOptions {
   /// sole-owned and plain deletion suffices.
   FileManifest* shared_files = nullptr;
 
-  /// Crash-injection checkpoint for the durability pipeline, mirroring
-  /// ServiceOptions::clone_checkpoint: invoked with "cp_flushed" after a
-  /// consistency point's run files hit disk (write store cleared, registry
-  /// not yet advanced) and "registry_persisted" after the manifest edit
-  /// commits the CP. Crash tests _exit() inside the hook to freeze the
-  /// on-disk state exactly between those two ordering points. Null (the
-  /// default) disables injection.
-  std::function<void(std::string_view point)> checkpoint;
+  /// Fault-injection registry (borrowed; outlives the db). A consistency
+  /// point fires "cp.flushed" once its run files are on disk (registry not
+  /// yet advanced) and "cp.registry_persisted" once the manifest edit
+  /// commits it, for the volume named by the Env's fault_volume(). Crash
+  /// tests _exit there to freeze the on-disk state between the two. Null
+  /// (the default) disables injection.
+  util::FaultPoints* faults = nullptr;
 };
 
 /// One masked query result: a Combined record plus the retained snapshot /
@@ -286,15 +280,6 @@ class BacklogDb {
     return result_cache_.stats();
   }
 
-  /// Counters of the block cache this db reads through. With an injected
-  /// shared_cache these are the *service-wide* counters (every volume sees
-  /// the same numbers); in the legacy standalone mode they are this db's
-  /// private cache, which is how the service layer aggregates a per-volume
-  /// fleet report.
-  [[nodiscard]] storage::BlockCacheStats block_cache_stats() const {
-    return cache_.stats();
-  }
-
   // --- maintenance (§5.2) -----------------------------------------------------
 
   /// Compact every partition: merge runs, precompute Combined, purge dead
@@ -399,8 +384,7 @@ class BacklogDb {
   BacklogOptions options_;
   SnapshotRegistry registry_;
   WriteStore ws_;
-  // The compat shim for bare-library users: when no shared cache is
-  // injected, the db owns a private one and cache_ points at it.
+  // A standalone db owns a private cache; cache_ is it or the shared one.
   std::unique_ptr<storage::BlockCache> private_cache_;
   storage::BlockCache& cache_;
   ResultCache<std::vector<BackrefEntry>> result_cache_;

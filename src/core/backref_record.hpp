@@ -12,8 +12,8 @@
 // the record bytes sorts by (block, inode, offset, length, line, epoch) —
 // exactly the order the LSM machinery (run files, merges, pairing) needs.
 // The paper's btrfs port uses 40-byte From/To and 48-byte Combined tuples
-// with some fields narrowed; we keep every field 64-bit (48/56 bytes) and
-// note the delta in EXPERIMENTS.md space-overhead discussion.
+// with some fields narrowed; we keep every field 64-bit (48/56 bytes), which
+// raises the space overhead the Fig. 6/8 benches report accordingly.
 #pragma once
 
 #include <compare>

@@ -126,8 +126,8 @@ FileManifest::Stats FileManifest::stats() const {
 std::size_t FileManifest::rebuild(
     const std::vector<std::filesystem::path>& volume_dirs) {
   std::lock_guard lock(mu_);
-  // Group holders by (device, inode), not by name alone: a legacy
-  // byte-copied clone duplicates names across directories without sharing
+  // Group holders by (device, inode), not by name alone: a run a clone had
+  // to byte-copy duplicates its name across directories without sharing
   // storage, and spurious entries would misreport deduplication.
   using InodeId = std::pair<std::uint64_t, std::uint64_t>;
   std::map<std::string, std::map<InodeId, Entry>> counted;

@@ -115,8 +115,9 @@ class FileManifest {
   /// Recount every `.run` name across `volume_dirs` (the committed volume
   /// directories), replace the table with names whose *inode* is held by
   /// >= 2 directories, and persist. Sharing is verified by stat identity,
-  /// not name equality alone: a legacy byte-copied clone (cow_clone=false)
-  /// duplicates names without sharing storage and must not be counted.
+  /// not name equality alone: a run a clone byte-copied because the file
+  /// system could not link it duplicates the name without sharing storage
+  /// and must not be counted.
   /// Returns the number of tracked entries. This is the crash recovery
   /// path: whatever a half-finished clone or an unpersisted release left
   /// in FILEREFS, the directories are the truth.

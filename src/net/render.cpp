@@ -202,12 +202,12 @@ std::string render_cache(const service::VolumeManager::CacheReport& report,
   std::string out;
   if (json) {
     appendf(out,
-            "{\"block\":{\"shared\":%s,\"capacity_bytes\":%" PRIu64
+            "{\"block\":{\"shared\":true,\"capacity_bytes\":%" PRIu64
             ",\"shards\":%" PRIu64 ",\"entries\":%" PRIu64
             ",\"bytes\":%" PRIu64 ",\"hits\":%" PRIu64 ",\"misses\":%" PRIu64
             ",\"hit_ratio\":%.4f,\"evictions\":%" PRIu64
             ",\"invalidations\":%" PRIu64 "},\"tenants\":{",
-            report.block_shared ? "true" : "false", b.capacity_bytes,
+            b.capacity_bytes,
             b.shards, b.entries, b.bytes, b.hits, b.misses, b.hit_ratio(),
             b.evictions, b.invalidations);
     bool first = true;
@@ -226,8 +226,7 @@ std::string render_cache(const service::VolumeManager::CacheReport& report,
     return out;
   }
   appendf(out,
-          "block cache:   %s, %.1f MiB budget, %" PRIu64 " shards\n",
-          report.block_shared ? "shared" : "per-volume (legacy)",
+          "block cache:   shared, %.1f MiB budget, %" PRIu64 " shards\n",
           static_cast<double>(b.capacity_bytes) / (1u << 20), b.shards);
   appendf(out,
           "  resident:    %" PRIu64 " pages (%.1f MiB)\n", b.entries,

@@ -27,9 +27,10 @@ struct HistogramBucket {
   std::uint64_t count = 0;
 };
 
-/// Log2-bucketed latency histogram (microseconds). record() is O(1); the
-/// quantile is the upper bound of the bucket containing it, so reported
-/// percentiles are conservative (never under-estimated) within a factor of 2.
+/// Log2-bucketed latency histogram (microseconds). record() is O(1); a
+/// quantile is interpolated linearly inside the bucket that holds it (see
+/// quantile_micros), so it can err by up to that bucket's width in either
+/// direction, and never exceeds max_micros().
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 64;

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <random>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "util/clock.hpp"
@@ -78,13 +79,27 @@ ServiceOptions validated(ServiceOptions options) {
   if (options.dequeue_chunk == 0)
     throw std::invalid_argument(
         "ServiceOptions: dequeue_chunk must be > 0 (1 = unchunked dequeue)");
-  if (!options.cache.enable_block_cache &&
-      options.db_options.cache_pages == 0)
-    throw std::invalid_argument(
-        "ServiceOptions: with the shared block cache disabled, "
-        "db_options.cache_pages must be > 0 (a hosted volume always serves "
-        "queries through some cache)");
   return options;
+}
+
+/// Hard-links run `name` into `dir` for a clone. Returns false, leaving
+/// nothing behind, when the file system cannot link it (EXDEV across
+/// devices, EPERM/ENOTSUP where hard links are unsupported, EMLINK at the
+/// link limit): the caller byte-copies that file instead. Any other failure
+/// throws.
+bool link_or_fall_back(storage::Env& env, const std::string& name,
+                       const std::filesystem::path& dir) {
+  try {
+    env.link_file_to(name, dir);
+    return true;
+  } catch (const std::system_error& e) {
+    const std::error_code ec = e.code();
+    if (ec == std::errc::cross_device_link ||
+        ec == std::errc::operation_not_permitted ||
+        ec == std::errc::too_many_links || ec == std::errc::not_supported)
+      return false;
+    throw;
+  }
 }
 
 /// Clears the volume's maintenance-pending flag on every exit path of a
@@ -96,29 +111,36 @@ struct PendingGuard {
 
 }  // namespace
 
-bool VolumeManager::flush_buffered_cp(Volume& v) {
-  if (v.db->quick_stats().ws_entries == 0) return false;
+core::CpFlushStats VolumeManager::commit_cp(Volume& v) {
   throw_if_wounded(v);
   const std::uint64_t t0 = now_micros();
-  v.db->consistency_point();
+  const core::CpFlushStats s = v.db->consistency_point();
   ++v.stats.cps;
   const std::uint64_t d = now_micros() - t0;
   v.stats.cp_micros.record(d);
   hot_.cps->add(metric_slot());
   hot_.cp_micros->record(metric_slot(), d);
+  // The committed CP covers every logged op at or below its epoch: the log
+  // restarts empty behind it. (A crash between the CP and this reset is
+  // benign — replay skips records below the recovered epoch, and the write
+  // store's set semantics make a same-epoch re-apply idempotent.)
   if (v.wal) {
     v.wal->reset();
-    wal_point("wal_truncated");
+    inject(util::fault_point("wal.truncated"), v);
   }
+  return s;
+}
+
+bool VolumeManager::flush_buffered_cp(Volume& v) {
+  if (v.db->quick_stats().ws_entries == 0) return false;
+  commit_cp(v);
   return true;
 }
 
 VolumeManager::VolumeManager(ServiceOptions options)
     : options_(validated(std::move(options))),
       shared_files_(options_.root),
-      block_cache_(options_.cache.enable_block_cache
-                       ? options_.cache.capacity_bytes
-                       : 0,
+      block_cache_(options_.cache.capacity_bytes,
                    options_.cache.block_cache_shards),
       metrics_(options_.shards + 1),  // one slot per shard + the API slot
       pool_(options_.shards, options_.bg_starvation_limit,
@@ -352,17 +374,12 @@ core::BacklogOptions VolumeManager::volume_db_options() {
   opts.file_tag = make_file_tag();
   opts.shared_files = &shared_files_;
   // Hosted volumes read through the service-wide block cache (the BacklogDb
-  // ctor attaches it to the volume's Env for unlink invalidation); the
-  // legacy cache_pages knob only matters when the shared cache is disabled.
-  if (options_.cache.enable_block_cache) opts.shared_cache = &block_cache_;
-  opts.result_cache_entries = options_.cache.enable_result_cache
-                                  ? options_.cache.result_cache_entries
-                                  : 0;
-  // The durability pipeline's two in-CP injection points ("cp_flushed",
-  // "registry_persisted") fire from inside BacklogDb::consistency_point;
-  // the service-level points fire through wal_point(). Same hook, so a
-  // crash harness sees the full ordered sequence.
-  if (options_.wal_checkpoint) opts.checkpoint = options_.wal_checkpoint;
+  // ctor attaches it to the volume's Env for unlink invalidation).
+  opts.shared_cache = &block_cache_;
+  opts.result_cache_entries = options_.cache.result_cache_entries;
+  // The cp.* points fire inside BacklogDb::consistency_point, the wal.*
+  // points through inject(): one registry sees the full ordered sequence.
+  opts.faults = options_.faults;
   return opts;
 }
 
@@ -373,8 +390,7 @@ void VolumeManager::recover_volume_on_shard(
   // WAL durability is meaningless without real fsyncs: enabling it forces
   // them even when the service otherwise runs unsynced.
   v.env->set_sync(options_.sync_writes || options_.wal_enabled);
-  v.env->set_fault_hook(options_.env_fault_hook);
-  if (options_.env_prepare) options_.env_prepare(v.tenant, *v.env);
+  v.env->set_faults(options_.faults, v.tenant);
   v.db = std::make_unique<core::BacklogDb>(*v.env, db_opts);
   if (!options_.wal_enabled) return;
   // Replay the WAL tail into the recovered db. Records below the recovered
@@ -396,7 +412,7 @@ void VolumeManager::recover_volume_on_shard(
   }
   // Start a fresh, empty log: replayed ops are in runs now, and a rejected
   // torn/corrupt tail is garbage by definition. Deliberately not a
-  // "wal_truncated" injection point — recovery truncation is not part of
+  // "wal.truncated" injection point — recovery truncation is not part of
   // the commit pipeline's ordering, and a crash test dying here could
   // never finish its own recovery.
   v.wal = std::make_unique<core::Wal>(*v.env, core::Wal::kDefaultName);
@@ -558,7 +574,8 @@ void VolumeManager::dispatch(const std::shared_ptr<Volume>& vol, Task task,
   }
 }
 
-void VolumeManager::open_volume(const std::string& tenant) {
+std::shared_ptr<VolumeManager::Volume> VolumeManager::register_volume(
+    const std::string& tenant) {
   validate_tenant_name(tenant);
   auto vol = std::make_shared<Volume>();
   vol->tenant = tenant;
@@ -566,21 +583,19 @@ void VolumeManager::open_volume(const std::string& tenant) {
   vol->shard.store(home, std::memory_order_relaxed);
   vol->stats.shard = home;
   vol->flow_id = next_flow_id_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(mu_);
-    if (!volumes_.emplace(tenant, vol).second)
-      throw std::invalid_argument("volume already open: " + tenant);
-  }
-  // Registered before the open task runs: any operation submitted after
-  // open_volume() returns queues behind this task for the same volume
-  // (per-shard FIFO + the migration park/replay order), so it observes a
-  // fully recovered volume.
+  std::lock_guard lock(mu_);
+  if (!volumes_.emplace(tenant, vol).second)
+    throw std::invalid_argument("volume already open: " + tenant);
+  return vol;
+}
+
+void VolumeManager::recover_volume(const std::shared_ptr<Volume>& vol) {
   auto prom = std::make_shared<std::promise<void>>();
   std::future<void> fut = prom->get_future();
-  const std::filesystem::path dir = options_.root / tenant;
   dispatch(
       vol,
-      [this, vol, prom, dir, db_opts = volume_db_options()] {
+      [this, vol, prom, dir = options_.root / vol->tenant,
+       db_opts = volume_db_options()] {
         try {
           recover_volume_on_shard(*vol, dir, db_opts);
           prom->set_value();
@@ -589,16 +604,11 @@ void VolumeManager::open_volume(const std::string& tenant) {
         }
       },
       /*background=*/false);
-  try {
-    fut.get();
-  } catch (...) {
-    std::lock_guard lock(mu_);
-    volumes_.erase(tenant);
-    throw;
-  }
+  fut.get();
 }
 
-void VolumeManager::close_volume(const std::string& tenant) {
+std::shared_ptr<VolumeManager::Volume> VolumeManager::unregister_volume(
+    const std::string& tenant) {
   std::shared_ptr<Volume> vol;
   {
     std::lock_guard lock(mu_);
@@ -609,10 +619,29 @@ void VolumeManager::close_volume(const std::string& tenant) {
     volumes_.erase(it);  // no new operations route to it
   }
   // Flush the QoS gate before queueing the teardown: throttled ops reach
-  // the shard (in order) ahead of the close, so their promises resolve
-  // against a still-open volume rather than stranding.
+  // the shard (in order) ahead of it, so their promises resolve against a
+  // still-open volume rather than stranding.
   vol->gate.clear();
-  run_on(vol,
+  return vol;
+}
+
+void VolumeManager::open_volume(const std::string& tenant) {
+  // Registered before the open task runs: any operation submitted after
+  // open_volume() returns queues behind this task for the same volume
+  // (per-shard FIFO + the migration park/replay order), so it observes a
+  // fully recovered volume.
+  const std::shared_ptr<Volume> vol = register_volume(tenant);
+  try {
+    recover_volume(vol);
+  } catch (...) {
+    std::lock_guard lock(mu_);
+    volumes_.erase(tenant);
+    throw;
+  }
+}
+
+void VolumeManager::close_volume(const std::string& tenant) {
+  run_on(unregister_volume(tenant),
          [](Volume& v) {
            // Commit anything still buffered, then tear down (persists the
            // manifest base via the CP's edit append). Tear-down happens even
@@ -623,11 +652,7 @@ void VolumeManager::close_volume(const std::string& tenant) {
            // are then lost to journal replay, exactly as in a crash.
            struct Teardown {
              Volume& v;
-             ~Teardown() {
-               v.wal.reset();  // before the Env it writes through
-               v.db.reset();
-               v.env.reset();
-             }
+             ~Teardown() { v.close_handles(); }
            } teardown{v};
            if (v.db->quick_stats().ws_entries != 0) {
              v.db->consistency_point();
@@ -662,18 +687,8 @@ void VolumeManager::release_directory_via_manifest(
 }
 
 void VolumeManager::destroy_volume(const std::string& tenant) {
-  std::shared_ptr<Volume> vol;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = volumes_.find(tenant);
-    if (it == volumes_.end())
-      throw std::invalid_argument("unknown tenant: " + tenant);
-    vol = it->second;
-    volumes_.erase(it);  // no new operations route to it
-  }
-  vol->gate.clear();
   const std::filesystem::path dir = options_.root / tenant;
-  run_on(vol,
+  run_on(unregister_volume(tenant),
          [this, dir](Volume& v) {
            // Close the handles first so every file descriptor is released,
            // then delete through the manifest: each run's own link is
@@ -682,9 +697,7 @@ void VolumeManager::destroy_volume(const std::string& tenant) {
            // unlink here is its physical removal. No remove_all shortcut:
            // that would leave the refcount table claiming holders that no
            // longer exist.
-           v.wal.reset();
-           v.db.reset();
-           v.env.reset();
+           v.close_handles();
            release_directory_via_manifest(dir);
          })
       .get();
@@ -692,83 +705,69 @@ void VolumeManager::destroy_volume(const std::string& tenant) {
 
 std::future<void> VolumeManager::apply(const std::string& tenant,
                                        std::vector<UpdateOp> batch) {
-  // QoS metering: a batch costs its op count against the ops bucket and an
-  // approximate encoded size (one From/To record per op) against the bytes
-  // bucket.
-  const double ops_cost = static_cast<double>(batch.size());
-  const double bytes_cost = ops_cost * core::kFromRecordSize;
-  const auto op_count = static_cast<std::uint32_t>(batch.size());
-  if (options_.wal_enabled) {
-    // Durable form of the verb: the future resolves only once the applied
-    // prefix is covered by a WAL fsync (inline or the shard's group-commit
-    // sweep). per_op preserves the partial-prefix contract documented above.
-    std::shared_ptr<Volume> vol = find(tenant);
-    return run_on_deferred(
-        vol,
-        [this, vol, batch = std::move(batch)](Volume&, DoneFn done) {
-          wal_apply_batch(vol, batch, /*per_op=*/true, std::move(done));
-        },
-        ops_cost, bytes_cost, TraceVerb::kApply, op_count);
-  }
-  return run_on(
-      find(tenant),
-      [this, batch = std::move(batch)](Volume& v) {
-        const std::uint64_t t0 = now_micros();
-        for (const UpdateOp& op : batch) {
-          if (op.kind == UpdateOp::Kind::kAdd) {
-            v.db->add_reference(op.key);
-          } else {
-            v.db->remove_reference(op.key);
-          }
-        }
-        v.stats.updates += batch.size();
-        ++v.stats.batches;
-        const std::uint64_t d = now_micros() - t0;
-        v.stats.update_batch_micros.record(d);
-        const std::size_t slot = metric_slot();
-        hot_.updates->add(slot, batch.size());
-        hot_.batches->add(slot);
-        hot_.update_batch_micros->record(slot, d);
-      },
-      /*background=*/false, ops_cost, bytes_cost, /*bypass_gate=*/false,
-      TraceVerb::kApply, op_count);
+  return submit_update(tenant, std::move(batch), /*per_op=*/true,
+                       TraceVerb::kApply);
 }
 
 std::future<void> VolumeManager::apply_batch(const std::string& tenant,
                                              std::vector<UpdateOp> batch) {
-  // One boundary crossing for the whole batch: the gate is charged once
-  // with the batch's total cost, and the batch rides as a single task with
-  // a single promise. The shard applies it through BacklogDb::apply_many
-  // (validate → stamp → bulk insert), so the per-op path has no routing,
-  // allocation or virtual-dispatch overhead left — only write-store work.
+  return submit_update(tenant, std::move(batch), /*per_op=*/false,
+                       TraceVerb::kApplyBatch);
+}
+
+std::future<void> VolumeManager::submit_update(const std::string& tenant,
+                                               std::vector<UpdateOp> batch,
+                                               bool per_op, TraceVerb verb) {
+  // QoS metering: a batch costs its op count against the ops bucket and an
+  // approximate encoded size (one From/To record per op) against the bytes
+  // bucket — charged once for the whole batch, which rides as a single task
+  // with a single promise.
   const double ops_cost = static_cast<double>(batch.size());
   const double bytes_cost = ops_cost * core::kFromRecordSize;
   const auto op_count = static_cast<std::uint32_t>(batch.size());
+  std::shared_ptr<Volume> vol = find(tenant);
   if (options_.wal_enabled) {
-    std::shared_ptr<Volume> vol = find(tenant);
+    // Durable form of the verb: the future resolves only once the applied
+    // prefix is covered by a WAL fsync (inline or the shard's group-commit
+    // sweep).
     return run_on_deferred(
         vol,
-        [this, vol, batch = std::move(batch)](Volume&, DoneFn done) {
-          wal_apply_batch(vol, batch, /*per_op=*/false, std::move(done));
+        [this, vol, per_op, batch = std::move(batch)](Volume&, DoneFn done) {
+          wal_apply_batch(vol, batch, per_op, std::move(done));
         },
-        ops_cost, bytes_cost, TraceVerb::kApplyBatch, op_count);
+        ops_cost, bytes_cost, verb, op_count);
   }
   return run_on(
-      find(tenant),
-      [this, batch = std::move(batch)](Volume& v) {
+      std::move(vol),
+      [this, per_op, batch = std::move(batch)](Volume& v) {
         const std::uint64_t t0 = now_micros();
-        v.db->apply_many(batch);
-        v.stats.updates += batch.size();
-        ++v.stats.batches;
-        const std::uint64_t d = now_micros() - t0;
-        v.stats.update_batch_micros.record(d);
-        const std::size_t slot = metric_slot();
-        hot_.updates->add(slot, batch.size());
-        hot_.batches->add(slot);
-        hot_.update_batch_micros->record(slot, d);
+        if (per_op) {
+          for (const UpdateOp& op : batch) {
+            if (op.kind == UpdateOp::Kind::kAdd) {
+              v.db->add_reference(op.key);
+            } else {
+              v.db->remove_reference(op.key);
+            }
+          }
+        } else {
+          v.db->apply_many(batch);
+        }
+        record_update_batch(v, batch.size(), t0);
       },
-      /*background=*/false, ops_cost, bytes_cost, /*bypass_gate=*/false,
-      TraceVerb::kApplyBatch, op_count);
+      /*background=*/false, ops_cost, bytes_cost, /*bypass_gate=*/false, verb,
+      op_count);
+}
+
+void VolumeManager::record_update_batch(Volume& v, std::size_t ops,
+                                        std::uint64_t t0) {
+  v.stats.updates += ops;
+  ++v.stats.batches;
+  const std::uint64_t d = now_micros() - t0;
+  v.stats.update_batch_micros.record(d);
+  const std::size_t slot = metric_slot();
+  hot_.updates->add(slot, ops);
+  hot_.batches->add(slot);
+  hot_.update_batch_micros->record(slot, d);
 }
 
 void VolumeManager::wound(Volume& v, const char* what) {
@@ -820,6 +819,7 @@ void VolumeManager::wal_apply_batch(const std::shared_ptr<Volume>& vol,
   if (applied != 0) {
     try {
       v.wal->append(v.db->current_cp(), batch.first(applied));
+      inject(util::fault_point("wal.appended"), v);
     } catch (...) {
       wound(v, "WAL append");
       done(std::make_exception_ptr(ServiceError(
@@ -828,16 +828,8 @@ void VolumeManager::wal_apply_batch(const std::shared_ptr<Volume>& vol,
       return;
     }
     hot_.wal_records->add(metric_slot());
-    wal_point("wal_appended");
   }
-  v.stats.updates += applied;
-  ++v.stats.batches;
-  const std::uint64_t d = now_micros() - t0;
-  v.stats.update_batch_micros.record(d);
-  const std::size_t slot = metric_slot();
-  hot_.updates->add(slot, applied);
-  hot_.batches->add(slot);
-  hot_.update_batch_micros->record(slot, d);
+  record_update_batch(v, applied, t0);
   if (applied == 0) {
     // Empty batch, or per_op's first op failed: nothing logged, nothing to
     // make durable — resolve immediately (apply_err is null when empty).
@@ -850,6 +842,7 @@ void VolumeManager::wal_apply_batch(const std::shared_ptr<Volume>& vol,
   if (window == 0) {
     try {
       v.wal->sync();
+      inject(util::fault_point("wal.synced"), v);
     } catch (...) {
       wound(v, "WAL sync");
       done(std::make_exception_ptr(ServiceError(
@@ -857,8 +850,7 @@ void VolumeManager::wal_apply_batch(const std::shared_ptr<Volume>& vol,
           "WAL sync failed (volume now read-only): " + v.tenant)));
       return;
     }
-    hot_.wal_syncs->add(slot);
-    wal_point("wal_synced");
+    hot_.wal_syncs->add(metric_slot());
     done(std::move(apply_err));
     return;
   }
@@ -933,11 +925,11 @@ void VolumeManager::wal_commit_now(std::size_t shard) {
     try {
       v.wal->sync();
       hot_.wal_syncs->add(metric_slot());
+      inject(util::fault_point("wal.synced"), v);
     } catch (...) {
       wound(v, "WAL sync");
     }
   }
-  wal_point("wal_synced");
   for (ShardCommit::PendingAck& a : acks) {
     if (a.vol->wounded.load(std::memory_order_relaxed)) {
       a.done(std::make_exception_ptr(ServiceError(
@@ -959,16 +951,7 @@ VolumeManager::query_batch(const std::string& tenant,
       [this, ranges = std::move(ranges)](Volume& v) {
         std::vector<std::vector<core::BackrefEntry>> out;
         out.reserve(ranges.size());
-        const std::size_t slot = metric_slot();
-        for (const QueryRange& r : ranges) {
-          const std::uint64_t t0 = now_micros();
-          out.push_back(v.db->query(r.first, r.count, r.opts));
-          ++v.stats.queries;
-          const std::uint64_t d = now_micros() - t0;
-          v.stats.query_micros.record(d);
-          hot_.queries->add(slot);
-          hot_.query_micros->record(slot, d);
-        }
+        for (const QueryRange& r : ranges) out.push_back(timed_query(v, r));
         return out;
       },
       /*background=*/false, ops_cost, 0, /*bypass_gate=*/false,
@@ -978,27 +961,7 @@ VolumeManager::query_batch(const std::string& tenant,
 std::future<core::CpFlushStats> VolumeManager::consistency_point(
     const std::string& tenant) {
   return run_on(
-      find(tenant),
-      [this](Volume& v) {
-        throw_if_wounded(v);
-        const std::uint64_t t0 = now_micros();
-        core::CpFlushStats s = v.db->consistency_point();
-        ++v.stats.cps;
-        const std::uint64_t d = now_micros() - t0;
-        v.stats.cp_micros.record(d);
-        hot_.cps->add(metric_slot());
-        hot_.cp_micros->record(metric_slot(), d);
-        // The committed CP covers every logged op at or below its epoch:
-        // the log restarts empty behind it. (A crash between the CP and
-        // this reset is benign — replay skips records below the recovered
-        // epoch, and the write store's set semantics make a same-epoch
-        // re-apply idempotent.)
-        if (v.wal) {
-          v.wal->reset();
-          wal_point("wal_truncated");
-        }
-        return s;
-      },
+      find(tenant), [this](Volume& v) { return commit_cp(v); },
       /*background=*/false, 0, 0, /*bypass_gate=*/false, TraceVerb::kCp);
 }
 
@@ -1022,20 +985,9 @@ std::future<core::Epoch> VolumeManager::take_snapshot(const std::string& tenant,
         // updates applied before this verb carry from == version and are part
         // of the snapshot; the CP advance makes later updates invisible to it.
         const core::Epoch version = v.db->registry().take_snapshot(line);
-        const std::uint64_t t0 = now_micros();
-        v.db->consistency_point();
-        if (v.wal) {
-          v.wal->reset();
-          wal_point("wal_truncated");
-        }
-        ++v.stats.cps;
-        const std::uint64_t d = now_micros() - t0;
-        v.stats.cp_micros.record(d);
+        commit_cp(v);
         ++v.stats.snapshots;
-        const std::size_t slot = metric_slot();
-        hot_.cps->add(slot);
-        hot_.cp_micros->record(slot, d);
-        hot_.snapshots->add(slot);
+        hot_.snapshots->add(metric_slot());
         return version;
       },
       /*background=*/false, 0, 0, /*bypass_gate=*/false,
@@ -1086,17 +1038,7 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
   // cleanup paths). Operations routed to the reservation before the volume
   // opens fail with "volume is closed", the same transient window a plain
   // open_volume() has.
-  auto dst = std::make_shared<Volume>();
-  dst->tenant = dst_tenant;
-  const std::size_t dst_home = shard_of(dst_tenant);
-  dst->shard.store(dst_home, std::memory_order_relaxed);
-  dst->stats.shard = dst_home;
-  dst->flow_id = next_flow_id_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(mu_);
-    if (!volumes_.emplace(dst_tenant, dst).second)
-      throw std::invalid_argument("volume already open: " + dst_tenant);
-  }
+  const std::shared_ptr<Volume> dst = register_volume(dst_tenant);
 
   const std::filesystem::path dst_dir = options_.root / dst_tenant;
   const std::filesystem::path staging =
@@ -1115,15 +1057,14 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
     // every update submitted before this call, flushes anything buffered so
     // the durable files are the complete state, validates the snapshot, and
     // stages the db's own file list (manifest, deletion vectors, runs) into
-    // `<dst>.cloning`. With cow_clone, immutable run files are hard-linked
-    // (no data copy; the shared FileManifest's refcounts take ownership)
-    // and only the mutable metadata is byte-copied. Two durability points
-    // commit the clone — the refcount table (FILEREFS) and the atomic
+    // `<dst>.cloning`. Immutable run files are hard-linked (no data copy;
+    // the shared FileManifest's refcounts take ownership) and only the
+    // mutable metadata is byte-copied. Two durability points commit the
+    // clone, in this order: the refcount table (FILEREFS), then the atomic
     // staging->dst rename; recover_clone_staging() reconciles a crash
-    // between them, in either persist order.
-    const bool cow = options_.cow_clone;
+    // between them.
     run_on(src,
-           [this, parent_line, version, dst_dir, staging, cow,
+           [this, parent_line, version, dst_dir, staging,
             committed](Volume& v) {
              flush_buffered_cp(v);
              if (!v.db->registry().has_snapshot(parent_line, version)) {
@@ -1132,35 +1073,28 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
                    ", v" + std::to_string(version) +
                    ") is not a retained snapshot of " + v.tenant);
              }
-             const auto checkpoint = [this](std::string_view point) {
-               if (options_.clone_checkpoint) options_.clone_checkpoint(point);
-             };
              std::error_code ec;
              std::filesystem::remove_all(staging, ec);  // stale leftovers
              std::filesystem::create_directories(staging);
              std::vector<std::string> linked;
              try {
                for (const std::string& name : v.db->live_files()) {
-                 if (cow && name.ends_with(".run")) {
-                   v.env->link_file_to(name, staging);
+                 if (name.ends_with(".run") &&
+                     link_or_fall_back(*v.env, name, staging)) {
                    shared_files_.note_link(name, v.env->file_size(name));
                    linked.push_back(name);
                  } else {
                    v.env->copy_file_to(name, staging);
                  }
                }
-               checkpoint("files_staged");
-               if (!linked.empty() && !options_.clone_persist_refs_last) {
+               inject(util::fault_point("clone.files_staged"), v);
+               if (!linked.empty()) {
                  shared_files_.persist();
-                 checkpoint("refs_persisted");
+                 inject(util::fault_point("clone.refs_persisted"), v);
                }
                std::filesystem::rename(staging, dst_dir);  // the commit point
                committed->store(true, std::memory_order_release);
-               checkpoint("registry_persisted");
-               if (!linked.empty() && options_.clone_persist_refs_last) {
-                 shared_files_.persist();
-                 checkpoint("refs_persisted");
-               }
+               inject(util::fault_point("clone.committed"), v);
              } catch (...) {
                if (committed->load(std::memory_order_acquire)) {
                  // The rename already committed: the links are live and the
@@ -1189,20 +1123,7 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
     // volume, then branches its writable line off the snapshot. The new
     // line is persisted immediately so the clone relationship survives a
     // crash.
-    auto prom = std::make_shared<std::promise<void>>();
-    std::future<void> opened = prom->get_future();
-    dispatch(
-        dst,
-        [this, dst, prom, dst_dir, db_opts = volume_db_options()] {
-          try {
-            recover_volume_on_shard(*dst, dst_dir, db_opts);
-            prom->set_value();
-          } catch (...) {
-            prom->set_exception(std::current_exception());
-          }
-        },
-        /*background=*/false);
-    opened.get();
+    recover_volume(dst);
     return run_on(dst,
                   [parent_line, version](Volume& v) {
                     const core::LineId line =
@@ -1223,13 +1144,7 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
       volumes_.erase(dst_tenant);
     }
     try {
-      run_on(dst,
-             [](Volume& v) {
-               v.wal.reset();
-               v.db.reset();
-               v.env.reset();
-             })
-          .get();
+      run_on(dst, [](Volume& v) { v.close_handles(); }).get();
     } catch (...) {
       // "volume is closed" when the open never happened — nothing to tear
       // down.
@@ -1362,17 +1277,31 @@ std::future<std::vector<core::BackrefEntry>> VolumeManager::query(
   return run_on(
       find(tenant),
       [this, first, count, opts](Volume& v) {
-        const std::uint64_t t0 = now_micros();
-        std::vector<core::BackrefEntry> r = v.db->query(first, count, opts);
-        ++v.stats.queries;
-        const std::uint64_t d = now_micros() - t0;
-        v.stats.query_micros.record(d);
-        hot_.queries->add(metric_slot());
-        hot_.query_micros->record(metric_slot(), d);
-        return r;
+        return timed_query(v, {first, count, opts});
       },
       /*background=*/false, /*ops_cost=*/1, 0, /*bypass_gate=*/false,
       TraceVerb::kQuery);
+}
+
+std::vector<core::BackrefEntry> VolumeManager::timed_query(
+    Volume& v, const QueryRange& r) {
+  const std::uint64_t t0 = now_micros();
+  std::vector<core::BackrefEntry> out = v.db->query(r.first, r.count, r.opts);
+  ++v.stats.queries;
+  const std::uint64_t d = now_micros() - t0;
+  v.stats.query_micros.record(d);
+  hot_.queries->add(metric_slot());
+  hot_.query_micros->record(metric_slot(), d);
+  return out;
+}
+
+core::MaintenanceStats VolumeManager::timed_maintain(Volume& v) {
+  const std::uint64_t t0 = now_micros();
+  core::MaintenanceStats m = v.db->maintain();
+  ++v.stats.maintenance_runs;
+  v.stats.maintenance_micros.record(now_micros() - t0);
+  hot_.maintenance_runs->add(metric_slot());
+  return m;
 }
 
 std::future<std::vector<core::CombinedRecord>> VolumeManager::scan_all(
@@ -1386,12 +1315,7 @@ std::future<core::MaintenanceStats> VolumeManager::maintain(
       find(tenant),
       [this](Volume& v) {
         throw_if_wounded(v);
-        const std::uint64_t t0 = now_micros();
-        core::MaintenanceStats m = v.db->maintain();
-        ++v.stats.maintenance_runs;
-        v.stats.maintenance_micros.record(now_micros() - t0);
-        hot_.maintenance_runs->add(metric_slot());
-        return m;
+        return timed_maintain(v);
       },
       /*background=*/false, 0, 0, /*bypass_gate=*/false,
       TraceVerb::kMaintenance);
@@ -1437,11 +1361,7 @@ bool VolumeManager::schedule_maintenance(const std::string& tenant,
           ++v.stats.maintenance_skipped;
           return;
         }
-        const std::uint64_t t0 = now_micros();
-        v.db->maintain();
-        ++v.stats.maintenance_runs;
-        v.stats.maintenance_micros.record(now_micros() - t0);
-        hot_.maintenance_runs->add(metric_slot());
+        timed_maintain(v);
       },
       /*background=*/true);
   return true;
@@ -1468,113 +1388,36 @@ std::future<storage::IoStats> VolumeManager::io_stats(
 }
 
 ServiceStats VolumeManager::stats() {
-  // Group the open volumes by their current shard, then snapshot the groups
-  // one shard at a time: the next shard's snapshot task is only submitted
-  // once the previous shard finished, so a slow shard never drags the
-  // others into a coordinated stats stall. Tasks route through run_on, so a
-  // volume that migrates mid-aggregation is still snapshotted exactly once,
-  // on whichever thread owns it when its task runs.
-  std::vector<std::vector<std::shared_ptr<Volume>>> by_shard(pool_.size());
-  {
-    std::lock_guard lock(mu_);
-    std::shared_lock rlock(routing_mu_);
-    for (const auto& [name, vol] : volumes_)
-      by_shard[vol->shard.load(std::memory_order_relaxed)].push_back(vol);
-  }
   ServiceStats out;
-  for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
-    std::vector<std::pair<std::shared_ptr<Volume>, std::future<TenantStats>>>
-        futs;
-    futs.reserve(by_shard[shard].size());
-    for (const auto& vol : by_shard[shard]) {
-      futs.emplace_back(vol, run_on(
-                                 vol,
-                                 [](Volume& v) {
-                                   TenantStats ts = v.stats;
-                                   ts.io = v.env->stats();
-                                   const core::FileOwnershipStats fo =
-                                       v.db->file_ownership();
-                                   ts.owned_bytes = fo.owned_bytes;
-                                   ts.shared_bytes = fo.shared_bytes;
-                                   ts.shared_files = fo.shared_files;
-                                   return ts;
-                                 },
-                                 /*background=*/false, 0, 0,
-                                 /*bypass_gate=*/true));
-    }
-    for (auto& [vol, fut] : futs) {
-      try {
-        TenantStats ts = fut.get();
+  gather_by_shard(
+      [](Volume& v) {
+        TenantStats ts = v.stats;
+        ts.io = v.env->stats();
+        const core::FileOwnershipStats fo = v.db->file_ownership();
+        ts.owned_bytes = fo.owned_bytes;
+        ts.shared_bytes = fo.shared_bytes;
+        ts.shared_files = fo.shared_files;
+        return ts;
+      },
+      [&out](Volume& vol, TenantStats ts) {
         // The QoS counters live on the API side of the gate, not on the
         // shard thread; stamp them into the snapshot here.
-        ts.throttle_queued = vol->gate.throttled();
-        ts.throttle_rejected = vol->gate.rejected();
+        ts.throttle_queued = vol.gate.throttled();
+        ts.throttle_rejected = vol.gate.rejected();
         out.total.merge(ts);
-        out.tenants.emplace(vol->tenant, std::move(ts));
-      } catch (const std::logic_error&) {
-        // Closed while the snapshot task was queued — skip it.
-      }
-    }
-  }
+        out.tenants.emplace(vol.tenant, std::move(ts));
+      });
   return out;
 }
 
 VolumeManager::CacheReport VolumeManager::cache_stats() {
   CacheReport report;
   report.block = block_cache_.stats();
-  report.block_shared = options_.cache.enable_block_cache;
-  // In legacy per-volume mode the shared cache is a disabled stub; the
-  // meaningful numbers live in each db's private cache, so zero the report
-  // here and sum the per-volume counters below (capacity sums to the fleet
-  // total, shards counts one stripe per volume).
-  if (!report.block_shared) report.block = {};
-  // Result-cache counters are shard-thread-private (like the write store),
-  // so gather them the way stats() does: one bypass-gate task per volume,
-  // shard by shard, sequentially.
-  std::vector<std::vector<std::shared_ptr<Volume>>> by_shard(pool_.size());
-  {
-    std::lock_guard lock(mu_);
-    std::shared_lock rlock(routing_mu_);
-    for (const auto& [name, vol] : volumes_)
-      by_shard[vol->shard.load(std::memory_order_relaxed)].push_back(vol);
-  }
-  struct VolCaches {
-    core::ResultCacheStats result;
-    storage::BlockCacheStats block;
-  };
-  for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
-    std::vector<std::pair<std::shared_ptr<Volume>, std::future<VolCaches>>>
-        futs;
-    futs.reserve(by_shard[shard].size());
-    for (const auto& vol : by_shard[shard]) {
-      futs.emplace_back(
-          vol, run_on(
-                   vol,
-                   [](Volume& v) {
-                     return VolCaches{v.db->result_cache_stats(),
-                                      v.db->block_cache_stats()};
-                   },
-                   /*background=*/false, 0, 0, /*bypass_gate=*/true));
-    }
-    for (auto& [vol, fut] : futs) {
-      try {
-        const VolCaches vc = fut.get();
-        report.tenants.push_back({vol->tenant, vc.result});
-        if (!report.block_shared) {
-          report.block.hits += vc.block.hits;
-          report.block.misses += vc.block.misses;
-          report.block.evictions += vc.block.evictions;
-          report.block.invalidations += vc.block.invalidations;
-          report.block.entries += vc.block.entries;
-          report.block.bytes += vc.block.bytes;
-          report.block.capacity_bytes += vc.block.capacity_bytes;
-          report.block.shards += vc.block.shards;
-        }
-      } catch (const std::logic_error&) {
-        // Closed while the task was queued — skip it.
-      }
-    }
-  }
+  // Result-cache counters are shard-thread-private, like the write store.
+  gather_by_shard([](Volume& v) { return v.db->result_cache_stats(); },
+                  [&report](Volume& vol, core::ResultCacheStats rs) {
+                    report.tenants.push_back({vol.tenant, rs});
+                  });
   std::sort(report.tenants.begin(), report.tenants.end(),
             [](const CacheReport::VolumeRow& a, const CacheReport::VolumeRow& b) {
               return a.tenant < b.tenant;
@@ -1583,10 +1426,9 @@ VolumeManager::CacheReport VolumeManager::cache_stats() {
 }
 
 void VolumeManager::clear_caches() {
-  // One clear of the shared cache, then each volume drops its private state
-  // on its own shard: the result cache always, and the legacy private block
-  // cache when no shared cache is injected. bypass_gate so a throttled
-  // tenant cannot wedge the fleet-wide cold-cache lever.
+  // One clear of the shared cache, then each volume drops its result cache
+  // on its own shard. bypass_gate so a throttled tenant cannot wedge the
+  // fleet-wide cold-cache lever.
   block_cache_.clear();
   std::vector<std::shared_ptr<Volume>> vols;
   {
@@ -1595,17 +1437,9 @@ void VolumeManager::clear_caches() {
   }
   std::vector<std::future<void>> futs;
   futs.reserve(vols.size());
-  const bool shared = options_.cache.enable_block_cache;
   for (const auto& vol : vols) {
     futs.push_back(run_on(
-        vol,
-        [shared](Volume& v) {
-          if (shared) {
-            v.db->clear_result_cache();
-          } else {
-            v.db->clear_cache();  // private block cache + result cache
-          }
-        },
+        vol, [](Volume& v) { v.db->clear_result_cache(); },
         /*background=*/false, 0, 0, /*bypass_gate=*/true));
   }
   for (auto& fut : futs) {

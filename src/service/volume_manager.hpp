@@ -83,16 +83,6 @@ struct CacheOptions {
   /// Entries are invalidated by mutation-epoch tag comparison — see
   /// core/result_cache.hpp.
   std::size_t result_cache_entries = 256;
-
-  /// Escape hatch back to the legacy per-volume caches: when false, no
-  /// shared cache is injected and every hosted BacklogDb builds a private
-  /// cache of db_options.cache_pages (which must then be > 0). Exists for
-  /// A/B benching (bench/cache_hit) — production wants the shared cache.
-  bool enable_block_cache = true;
-
-  /// When false, hosted volumes get no result cache regardless of
-  /// result_cache_entries.
-  bool enable_result_cache = true;
 };
 
 struct ServiceOptions {
@@ -104,9 +94,7 @@ struct ServiceOptions {
 
   /// Options applied to every hosted BacklogDb. Caching fields are
   /// overridden by `cache` below: hosted volumes read through the shared
-  /// service cache, so db_options.cache_pages is ignored unless
-  /// cache.enable_block_cache is false (the legacy per-volume mode, which
-  /// requires cache_pages > 0).
+  /// service cache, so db_options.cache_pages is ignored.
   core::BacklogOptions db_options{};
 
   /// The service-wide cache configuration (block cache + per-volume result
@@ -134,34 +122,11 @@ struct ServiceOptions {
   /// pacer thread only exists once some volume has a QoS configured.
   std::chrono::milliseconds qos_pacer_interval{1};
 
-  /// Copy-on-write clone_volume: share the source's immutable run files
-  /// with the clone via hard links + the service's reference-counted
-  /// FileManifest, so clone cost is O(metadata) instead of O(volume size).
-  /// false restores the full byte copy of every live file (the pre-CoW
-  /// behaviour; also the fallback for filesystems without hard links).
-  bool cow_clone = true;
-
-  /// Test hook: invoked at the named durability points of clone_volume's
-  /// commit sequence ("files_staged", "refs_persisted",
-  /// "registry_persisted"). Crash harnesses _exit() inside it to kill the
-  /// process between the refcount persist and the clone-directory commit.
-  std::function<void(std::string_view)> clone_checkpoint;
-
-  /// Test hook: persist the shared-file refcounts *after* the clone
-  /// directory commit instead of before, flipping the order of the two
-  /// durability points so crash recovery is exercised from both sides.
-  bool clone_persist_refs_last = false;
-
-  /// Fault-injection hook installed on every hosted volume's Env (see
-  /// Env::set_fault_hook): lets tests fail a link/copy mid-clone or inject
-  /// IO latency (slow-op forensics tests sleep in it).
-  storage::Env::FaultHook env_fault_hook;
-
-  /// Test hook: invoked with each hosted volume's Env right after
-  /// construction, before recovery runs — the place to arm
-  /// Env::set_write_fault plans per tenant (wounded-volume tests, the
-  /// fleet_sim chaos round).
-  std::function<void(const std::string& tenant, storage::Env&)> env_prepare;
+  /// Fault-injection registry (borrowed; must outlive the manager). Every
+  /// hosted volume's Env, BacklogDb, WAL pipeline and clone commit fire
+  /// their points through it (util/fault_points.hpp), targeted by tenant
+  /// name. Null (the default) disables injection.
+  util::FaultPoints* faults = nullptr;
 
   // --- durability (group-commit WAL; see README "Durability") --------------
 
@@ -183,14 +148,6 @@ struct ServiceOptions {
   /// same single fsync sweep, so durable-ops/s scales with batching rather
   /// than with fsync count.
   std::uint32_t wal_commit_window_micros = 0;
-
-  /// Crash-injection hook for the durability pipeline, invoked at the five
-  /// ordering points: "wal_appended" (record in the file, not yet synced),
-  /// "wal_synced" (group fsync done, acks not yet delivered), "cp_flushed"
-  /// / "registry_persisted" (inside BacklogDb::consistency_point — see
-  /// BacklogOptions::checkpoint), and "wal_truncated" (log reset behind
-  /// the committed CP). Crash tests _exit() inside it at every point.
-  std::function<void(std::string_view)> wal_checkpoint;
 
   // --- observability (see trace.hpp / metrics.hpp) -------------------------
   // Both knobs are also adjustable at runtime via set_tracing(). While
@@ -387,13 +344,14 @@ class VolumeManager {
   /// Clone-as-new-tenant: materialize a writable clone of src's snapshot
   /// (parent_line, version) as the independently addressable volume
   /// `dst_tenant`. The source is quiesced on its shard just long enough to
-  /// flush buffered updates (if any) and *share* its durable files: with
-  /// cow_clone (the default) immutable run files are hard-linked into a
-  /// staging directory — no data copy, refcounts bumped in the shared
-  /// FileManifest — and only the small mutable metadata (manifest, deletion
-  /// vectors) is byte-copied, so clone cost is O(metadata). The staging
-  /// directory commits by an atomic rename; a crash before the rename
-  /// leaves a `<dst>.cloning` directory that the next VolumeManager
+  /// flush buffered updates (if any) and *share* its durable files:
+  /// immutable run files are hard-linked into a staging directory — no data
+  /// copy, refcounts bumped in the shared FileManifest — and only the small
+  /// mutable metadata (manifest, deletion vectors) is byte-copied, so clone
+  /// cost is O(metadata). A run the file system cannot link (EXDEV, EPERM,
+  /// EMLINK, ENOTSUP) is byte-copied instead and not counted as shared. The
+  /// staging directory commits by an atomic rename; a crash before the
+  /// rename leaves a `<dst>.cloning` directory that the next VolumeManager
   /// construction removes (releasing its references). The new volume
   /// recovers from the committed directory, shares the full
   /// structural-inheritance history through its (copied) SnapshotRegistry,
@@ -512,12 +470,6 @@ class VolumeManager {
   /// hosted volume's result-cache counters.
   struct CacheReport {
     storage::BlockCacheStats block;
-    /// False when the shared cache is disabled (CacheOptions
-    /// enable_block_cache = false): volumes run legacy private caches and
-    /// `block` is the *sum* over every open volume's private cache —
-    /// capacity_bytes totals the fleet budget, shards counts one stripe
-    /// per volume.
-    bool block_shared = true;
     struct VolumeRow {
       std::string tenant;
       core::ResultCacheStats result;
@@ -537,8 +489,7 @@ class VolumeManager {
   /// repopulate afterwards.
   void clear_caches();
 
-  /// The service-wide block cache (disabled object when
-  /// CacheOptions::enable_block_cache is false).
+  /// The service-wide block cache.
   [[nodiscard]] storage::BlockCache& block_cache() noexcept {
     return block_cache_;
   }
@@ -635,20 +586,37 @@ class VolumeManager {
     // Trace sampling cursor: every Nth foreground op of this volume is
     // recorded (relaxed fetch_add on the submit path, only while tracing).
     std::atomic<std::uint64_t> trace_seq{0};
+
+    // Shard-thread teardown: the WAL before the Env it writes through.
+    void close_handles() {
+      wal.reset();
+      db.reset();
+      env.reset();
+    }
   };
 
   [[nodiscard]] std::shared_ptr<Volume> find(const std::string& tenant) const;
 
-  /// Shard-thread helper: flush buffered updates as a consistency point
-  /// (with stats accounting) if there are any; returns whether a CP was
+  /// Shard-thread helper: commit a consistency point with stats accounting
+  /// and truncate the volume's WAL behind it. Fails fast with kWounded
+  /// instead of attempting a CP on a wounded volume.
+  core::CpFlushStats commit_cp(Volume& v);
+
+  /// commit_cp() only if updates are buffered; returns whether a CP was
   /// taken. Used by clone_volume's quiesce and migrate_volume's drain.
-  /// Truncates the volume's WAL behind the committed CP. Fails fast with
-  /// kWounded instead of attempting a CP on a wounded volume.
   bool flush_buffered_cp(Volume& v);
+
+  /// Add `tenant` to the volume table at its hash shard (throws
+  /// std::invalid_argument if invalid or already open) / run
+  /// recover_volume_on_shard for it on that shard and wait / remove it from
+  /// the table and release its QoS gate's waiting ops ahead of a teardown.
+  std::shared_ptr<Volume> register_volume(const std::string& tenant);
+  void recover_volume(const std::shared_ptr<Volume>& vol);
+  std::shared_ptr<Volume> unregister_volume(const std::string& tenant);
 
   /// Shard-thread body of the volume open/recovery sequence, shared by
   /// open_volume() and clone_volume()'s destination open: construct the Env
-  /// (real fsyncs forced on when the WAL is enabled), arm the test hooks,
+  /// (real fsyncs forced on when the WAL is enabled) with the fault registry,
   /// recover the BacklogDb, replay the WAL tail through apply_many
   /// (committed immediately as a CP), and start a fresh log.
   void recover_volume_on_shard(Volume& v, const std::filesystem::path& dir,
@@ -673,8 +641,8 @@ class VolumeManager {
   ///
   /// Templated on the body so the whole wrapper is one concrete lambda
   /// stored directly in an InlineTask — the enqueue path never builds a
-  /// std::function and never allocates for the common verb shapes (the
-  /// allocation-freedom half of the batching PR; task.hpp has the sizing).
+  /// std::function and never allocates for the common verb shapes
+  /// (task.hpp has the sizing).
   template <typename Body>
   void submit_chasing(std::shared_ptr<Volume> vol, Body body,
                       bool background) {
@@ -732,54 +700,11 @@ class VolumeManager {
     using R = std::invoke_result_t<Fn&, Volume&>;
     auto prom = std::make_shared<std::promise<R>>();
     std::future<R> fut = prom->get_future();
-    // Queue-wait accounting without double timestamping: a foreground task
-    // stamps its submission time only when it can actually wait — a QoS
-    // gate is armed or the target shard's queue is non-empty (one relaxed
-    // peek; racy, but this is a stats heuristic). The execute side then
-    // reuses the worker loop's task-boundary timestamp instead of reading
-    // the clock again, so the common uncontended op pays for *zero* extra
-    // clock reads instead of two. Background probes idle by design; their
-    // wait would only pollute the histogram. While tracing is enabled every
-    // foreground op is stamped instead — a full span needs its submit time
-    // unconditionally, and the slow-op check must be exact, not sampled.
-    TraceCtx ctx;
-    ctx.verb = verb;
-    ctx.ops = op_count;
-    if (!background && trace_.enabled()) {
-      ctx.active = true;
-      ctx.id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-      ctx.t_submit = util::now_micros();
-      ctx.submit_shard = static_cast<std::uint16_t>(
-          vol->shard.load(std::memory_order_relaxed));
-      const std::uint32_t every =
-          trace_.sample_every.load(std::memory_order_relaxed);
-      ctx.sampled =
-          every != 0 &&
-          vol->trace_seq.fetch_add(1, std::memory_order_relaxed) % every == 0;
-    } else if (!background &&
-               (vol->gate.gated() ||
-                pool_.queue_depth_approx(
-                    vol->shard.load(std::memory_order_relaxed)) > 0)) {
-      ctx.t_submit = util::now_micros();
-    }
-    // The body is built by a factory so the gated path below can construct
-    // it at release time, after stamping the gate-admit time into the ctx
-    // it captures.
-    auto make_body = [this, prom](Fn fn, TraceCtx ctx) {
+    const TraceCtx ctx = begin_op(*vol, verb, op_count, background);
+    auto make_body = [this, prom, fn = std::move(fn)](TraceCtx ctx) mutable {
       return [this, fn = std::move(fn), prom, ctx](Volume& v) mutable {
         try {
-          std::uint64_t t_exec = 0;
-          if (ctx.t_submit != 0) {
-            t_exec = WorkerPool::dispatch_time_micros();
-            if (t_exec < ctx.t_submit) t_exec = ctx.t_submit;
-            // Same meaning as always: queue time plus any gate wait (the
-            // span splits the two; the histogram keeps the total).
-            v.stats.queue_wait_micros.record(t_exec - ctx.t_submit);
-            hot_.queue_wait_micros->record(metric_slot(),
-                                           t_exec - ctx.t_submit);
-          }
-          if (v.db == nullptr)
-            throw std::logic_error("volume is closed: " + v.tenant);
+          const std::uint64_t t_exec = start_body(v, ctx);
           const std::uint64_t io_before =
               ctx.active ? v.env->stats().io_micros : 0;
           if constexpr (std::is_void_v<R>) {
@@ -796,32 +721,8 @@ class VolumeManager {
         }
       };
     };
-    if (background || bypass_gate || !vol->gate.gated()) {
-      submit_chasing(std::move(vol), make_body(std::move(fn), ctx),
-                     background);
-      return fut;
-    }
-    // Gated: the gate either runs the release thunk inline (admitted),
-    // keeps it for the pacer (queued), or drops it (rejected — fail the
-    // promise with the backpressure signal). The thunk builds the body
-    // itself so a traced op's gate wait ends exactly at release.
-    Volume* gate_vol = vol.get();
-    std::function<void()> release = [this, make_body, vol = std::move(vol),
-                                     fn = std::move(fn), ctx]() mutable {
-      if (ctx.active) ctx.t_admit = util::now_micros();
-      submit_chasing(std::move(vol), make_body(std::move(fn), ctx),
-                     /*background=*/false);
-    };
-    const Admission adm = gate_vol->gate.admit(
-        ops_cost, bytes_cost, util::now_micros(), std::move(release));
-    if (adm == Admission::kQueued) {
-      hot_.throttle_queued->add(metric_slot());
-    } else if (adm == Admission::kRejected) {
-      hot_.throttle_rejected->add(metric_slot());
-      prom->set_exception(std::make_exception_ptr(ServiceError(
-          ErrorCode::kThrottled,
-          "throttled: QoS wait queue full for " + gate_vol->tenant)));
-    }
+    submit_op(std::move(vol), std::move(make_body), ctx, *prom,
+              background || bypass_gate, ops_cost, bytes_cost, background);
     return fut;
   }
 
@@ -843,38 +744,11 @@ class VolumeManager {
                                     TraceVerb verb, std::uint32_t op_count) {
     auto prom = std::make_shared<std::promise<void>>();
     std::future<void> fut = prom->get_future();
-    TraceCtx ctx;
-    ctx.verb = verb;
-    ctx.ops = op_count;
-    if (trace_.enabled()) {
-      ctx.active = true;
-      ctx.id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-      ctx.t_submit = util::now_micros();
-      ctx.submit_shard = static_cast<std::uint16_t>(
-          vol->shard.load(std::memory_order_relaxed));
-      const std::uint32_t every =
-          trace_.sample_every.load(std::memory_order_relaxed);
-      ctx.sampled =
-          every != 0 &&
-          vol->trace_seq.fetch_add(1, std::memory_order_relaxed) % every == 0;
-    } else if (vol->gate.gated() ||
-               pool_.queue_depth_approx(
-                   vol->shard.load(std::memory_order_relaxed)) > 0) {
-      ctx.t_submit = util::now_micros();
-    }
-    auto make_body = [this, prom](Fn fn, TraceCtx ctx) {
+    const TraceCtx ctx = begin_op(*vol, verb, op_count, /*background=*/false);
+    auto make_body = [this, prom, fn = std::move(fn)](TraceCtx ctx) mutable {
       return [this, fn = std::move(fn), prom, ctx](Volume& v) mutable {
         try {
-          std::uint64_t t_exec = 0;
-          if (ctx.t_submit != 0) {
-            t_exec = WorkerPool::dispatch_time_micros();
-            if (t_exec < ctx.t_submit) t_exec = ctx.t_submit;
-            v.stats.queue_wait_micros.record(t_exec - ctx.t_submit);
-            hot_.queue_wait_micros->record(metric_slot(),
-                                           t_exec - ctx.t_submit);
-          }
-          if (v.db == nullptr)
-            throw std::logic_error("volume is closed: " + v.tenant);
+          const std::uint64_t t_exec = start_body(v, ctx);
           const std::uint64_t io_before =
               ctx.active ? v.env->stats().io_micros : 0;
           DoneFn done = [prom](std::exception_ptr ep) {
@@ -890,17 +764,82 @@ class VolumeManager {
         }
       };
     };
-    if (!vol->gate.gated()) {
-      submit_chasing(std::move(vol), make_body(std::move(fn), ctx),
-                     /*background=*/false);
-      return fut;
+    submit_op(std::move(vol), std::move(make_body), ctx, *prom,
+              /*ungated=*/false, ops_cost, bytes_cost, /*background=*/false);
+    return fut;
+  }
+
+  /// Submit-side trace context of a new op on `vol`. Queue-wait accounting
+  /// without double timestamping: a foreground op stamps its submission
+  /// time only when it can actually wait — a QoS gate is armed or the
+  /// target shard's queue is non-empty (one relaxed peek; racy, but this is
+  /// a stats heuristic). The execute side then reuses the worker loop's
+  /// task-boundary timestamp instead of reading the clock again, so the
+  /// common uncontended op pays for *zero* extra clock reads. Background
+  /// probes idle by design; their wait would only pollute the histogram.
+  /// While tracing is enabled every foreground op is stamped instead — a
+  /// full span needs its submit time unconditionally, and the slow-op check
+  /// must be exact, not sampled.
+  TraceCtx begin_op(Volume& vol, TraceVerb verb, std::uint32_t op_count,
+                    bool background) {
+    TraceCtx ctx;
+    ctx.verb = verb;
+    ctx.ops = op_count;
+    if (background) return ctx;
+    if (trace_.enabled()) {
+      ctx.active = true;
+      ctx.id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
+      ctx.t_submit = util::now_micros();
+      ctx.submit_shard = static_cast<std::uint16_t>(
+          vol.shard.load(std::memory_order_relaxed));
+      const std::uint32_t every =
+          trace_.sample_every.load(std::memory_order_relaxed);
+      ctx.sampled =
+          every != 0 &&
+          vol.trace_seq.fetch_add(1, std::memory_order_relaxed) % every == 0;
+    } else if (vol.gate.gated() ||
+               pool_.queue_depth_approx(
+                   vol.shard.load(std::memory_order_relaxed)) > 0) {
+      ctx.t_submit = util::now_micros();
+    }
+    return ctx;
+  }
+
+  /// Shard-side start of an op body: records a stamped op's queue wait
+  /// (queue time plus any gate wait; the span splits the two, the
+  /// histogram keeps the total) and returns its execute time, 0 when
+  /// unstamped. Throws if the volume closed while the op was queued.
+  std::uint64_t start_body(Volume& v, const TraceCtx& ctx) {
+    std::uint64_t t_exec = 0;
+    if (ctx.t_submit != 0) {
+      t_exec = std::max(WorkerPool::dispatch_time_micros(), ctx.t_submit);
+      v.stats.queue_wait_micros.record(t_exec - ctx.t_submit);
+      hot_.queue_wait_micros->record(metric_slot(), t_exec - ctx.t_submit);
+    }
+    if (v.db == nullptr)
+      throw std::logic_error("volume is closed: " + v.tenant);
+    return t_exec;
+  }
+
+  /// Route the body `make_body(ctx)` builds to the volume: straight to its
+  /// shard when `ungated` or no QoS gate is armed, otherwise through the
+  /// gate, which runs the release thunk inline (admitted), keeps it for the
+  /// pacer (queued) or drops it (rejected — `prom` then carries the
+  /// backpressure signal). The thunk builds the body itself so a traced
+  /// op's gate wait ends exactly at release.
+  template <typename MakeBody, typename Promise>
+  void submit_op(std::shared_ptr<Volume> vol, MakeBody make_body, TraceCtx ctx,
+                 Promise& prom, bool ungated, double ops_cost,
+                 double bytes_cost, bool background) {
+    if (ungated || !vol->gate.gated()) {
+      submit_chasing(std::move(vol), make_body(ctx), background);
+      return;
     }
     Volume* gate_vol = vol.get();
-    std::function<void()> release = [this, make_body, vol = std::move(vol),
-                                     fn = std::move(fn), ctx]() mutable {
+    std::function<void()> release = [this, make_body = std::move(make_body),
+                                     vol = std::move(vol), ctx]() mutable {
       if (ctx.active) ctx.t_admit = util::now_micros();
-      submit_chasing(std::move(vol), make_body(std::move(fn), ctx),
-                     /*background=*/false);
+      submit_chasing(std::move(vol), make_body(ctx), /*background=*/false);
     };
     const Admission adm = gate_vol->gate.admit(
         ops_cost, bytes_cost, util::now_micros(), std::move(release));
@@ -908,11 +847,44 @@ class VolumeManager {
       hot_.throttle_queued->add(metric_slot());
     } else if (adm == Admission::kRejected) {
       hot_.throttle_rejected->add(metric_slot());
-      prom->set_exception(std::make_exception_ptr(ServiceError(
+      prom.set_exception(std::make_exception_ptr(ServiceError(
           ErrorCode::kThrottled,
           "throttled: QoS wait queue full for " + gate_vol->tenant)));
     }
-    return fut;
+  }
+
+  /// Run `fn(Volume&)` on every open volume as a bypass-gate task and hand
+  /// each result to `sink(Volume&, result)` on the calling thread. Volumes
+  /// are grouped by current shard and gathered one shard at a time — the
+  /// next shard's tasks are submitted only once the previous shard's
+  /// finished — so a slow shard delays only the gathering, never the other
+  /// shards. Tasks route through run_on, so a volume that migrates
+  /// mid-gather is still visited exactly once; one closed while its task
+  /// was queued is skipped.
+  template <typename Fn, typename Sink>
+  void gather_by_shard(Fn fn, Sink sink) {
+    std::vector<std::vector<std::shared_ptr<Volume>>> by_shard(pool_.size());
+    {
+      std::lock_guard lock(mu_);
+      std::shared_lock rlock(routing_mu_);
+      for (const auto& [name, vol] : volumes_)
+        by_shard[vol->shard.load(std::memory_order_relaxed)].push_back(vol);
+    }
+    for (const auto& group : by_shard) {
+      std::vector<std::future<std::invoke_result_t<Fn&, Volume&>>> futs;
+      futs.reserve(group.size());
+      for (const auto& vol : group) {
+        futs.push_back(run_on(vol, fn, /*background=*/false, 0, 0,
+                              /*bypass_gate=*/true));
+      }
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        try {
+          sink(*group[i], futs[i].get());
+        } catch (const std::logic_error&) {
+          // Closed while the task was queued — skip it.
+        }
+      }
+    }
   }
 
   // --- group-commit WAL pipeline (shard-thread state) ----------------------
@@ -928,6 +900,20 @@ class VolumeManager {
     };
     std::vector<PendingAck> pending;
   };
+
+  /// apply()/apply_batch() body: `per_op` applies op by op (apply()'s
+  /// partial-prefix contract), otherwise through BacklogDb::apply_many.
+  std::future<void> submit_update(const std::string& tenant,
+                                  std::vector<UpdateOp> batch, bool per_op,
+                                  TraceVerb verb);
+
+  /// Shard-thread query / maintenance pass with its stats accounting.
+  std::vector<core::BackrefEntry> timed_query(Volume& v, const QueryRange& r);
+  core::MaintenanceStats timed_maintain(Volume& v);
+
+  /// Shard-thread bookkeeping of one update batch of `ops` ops that
+  /// started executing at `t0`.
+  void record_update_batch(Volume& v, std::size_t ops, std::uint64_t t0);
 
   /// Shard-thread body shared by apply()/apply_batch() under WAL: apply the
   /// batch to the db (`per_op` keeps apply()'s partial-prefix contract),
@@ -960,9 +946,10 @@ class VolumeManager {
                              v.tenant);
   }
 
-  /// Fire one named durability injection point (no-op without a hook).
-  void wal_point(std::string_view point) const {
-    if (options_.wal_checkpoint) options_.wal_checkpoint(point);
+  /// Fire injection point `point` (a util::fault_point index) for `v`;
+  /// one pointer test when no registry is attached.
+  void inject(std::size_t point, const Volume& v) const {
+    if (options_.faults != nullptr) options_.faults->check(point, v.tenant);
   }
 
   /// Slot of the calling thread in the metrics registry: its shard index on

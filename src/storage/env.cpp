@@ -34,6 +34,16 @@ std::uint64_t pages_touched(std::uint64_t offset, std::uint64_t len) {
   return last - first + 1;
 }
 
+/// Bytes of a `size`-byte append that land before an injected failure. A
+/// torn page lands half of one 4 KB page, always short of the request.
+std::size_t admitted_bytes(util::FaultAction::Kind kind, std::size_t size) {
+  using Kind = util::FaultAction::Kind;
+  if (kind == Kind::kShortWrite) return size / 2;
+  if (kind == Kind::kTornPage && size != 0)
+    return std::min<std::size_t>(size - 1, kPageSize / 2);
+  return 0;
+}
+
 /// Accumulates wall time spent inside a syscall loop into IoStats::io_micros
 /// (two steady-clock reads, negligible against the syscall itself).
 class IoTimer {
@@ -78,7 +88,8 @@ void Env::invalidate_cached_file(const std::filesystem::path& path,
 }
 
 std::unique_ptr<WritableFile> Env::create_file(const std::string& name) {
-  if (fault_hook_) fault_hook_("create", name);
+  if (faults_ != nullptr)
+    faults_->check(util::fault_point("env.create"), fault_volume_);
   // O_TRUNC reuses the existing inode: stale pages of the old contents must
   // not survive under the same (dev, ino) key.
   invalidate_cached_file(full(name), /*last_link_only=*/false);
@@ -135,14 +146,16 @@ void Env::rename_file(const std::string& from, const std::string& to) {
 
 void Env::link_file_to(const std::string& name,
                        const std::filesystem::path& dst_dir) {
-  if (fault_hook_) fault_hook_("link", name);
+  if (faults_ != nullptr)
+    faults_->check(util::fault_point("env.link"), fault_volume_);
   std::filesystem::create_hard_link(full(name), dst_dir / name);
   ++stats_.files_created;
 }
 
 void Env::copy_file_to(const std::string& name,
                        const std::filesystem::path& dst_dir) {
-  if (fault_hook_) fault_hook_("copy", name);
+  if (faults_ != nullptr)
+    faults_->check(util::fault_point("env.copy"), fault_volume_);
   std::filesystem::copy_file(full(name), dst_dir / name,
                              std::filesystem::copy_options::overwrite_existing);
   const std::uint64_t bytes = std::filesystem::file_size(dst_dir / name);
@@ -177,47 +190,14 @@ WritableFile::~WritableFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::size_t WritableFile::fault_admitted_bytes(
-    std::span<const std::uint8_t> data) {
-  Env::WriteFaultPlan& plan = env_.write_fault_;
-  if (plan.mode == Env::WriteFaultMode::kNone) return data.size();
-  if (env_.fault_appends_seen_ < plan.after_writes) {
-    ++env_.fault_appends_seen_;
-    return data.size();
-  }
-  if (data.empty()) return 0;  // nothing to tear; the no-op append succeeds
-  std::size_t admit = 0;
-  switch (plan.mode) {
-    case Env::WriteFaultMode::kEio:
-      admit = 0;
-      break;
-    case Env::WriteFaultMode::kShortWrite:
-      admit = data.size() / 2;
-      break;
-    case Env::WriteFaultMode::kTornPage:
-      // Half of one 4 KB page lands; cap below the full request so the
-      // failure is always observable as a torn tail.
-      admit = std::min<std::size_t>(data.size() - 1, kPageSize / 2);
-      break;
-    case Env::WriteFaultMode::kNone:
-      break;
-  }
-  // Latch: the partial write happened once; a sticky plan keeps failing as
-  // a plain EIO from now on (the persistent-error case that wounds a
-  // volume), a one-shot plan heals.
-  plan.mode = plan.sticky ? Env::WriteFaultMode::kEio
-                          : Env::WriteFaultMode::kNone;
-  plan.after_writes = 0;
-  env_.fault_appends_seen_ = 0;
-  return admit;
-}
-
 void WritableFile::append(std::span<const std::uint8_t> data) {
   if (fd_ < 0) throw std::logic_error("WritableFile: append after close");
-  if (env_.fault_hook_) env_.fault_hook_("append", name_);
-  const std::size_t admitted = fault_admitted_bytes(data);
-  const bool fail_after = admitted < data.size();
-  if (fail_after) data = data.first(admitted);
+  util::InjectedFault fault;
+  if (env_.faults_ != nullptr) {
+    fault = env_.faults_->hit(util::fault_point("env.append"),
+                              env_.fault_volume_);
+    if (fault) data = data.first(admitted_bytes(fault.kind, data.size()));
+  }
   const IoTimer timer(env_.stats_);
   const std::uint8_t* p = data.data();
   std::size_t remaining = data.size();
@@ -238,20 +218,16 @@ void WritableFile::append(std::span<const std::uint8_t> data) {
   env_.stats_.page_writes += pages_touched(size_, data.size());
   env_.stats_.bytes_written += data.size();
   size_ += data.size();
-  if (fail_after) {
-    errno = EIO;
-    throw_errno("write (injected fault): " + name_);
+  if (fault) {
+    throw std::system_error(fault.err, std::generic_category(),
+                            "write (injected fault): " + name_);
   }
 }
 
 void WritableFile::sync() {
   if (fd_ < 0) return;
-  if (env_.fault_hook_) env_.fault_hook_("sync", name_);
-  if (env_.write_fault_.mode != Env::WriteFaultMode::kNone &&
-      env_.fault_appends_seen_ >= env_.write_fault_.after_writes) {
-    errno = EIO;
-    throw_errno("fsync (injected fault): " + name_);
-  }
+  if (env_.faults_ != nullptr)
+    env_.faults_->check(util::fault_point("env.sync"), env_.fault_volume_);
   if (!env_.sync_enabled_) return;
   const std::uint64_t start = util::now_micros();
   if (::fsync(fd_) < 0) throw_errno("fsync");
@@ -276,7 +252,6 @@ RandomAccessFile::RandomAccessFile(Env& env, const std::filesystem::path& path,
   const off_t sz = ::lseek(fd_, 0, SEEK_END);
   if (sz < 0) throw_errno("lseek");
   size_ = static_cast<std::uint64_t>(sz);
-  id_ = env.next_file_id_++;
   struct stat st{};
   if (::fstat(fd_, &st) < 0) throw_errno("fstat: " + path.string());
   dev_ = static_cast<std::uint64_t>(st.st_dev);

@@ -11,12 +11,13 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/fault_points.hpp"
 
 namespace backlog::storage {
 
@@ -134,51 +135,16 @@ class Env {
   void copy_file_to(const std::string& name,
                     const std::filesystem::path& dst_dir);
 
-  /// Fault-injection hook for crash/fault test harnesses: invoked at the
-  /// top of link_file_to ("link"), copy_file_to ("copy"), create_file
-  /// ("create"), and — when a hook is installed — WritableFile::append
-  /// ("append") and WritableFile::sync ("sync") with the file name;
-  /// throwing aborts the operation before it touches the filesystem, and a
-  /// hook that merely sleeps is the standard way to inject IO latency
-  /// (slow-op forensics tests delay "create" to stretch consistency
-  /// points). Null (the default) disables injection.
-  using FaultHook = std::function<void(std::string_view op,
-                                       const std::string& name)>;
-  void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
-
-  /// Synthetic write-failure modes layered under the FaultHook: where the
-  /// hook can only delay or abort cleanly, these reproduce what a dying
-  /// disk actually does to an append stream.
-  enum class WriteFaultMode : std::uint8_t {
-    kNone = 0,
-    /// write() fails with EIO; nothing reaches the file.
-    kEio,
-    /// The first half of the data lands, then EIO — POSIX permits short
-    /// writes, and an error after one makes the tail ambiguous.
-    kShortWrite,
-    /// The first half of one 4 KB page lands, then EIO — the classic torn
-    /// page a power cut leaves mid-sector-stream. Manufactures exactly the
-    /// torn WAL tails the recovery parser must clean-reject.
-    kTornPage,
-  };
-
-  /// Arms write-fault injection: the next `after_writes` WritableFile
-  /// appends under this Env succeed, then every later append (and sync)
-  /// fails according to `mode`. `sticky` keeps the fault latched — the
-  /// persistent-error case that wounds a volume; non-sticky injects one
-  /// failure and heals. Replaces any previously armed plan and resets the
-  /// countdown; mode kNone disarms.
-  struct WriteFaultPlan {
-    WriteFaultMode mode = WriteFaultMode::kNone;
-    std::uint64_t after_writes = 0;
-    bool sticky = true;
-  };
-  void set_write_fault(WriteFaultPlan plan) noexcept {
-    write_fault_ = plan;
-    fault_appends_seen_ = 0;
+  /// Attach the fault-injection registry (borrowed; must outlive the Env)
+  /// and the volume name its actions target. create_file, link_file_to,
+  /// copy_file_to and WritableFile::append/sync then fire the env.* points
+  /// (see util/fault_points.hpp). Null (the default) disables injection.
+  void set_faults(util::FaultPoints* faults, std::string volume) {
+    faults_ = faults;
+    fault_volume_ = std::move(volume);
   }
-  [[nodiscard]] const WriteFaultPlan& write_fault() const noexcept {
-    return write_fault_;
+  [[nodiscard]] const std::string& fault_volume() const noexcept {
+    return fault_volume_;
   }
 
   /// Names (not paths) of regular files directly under the root, sorted.
@@ -214,10 +180,8 @@ class Env {
 
   std::filesystem::path root_;
   IoStats stats_;
-  FaultHook fault_hook_;
-  WriteFaultPlan write_fault_;
-  std::uint64_t fault_appends_seen_ = 0;
-  std::uint64_t next_file_id_ = 1;
+  util::FaultPoints* faults_ = nullptr;
+  std::string fault_volume_;
   bool sync_enabled_ = true;
   BlockCache* block_cache_ = nullptr;
 };
@@ -241,15 +205,8 @@ class WritableFile {
   [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
 
  private:
-  /// Applies the Env's armed WriteFaultPlan to an append of `data`:
-  /// returns data.size() when no fault fires this call, otherwise a
-  /// strictly smaller byte count to persist before throwing EIO (and
-  /// latches or heals the plan per its stickiness).
-  [[nodiscard]] std::size_t fault_admitted_bytes(
-      std::span<const std::uint8_t> data);
-
   Env& env_;
-  std::string name_;  ///< bare file name, for FaultHook identification
+  std::string name_;  ///< bare file name, for error messages
   int fd_ = -1;
   std::uint64_t size_ = 0;
 };
@@ -280,9 +237,6 @@ class RandomAccessFile {
     return (size_ + kPageSize - 1) / kPageSize;
   }
 
-  /// Unique id within this Env (legacy cache key; kept for diagnostics).
-  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-
   /// Filesystem identity of the open file, captured by fstat at open. Two
   /// hard links to the same file — a run shared by CoW clones — report the
   /// same (dev, ino), which is what the service-wide BlockCache keys on.
@@ -294,7 +248,6 @@ class RandomAccessFile {
   int fd_ = -1;
   bool writable_ = false;
   std::uint64_t size_ = 0;
-  std::uint64_t id_ = 0;
   std::uint64_t dev_ = 0;
   std::uint64_t ino_ = 0;
 };

@@ -111,19 +111,11 @@ TEST(Service, OptionsValidation) {
     EXPECT_THROW(bsvc::VolumeManager vm(o), std::invalid_argument);
   }
   {
-    // With the shared block cache on (the default), the deprecated
-    // per-volume cache_pages knob is ignored — 0 is fine...
+    // Hosted volumes read through the shared block cache, so the
+    // per-volume cache_pages knob is ignored — 0 is fine.
     bsvc::ServiceOptions o = service_options(dir, 2);
     o.db_options.cache_pages = 0;
     bsvc::VolumeManager vm(o);
-  }
-  {
-    // ...but opting out of the shared cache makes a cacheless hosted
-    // volume a configuration error again.
-    bsvc::ServiceOptions o = service_options(dir, 2);
-    o.cache.enable_block_cache = false;
-    o.db_options.cache_pages = 0;
-    EXPECT_THROW(bsvc::VolumeManager vm(o), std::invalid_argument);
   }
 
   // Tenant names become directory names; reject traversal and duplicates.

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +84,16 @@ TEST(BlockCacheConcurrency, EraseFileRacesReaders) {
   }
   auto fa = env.open_file("a.run");
   auto fb = env.open_file("b.run");
+  // One Env per reader: an Env is single-threaded (each volume owns one),
+  // and volumes sharing a hard-linked run reach the same (dev, ino) through
+  // their own Envs, which is what the readers model here.
+  std::vector<std::unique_ptr<bs::Env>> reader_envs;
+  std::vector<std::unique_ptr<bs::RandomAccessFile>> reader_files;
+  for (int t = 0; t < 4; ++t) {
+    reader_envs.push_back(std::make_unique<bs::Env>(dir.path()));
+    reader_files.push_back(
+        reader_envs.back()->open_file(t % 2 == 0 ? "a.run" : "b.run"));
+  }
 
   bs::BlockCache cache(4 * bs::kPageSize, /*shards=*/2);  // constant eviction
   std::atomic<bool> stop{false};
@@ -91,7 +102,7 @@ TEST(BlockCacheConcurrency, EraseFileRacesReaders) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
-      const bs::RandomAccessFile& f = (t % 2 == 0) ? *fa : *fb;
+      const bs::RandomAccessFile& f = *reader_files[t];
       const std::uint8_t tag = (t % 2 == 0) ? 'a' : 'b';
       std::uint64_t page = static_cast<std::uint64_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
@@ -292,7 +303,6 @@ TEST(ServiceCache, ClearCachesAndReportRoundTrip) {
   vm.query("alice", 5).get();  // result-cache hit
 
   auto report = vm.cache_stats();
-  EXPECT_TRUE(report.block_shared);
   ASSERT_EQ(report.tenants.size(), 1u);
   EXPECT_EQ(report.tenants[0].tenant, "alice");
   EXPECT_GE(report.tenants[0].result.hits, 1u);
@@ -307,12 +317,13 @@ TEST(ServiceCache, ClearCachesAndReportRoundTrip) {
   ASSERT_EQ(vm.query("alice", 5).get().size(), 1u);
 }
 
-TEST(ServiceCache, LegacyPerVolumeModeStillWorks) {
-  // The compat shim: shared cache off, every db builds a private cache from
-  // the deprecated cache_pages knob; the service-wide cache stays disabled.
+TEST(ServiceCache, HostedVolumesIgnoreCachePagesAndReadThroughTheSharedCache) {
+  // db_options.cache_pages sizes a standalone db's private cache; a hosted
+  // volume never builds one. Its reads land in the one service-wide cache,
+  // whose budget is CacheOptions::capacity_bytes.
   bs::TempDir dir;
   bsvc::ServiceOptions so = service_options(dir.path());
-  so.cache.enable_block_cache = false;
+  so.cache.capacity_bytes = 256 * bs::kPageSize;
   so.db_options.cache_pages = 64;
   bsvc::VolumeManager vm(so);
   vm.open_volume("alice");
@@ -321,11 +332,9 @@ TEST(ServiceCache, LegacyPerVolumeModeStillWorks) {
     ASSERT_EQ(vm.query("alice", b).get().size(), 1u);
   }
   const auto report = vm.cache_stats();
-  EXPECT_FALSE(report.block_shared);
-  // The report sums the per-volume private caches: alice's 64-page budget
-  // shows up, and her read traffic is accounted.
-  EXPECT_EQ(report.block.capacity_bytes, 64 * bs::kPageSize);
+  EXPECT_EQ(report.block.capacity_bytes, 256 * bs::kPageSize);
   EXPECT_GT(report.block.hits + report.block.misses, 0u);
+  EXPECT_EQ(report.block.hits, vm.block_cache().stats().hits);
 }
 
 TEST(ServiceCache, DestroyVolumeInvalidatesOnlyLastLinks) {

@@ -2,9 +2,10 @@
 // injection, and a TSan'd stress suite.
 //
 // The invariants under test, after *any* interleaving of clone / delete /
-// destroy / compaction — including a process kill between the clone's two
-// durability points (FILEREFS refcount persist and the staging->dst commit
-// rename, in either order) and injected link/copy failures mid-clone:
+// destroy / compaction — including a process kill at every clone.* point
+// the fault registry declares (around the FILEREFS refcount persist and the
+// staging->dst commit rename), a FILEREFS left stale behind committed
+// directories, and injected link/copy failures mid-clone:
 //
 //   * no leaks: every file on disk belongs to some volume's live manifest
 //     (per volume: on-disk set == BacklogDb::live_files), and no `.cloning`
@@ -17,22 +18,28 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "core/file_manifest.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
+#include "util/fault_points.hpp"
 #include "util/hash.hpp"
 
 namespace bc = backlog::core;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+namespace bu = backlog::util;
 namespace fs = std::filesystem;
 
 #if defined(__SANITIZE_THREAD__)
@@ -264,10 +271,14 @@ TEST(ServiceCloneCow, DestroyReleasesOnlyItsOwnReferences) {
   expect_cow_invariants(vm, dir.path(), {});
 }
 
-TEST(ServiceCloneCow, LegacyFullCopyModeSharesNothing) {
+TEST(ServiceCloneCow, UnlinkableRunsFallBackToByteCopyAndShareNothing) {
+  // A file system that cannot hard-link (EXDEV across devices) still
+  // clones: every run is byte-copied and none is counted as shared.
   bs::TempDir dir;
+  bu::FaultPoints faults;
+  faults.arm("env.link", bu::FaultAction::fail(EXDEV));
   bsvc::ServiceOptions so = service_options(dir.path());
-  so.cow_clone = false;
+  so.faults = &faults;
   bsvc::VolumeManager vm(so);
   vm.open_volume("alpha");
   seed_volume(vm, "alpha", 1, 128);
@@ -276,18 +287,21 @@ TEST(ServiceCloneCow, LegacyFullCopyModeSharesNothing) {
   vm.clone_volume("alpha", "beta", 0, snap);
   EXPECT_EQ(scan_strings(vm, "beta"), want);
   EXPECT_TRUE(vm.shared_files().snapshot().empty());
+  std::size_t runs = 0;
   for (const auto& de : fs::directory_iterator(dir.path() / "beta")) {
     EXPECT_EQ(fs::hard_link_count(de.path()), 1u) << de.path();
+    runs += de.path().extension() == ".run";
   }
-  // A service restart recounts FILEREFS from the directories; the copied
-  // clone duplicates run *names* across two dirs, but rebuild() verifies
-  // sharing by inode identity and must not invent refcounts for copies.
+  EXPECT_GT(runs, 0u);
+  // A service restart recounts FILEREFS from the directories; the copies
+  // duplicate run *names* across two dirs, but rebuild() verifies sharing
+  // by inode identity and must not invent refcounts for them.
   {
-    bsvc::VolumeManager reopened(so);
+    bsvc::VolumeManager reopened(service_options(dir.path()));
     EXPECT_TRUE(reopened.shared_files().snapshot().empty());
   }
   // No refcount recount here: a byte copy duplicates *names* without
-  // sharing, so only the per-volume leak check applies in legacy mode.
+  // sharing, so only the per-volume leak check applies.
   for (const char* t : {"alpha", "beta"}) {
     std::set<std::string> live, on_disk;
     const fs::path vdir = dir.path() / t;
@@ -306,29 +320,20 @@ TEST(ServiceCloneCow, LegacyFullCopyModeSharesNothing) {
 
 TEST(ServiceCloneCow, FaultInjectedLinkFailureReleasesAndRecovers) {
   bs::TempDir dir;
-  // Fails exactly one link/copy op: the (fail_at)-th call of the given kind.
-  std::atomic<int> fail_link_at{-1}, fail_copy_at{-1};
-  std::atomic<int> links_seen{0}, copies_seen{0};
+  bu::FaultPoints faults;
   bsvc::ServiceOptions so = service_options(dir.path());
-  so.env_fault_hook = [&](std::string_view op, const std::string& name) {
-    if (op == "link" &&
-        links_seen.fetch_add(1) == fail_link_at.load(std::memory_order_relaxed))
-      throw std::runtime_error("injected link fault: " + name);
-    if (op == "copy" &&
-        copies_seen.fetch_add(1) == fail_copy_at.load(std::memory_order_relaxed))
-      throw std::runtime_error("injected copy fault: " + name);
-  };
+  so.faults = &faults;
   bsvc::VolumeManager vm(so);
   vm.open_volume("alpha");
   seed_volume(vm, "alpha", 1, 192);
   const bc::Epoch snap = vm.take_snapshot("alpha").get();
   const auto want = scan_strings(vm, "alpha");
 
-  // Fail mid-link run: some references were already taken and must be
-  // stepped back with the staged links.
-  fail_link_at.store(2);
-  EXPECT_THROW(vm.clone_volume("alpha", "beta", 0, snap), std::runtime_error);
-  fail_link_at.store(-1);
+  // Fail the third link with EIO (not a can't-link errno, so no fallback):
+  // some references were already taken and must be stepped back with the
+  // staged links.
+  faults.arm("env.link", bu::FaultAction::fail(EIO).skip(2).once());
+  EXPECT_THROW(vm.clone_volume("alpha", "beta", 0, snap), std::system_error);
   EXPECT_FALSE(fs::exists(dir.path() / "beta"));
   EXPECT_FALSE(fs::exists(dir.path() / "beta.cloning"));
   EXPECT_TRUE(vm.shared_files().snapshot().empty());
@@ -336,30 +341,90 @@ TEST(ServiceCloneCow, FaultInjectedLinkFailureReleasesAndRecovers) {
   expect_cow_invariants(vm, dir.path(), {"alpha"});
 
   // Fail the metadata copy (the manifest copies before any run links).
-  fail_copy_at.store(static_cast<int>(copies_seen.load()));
-  EXPECT_THROW(vm.clone_volume("alpha", "beta", 0, snap), std::runtime_error);
-  fail_copy_at.store(-1);
+  faults.arm("env.copy", bu::FaultAction::fail(EIO).once());
+  EXPECT_THROW(vm.clone_volume("alpha", "beta", 0, snap), std::system_error);
   EXPECT_FALSE(fs::exists(dir.path() / "beta.cloning"));
   EXPECT_TRUE(vm.shared_files().snapshot().empty());
   expect_cow_invariants(vm, dir.path(), {"alpha"});
 
-  // With the faults cleared, the same clone succeeds end to end.
+  // Both one-shot faults fired and disarmed: the same clone succeeds.
   vm.clone_volume("alpha", "beta", 0, snap);
   EXPECT_EQ(scan_strings(vm, "beta"), want);
   expect_cow_invariants(vm, dir.path(), {"alpha", "beta"});
+}
+
+TEST(ServiceCloneCow, StaleFileRefsBehindCommittedClonesRecountedOnStart) {
+  // FILEREFS is a cache of the directories, never the truth: a service
+  // that starts over a table older than its committed clones — the state a
+  // standalone `backlogctl maintain` leaves, since it compacts without the
+  // service's table — must recount it from the directories.
+  bs::TempDir dir;
+  const fs::path refs = dir.path() / "FILEREFS";
+  bc::Epoch snap = 0;
+  std::set<std::string> want;
+  {
+    bsvc::VolumeManager vm(service_options(dir.path()));
+    vm.open_volume("alpha");
+    seed_volume(vm, "alpha", 1, 192);
+    snap = vm.take_snapshot("alpha").get();
+    want = scan_strings(vm, "alpha");
+  }
+  // A fresh root has no table yet; restoring that state means removing it.
+  const bool had_refs = fs::exists(refs);
+  const fs::path pre_clone = dir.path() / "FILEREFS.pre-clone";
+  if (had_refs) fs::copy_file(refs, pre_clone);
+  {
+    bsvc::VolumeManager vm(service_options(dir.path()));
+    vm.open_volume("alpha");
+    vm.clone_volume("alpha", "beta", 0, snap);
+    ASSERT_FALSE(vm.shared_files().snapshot().empty());
+  }
+  if (had_refs) {
+    fs::rename(pre_clone, refs);
+  } else {
+    fs::remove(refs);
+  }
+  EXPECT_TRUE(bc::FileManifest(dir.path()).snapshot().empty())
+      << "the restored table should know nothing of the clone";
+
+  bsvc::VolumeManager vm(service_options(dir.path()));
+  vm.open_volume("alpha");
+  vm.open_volume("beta");
+  EXPECT_FALSE(vm.shared_files().snapshot().empty());
+  EXPECT_EQ(scan_strings(vm, "beta"), want);
+  expect_cow_invariants(vm, dir.path(), {"alpha", "beta"});
+  const auto persisted = bc::FileManifest(dir.path()).snapshot();
+  const auto live = vm.shared_files().snapshot();
+  ASSERT_EQ(persisted.size(), live.size()) << "the recount was not persisted";
+  for (const auto& [name, e] : live) {
+    ASSERT_TRUE(persisted.contains(name)) << name;
+    EXPECT_EQ(persisted.at(name).refcount, e.refcount) << name;
+  }
 }
 
 // --- crash injection ---------------------------------------------------------
 
 namespace {
 
-/// Kills a clone at `point` (in the persist order selected by `refs_last`)
-/// by _exit()ing a forked child mid-commit, then verifies recovery: the
-/// staging directory is gone, refcounts match the naive recount, no file is
-/// leaked or dangling, and a retry of the same clone succeeds.
-void run_crash_case(const char* point, bool refs_last) {
-  SCOPED_TRACE(std::string("crash at ") + point +
-               (refs_last ? " (refs persisted last)" : " (refs persisted first)"));
+/// One row per clone commit point: whether the clone directory has
+/// committed (renamed into place) when the process dies there.
+struct CloneCrashRow {
+  std::string_view point;
+  bool committed;
+};
+
+constexpr CloneCrashRow kCloneCrashRows[] = {
+    {"clone.files_staged", false},
+    {"clone.refs_persisted", false},
+    {"clone.committed", true},
+};
+
+/// Kills a clone at `row.point` by _exit()ing a forked child mid-commit,
+/// then verifies recovery: the staging directory is gone, refcounts match
+/// the naive recount, no file is leaked or dangling, and a retry of the
+/// same clone succeeds.
+void run_crash_case(const CloneCrashRow& row) {
+  SCOPED_TRACE("crash at " + std::string(row.point));
   bs::TempDir dir;
   bc::Epoch snap = 0;
   std::set<std::string> want_alpha;
@@ -374,16 +439,13 @@ void run_crash_case(const char* point, bool refs_last) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: rebuild the service with a checkpoint hook that kills the
-    // process at the chosen durability point. _exit skips destructors —
-    // exactly a crash, minus the kernel's page cache (which a same-host
-    // restart shares anyway).
+    // Child: rebuild the service with an action that kills the process at
+    // the chosen point. _exit skips destructors — exactly a crash, minus
+    // the kernel's page cache (which a same-host restart shares anyway).
+    bu::FaultPoints faults;
+    faults.arm(row.point, bu::FaultAction::call([] { ::_exit(0); }));
     bsvc::ServiceOptions so = service_options(dir.path());
-    so.clone_persist_refs_last = refs_last;
-    const std::string target = point;
-    so.clone_checkpoint = [target](std::string_view p) {
-      if (p == target) ::_exit(0);
-    };
+    so.faults = &faults;
     try {
       bsvc::VolumeManager vm(so);
       vm.open_volume("alpha");
@@ -391,18 +453,18 @@ void run_crash_case(const char* point, bool refs_last) {
     } catch (...) {
       ::_exit(18);
     }
-    ::_exit(17);  // the checkpoint never fired — test bug
+    ::_exit(17);  // the point never fired — test bug
   }
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0) << "child did not die at the checkpoint";
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "child did not die at the point";
 
   // What the crash must have left behind, before recovery runs.
-  const bool committed = std::string(point) == "registry_persisted";
+  const bool committed = row.committed;
   EXPECT_EQ(fs::exists(dir.path() / "beta"), committed);
   EXPECT_NE(fs::exists(dir.path() / "beta.cloning"), committed);
-  if (std::string(point) == "refs_persisted" && !refs_last) {
+  if (row.point == "clone.refs_persisted") {
     // The refcount table was persisted ahead of the directory commit.
     EXPECT_GT(fs::file_size(dir.path() / "FILEREFS"), 0u);
   }
@@ -433,20 +495,30 @@ void run_crash_case(const char* point, bool refs_last) {
 
 }  // namespace
 
-TEST(ServiceCloneCowCrash, KillBetweenRefcountAndRegistryPersistBothOrders) {
+TEST(ServiceCloneCowCrash, TableCoversEveryDeclaredClonePoint) {
+  for (const std::string_view name : bu::kFaultPoints) {
+    if (!name.starts_with("clone.")) continue;
+    const bool covered = std::any_of(
+        std::begin(kCloneCrashRows), std::end(kCloneCrashRows),
+        [name](const CloneCrashRow& r) { return r.point == name; });
+    EXPECT_TRUE(covered) << "no crash case for declared point " << name;
+  }
+  for (const CloneCrashRow& r : kCloneCrashRows) {
+    EXPECT_TRUE(r.point.starts_with("clone.") &&
+                std::find(bu::kFaultPoints.begin(), bu::kFaultPoints.end(),
+                          r.point) != bu::kFaultPoints.end())
+        << "crash row names no declared clone point: " << r.point;
+  }
+}
+
+TEST(ServiceCloneCowCrash, KillAtEveryClonePointRecovers) {
 #ifdef BACKLOG_TSAN
   GTEST_SKIP() << "fork-based crash injection is not run under TSan";
 #else
-  // Default order: refcounts persist first, the directory rename commits.
-  run_crash_case("files_staged", /*refs_last=*/false);
-  if (HasFatalFailure()) return;
-  run_crash_case("refs_persisted", /*refs_last=*/false);
-  if (HasFatalFailure()) return;
-  // Flipped order: the directory commits first, refcounts persist after —
-  // recovery must reconcile a committed clone the table knows nothing of.
-  run_crash_case("files_staged", /*refs_last=*/true);
-  if (HasFatalFailure()) return;
-  run_crash_case("registry_persisted", /*refs_last=*/true);
+  for (const CloneCrashRow& row : kCloneCrashRows) {
+    run_crash_case(row);
+    if (HasFatalFailure()) return;
+  }
 #endif
 }
 

@@ -29,6 +29,7 @@
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/clock.hpp"
+#include "util/fault_points.hpp"
 
 // --- counting allocator ------------------------------------------------------
 // Per-thread allocation counter (worker threads allocate freely on their own
@@ -460,24 +461,25 @@ TEST(Observability, SlowOpCapturesInjectedEnvDelay) {
   bsvc::ServiceOptions o = service_options(dir, 1);
   o.sync_writes = true;
   o.slow_op_micros = 2000;  // 2 ms threshold, no sampling
-  std::atomic<bool> inject{false};
-  constexpr std::uint64_t kDelayMicros = 5000;
-  o.env_fault_hook = [&](std::string_view op, const std::string&) {
-    if (inject.load(std::memory_order_acquire) && op == "create") {
-      std::this_thread::sleep_for(std::chrono::microseconds(kDelayMicros));
-    }
-  };
+  static constexpr std::uint64_t kDelayMicros = 5000;
+  butil::FaultPoints faults;
+  o.faults = &faults;
   bsvc::VolumeManager vm(o);
   vm.open_volume("alice");
   vm.apply("alice", batch_of(0, 16)).get();
   EXPECT_TRUE(vm.slow_ops().empty());  // nothing slow yet
 
-  // The CP creates run files; the hook stretches each create by 5 ms.
-  inject.store(true, std::memory_order_release);
+  // The CP creates run files; the armed action stretches each create by
+  // 5 ms.
+  const butil::FaultPoints::Id delay =
+      faults.arm("env.create", butil::FaultAction::call([] {
+                   std::this_thread::sleep_for(
+                       std::chrono::microseconds(kDelayMicros));
+                 }));
   const std::uint64_t t_before = butil::now_micros();
   vm.consistency_point("alice").get();
   const std::uint64_t wall = butil::now_micros() - t_before;
-  inject.store(false, std::memory_order_release);
+  faults.disarm(delay);
 
   const auto slow = spans_of(vm.slow_ops(), bsvc::TraceVerb::kCp);
   ASSERT_EQ(slow.size(), 1u);

@@ -8,8 +8,9 @@
 //     record prefix; CRC-valid records carrying ops the db would refuse
 //     (kind out of range, zero/over-cap extents) are rejected the same way.
 //   * WalCrashMatrix — fork/_exit crash injection at every commit-pipeline
-//     ordering point ("wal_appended", "wal_synced", "cp_flushed",
-//     "registry_persisted", "wal_truncated"), each at two adjacent firings.
+//     ordering point the fault registry declares (the wal.* and cp.* names
+//     in util/fault_points.hpp), each at two adjacent firings; a coverage
+//     test fails when a declared point has no row in the table.
 //     _exit skips destructors but keeps the kernel page cache, so the
 //     recovered state is *deterministic*: every batch whose injection point
 //     fired is present — via WAL replay before the registry commits, via
@@ -19,8 +20,8 @@
 //   * WalGroupCommit — the commit window amortizes fsyncs across batches
 //     and volumes of a shard; window 0 degenerates to per-op fsync; acked
 //     writes survive a reopen with no consistency point in between.
-//   * WoundedVolume — persistent write errors (injected via the Env's
-//     write-fault plans) flip the volume read-only: every mutating verb
+//   * WoundedVolume — persistent write errors (env.append / env.sync
+//     failures armed on one volume) flip it read-only: every mutating verb
 //     returns typed ErrorCode::kWounded (in-process and over the wire),
 //     reads keep working, the gauge reports it, and a torn-page fault's
 //     half-written record is clean-rejected on the next open.
@@ -28,6 +29,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -35,6 +37,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -44,12 +47,14 @@
 #include "net/handlers.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
+#include "util/fault_points.hpp"
 
 namespace bb = backlog::baseline;
 namespace bc = backlog::core;
 namespace bn = backlog::net;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+namespace bu = backlog::util;
 namespace fs = std::filesystem;
 
 #if defined(__SANITIZE_THREAD__)
@@ -381,8 +386,9 @@ std::vector<std::vector<bsvc::UpdateOp>> crash_batches() {
 /// the recovered volume holds exactly the first `expect_batches` batches on
 /// top of the seed — against an in-test model, the on-disk file set, and a
 /// NaiveBackrefs replay of the same ops.
-void run_wal_crash_case(const char* point, int ordinal, int expect_batches) {
-  SCOPED_TRACE(std::string("crash at ") + point + " firing #" +
+void run_wal_crash_case(std::string_view point, int ordinal,
+                        int expect_batches) {
+  SCOPED_TRACE(std::string("crash at ") + std::string(point) + " firing #" +
                std::to_string(ordinal));
   bs::TempDir dir;
   const auto batches = crash_batches();
@@ -400,11 +406,10 @@ void run_wal_crash_case(const char* point, int ordinal, int expect_batches) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     bsvc::ServiceOptions so = wal_options(dir.path());
-    const std::string target = point;
-    auto fired = std::make_shared<int>(0);
-    so.wal_checkpoint = [target, ordinal, fired](std::string_view p) {
-      if (p == target && ++*fired == ordinal) ::_exit(0);
-    };
+    bu::FaultPoints faults;
+    faults.arm(point, bu::FaultAction::call([] { ::_exit(0); })
+                          .skip(static_cast<std::uint64_t>(ordinal - 1)));
+    so.faults = &faults;
     try {
       bsvc::VolumeManager vm(so);
       vm.open_volume("alpha");
@@ -446,49 +451,70 @@ void run_wal_crash_case(const char* point, int ordinal, int expect_batches) {
   EXPECT_FALSE(vm.query("alpha", 450).get().empty());
 }
 
+/// One row per durability point of the commit pipeline: the batches that
+/// must recover after a kill at the point's first and second firing. The
+/// kill points and what each proves:
+///   wal.appended  the record is in the log (page cache) but unsynced and
+///                 unacked; an un-fsynced write survives process death
+///   wal.synced    the acked case: the fsync completed, a hard promise
+///   cp.flushed    runs are on disk but the registry is not: they recover as
+///                 orphans and are removed, the untruncated WAL re-supplies
+///                 every op
+///   cp.registry_persisted
+///                 the CP committed: WAL records now sit below the recovered
+///                 epoch and must be skipped, never applied twice
+///   wal.truncated the log is empty behind the committed CP
+struct WalCrashRow {
+  std::string_view point;
+  int batches_at_first;
+  int batches_at_second;
+};
+
+constexpr WalCrashRow kWalCrashRows[] = {
+    {"wal.appended", 1, 2},          {"wal.synced", 1, 2},
+    {"cp.flushed", 2, 3},            {"cp.registry_persisted", 2, 3},
+    {"wal.truncated", 2, 3},
+};
+
+bool is_pipeline_point(std::string_view name) {
+  return name.starts_with("wal.") || name.starts_with("cp.");
+}
+
 }  // namespace
 
+TEST(WalCrashMatrix, TableCoversEveryDeclaredPipelinePoint) {
+  for (const std::string_view name : bu::kFaultPoints) {
+    if (!is_pipeline_point(name)) continue;
+    const bool covered =
+        std::any_of(std::begin(kWalCrashRows), std::end(kWalCrashRows),
+                    [name](const WalCrashRow& r) { return r.point == name; });
+    EXPECT_TRUE(covered) << "no crash case for declared point " << name;
+  }
+  for (const WalCrashRow& r : kWalCrashRows) {
+    EXPECT_TRUE(is_pipeline_point(r.point) &&
+                std::find(bu::kFaultPoints.begin(), bu::kFaultPoints.end(),
+                          r.point) != bu::kFaultPoints.end())
+        << "crash row names no declared pipeline point: " << r.point;
+  }
+}
+
 #ifndef BACKLOG_TSAN
-TEST(WalCrashMatrix, KillAtWalAppended) {
-  // The record is in the log (page cache) but unsynced and unacked; replay
-  // must still deliver it after _exit — an un-fsynced write survives
-  // process death.
-  run_wal_crash_case("wal_appended", 1, 1);
+class WalCrashAtPoint : public ::testing::TestWithParam<WalCrashRow> {};
+
+TEST_P(WalCrashAtPoint, RecoversExactlyTheBatchesWhosePointFired) {
+  const WalCrashRow& row = GetParam();
+  run_wal_crash_case(row.point, 1, row.batches_at_first);
   if (HasFatalFailure()) return;
-  run_wal_crash_case("wal_appended", 2, 2);
+  run_wal_crash_case(row.point, 2, row.batches_at_second);
 }
 
-TEST(WalCrashMatrix, KillAtWalSynced) {
-  // The acked case: the fsync completed, so the batch is a hard promise.
-  run_wal_crash_case("wal_synced", 1, 1);
-  if (HasFatalFailure()) return;
-  run_wal_crash_case("wal_synced", 2, 2);
-}
-
-TEST(WalCrashMatrix, KillAtCpFlushed) {
-  // Runs are on disk but the registry is not: the new runs recover as
-  // orphans and are removed, and the WAL (not yet truncated, epochs still
-  // at the old CP) re-supplies every op.
-  run_wal_crash_case("cp_flushed", 1, 2);
-  if (HasFatalFailure()) return;
-  run_wal_crash_case("cp_flushed", 2, 3);
-}
-
-TEST(WalCrashMatrix, KillAtRegistryPersisted) {
-  // The CP committed: the WAL's records now carry epochs below the
-  // recovered registry and must be skipped — the data arrives via runs,
-  // and double-apply must not occur.
-  run_wal_crash_case("registry_persisted", 1, 2);
-  if (HasFatalFailure()) return;
-  run_wal_crash_case("registry_persisted", 2, 3);
-}
-
-TEST(WalCrashMatrix, KillAtWalTruncated) {
-  // Log truncated behind the committed CP: replay sees an empty file.
-  run_wal_crash_case("wal_truncated", 1, 2);
-  if (HasFatalFailure()) return;
-  run_wal_crash_case("wal_truncated", 2, 3);
-}
+INSTANTIATE_TEST_SUITE_P(
+    WalCrashMatrix, WalCrashAtPoint, ::testing::ValuesIn(kWalCrashRows),
+    [](const ::testing::TestParamInfo<WalCrashRow>& info) {
+      std::string name(info.param.point);
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
 #endif  // BACKLOG_TSAN
 
 // --- group commit ------------------------------------------------------------
@@ -572,14 +598,15 @@ TEST(WoundedVolume, PersistentWriteErrorFlipsReadOnlyWithTypedErrors) {
   std::set<KeyTuple> committed;
   apply_to_model(committed, {add(10), add(11)});
   {
-    bsvc::VolumeManager vm(wal_options(dir.path()));
+    bu::FaultPoints faults;
+    bsvc::ServiceOptions so = wal_options(dir.path());
+    so.faults = &faults;
+    bsvc::VolumeManager vm(so);
     vm.open_volume("w");
     vm.apply("w", {add(10), add(11)}).get();
     vm.consistency_point("w").get();
 
-    vm.with_env("w", [](bs::Env& env, bc::BacklogDb&) {
-        env.set_write_fault({bs::Env::WriteFaultMode::kEio, 0, true});
-      }).get();
+    faults.arm("env.append", bu::FaultAction::fail().on("w"));
 
     auto f = vm.apply("w", {add(20)});
     EXPECT_EQ(code_of(f), bsvc::ErrorCode::kWounded);
@@ -625,15 +652,16 @@ TEST(WoundedVolume, PersistentWriteErrorFlipsReadOnlyWithTypedErrors) {
 
 TEST(WoundedVolume, SyncFailureUnderGroupCommitWoundsOnlyThatVolume) {
   bs::TempDir dir;
-  bsvc::VolumeManager vm(wal_options(dir.path(), /*window_micros=*/5000));
+  bu::FaultPoints faults;
+  bsvc::ServiceOptions so = wal_options(dir.path(), /*window_micros=*/5000);
+  so.faults = &faults;
+  bsvc::VolumeManager vm(so);
   vm.open_volume("sick");
   vm.open_volume("healthy");
 
   // The next append lands, then the window's fsync fails — the persistent
   // error wounds the volume and its pending ack carries the typed code.
-  vm.with_env("sick", [](bs::Env& env, bc::BacklogDb&) {
-      env.set_write_fault({bs::Env::WriteFaultMode::kEio, 1, true});
-    }).get();
+  faults.arm("env.sync", bu::FaultAction::fail().on("sick"));
 
   auto sick = vm.apply("sick", {add(10)});
   auto ok = vm.apply("healthy", {add(20)});
@@ -650,7 +678,10 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
   bs::TempDir dir;
   std::set<KeyTuple> committed;
   {
-    bsvc::VolumeManager vm(wal_options(dir.path()));
+    bu::FaultPoints faults;
+    bsvc::ServiceOptions so = wal_options(dir.path());
+    so.faults = &faults;
+    bsvc::VolumeManager vm(so);
     vm.open_volume("w");
     std::vector<bsvc::UpdateOp> seed;
     for (std::uint64_t b = 1; b <= 8; ++b) seed.push_back(add(b));
@@ -661,9 +692,9 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
     // A torn page: half the record lands in the WAL, then EIO. The write
     // was never acked, the volume is wounded, and the half-record is
     // exactly the torn tail replay must clean-reject on the next open.
-    vm.with_env("w", [](bs::Env& env, bc::BacklogDb&) {
-        env.set_write_fault({bs::Env::WriteFaultMode::kTornPage, 0, true});
-      }).get();
+    faults.arm("env.append",
+               bu::FaultAction::fail(EIO, bu::FaultAction::Kind::kTornPage)
+                   .on("w"));
     auto f = vm.apply("w", record_ops(100, 200));  // big enough to tear
     EXPECT_EQ(code_of(f), bsvc::ErrorCode::kWounded);
     std::uint64_t torn = 0;
@@ -684,7 +715,10 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
 
 TEST(WoundedVolume, TypedErrorSurfacesOverTheWire) {
   bs::TempDir dir;
-  bsvc::VolumeManager vm(wal_options(dir.path()));
+  bu::FaultPoints faults;
+  bsvc::ServiceOptions so = wal_options(dir.path());
+  so.faults = &faults;
+  bsvc::VolumeManager vm(so);
   bn::ServiceEndpoint endpoint(vm);
   bn::ServerOptions opts;
   opts.port = 0;
@@ -697,9 +731,7 @@ TEST(WoundedVolume, TypedErrorSurfacesOverTheWire) {
   c.apply_batch("w", {add(10)});
   c.consistency_point("w");
 
-  vm.with_env("w", [](bs::Env& env, bc::BacklogDb&) {
-      env.set_write_fault({bs::Env::WriteFaultMode::kEio, 0, true});
-    }).get();
+  faults.arm("env.append", bu::FaultAction::fail().on("w"));
 
   try {
     c.apply_batch("w", {add(20)});
