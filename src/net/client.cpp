@@ -196,6 +196,11 @@ void Client::connect(const std::string& host, std::uint16_t port,
   }
 }
 
+void Client::adopt(int fd) {
+  close();
+  fd_ = fd;
+}
+
 void Client::close() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -206,7 +211,8 @@ void Client::close() {
 void Client::write_all(std::span<const std::uint8_t> data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       const bool timed_out = errno == EAGAIN || errno == EWOULDBLOCK;

@@ -1,12 +1,13 @@
 // Synchronous client for the Backlog wire protocol.
 //
-// One Client wraps one TCP connection with the one-outstanding-request
-// protocol: call() writes a request frame, then blocks reading exactly one
-// response frame. The client validates everything it receives with the same
-// rigor as the server — magic, version, response bit, verb echo, payload cap
-// and crc are all checked before a byte of the body is believed, and bodies
-// are decoded through the bounds-checked util::Reader — a hostile or
-// confused server is just another corrupt byte stream.
+// One Client wraps one stream connection (TCP, or an in-process socketpair
+// via adopt()) with the one-outstanding-request protocol: call() writes a
+// request frame, then blocks reading exactly one response frame. The client
+// validates everything it receives with the same rigor as the server —
+// magic, version, response bit, verb echo, payload cap and crc are all
+// checked before a byte of the body is believed, and bodies are decoded
+// through the bounds-checked util::Reader — a hostile or confused server is
+// just another corrupt byte stream.
 //
 // Service-level failures arrive as non-kOk status bytes and are rethrown as
 // service::ServiceError, so remote callers handle kThrottled (and friends)
@@ -65,6 +66,9 @@ class Client {
   void connect(const std::string& host, std::uint16_t port);
   void connect(const std::string& host, std::uint16_t port,
                const ConnectOptions& opts);
+  /// Take over an already-connected stream socket (e.g. one end of a
+  /// socketpair another thread serves), closing any current connection.
+  void adopt(int fd);
   void close();
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
 
@@ -130,7 +134,8 @@ class Client {
   void cache_clear();
 
  private:
-  /// Write all of `data` (EINTR retried; write()==0 is an error).
+  /// Write all of `data` (EINTR retried; a 0-byte send is an error, and a
+  /// peer that hung up is EPIPE rather than SIGPIPE).
   void write_all(std::span<const std::uint8_t> data);
   /// Read exactly `n` bytes into `dst`; false on clean EOF at offset 0,
   /// throws on mid-buffer EOF or error.

@@ -1,7 +1,11 @@
 #include "net/handlers.hpp"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <chrono>
 #include <future>
+#include <system_error>
 
 #include "net/render.hpp"
 #include "net/wire.hpp"
@@ -24,7 +28,96 @@ Response text_ok(const std::string& text) {
   return Response::ok(w.take());
 }
 
+service::ServiceOptions host_options(const std::filesystem::path& root,
+                                     std::size_t shards,
+                                     std::uint32_t commit_window_micros) {
+  service::ServiceOptions so;
+  so.shards = shards;
+  so.root = root;
+  // Every apply future resolves only once its WAL record is fsync-covered.
+  // The window amortizes one fsync over every batch on the shard (0 = one
+  // fsync per batch).
+  so.wal_enabled = true;
+  so.wal_commit_window_micros = commit_window_micros;
+  return so;
+}
+
 }  // namespace
+
+std::vector<service::UpdateOp> annihilating_pulse(core::BlockNo& next_block) {
+  std::vector<service::UpdateOp> ops;
+  ops.reserve(32);
+  for (int i = 0; i < 16; ++i) {
+    service::UpdateOp a;
+    a.kind = service::UpdateOp::Kind::kAdd;
+    a.key.block = next_block++;
+    a.key.inode = 2;
+    a.key.length = 1;
+    service::UpdateOp r = a;
+    r.kind = service::UpdateOp::Kind::kRemove;
+    ops.push_back(a);
+    ops.push_back(r);
+  }
+  return ops;
+}
+
+ServiceHost::ServiceHost(const std::filesystem::path& root, std::size_t shards,
+                         std::uint32_t commit_window_micros,
+                         const std::string& only)
+    : vm_(host_options(root, shards, commit_window_micros)),
+      scheduler_(vm_),
+      endpoint_(vm_) {
+  std::error_code ec;
+  for (const auto& de : std::filesystem::directory_iterator(root, ec)) {
+    const std::string name = de.path().filename().string();
+    if (!de.is_directory(ec) || (!only.empty() && name != only)) continue;
+    try {
+      service::validate_tenant_name(name);
+    } catch (const std::invalid_argument&) {
+      continue;  // not a volume directory this service could have made
+    }
+    vm_.open_volume(name);
+  }
+}
+
+ServiceHost::~ServiceHost() {
+  try {
+    stop();
+  } catch (const std::exception&) {
+  }
+}
+
+void ServiceHost::listen(const ServerOptions& options) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  endpoint_.start(options);
+  serving_ = true;
+}
+
+Client ServiceHost::connect() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (stopped_) throw std::logic_error("ServiceHost: connect after stop");
+  if (!serving_) {
+    endpoint_.start_io(ServerOptions{});
+    serving_ = true;
+  }
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    throw std::system_error(errno, std::generic_category(), "socketpair");
+  }
+  Client c;
+  c.adopt(fds[0]);
+  endpoint_.adopt(fds[1]);
+  return c;
+}
+
+void ServiceHost::stop() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (stopped_) return;
+  stopped_ = true;
+  endpoint_.stop();
+  scheduler_.stop();
+  for (const auto& t : vm_.tenants()) vm_.close_volume(t);
+}
 
 ServiceEndpoint::ServiceEndpoint(service::VolumeManager& vm)
     : vm_(vm), poller_(vm, std::chrono::milliseconds(100)) {
@@ -34,6 +127,11 @@ ServiceEndpoint::ServiceEndpoint(service::VolumeManager& vm)
 void ServiceEndpoint::start(ServerOptions options) {
   options.metrics = &vm_.metrics();
   server_.start(options);
+}
+
+void ServiceEndpoint::start_io(ServerOptions options) {
+  options.metrics = &vm_.metrics();
+  server_.start_io(options);
 }
 
 void ServiceEndpoint::stop() { server_.stop(); }
@@ -339,22 +437,11 @@ void ServiceEndpoint::register_handlers() {
                       tenants.size(), vm_.shard_count(),
                       static_cast<unsigned long long>(cycles));
         out += line;
-        // Synthetic pulse: add+remove of a fresh key annihilates in the
-        // write store — real load, volumes left unchanged.
         core::BlockNo probe = 1ull << 40;
         for (std::uint64_t c = 0; c <= cycles; ++c) {
           std::vector<std::future<void>> futs;
           for (const auto& t : tenants) {
-            for (int i = 0; i < 16; ++i) {
-              service::UpdateOp a;
-              a.kind = service::UpdateOp::Kind::kAdd;
-              a.key.block = probe++;
-              a.key.inode = 2;
-              a.key.length = 1;
-              service::UpdateOp rm = a;
-              rm.kind = service::UpdateOp::Kind::kRemove;
-              futs.push_back(vm_.apply(t, {a, rm}));
-            }
+            futs.push_back(vm_.apply_batch(t, annihilating_pulse(probe)));
           }
           for (auto& f : futs) f.get();
           if (c == 0) {

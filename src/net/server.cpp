@@ -59,47 +59,26 @@ void Server::register_handler(Verb verb, std::uint32_t max_payload,
 }
 
 void Server::start(const ServerOptions& options) {
+  start_io(options);
+  try {
+    listen(options);
+  } catch (...) {
+    stop();
+    throw;
+  }
+}
+
+void Server::start_io(const ServerOptions& options) {
   if (running_.exchange(true)) {
     throw std::logic_error("Server: already started");
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  if (::inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    running_.store(false);
-    throw std::invalid_argument("Server: bad bind address " +
-                                options.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(listen_fd_, 128) < 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    running_.store(false);
-    throw std::system_error(err, std::generic_category(),
-                            "bind/listen " + options.bind_address + ":" +
-                                std::to_string(options.port));
-  }
-  sockaddr_in bound{};
-  socklen_t blen = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
-  port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
-
   if (options.metrics != nullptr) {
     auto& reg = *options.metrics;
     g_connections_ = &reg.gauge("backlog_net_connections",
-                                "TCP connections accepted since start");
+                                "Connections accepted since start");
     g_active_ = &reg.gauge("backlog_net_active_connections",
-                           "TCP connections currently open");
+                           "Connections currently open");
     g_frames_ = &reg.gauge("backlog_net_frames",
                            "Request frames received since start");
     g_decode_errors_ =
@@ -132,10 +111,58 @@ void Server::start(const ServerOptions& options) {
     IoThread* tp = t.get();
     t->thread = std::thread([this, tp] { io_loop(*tp); });
   }
+}
+
+void Server::listen(const ServerOptions& options) {
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) throw_errno("socket");
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(options.port);
+  if (::inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) != 1) {
+    throw std::invalid_argument("Server: bad bind address " +
+                                options.bind_address);
+  }
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
+      ::listen(listen_fd_, 128) < 0) {
+    const int err = errno;
+    throw std::system_error(err, std::generic_category(),
+                            "bind/listen " + options.bind_address + ":" +
+                                std::to_string(options.port));
+  }
+  sockaddr_in bound{};
+  socklen_t blen = sizeof bound;
+  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
+  port_ = ntohs(bound.sin_port);
+  set_nonblocking(listen_fd_);
 
   accept_wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (accept_wake_fd_ < 0) throw_errno("eventfd");
   acceptor_ = std::thread([this] { accept_loop(); });
+}
+
+void Server::adopt(int fd) {
+  if (!running_.load(std::memory_order_acquire) || io_.empty()) {
+    ::close(fd);
+    throw std::logic_error("Server: adopt before start");
+  }
+  hand_off(fd);
+}
+
+void Server::hand_off(int fd) {
+  set_nonblocking(fd);
+  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+  connections_active_.fetch_add(1, std::memory_order_relaxed);
+  IoThread& t =
+      *io_[next_io_.fetch_add(1, std::memory_order_relaxed) % io_.size()];
+  {
+    const std::lock_guard<std::mutex> lock(t.pending_mu);
+    t.pending_fds.push_back(fd);
+  }
+  wake(t.wake_fd);
 }
 
 void Server::stop() {
@@ -217,18 +244,9 @@ void Server::accept_loop() {
         if (errno == EINTR) continue;
         break;  // EAGAIN (drained) or a transient accept error
       }
-      set_nonblocking(fd);
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-      connections_active_.fetch_add(1, std::memory_order_relaxed);
-      IoThread& t =
-          *io_[next_io_.fetch_add(1, std::memory_order_relaxed) % io_.size()];
-      {
-        const std::lock_guard<std::mutex> lock(t.pending_mu);
-        t.pending_fds.push_back(fd);
-      }
-      wake(t.wake_fd);
+      hand_off(fd);
     }
   }
 }

@@ -1,7 +1,9 @@
 // Epoll-based network server for the Backlog wire protocol.
 //
 // Threading model: one acceptor thread blocks in accept() and hands each new
-// connection to one of `io_threads` event loops (round-robin). Every I/O
+// connection to one of `io_threads` event loops (round-robin). adopt() is
+// the same hand-off for a connection made elsewhere (one end of a
+// socketpair); start_io() runs the event loops with no listener at all. Every I/O
 // thread owns a level-triggered epoll instance plus the read/write buffers
 // of its connections — a connection lives on exactly one thread for its
 // whole life, so buffer state needs no locking. Handlers run on the I/O
@@ -92,6 +94,16 @@ class Server {
   /// std::system_error on bind/listen failure.
   void start(const ServerOptions& options);
 
+  /// Spawn the I/O threads only: no socket is bound and port() stays 0, so
+  /// the server is reachable solely through adopt(). `bind_address` and
+  /// `port` are ignored.
+  void start_io(const ServerOptions& options);
+
+  /// Serve an already-connected stream socket (any address family); the
+  /// server owns `fd` from here on and closes it on disconnect or stop().
+  /// Must not race stop(). Throws std::logic_error when not started.
+  void adopt(int fd);
+
   /// Close the listener and every connection, join all threads. Idempotent.
   void stop();
 
@@ -124,7 +136,12 @@ class Server {
     Handler handler;
   };
 
+  void listen(const ServerOptions& options);
   void accept_loop();
+  /// Queue a connected fd on the next I/O thread (round-robin). Needs no
+  /// running check on the acceptor: stop() joins it before tearing the I/O
+  /// threads down, and closes any fd still queued.
+  void hand_off(int fd);
   void io_loop(IoThread& t);
   void adopt_pending(IoThread& t);
   /// Drain readable bytes; parse/dispatch complete frames. Returns false

@@ -23,34 +23,6 @@ namespace {
 /// is a crashed clone and is discarded.
 constexpr char kCloneStagingSuffix[] = ".cloning";
 
-void validate_tenant_name(const std::string& tenant) {
-  if (tenant.empty())
-    throw std::invalid_argument("tenant name must not be empty");
-  if (tenant.size() > 255)
-    throw std::invalid_argument("tenant name too long: " + tenant);
-  for (const char c : tenant) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-    if (!ok)
-      throw std::invalid_argument(
-          "tenant name must be [A-Za-z0-9._-] (it names a directory): " +
-          tenant);
-  }
-  if (tenant == "." || tenant == "..")
-    throw std::invalid_argument("tenant name must not be a dot directory");
-  if (tenant.ends_with(kCloneStagingSuffix))
-    throw std::invalid_argument(
-        "tenant name must not end with the reserved clone-staging suffix "
-        "'.cloning': " +
-        tenant);
-  // The shared-file refcount table and its rename buddy live directly in
-  // the service root; a volume directory with either name would make every
-  // FILEREFS persist fail with EISDIR.
-  if (tenant == "FILEREFS" || tenant == "FILEREFS.tmp")
-    throw std::invalid_argument(
-        "tenant name is reserved for the shared-file manifest: " + tenant);
-}
-
 /// A name component unique across every volume instance that shares a
 /// FileManifest (see BacklogOptions::file_tag): a process-wide random nonce
 /// mixed with an instance counter. Uniqueness is what matters — stability
@@ -110,6 +82,34 @@ struct PendingGuard {
 };
 
 }  // namespace
+
+void validate_tenant_name(const std::string& tenant) {
+  if (tenant.empty())
+    throw std::invalid_argument("tenant name must not be empty");
+  if (tenant.size() > 255)
+    throw std::invalid_argument("tenant name too long: " + tenant);
+  for (const char c : tenant) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
+    if (!ok)
+      throw std::invalid_argument(
+          "tenant name must be [A-Za-z0-9._-] (it names a directory): " +
+          tenant);
+  }
+  if (tenant == "." || tenant == "..")
+    throw std::invalid_argument("tenant name must not be a dot directory");
+  if (tenant.ends_with(kCloneStagingSuffix))
+    throw std::invalid_argument(
+        "tenant name must not end with the reserved clone-staging suffix "
+        "'.cloning': " +
+        tenant);
+  // The shared-file refcount table and its rename buddy live directly in
+  // the service root; a volume directory with either name would make every
+  // FILEREFS persist fail with EISDIR.
+  if (tenant == "FILEREFS" || tenant == "FILEREFS.tmp")
+    throw std::invalid_argument(
+        "tenant name is reserved for the shared-file manifest: " + tenant);
+}
 
 core::CpFlushStats VolumeManager::commit_cp(Volume& v) {
   throw_if_wounded(v);

@@ -213,6 +213,12 @@ struct MigrationStats {
   std::size_t replayed_tasks = 0;
 };
 
+/// The rule every hosted volume name obeys (it names a directory under the
+/// root): [A-Za-z0-9._-], at most 255 bytes, not a dot directory, not the
+/// clone-staging suffix `.cloning`, not the shared-file manifest's names.
+/// Throws std::invalid_argument naming the violated part.
+void validate_tenant_name(const std::string& tenant);
+
 class VolumeManager {
  public:
   explicit VolumeManager(ServiceOptions options);

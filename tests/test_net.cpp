@@ -1,12 +1,14 @@
 // Tests for the wire protocol and the epoll network server.
 //
-// Three layers: pure frame codec tests; end-to-end verb coverage through the
-// synchronous Client against a live ServiceEndpoint; and an adversarial
+// Four layers: pure frame codec tests; end-to-end verb coverage through the
+// synchronous Client against a live ServiceEndpoint; an adversarial
 // corruption suite that pushes malformed byte streams at the server through
 // raw sockets and asserts the server's contract — every corrupt stream is a
 // clean connection close plus a decode-error counter bump, never a crash,
-// and a healthy client on the same server keeps working throughout. The
-// whole file runs under ASan/UBSan in CI.
+// and a healthy client on the same server keeps working throughout; and the
+// ServiceHost, which serves socketpair connections with no listener and
+// discovers the volumes under its root. The whole file runs under
+// ASan/UBSan and TSan in CI.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -14,8 +16,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -444,6 +449,105 @@ TEST_F(NetServerTest, ManyParallelGarbageConnections) {
   bn::Client c;
   c.connect("127.0.0.1", port());
   c.ping();
+}
+
+// --- in-process host ---------------------------------------------------------
+
+TEST(ServiceHost, ServesSocketpairClientsWithoutAPort) {
+  bs::TempDir dir;
+  bn::ServiceHost host(dir.path(), 2);
+  bn::Client c = host.connect();
+  c.ping();
+  c.open_volume("alpha");
+  c.apply_batch("alpha", {add_op(1), add_op(2)});
+  EXPECT_EQ(c.consistency_point("alpha").block_ops, 2u);
+  EXPECT_NE(c.info_text("alpha").find("volume:            alpha"),
+            std::string::npos);
+  // A second connection while the first stays open.
+  EXPECT_EQ(host.connect().list_tenants(), std::vector<std::string>{"alpha"});
+  EXPECT_EQ(host.port(), 0u);  // no listener was ever bound
+}
+
+TEST(ServiceHost, StopClosesAdoptedPairs) {
+  bs::TempDir dir;
+  bn::ServiceHost host(dir.path(), 1);
+  bn::Client c = host.connect();
+  c.ping();
+  std::atomic<bool> closed{false};
+  std::thread caller([&] {
+    try {
+      for (;;) c.ping();  // blocked in a response read almost all the time
+    } catch (const std::runtime_error&) {
+      closed = true;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  host.stop();
+  caller.join();  // hangs here if stop() leaves the pair open
+  EXPECT_TRUE(closed.load());
+  EXPECT_THROW(host.connect(), std::logic_error);
+}
+
+TEST(ServiceHost, StopClosesAPairBlockedMidFrame) {
+  bn::Server server;
+  server.register_handler(
+      bn::Verb::kPing, bn::kControlPayloadCap,
+      [](const bn::FrameHeader&, backlog::util::Reader&) {
+        return bn::Server::Response::ok();
+      });
+  server.start_io(bn::ServerOptions{});
+  EXPECT_EQ(server.port(), 0u);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  server.adopt(fds[1]);
+  // Half a header: the server waits for the rest and never answers.
+  const auto frame =
+      bn::encode_frame(static_cast<std::uint16_t>(bn::Verb::kPing), 0, {});
+  send_all(fds[0], std::span<const std::uint8_t>(frame.data(), 10));
+  EXPECT_FALSE(peer_closed(fds[0], 50));
+  server.stop();
+  EXPECT_TRUE(peer_closed(fds[0]));
+  ::close(fds[0]);
+}
+
+TEST(ServiceHost, HostsExactlyTheCommittedVolumes) {
+  bs::TempDir dir;
+  {
+    bn::ServiceHost host(dir.path(), 1);
+    bn::Client c = host.connect();
+    c.open_volume("tenant");
+    c.apply_batch("tenant", {add_op(1)});
+    const bc::Epoch v = c.take_snapshot("tenant", 0);
+    c.clone_volume("tenant", "alice.dev", 0, v);  // dotted names are legal
+  }
+  // A clone that crashed before its commit rename leaves its staging
+  // directory behind; the service discards it, and discovery must not
+  // mistake it for a volume.
+  std::filesystem::create_directories(dir.path() / "x.cloning");
+  std::filesystem::create_directories(dir.path() / "not a volume");
+
+  bn::ServiceHost host(dir.path(), 2);
+  std::vector<std::string> hosted = host.volumes().tenants();
+  std::sort(hosted.begin(), hosted.end());
+  EXPECT_EQ(hosted, (std::vector<std::string>{"alice.dev", "tenant"}));
+  EXPECT_FALSE(std::filesystem::exists(dir.path() / "x.cloning"));
+  bn::Client c = host.connect();
+  EXPECT_NE(c.info_text("alice.dev").find("cloned from"), std::string::npos);
+}
+
+TEST(ServiceHost, OnlyOpensTheNamedVolume) {
+  bs::TempDir dir;
+  {
+    bn::ServiceHost host(dir.path(), 1);
+    bn::Client c = host.connect();
+    c.open_volume("a");
+    c.open_volume("b");
+  }
+  bn::ServiceHost host(dir.path(), 1, 0, "b");
+  EXPECT_EQ(host.volumes().tenants(), std::vector<std::string>{"b"});
+  bn::ServiceHost none(dir.path(), 1, 0, "missing");
+  EXPECT_TRUE(none.volumes().tenants().empty());
+  EXPECT_FALSE(std::filesystem::exists(dir.path() / "missing"));
 }
 
 }  // namespace

@@ -355,9 +355,10 @@ TEST(ServiceCloneCow, FaultInjectedLinkFailureReleasesAndRecovers) {
 
 TEST(ServiceCloneCow, StaleFileRefsBehindCommittedClonesRecountedOnStart) {
   // FILEREFS is a cache of the directories, never the truth: a service
-  // that starts over a table older than its committed clones — the state a
-  // standalone `backlogctl maintain` leaves, since it compacts without the
-  // service's table — must recount it from the directories.
+  // that starts over a table older than its committed clones — a state
+  // only a crash or a rolled-back table can leave, since every writer
+  // (backlogctl included) runs inside the service — must recount it from
+  // the directories.
   bs::TempDir dir;
   const fs::path refs = dir.path() / "FILEREFS";
   bc::Epoch snap = 0;

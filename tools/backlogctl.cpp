@@ -1,4 +1,4 @@
-// backlogctl — command-line inspector for a Backlog volume directory.
+// backlogctl — command-line client of the Backlog volume service.
 //
 //   backlogctl info <dir>                  volume summary (CP, lines, runs)
 //   backlogctl runs <dir>                  list run files with metadata
@@ -9,104 +9,66 @@
 //   backlogctl maintain <dir>              run database maintenance (§5.2)
 //   backlogctl dump-run <dir> <file>       decode one run file's records
 //   backlogctl stress <dir> <tenants> <ops> [shards] [--batch N]
-//                                          drive the multi-tenant volume
-//                                          service: <tenants> volumes under
-//                                          <dir>, ~<ops> block ops total,
-//                                          concurrent replay + background
-//                                          maintenance, throughput report.
-//                                          --batch N feeds N-op batches
-//                                          through the batched hot-path
-//                                          verb (apply_batch) instead of
-//                                          apply()'s per-op loop
+//                      replay a synthetic trace into <tenants> volumes, ~<ops>
+//                      block ops in total, one connection per tenant, in
+//                      apply_batch chunks of N ops (default 64); report
+//                      throughput and the merged stats
 //   backlogctl snap <root> <tenant> [line]
-//                                          take + commit a snapshot of the
-//                                          tenant's line (default 0)
+//                      take + commit a snapshot of the line (default 0)
 //   backlogctl clone <root> <src> <dst> [line [version]]
-//                                          materialize a writable clone of
-//                                          src's snapshot as new tenant
-//                                          <dst> (default: latest snapshot
-//                                          of line 0). Copy-on-write: run
-//                                          files are hard-linked and
-//                                          refcounted, not copied; prints
-//                                          the shared-byte accounting
+//                      clone src's snapshot (default: the latest of line 0)
+//                      as writable tenant <dst>; run files are hard-linked
+//                      and refcounted, and the shared bytes are reported
 //   backlogctl destroy <root> <tenant> [shards]
-//                                          permanently delete the tenant's
-//                                          volume, releasing every shared
-//                                          file through the refcount
-//                                          manifest (files shared with
-//                                          clones survive)
+//                      delete the volume, releasing shared files through the
+//                      refcount manifest (files a clone still holds survive)
 //   backlogctl migrate <root> <tenant> <target-shard> [shards]
-//                                          live-migrate the tenant between
-//                                          shards of a <shards>-wide service
-//                                          (a protocol demo: placement is
-//                                          hash-routed again on reopen)
+//                      live-migrate the tenant to another shard
 //   backlogctl qos <root> <tenant> <ops-per-sec> <bytes-per-sec> [ops]
-//                                          drive [ops] single-op updates
-//                                          through the tenant under that
-//                                          TenantQos (0 = unlimited) and
-//                                          report admission counters +
-//                                          effective throughput
+//                      drive [ops] single-op updates under that TenantQos
+//                      (0 = unlimited); report admission counters
 //   backlogctl balance <root> <shards> [cycles]
-//                                          open every volume under <root>,
-//                                          pulse a synthetic load and run
-//                                          the autonomous balancer for
-//                                          [cycles] cycles; print the moves
-//                                          and final placement
+//                      pulse a synthetic load through every volume and run
+//                      the balancer for [cycles] cycles; print the moves
 //   backlogctl stats <root> [shards] [--json]
-//                                          open every volume under <root>
-//                                          and print the merged ServiceStats
-//                                          (per-tenant table, or one JSON
-//                                          object with --json)
-//   backlogctl cache <root> [shards] [--json]
-//                                          open every volume under <root>
-//                                          and print the shared block
-//                                          cache's counters plus each
-//                                          volume's result-cache counters
-//   backlogctl cache clear <root> [shards]
-//                                          drop every cached page and
-//                                          cached query result (the
-//                                          paper's cold-cache lever,
-//                                          fleet-wide), then print the
-//                                          report
+//                      the merged ServiceStats (table, or one JSON object)
+//   backlogctl cache [clear] <root> [shards] [--json]
+//                      the shared block cache's and each volume's result
+//                      cache's counters; `clear` first drops every cached page
+//                      and result (the paper's cold-cache lever; no --json)
 //   backlogctl metrics <root> [shards] [--prom|--json] [--watch N]
-//                                          open every volume, pulse a
-//                                          synthetic load through the
-//                                          service and print the metrics
-//                                          registry: Prometheus exposition
-//                                          (default) or JSON. --watch N
-//                                          polls N windows first, printing
-//                                          one rate line per window
+//                      pulse a synthetic load and print the metrics registry
+//                      (Prometheus by default); --watch N first prints one
+//                      rate line per polled window
 //   backlogctl trace <root> <tenants> <ops> [shards] [--sample N] [--slow-us N]
-//                                          stress-style run with per-op
-//                                          tracing on (sample 1-in-N,
-//                                          default 1); dumps the newest
-//                                          sampled spans and the slow-op
-//                                          log (ops slower than --slow-us)
-//   backlogctl --connect host:port <cmd> [args]
-//                                          run any subcommand against a live
-//                                          backlogd over the wire protocol.
-//                                          Volume commands (info/runs/query/
-//                                          raw/scan/maintain/dump-run) take
-//                                          the *tenant name* where the local
-//                                          form takes a directory; service
-//                                          commands keep their <root>
-//                                          positional for symmetry but
-//                                          operate on the daemon's root.
-//                                          Reports are rendered server-side
-//                                          through the same code as the
-//                                          local path (src/net/render.hpp),
-//                                          so the output is byte-identical.
+//                      stress-style run with per-op tracing (1-in-N sampling,
+//                      default 1); dump the newest spans and the slow-op log
+//   backlogctl --connect host:port [--wait-ms N] <cmd> [args]
+//                      run the subcommand against a live backlogd instead
+//
+// Every verb is implemented once, as a client of the wire protocol
+// (src/net/client.hpp). With --connect the client dials a backlogd;
+// otherwise this process starts the same service itself — a
+// net::ServiceHost, reached through an AF_UNIX socketpair, no port bound —
+// so both modes run the production framing, handlers and renderers, and
+// print the same bytes.
+//
+// Locally, service verbs host <root> with every committed volume under it,
+// sized by [shards] (default 1; 4 for stress and migrate, 2 for trace).
+// Volume verbs host <dir>'s parent as the service root and open only <dir>;
+// maintenance therefore keeps the root's FILEREFS accounting current. A
+// mutation is durable when the command returns: the host's WAL fsyncs every
+// batch before acknowledging it.
+//
+// Remotely, volume verbs take the *tenant name* where the local form takes
+// a directory; service verbs keep their <root> positional for symmetry but
+// operate on the daemon's root, and [shards] is the daemon's. --wait-ms N
+// retries refused connects for N ms, so a script can race the daemon's
+// startup safely.
 //
 // Malformed invocations (wrong arity, non-numeric or out-of-range
-// arguments) print usage and exit 2; runtime failures exit 1.
-//
-// Note: opening a volume re-establishes the manifest base (one metadata
-// write); all other inspection is read-only (stress/snap/clone/destroy/
-// migrate/qos/balance, of course, write). Volume-level commands (info/
-// maintain/...) open the directory standalone, outside any service: a
-// `maintain` on a volume whose runs are CoW-shared with clones is safe
-// (hard links keep sharers intact) but leaves the service root's FILEREFS
-// accounting stale until the next service start recounts it.
+// arguments) print usage and exit 2 before any disk or network access;
+// runtime failures exit 1.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -115,27 +77,18 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/backlog_db.hpp"
 #include "fsim/multi_tenant.hpp"
-#include "lsm/run_file.hpp"
 #include "net/client.hpp"
-#include "net/render.hpp"
-#include "service/service.hpp"
-#include "storage/env.hpp"
+#include "net/handlers.hpp"
 
 using namespace backlog;
 
 namespace {
-
-/// Shared by every remote-mode connection. `--wait-ms N` after the
-/// `--connect` spec fills retry_for_ms so scripts (and CI) can start the
-/// client before the daemon finishes binding instead of sleeping and hoping.
-net::Client::ConnectOptions g_connect_opts;
 
 int usage() {
   std::fprintf(stderr,
@@ -185,367 +138,384 @@ bool parse_u64(const char* arg, std::uint64_t& out,
   return true;
 }
 
-service::ServiceOptions service_options(const char* root, std::size_t shards) {
-  service::ServiceOptions so;
-  so.shards = shards;
-  so.root = root;
-  so.sync_writes = true;  // a CLI mutation should be durable when it returns
-  return so;
+bool is_volume_verb(const std::string& cmd) {
+  return cmd == "info" || cmd == "runs" || cmd == "scan" ||
+         cmd == "maintain" || cmd == "query" || cmd == "raw" ||
+         cmd == "dump-run";
 }
 
-// The inspection reports are rendered through src/net/render.hpp — the same
-// functions the network server uses for the *_text verbs — so local and
-// --connect output stay byte-identical by construction.
+/// One validated invocation. `where` is argv's first positional: <dir> or
+/// <root> locally; remotely the tenant of a volume verb, else ignored.
+struct Args {
+  std::string cmd;
+  std::string where;
+  std::string tenant;  ///< snap/destroy/migrate/qos tenant, clone source
+  std::string dst;     ///< clone destination
+  std::string file;    ///< dump-run file
+  std::uint64_t shards = 1, block = 0, count = 1, line = 0, version = 0,
+                target = 0, ops_rate = 0, bytes_rate = 0, ops = 2000,
+                tenants = 0, batch = 0, cycles = 3, watch = 0, sample = 1,
+                slow_us = 1000;
+  bool json = false;
+  bool clear = false;
+};
 
-int cmd_info(storage::Env& env) {
-  core::BacklogDb db(env);
-  std::fputs(net::render_info(db, env.root()).c_str(), stdout);
-  return 0;
-}
-
-int cmd_runs(storage::Env& env) {
-  core::BacklogDb db(env);  // opening replays the manifest first
-  std::fputs(net::render_runs(env).c_str(), stdout);
-  return 0;
-}
-
-int cmd_query(storage::Env& env, core::BlockNo block, std::uint64_t count,
-              bool raw) {
-  core::BacklogDb db(env);
-  const std::string out = raw
-      ? net::render_records(db.query_raw(block, count), /*indent=*/true)
-      : net::render_query(db.query(block, count));
-  std::fputs(out.c_str(), stdout);
-  return 0;
-}
-
-int cmd_scan(storage::Env& env) {
-  core::BacklogDb db(env);
-  std::fputs(net::render_records(db.scan_all(), /*indent=*/false).c_str(),
-             stdout);
-  return 0;
-}
-
-int cmd_maintain(storage::Env& env) {
-  core::BacklogDb db(env);
-  std::fputs(net::render_maintenance(db.maintain()).c_str(), stdout);
-  return 0;
-}
-
-int cmd_dump_run(storage::Env& env, const std::string& file) {
-  std::fputs(net::render_dump_run(env, file).c_str(), stdout);
-  return 0;
-}
-
-int cmd_stress(const char* dir, std::uint64_t tenants, std::uint64_t total_ops,
-               std::uint64_t shards, std::uint64_t batch) {
-  if (tenants == 0 || total_ops == 0 || shards == 0) return usage();
-
-  service::ServiceOptions so;
-  so.shards = shards;
-  so.root = dir;
-  so.sync_writes = false;
-  service::VolumeManager vm(so);
-
-  service::MaintenancePolicy policy;
-  policy.l0_run_threshold = 24;
-  policy.poll_interval = std::chrono::milliseconds(10);
-  service::MaintenanceScheduler scheduler(vm, policy);
-
-  std::vector<fsim::TenantWorkload> workloads;
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof name, "tenant-%03llu",
-                  static_cast<unsigned long long>(i));
-    vm.open_volume(name);
-    fsim::TenantTraceOptions to;
-    to.block_ops = std::max<std::uint64_t>(1, total_ops / tenants);
-    to.seed = 42 + i;
-    workloads.push_back({name, fsim::synthesize_tenant_trace(to)});
+/// argv[1] is the verb. Checks arity and every argument's range; false is a
+/// usage error. `remote` only relaxes migrate's target check: the daemon's
+/// shard count rules there (an out-of-range target is its kBadRequest).
+bool parse(int argc, char** argv, bool remote, Args& a) {
+  if (argc < 3) return false;
+  a.cmd = argv[1];
+  a.where = argv[2];
+  const std::string& cmd = a.cmd;
+  if (cmd == "stress") {
+    int end = argc;
+    if (argc >= 7 && std::strcmp(argv[argc - 2], "--batch") == 0) {
+      if (!parse_u64(argv[argc - 1], a.batch, 1, 1 << 20)) return false;
+      end = argc - 2;
+    }
+    a.shards = 4;
+    return end >= 5 && end <= 6 && parse_u64(argv[3], a.tenants, 1, 1 << 16) &&
+           parse_u64(argv[4], a.ops, 1) &&
+           (end == 5 || parse_u64(argv[5], a.shards, 1, 1024));
   }
+  if (cmd == "snap") {
+    if (argc < 4 || argc > 5) return false;
+    a.tenant = argv[3];
+    return argc == 4 || parse_u64(argv[4], a.line);
+  }
+  if (cmd == "clone") {
+    if (argc < 5 || argc > 7) return false;
+    a.tenant = argv[3];
+    a.dst = argv[4];
+    return (argc <= 5 || parse_u64(argv[5], a.line)) &&
+           (argc <= 6 || parse_u64(argv[6], a.version));
+  }
+  if (cmd == "destroy") {
+    if (argc < 4 || argc > 5) return false;
+    a.tenant = argv[3];
+    return argc == 4 || parse_u64(argv[4], a.shards, 1, 1024);
+  }
+  if (cmd == "migrate") {
+    if (argc < 5 || argc > 6) return false;
+    a.tenant = argv[3];
+    a.shards = 4;
+    if (!parse_u64(argv[4], a.target) ||
+        (argc > 5 && !parse_u64(argv[5], a.shards, 1, 1024))) {
+      return false;
+    }
+    return remote || a.target < a.shards;
+  }
+  if (cmd == "qos") {
+    if (argc < 6 || argc > 7) return false;
+    a.tenant = argv[3];
+    return parse_u64(argv[4], a.ops_rate) && parse_u64(argv[5], a.bytes_rate) &&
+           (argc == 6 || parse_u64(argv[6], a.ops, 1));
+  }
+  if (cmd == "balance") {
+    return argc >= 4 && argc <= 5 && parse_u64(argv[3], a.shards, 1, 1024) &&
+           (argc == 4 || parse_u64(argv[4], a.cycles, 1, 1 << 20));
+  }
+  if (cmd == "stats" || cmd == "cache" || cmd == "metrics") {
+    // <root> [shards] plus this verb's flags, each at most once; `cache
+    // clear` takes its <root> one slot later and no --json.
+    a.clear = cmd == "cache" && std::strcmp(argv[2], "clear") == 0;
+    const int root_at = a.clear ? 3 : 2;
+    if (argc <= root_at) return false;
+    a.where = argv[root_at];
+    bool prom = false, have_shards = false;
+    for (int i = root_at + 1; i < argc; ++i) {
+      if (!a.clear && std::strcmp(argv[i], "--json") == 0 && !a.json &&
+          !prom) {
+        a.json = true;
+      } else if (cmd == "metrics" && std::strcmp(argv[i], "--prom") == 0 &&
+                 !a.json && !prom) {
+        prom = true;  // the default exposition; the flag only excludes --json
+      } else if (cmd == "metrics" && std::strcmp(argv[i], "--watch") == 0 &&
+                 a.watch == 0 && i + 1 < argc) {
+        if (!parse_u64(argv[++i], a.watch, 1, 1 << 20)) return false;
+      } else if (!have_shards && parse_u64(argv[i], a.shards, 1, 1024)) {
+        have_shards = true;
+      } else {
+        return false;
+      }
+    }
+    return true;
+  }
+  if (cmd == "trace") {
+    a.shards = 2;
+    if (argc < 5 || !parse_u64(argv[3], a.tenants, 1, 1 << 16) ||
+        !parse_u64(argv[4], a.ops, 1)) {
+      return false;
+    }
+    bool have_shards = false;
+    for (int i = 5; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
+        if (!parse_u64(argv[++i], a.sample, 1, 1u << 30)) return false;
+      } else if (std::strcmp(argv[i], "--slow-us") == 0 && i + 1 < argc) {
+        if (!parse_u64(argv[++i], a.slow_us, 1)) return false;
+      } else if (!have_shards && parse_u64(argv[i], a.shards, 1, 1024)) {
+        have_shards = true;
+      } else {
+        return false;
+      }
+    }
+    return true;
+  }
+  if (cmd == "query" || cmd == "raw") {
+    return argc >= 4 && argc <= 5 && parse_u64(argv[3], a.block) &&
+           (argc == 4 || parse_u64(argv[4], a.count, 1));
+  }
+  if (cmd == "dump-run") {
+    if (argc != 4) return false;
+    a.file = argv[3];
+    return true;
+  }
+  return is_volume_verb(cmd) && argc == 3;
+}
 
+/// Where a verb's connections go: a backlogd (--connect), or a ServiceHost
+/// started in this process.
+struct Target {
+  std::string host;
+  std::uint16_t port = 0;
+  net::Client::ConnectOptions connect_opts;
+  std::unique_ptr<net::ServiceHost> local;
+  std::string name;  ///< names the service in reports and errors
+
+  /// Thread-safe: stress opens one connection per tenant thread.
+  net::Client connect() const {
+    if (local) return local->connect();
+    net::Client c;
+    c.connect(host, port, connect_opts);
+    return c;
+  }
+};
+
+std::string stress_tenant_name(std::uint64_t i) {
+  char name[32];
+  std::snprintf(name, sizeof name, "tenant-%03llu",
+                static_cast<unsigned long long>(i));
+  return name;
+}
+
+/// Replays tenant i's synthetic trace through `c` in `chunk`-op batches,
+/// with a small owner query after every 64 ops. Returns the ops applied.
+std::uint64_t replay_tenant(net::Client& c, std::uint64_t i,
+                            std::uint64_t ops, std::uint64_t chunk) {
+  const std::string name = stress_tenant_name(i);
+  c.open_volume(name);
+  fsim::TenantTraceOptions to;
+  to.block_ops = ops;
+  to.seed = 42 + i;
+  const fsim::TenantTrace trace = fsim::synthesize_tenant_trace(to);
+  std::vector<service::UpdateOp> pending;
+  pending.reserve(chunk);
+  std::uint64_t done = 0, since_query = 0;
+  for (const auto& op : trace.ops) {
+    pending.push_back(op);
+    if (pending.size() < chunk) continue;
+    c.apply_batch(name, pending);
+    done += pending.size();
+    since_query += pending.size();
+    pending.clear();
+    if (since_query >= 64) {
+      since_query = 0;
+      service::QueryRange qr;
+      qr.first = op.key.block;
+      qr.count = 8;
+      c.query_batch(name, {qr});
+    }
+  }
+  if (!pending.empty()) {
+    c.apply_batch(name, pending);
+    done += pending.size();
+  }
+  return done;
+}
+
+int run_stress(const Target& t, const Args& a) {
+  // The data plane speaks apply_batch; --batch sizes the chunks (a per-op
+  // round trip would measure nothing but latency).
+  const std::uint64_t chunk = std::min<std::uint64_t>(
+      a.batch == 0 ? 64 : a.batch, net::wire::kMaxBatchOps);
+  const std::uint64_t per_tenant =
+      std::max<std::uint64_t>(1, a.ops / a.tenants);
+
+  std::vector<std::thread> threads;
+  std::vector<std::uint64_t> ops_done(a.tenants, 0);
+  std::vector<std::string> errors(a.tenants);
   const auto t0 = std::chrono::steady_clock::now();
-  fsim::ReplayOptions ro;
-  ro.query_every_ops = 64;
-  if (batch > 0) {
-    ro.batch_ops = batch;
-    ro.use_apply_batch = true;  // the batched hot-path verb (apply_batch)
+  for (std::uint64_t i = 0; i < a.tenants; ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        net::Client c = t.connect();  // Client is not thread-safe
+        ops_done[i] = replay_tenant(c, i, per_tenant, chunk);
+        c.consistency_point(stress_tenant_name(i));
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
   }
-  const auto results = fsim::replay_concurrently(vm, workloads, ro);
+  for (auto& th : threads) th.join();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  scheduler.stop();
-
+  for (std::uint64_t i = 0; i < a.tenants; ++i) {
+    if (!errors[i].empty()) {
+      std::fprintf(stderr, "backlogctl: %s: %s\n",
+                   stress_tenant_name(i).c_str(), errors[i].c_str());
+      return 1;
+    }
+  }
   std::uint64_t ops = 0;
-  for (const auto& r : results) ops += r.ops;
-  const service::ServiceStats stats = vm.stats();
-  std::printf("shards:            %llu\n",
-              static_cast<unsigned long long>(shards));
-  std::printf("tenants:           %llu\n",
-              static_cast<unsigned long long>(tenants));
-  std::printf("update verb:       %s\n",
-              batch > 0 ? "apply_batch (batched hot path)" : "apply");
+  for (const std::uint64_t n : ops_done) ops += n;
+  std::printf("service:           %s\n", t.name.c_str());
+  std::printf("tenants:           %llu (one connection each)\n",
+              static_cast<unsigned long long>(a.tenants));
+  std::printf("update verb:       apply_batch (%llu-op chunks)\n",
+              static_cast<unsigned long long>(chunk));
   std::printf("block ops:         %" PRIu64 " in %.2f s (%.0f ops/s)\n", ops,
               wall, wall > 0 ? ops / wall : 0.0);
-  std::printf("queries:           %" PRIu64 " (p50 %" PRIu64 " us, p99 %" PRIu64
-              " us)\n",
-              stats.total.queries,
-              stats.total.query_micros.quantile_micros(0.50),
-              stats.total.query_micros.quantile_micros(0.99));
-  std::printf("consistency pts:   %" PRIu64 " (p99 %" PRIu64 " us)\n",
-              stats.total.cps, stats.total.cp_micros.quantile_micros(0.99));
-  std::printf("maintenance:       %" PRIu64 " runs, %" PRIu64 " skipped probes\n",
-              stats.total.maintenance_runs, stats.total.maintenance_skipped);
-  std::printf("io:                %" PRIu64 " page reads, %" PRIu64
-              " page writes\n",
-              stats.total.io.page_reads, stats.total.io.page_writes);
-  std::printf("%-12s %6s %10s %8s %8s %10s %12s\n", "tenant", "shard", "ops",
-              "cps", "queries", "maint", "page_writes");
-  for (const auto& [name, ts] : stats.tenants) {
-    std::printf("%-12s %6zu %10" PRIu64 " %8" PRIu64 " %8" PRIu64 " %10" PRIu64
-                " %12" PRIu64 "\n",
-                name.c_str(), ts.shard, ts.updates, ts.cps, ts.queries,
-                ts.maintenance_runs, ts.io.page_writes);
+  std::fputs(t.connect().stats_text(false).c_str(), stdout);
+  return 0;
+}
+
+int run_trace(net::Client& c, const Args& a) {
+  c.set_tracing(static_cast<std::uint32_t>(a.sample), a.slow_us);
+  const std::uint64_t per_tenant =
+      std::max<std::uint64_t>(1, a.ops / a.tenants);
+  for (std::uint64_t i = 0; i < a.tenants; ++i) {
+    replay_tenant(c, i, per_tenant, 64);
   }
-  // Leave the volumes cleanly closed (flushes anything still buffered).
-  for (const auto& name : vm.tenants()) vm.close_volume(name);
+  std::fputs(c.trace_text(a.sample, a.slow_us).c_str(), stdout);
   return 0;
 }
 
-int cmd_snap(const char* root, const std::string& tenant, core::LineId line) {
-  service::VolumeManager vm(service_options(root, 1));
-  vm.open_volume(tenant);
-  const core::Epoch version = vm.take_snapshot(tenant, line).get();
+int run_snap(net::Client& c, const Args& a) {
+  c.open_volume(a.tenant);
+  const core::Epoch version = c.take_snapshot(a.tenant, a.line);
   std::printf("retained snapshot (line %" PRIu64 ", v%" PRIu64 ") of %s\n",
-              line, version, tenant.c_str());
-  vm.close_volume(tenant);
+              a.line, version, a.tenant.c_str());
   return 0;
 }
 
-int cmd_clone(const char* root, const std::string& src, const std::string& dst,
-              core::LineId line, std::uint64_t version_or_latest) {
-  service::VolumeManager vm(service_options(root, 1));
-  vm.open_volume(src);
-  core::Epoch version = version_or_latest;
+int run_clone(net::Client& c, const Args& a) {
+  c.open_volume(a.tenant);
+  core::Epoch version = a.version;
   if (version == 0) {  // default: the latest retained snapshot of the line
-    const auto versions = vm.list_versions(src, line).get();
+    const auto versions = c.list_versions(a.tenant, a.line);
     if (versions.empty()) {
       std::fprintf(stderr,
                    "backlogctl: %s line %" PRIu64
                    " has no retained snapshot (run `backlogctl snap` first)\n",
-                   src.c_str(), line);
+                   a.tenant.c_str(), a.line);
       return 1;
     }
     version = versions.back();
   }
-  const core::LineId new_line = vm.clone_volume(src, dst, line, version);
+  const auto res = c.clone_volume(a.tenant, a.dst, a.line, version);
   std::printf("cloned %s snapshot (line %" PRIu64 ", v%" PRIu64
               ") -> tenant %s, writable line %" PRIu64 "\n",
-              src.c_str(), line, version, dst.c_str(), new_line);
-  const core::FileManifest::Stats fs = vm.shared_files().stats();
+              a.tenant.c_str(), a.line, version, a.dst.c_str(), res.new_line);
   std::printf("copy-on-write: %" PRIu64 " shared files, %" PRIu64
               " shared bytes (%.2f MB stored once instead of per clone)\n",
-              fs.shared_files, fs.shared_bytes,
-              fs.saved_bytes / (1024.0 * 1024.0));
-  vm.close_volume(dst);
-  vm.close_volume(src);
+              res.shared_files, res.shared_bytes,
+              res.saved_bytes / (1024.0 * 1024.0));
   return 0;
 }
 
-int cmd_destroy(const char* root, const std::string& tenant,
-                std::size_t shards) {
-  // A destructive verb must never *create* its target: open_volume would
-  // happily materialize an empty directory for a typo'd name and report
-  // "destroyed" with nothing deleted.
-  if (!std::filesystem::is_directory(std::filesystem::path(root) / tenant)) {
-    std::fprintf(stderr, "backlogctl: no volume '%s' under %s\n",
-                 tenant.c_str(), root);
+int run_destroy(net::Client& c, const Target& t, const Args& a) {
+  // Never open_volume first: that would create a typo'd tenant just to
+  // report it destroyed.
+  try {
+    c.destroy_volume(a.tenant);
+  } catch (const service::ServiceError& e) {
+    if (e.code() != service::ErrorCode::kNoSuchTenant) throw;
+    std::fprintf(stderr, "backlogctl: no volume '%s' hosted by %s\n",
+                 a.tenant.c_str(), t.name.c_str());
     return 1;
   }
-  service::VolumeManager vm(service_options(root, shards));
-  vm.open_volume(tenant);
-  const auto before = vm.shared_files().stats();
-  vm.destroy_volume(tenant);
-  const auto after = vm.shared_files().stats();
-  std::printf("destroyed %s: released %" PRIu64
-              " shared-file references; %" PRIu64 " files still shared "
-              "elsewhere\n",
-              tenant.c_str(),
-              before.shared_files >= after.shared_files
-                  ? before.shared_files - after.shared_files
-                  : 0,
-              after.shared_files);
+  std::printf("destroyed %s\n", a.tenant.c_str());
   return 0;
 }
 
-int cmd_qos(const char* root, const std::string& tenant,
-            std::uint64_t ops_per_sec, std::uint64_t bytes_per_sec,
-            std::uint64_t ops) {
-  service::VolumeManager vm(service_options(root, 1));
-  vm.open_volume(tenant);
+int run_migrate(net::Client& c, const Args& a) {
+  c.open_volume(a.tenant);
+  const core::QuickStats before = c.quick_stats(a.tenant);
+  const service::MigrationStats ms = c.migrate_volume(a.tenant, a.target);
+  if (!ms.moved) {
+    std::printf("%s already lives on shard %zu — nothing to do\n",
+                a.tenant.c_str(), ms.source_shard);
+  } else {
+    std::printf("migrated %s: shard %zu -> %zu (%s, %zu racing ops replayed)\n",
+                a.tenant.c_str(), ms.source_shard, ms.target_shard,
+                ms.forced_cp ? "flushed a consistency point"
+                             : "write store empty",
+                ms.replayed_tasks);
+  }
+  const core::QuickStats after = c.quick_stats(a.tenant);
+  std::printf("write store: %" PRIu64 " -> %" PRIu64 " entries, run records: %"
+              PRIu64 " -> %" PRIu64 "\n",
+              before.ws_entries, after.ws_entries, before.run_records,
+              after.run_records);
+  return 0;
+}
 
+int run_qos(net::Client& c, const Args& a) {
+  c.open_volume(a.tenant);
   service::TenantQos qos;
-  qos.ops_per_sec = ops_per_sec == 0 ? service::kUnlimitedRate
-                                     : static_cast<double>(ops_per_sec);
-  qos.bytes_per_sec = bytes_per_sec == 0 ? service::kUnlimitedRate
-                                         : static_cast<double>(bytes_per_sec);
+  qos.ops_per_sec = a.ops_rate == 0 ? service::kUnlimitedRate
+                                    : static_cast<double>(a.ops_rate);
+  qos.bytes_per_sec = a.bytes_rate == 0 ? service::kUnlimitedRate
+                                        : static_cast<double>(a.bytes_rate);
   qos.burst_ops = 256;
   qos.burst_bytes = 1 << 20;
   qos.max_wait_queue = 1 << 16;
-  vm.set_qos(tenant, qos);
+  c.set_qos(a.tenant, qos);
   std::printf("qos on %s: %s ops/s, %s bytes/s (burst %g ops / %g bytes)\n",
-              tenant.c_str(),
-              ops_per_sec == 0 ? "unlimited" : std::to_string(ops_per_sec).c_str(),
-              bytes_per_sec == 0 ? "unlimited" : std::to_string(bytes_per_sec).c_str(),
+              a.tenant.c_str(),
+              a.ops_rate == 0 ? "unlimited"
+                              : std::to_string(a.ops_rate).c_str(),
+              a.bytes_rate == 0 ? "unlimited"
+                                : std::to_string(a.bytes_rate).c_str(),
               qos.burst_ops, qos.burst_bytes);
 
+  // One op per request, synchronously: a throttled op comes back as a
+  // kThrottled ServiceError.
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::future<void>> futs;
-  futs.reserve(ops);
-  for (std::uint64_t i = 0; i < ops; ++i) {
+  std::uint64_t rejected = 0;
+  for (std::uint64_t i = 0; i < a.ops; ++i) {
     service::UpdateOp op;
     op.kind = service::UpdateOp::Kind::kAdd;
     op.key.block = 1 + i;
     op.key.inode = 2;
     op.key.length = 1;
-    futs.push_back(vm.apply(tenant, {op}));
-  }
-  std::uint64_t rejected = 0;
-  for (auto& f : futs) {
     try {
-      f.get();
-    } catch (const service::ServiceError&) {
+      c.apply_batch(a.tenant, {op});
+    } catch (const service::ServiceError& e) {
+      if (e.code() != service::ErrorCode::kThrottled) throw;
       ++rejected;
     }
   }
-  vm.consistency_point(tenant).get();
+  c.consistency_point(a.tenant);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  const service::QosSnapshot snap = vm.qos(tenant);
-  std::printf("drove %" PRIu64 " ops in %.2f s (%.0f ops/s effective)\n", ops,
-              wall, wall > 0 ? static_cast<double>(ops - rejected) / wall : 0);
+  const service::QosSnapshot snap = c.qos_snapshot(a.tenant);
+  std::printf("drove %" PRIu64 " ops in %.2f s (%.0f ops/s effective)\n",
+              a.ops, wall,
+              wall > 0 ? static_cast<double>(a.ops - rejected) / wall : 0);
   std::printf("admission: %" PRIu64 " direct, %" PRIu64 " waited, %" PRIu64
               " released, %" PRIu64 " rejected (kThrottled)\n",
               snap.admitted, snap.queued, snap.released, snap.rejected);
-  vm.close_volume(tenant);
-  return 0;
-}
-
-/// Every directory under a service root is a volume; sorted for stable
-/// output. Empty result = nothing to operate on (callers report and exit 1).
-std::vector<std::string> discover_tenants(const char* root) {
-  std::vector<std::string> tenants;
-  for (const auto& e : std::filesystem::directory_iterator(root)) {
-    if (e.is_directory()) tenants.push_back(e.path().filename().string());
-  }
-  std::sort(tenants.begin(), tenants.end());
-  return tenants;
-}
-
-int cmd_balance(const char* root, std::size_t shards, std::uint64_t cycles) {
-  const std::vector<std::string> tenants = discover_tenants(root);
-  if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes under %s\n", root);
-    return 1;
-  }
-
-  service::ServiceOptions so = service_options(root, shards);
-  so.sync_writes = false;  // the pulse below annihilates in the write store
-  service::VolumeManager vm(so);
-  for (const auto& t : tenants) vm.open_volume(t);
-
-  service::BalancerPolicy bp;
-  bp.latency_weighted = false;
-  bp.cooldown = std::chrono::milliseconds(0);
-  bp.min_load_to_act = 1;
-  bp.max_moves_per_cycle = 2;
-  service::Balancer balancer(vm, bp);
-
-  std::printf("%zu volumes on %zu shards; %" PRIu64 " balancer cycles\n",
-              tenants.size(), shards, cycles);
-  // Synthetic pulse: per volume, add+remove of a fresh key annihilates in
-  // the write store, so the load is real but the volume is left unchanged.
-  core::BlockNo probe = 1ull << 40;
-  for (std::uint64_t c = 0; c <= cycles; ++c) {
-    std::vector<std::future<void>> futs;
-    for (const auto& t : tenants) {
-      for (int i = 0; i < 16; ++i) {
-        service::UpdateOp a;
-        a.kind = service::UpdateOp::Kind::kAdd;
-        a.key.block = probe++;
-        a.key.inode = 2;
-        a.key.length = 1;
-        service::UpdateOp r = a;
-        r.kind = service::UpdateOp::Kind::kRemove;
-        futs.push_back(vm.apply(t, {a, r}));
-      }
-    }
-    for (auto& f : futs) f.get();
-    if (c == 0) {
-      balancer.run_once();  // first sighting primes the rate counters
-      continue;
-    }
-    const auto moves = balancer.run_once();
-    for (const auto& m : moves) {
-      std::printf("cycle %" PRIu64 ": moved %s shard %zu -> %zu "
-                  "(imbalance %.3f -> %.3f)\n",
-                  c, m.tenant.c_str(), m.from_shard, m.to_shard,
-                  m.imbalance_before, m.imbalance_after);
-    }
-    if (moves.empty()) {
-      std::printf("cycle %" PRIu64 ": balanced (imbalance %.3f)\n", c,
-                  balancer.last_imbalance());
-    }
-  }
-
-  std::printf("%-20s %6s\n", "tenant", "shard");
-  for (const auto& p : vm.placements()) {
-    std::printf("%-20s %6zu\n", p.tenant.c_str(), p.shard);
-  }
-  std::printf("moves: %" PRIu64 ", final imbalance %.3f\n", balancer.moves(),
-              balancer.last_imbalance());
-  for (const auto& t : tenants) vm.close_volume(t);
-  return 0;
-}
-
-int cmd_stats(const char* root, std::size_t shards, bool json) {
-  const std::vector<std::string> tenants = discover_tenants(root);
-  if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes under %s\n", root);
-    return 1;
-  }
-  service::VolumeManager vm(service_options(root, shards));
-  for (const auto& t : tenants) vm.open_volume(t);
-  std::fputs(net::render_stats(vm.stats(), json).c_str(), stdout);
-  for (const auto& t : tenants) vm.close_volume(t);
-  return 0;
-}
-
-int cmd_cache(const char* root, std::size_t shards, bool json, bool clear) {
-  const std::vector<std::string> tenants = discover_tenants(root);
-  if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes under %s\n", root);
-    return 1;
-  }
-  service::VolumeManager vm(service_options(root, shards));
-  for (const auto& t : tenants) vm.open_volume(t);
-  if (clear) {
-    vm.clear_caches();
-    std::fputs("caches cleared\n", stdout);
-  }
-  std::fputs(net::render_cache(vm.cache_stats(), json).c_str(), stdout);
-  for (const auto& t : tenants) vm.close_volume(t);
   return 0;
 }
 
 /// One `metrics --watch` rate line. A sample with primed=false has no
 /// previous poll to difference against — its zeros are "unknown", not
-/// "idle" — so it is labeled instead of printed as rates (used by both the
-/// local watch loop and the --connect one, where the daemon's poller really
-/// can be unprimed).
+/// "idle" — so it is labeled instead of printed as rates.
 void print_rate_window(const service::RateSample& s) {
   if (!s.primed) {
     std::printf("window %.3fs: priming (no previous sample yet)\n",
@@ -560,812 +530,118 @@ void print_rate_window(const service::RateSample& s) {
               s.throttles_per_sec, 100.0 * busy);
 }
 
-int cmd_metrics(const char* root, std::size_t shards, bool json,
-                std::uint64_t watch) {
-  const std::vector<std::string> tenants = discover_tenants(root);
-  if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes under %s\n", root);
-    return 1;
-  }
-  service::ServiceOptions so = service_options(root, shards);
-  so.sync_writes = false;  // the pulse below annihilates in the write store
-  service::VolumeManager vm(so);
-  for (const auto& t : tenants) vm.open_volume(t);
-
-  // Synthetic annihilating pulse (same trick as `balance`): real dispatch
-  // load, volumes left byte-identical.
-  core::BlockNo probe = 1ull << 40;
-  const auto pulse = [&] {
-    std::vector<std::future<void>> futs;
-    for (const auto& t : tenants) {
-      for (int i = 0; i < 16; ++i) {
-        service::UpdateOp a;
-        a.kind = service::UpdateOp::Kind::kAdd;
-        a.key.block = probe++;
-        a.key.inode = 2;
-        a.key.length = 1;
-        service::UpdateOp r = a;
-        r.kind = service::UpdateOp::Kind::kRemove;
-        futs.push_back(vm.apply(t, {a, r}));
-      }
-    }
-    for (auto& f : futs) f.get();
-  };
-
-  service::MetricsPoller poller(vm, std::chrono::milliseconds(100));
-  pulse();
-  poller.poll_once();  // prime the rate window
-  for (std::uint64_t w = 0; w < std::max<std::uint64_t>(1, watch); ++w) {
-    pulse();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    const service::RateSample s = poller.poll_once();
-    if (watch > 0) print_rate_window(s);
-  }
-
-  const std::string out =
-      json ? vm.metrics().to_json() : vm.metrics().to_prometheus();
-  std::fputs(out.c_str(), stdout);
-  if (json) std::fputs("\n", stdout);
-  for (const auto& t : tenants) vm.close_volume(t);
-  return 0;
-}
-
-int cmd_trace(const char* dir, std::uint64_t tenants, std::uint64_t total_ops,
-              std::uint64_t shards, std::uint64_t sample,
-              std::uint64_t slow_us) {
-  service::ServiceOptions so;
-  so.shards = shards;
-  so.root = dir;
-  so.sync_writes = false;
-  so.trace_sample_every = static_cast<std::uint32_t>(sample);
-  so.slow_op_micros = slow_us;
-  service::VolumeManager vm(so);
-
-  std::vector<fsim::TenantWorkload> workloads;
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof name, "tenant-%03llu",
-                  static_cast<unsigned long long>(i));
-    vm.open_volume(name);
-    fsim::TenantTraceOptions to;
-    to.block_ops = std::max<std::uint64_t>(1, total_ops / tenants);
-    to.seed = 42 + i;
-    workloads.push_back({name, fsim::synthesize_tenant_trace(to)});
-  }
-  fsim::ReplayOptions ro;
-  ro.query_every_ops = 64;
-  fsim::replay_concurrently(vm, workloads, ro);
-
-  std::fputs(net::render_trace(vm.trace_spans(), vm.slow_ops(), sample,
-                               slow_us).c_str(),
-             stdout);
-  for (const auto& name : vm.tenants()) vm.close_volume(name);
-  return 0;
-}
-
-int cmd_migrate(const char* root, const std::string& tenant,
-                std::size_t target, std::size_t shards) {
-  service::VolumeManager vm(service_options(root, shards));
-  vm.open_volume(tenant);
-  const auto before = vm.quick_stats(tenant).get();
-  const service::MigrationStats ms = vm.migrate_volume(tenant, target);
-  if (!ms.moved) {
-    std::printf("%s already lives on shard %zu of %zu — nothing to do\n",
-                tenant.c_str(), ms.source_shard, shards);
-  } else {
-    std::printf("migrated %s: shard %zu -> %zu (%s, %zu racing ops replayed)\n",
-                tenant.c_str(), ms.source_shard, ms.target_shard,
-                ms.forced_cp ? "flushed a consistency point" : "write store empty",
-                ms.replayed_tasks);
-  }
-  const auto after = vm.quick_stats(tenant).get();
-  std::printf("write store: %" PRIu64 " -> %" PRIu64 " entries, run records: %"
-              PRIu64 " -> %" PRIu64 "\n",
-              before.ws_entries, after.ws_entries, before.run_records,
-              after.run_records);
-  vm.close_volume(tenant);
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Remote mode (`--connect host:port`). Same subcommands, same arity checks,
-// same output — but every operation is a wire round trip to a backlogd.
-// Reports come back pre-rendered (the server runs the same render.hpp
-// functions the local path uses); the driving commands (stress, qos,
-// metrics, trace) generate their load client-side and push it through the
-// typed batch verbs, which is exactly what makes them a loopback/network
-// exercise of the data plane.
-// ---------------------------------------------------------------------------
-
-std::string stress_tenant_name(std::uint64_t i) {
-  char name[32];
-  std::snprintf(name, sizeof name, "tenant-%03llu",
-                static_cast<unsigned long long>(i));
-  return name;
-}
-
-int rcmd_stress(const std::string& host, std::uint16_t port,
-                std::uint64_t tenants, std::uint64_t total_ops,
-                std::uint64_t batch) {
-  // The wire data plane only speaks apply_batch; --batch sizes the chunks
-  // (default 64 — a per-op round trip would measure nothing but latency).
-  const std::uint64_t chunk =
-      std::min<std::uint64_t>(batch == 0 ? 64 : batch, net::wire::kMaxBatchOps);
-  const std::uint64_t per_tenant =
-      std::max<std::uint64_t>(1, total_ops / tenants);
-
-  std::vector<std::thread> threads;
-  std::vector<std::uint64_t> ops_done(tenants, 0);
-  std::vector<std::string> errors(tenants);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        net::Client c;  // one connection per tenant thread (Client is not
-        c.connect(host, port, g_connect_opts);  // thread-safe by design)
-        const std::string name = stress_tenant_name(i);
-        c.open_volume(name);
-        fsim::TenantTraceOptions to;
-        to.block_ops = per_tenant;
-        to.seed = 42 + i;
-        const fsim::TenantTrace trace = fsim::synthesize_tenant_trace(to);
-        std::vector<service::UpdateOp> pending;
-        pending.reserve(chunk);
-        std::uint64_t since_query = 0;
-        for (const auto& op : trace.ops) {
-          pending.push_back(op);
-          if (pending.size() < chunk) continue;
-          c.apply_batch(name, pending);
-          ops_done[i] += pending.size();
-          since_query += pending.size();
-          pending.clear();
-          if (since_query >= 64) {
-            since_query = 0;
-            service::QueryRange qr;
-            qr.first = op.key.block;
-            qr.count = 8;
-            c.query_batch(name, {qr});
-          }
-        }
-        if (!pending.empty()) {
-          c.apply_batch(name, pending);
-          ops_done[i] += pending.size();
-        }
-        c.consistency_point(name);
-      } catch (const std::exception& e) {
-        errors[i] = e.what();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    if (!errors[i].empty()) {
-      std::fprintf(stderr, "backlogctl: %s: %s\n",
-                   stress_tenant_name(i).c_str(), errors[i].c_str());
-      return 1;
-    }
-  }
-  std::uint64_t ops = 0;
-  for (const std::uint64_t n : ops_done) ops += n;
-  std::printf("remote:            %s:%u\n", host.c_str(), port);
-  std::printf("tenants:           %llu (one connection each)\n",
-              static_cast<unsigned long long>(tenants));
-  std::printf("update verb:       apply_batch over TCP (%llu-op chunks)\n",
-              static_cast<unsigned long long>(chunk));
-  std::printf("block ops:         %" PRIu64 " in %.2f s (%.0f ops/s)\n", ops,
-              wall, wall > 0 ? ops / wall : 0.0);
-  net::Client c;
-  c.connect(host, port, g_connect_opts);
-  std::fputs(c.stats_text(false).c_str(), stdout);
-  return 0;
-}
-
-int rcmd_qos(net::Client& c, const std::string& tenant,
-             std::uint64_t ops_per_sec, std::uint64_t bytes_per_sec,
-             std::uint64_t ops) {
-  c.open_volume(tenant);
-  service::TenantQos qos;
-  qos.ops_per_sec = ops_per_sec == 0 ? service::kUnlimitedRate
-                                     : static_cast<double>(ops_per_sec);
-  qos.bytes_per_sec = bytes_per_sec == 0 ? service::kUnlimitedRate
-                                         : static_cast<double>(bytes_per_sec);
-  qos.burst_ops = 256;
-  qos.burst_bytes = 1 << 20;
-  qos.max_wait_queue = 1 << 16;
-  c.set_qos(tenant, qos);
-  std::printf("qos on %s: %s ops/s, %s bytes/s (burst %g ops / %g bytes)\n",
-              tenant.c_str(),
-              ops_per_sec == 0 ? "unlimited" : std::to_string(ops_per_sec).c_str(),
-              bytes_per_sec == 0 ? "unlimited" : std::to_string(bytes_per_sec).c_str(),
-              qos.burst_ops, qos.burst_bytes);
-
-  // One op per request, synchronously: a throttled op comes back as a
-  // kThrottled ServiceError exactly like the in-process future would throw.
-  const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t rejected = 0;
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    service::UpdateOp op;
-    op.kind = service::UpdateOp::Kind::kAdd;
-    op.key.block = 1 + i;
-    op.key.inode = 2;
-    op.key.length = 1;
-    try {
-      c.apply_batch(tenant, {op});
-    } catch (const service::ServiceError& e) {
-      if (e.code() != service::ErrorCode::kThrottled) throw;
-      ++rejected;
-    }
-  }
-  c.consistency_point(tenant);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  const service::QosSnapshot snap = c.qos_snapshot(tenant);
-  std::printf("drove %" PRIu64 " ops in %.2f s (%.0f ops/s effective)\n", ops,
-              wall, wall > 0 ? static_cast<double>(ops - rejected) / wall : 0);
-  std::printf("admission: %" PRIu64 " direct, %" PRIu64 " waited, %" PRIu64
-              " released, %" PRIu64 " rejected (kThrottled)\n",
-              snap.admitted, snap.queued, snap.released, snap.rejected);
-  return 0;
-}
-
-int rcmd_metrics(net::Client& c, const std::string& host, std::uint16_t port,
-                 bool json, std::uint64_t watch) {
+int run_metrics(net::Client& c, const Target& t, const Args& a) {
   const std::vector<std::string> tenants = c.list_tenants();
   if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes hosted by %s:%u\n",
-                 host.c_str(), port);
+    std::fprintf(stderr, "backlogctl: no volumes hosted by %s\n",
+                 t.name.c_str());
     return 1;
   }
-  // Same annihilating pulse as the local command, shipped as one batch per
-  // tenant (adds + removes cancel in the write store).
   core::BlockNo probe = 1ull << 40;
   const auto pulse = [&] {
-    for (const auto& t : tenants) {
-      std::vector<service::UpdateOp> batch;
-      batch.reserve(32);
-      for (int i = 0; i < 16; ++i) {
-        service::UpdateOp a;
-        a.kind = service::UpdateOp::Kind::kAdd;
-        a.key.block = probe++;
-        a.key.inode = 2;
-        a.key.length = 1;
-        service::UpdateOp r = a;
-        r.kind = service::UpdateOp::Kind::kRemove;
-        batch.push_back(a);
-        batch.push_back(r);
-      }
-      c.apply_batch(t, batch);
+    for (const auto& tenant : tenants) {
+      c.apply_batch(tenant, net::annihilating_pulse(probe));
     }
   };
   pulse();
-  // The daemon's poller may never have been polled: the priming sample
-  // carries primed=false and is labeled, not misread as an idle service.
+  // The service's poller may never have been polled: its priming sample is
+  // labeled, not misread as an idle service.
   const service::RateSample first = c.poll_rates();
-  if (!first.primed && watch > 0) {
-    std::printf("window %.3fs: priming (no previous sample yet)\n",
-                first.window_seconds);
-  }
-  for (std::uint64_t w = 0; w < std::max<std::uint64_t>(1, watch); ++w) {
+  if (a.watch > 0 && !first.primed) print_rate_window(first);
+  for (std::uint64_t w = 0; w < std::max<std::uint64_t>(1, a.watch); ++w) {
     pulse();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     const service::RateSample s = c.poll_rates();
-    if (watch > 0) print_rate_window(s);
+    if (a.watch > 0) print_rate_window(s);
   }
-  std::fputs(c.metrics_text(json).c_str(), stdout);
+  std::fputs(c.metrics_text(a.json).c_str(), stdout);
   return 0;
 }
 
-int rcmd_trace(const std::string& host, std::uint16_t port,
-               std::uint64_t tenants, std::uint64_t total_ops,
-               std::uint64_t sample, std::uint64_t slow_us) {
-  net::Client c;
-  c.connect(host, port, g_connect_opts);
-  c.set_tracing(static_cast<std::uint32_t>(sample), slow_us);
-  const std::uint64_t per_tenant =
-      std::max<std::uint64_t>(1, total_ops / tenants);
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    const std::string name = stress_tenant_name(i);
-    c.open_volume(name);
-    fsim::TenantTraceOptions to;
-    to.block_ops = per_tenant;
-    to.seed = 42 + i;
-    const fsim::TenantTrace trace = fsim::synthesize_tenant_trace(to);
-    std::vector<service::UpdateOp> pending;
-    for (const auto& op : trace.ops) {
-      pending.push_back(op);
-      if (pending.size() < 64) continue;
-      c.apply_batch(name, pending);
-      pending.clear();
-      service::QueryRange qr;
-      qr.first = op.key.block;
-      qr.count = 8;
-      c.query_batch(name, {qr});
-    }
-    if (!pending.empty()) c.apply_batch(name, pending);
-  }
-  std::fputs(c.trace_text(sample, slow_us).c_str(), stdout);
-  return 0;
+std::string volume_report(net::Client& c, const Args& a) {
+  const std::string& tenant = a.where;
+  if (a.cmd == "info") return c.info_text(tenant);
+  if (a.cmd == "runs") return c.runs_text(tenant);
+  if (a.cmd == "scan") return c.scan_text(tenant);
+  if (a.cmd == "maintain") return c.maintain_text(tenant);
+  if (a.cmd == "dump-run") return c.dump_run_text(tenant, a.file);
+  return c.query_text(tenant, a.block, a.count, a.cmd == "raw");
 }
 
-/// `--connect` dispatch: argv is shifted so argv[1] is the subcommand and
-/// positionals line up with the local layout. Every argument is validated
-/// with the local rules *before* a byte hits the network — a malformed
-/// remote invocation exits 2 without connecting.
-int remote_main(const std::string& host, std::uint16_t port, int argc,
-                char** argv) {
-  if (argc < 3) return usage();
-  const std::string cmd = argv[1];
-  try {
-    if (cmd == "stress") {
-      std::uint64_t batch = 0;
-      int end = argc;
-      if (argc >= 7 && std::strcmp(argv[argc - 2], "--batch") == 0) {
-        if (!parse_u64(argv[argc - 1], batch, 1, 1 << 20)) return usage();
-        end = argc - 2;
-      }
-      std::uint64_t tenants = 0, ops = 0, shards = 4;
-      if (end < 5 || end > 6 || !parse_u64(argv[3], tenants, 1, 1 << 16) ||
-          !parse_u64(argv[4], ops, 1) ||
-          (end > 5 && !parse_u64(argv[5], shards, 1, 1024))) {
-        return usage();
-      }
-      (void)shards;  // the daemon's shard count applies remotely
-      return rcmd_stress(host, port, tenants, ops, batch);
+int run(const Target& t, const Args& a) {
+  if (a.cmd == "stress") return run_stress(t, a);
+  net::Client c = t.connect();
+  if (a.cmd == "trace") return run_trace(c, a);
+  if (a.cmd == "snap") return run_snap(c, a);
+  if (a.cmd == "clone") return run_clone(c, a);
+  if (a.cmd == "destroy") return run_destroy(c, t, a);
+  if (a.cmd == "migrate") return run_migrate(c, a);
+  if (a.cmd == "qos") return run_qos(c, a);
+  if (a.cmd == "metrics") return run_metrics(c, t, a);
+  std::string out;
+  if (a.cmd == "balance") {
+    out = c.balance_text(a.cycles);
+  } else if (a.cmd == "stats") {
+    out = c.stats_text(a.json);
+  } else if (a.cmd == "cache") {
+    if (a.clear) {
+      c.cache_clear();
+      out = "caches cleared\n";
     }
-    if (cmd == "snap") {
-      std::uint64_t line = 0;
-      if (argc < 4 || argc > 5 || (argc > 4 && !parse_u64(argv[4], line)))
-        return usage();
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      c.open_volume(argv[3]);
-      const core::Epoch version = c.take_snapshot(argv[3], line);
-      std::printf("retained snapshot (line %" PRIu64 ", v%" PRIu64 ") of %s\n",
-                  line, version, argv[3]);
-      return 0;
-    }
-    if (cmd == "clone") {
-      std::uint64_t line = 0, version = 0;
-      if (argc < 5 || argc > 7 || (argc > 5 && !parse_u64(argv[5], line)) ||
-          (argc > 6 && !parse_u64(argv[6], version))) {
-        return usage();
-      }
-      const std::string src = argv[3], dst = argv[4];
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      c.open_volume(src);
-      if (version == 0) {  // default: the latest retained snapshot
-        const auto versions = c.list_versions(src, line);
-        if (versions.empty()) {
-          std::fprintf(stderr,
-                       "backlogctl: %s line %" PRIu64
-                       " has no retained snapshot (run `backlogctl snap` "
-                       "first)\n",
-                       src.c_str(), line);
-          return 1;
-        }
-        version = versions.back();
-      }
-      const auto res = c.clone_volume(src, dst, line, version);
-      std::printf("cloned %s snapshot (line %" PRIu64 ", v%" PRIu64
-                  ") -> tenant %s, writable line %" PRIu64 "\n",
-                  src.c_str(), line, version, dst.c_str(), res.new_line);
-      std::printf("copy-on-write: %" PRIu64 " shared files, %" PRIu64
-                  " shared bytes (%.2f MB stored once instead of per clone)\n",
-                  res.shared_files, res.shared_bytes,
-                  res.saved_bytes / (1024.0 * 1024.0));
-      return 0;
-    }
-    if (cmd == "destroy") {
-      std::uint64_t shards = 1;
-      if (argc < 4 || argc > 5 ||
-          (argc > 4 && !parse_u64(argv[4], shards, 1, 1024))) {
-        return usage();
-      }
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      try {
-        c.destroy_volume(argv[3]);
-      } catch (const service::ServiceError& e) {
-        if (e.code() == service::ErrorCode::kNoSuchTenant) {
-          std::fprintf(stderr, "backlogctl: no volume '%s' hosted by %s:%u\n",
-                       argv[3], host.c_str(), port);
-          return 1;
-        }
-        throw;
-      }
-      std::printf("destroyed %s\n", argv[3]);
-      return 0;
-    }
-    if (cmd == "migrate") {
-      std::uint64_t target = 0, shards = 4;
-      if (argc < 5 || argc > 6 || !parse_u64(argv[4], target) ||
-          (argc > 5 && !parse_u64(argv[5], shards, 1, 1024))) {
-        return usage();
-      }
-      // target-vs-shard-count is the daemon's call (its shard count rules);
-      // out of range comes back as kBadRequest.
-      (void)shards;
-      const std::string tenant = argv[3];
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      c.open_volume(tenant);
-      const core::QuickStats before = c.quick_stats(tenant);
-      const service::MigrationStats ms = c.migrate_volume(tenant, target);
-      if (!ms.moved) {
-        std::printf("%s already lives on shard %zu — nothing to do\n",
-                    tenant.c_str(), ms.source_shard);
-      } else {
-        std::printf(
-            "migrated %s: shard %zu -> %zu (%s, %zu racing ops replayed)\n",
-            tenant.c_str(), ms.source_shard, ms.target_shard,
-            ms.forced_cp ? "flushed a consistency point" : "write store empty",
-            ms.replayed_tasks);
-      }
-      const core::QuickStats after = c.quick_stats(tenant);
-      std::printf("write store: %" PRIu64 " -> %" PRIu64
-                  " entries, run records: %" PRIu64 " -> %" PRIu64 "\n",
-                  before.ws_entries, after.ws_entries, before.run_records,
-                  after.run_records);
-      return 0;
-    }
-    if (cmd == "qos") {
-      std::uint64_t ops_rate = 0, bytes_rate = 0, ops = 2000;
-      if (argc < 6 || argc > 7 || !parse_u64(argv[4], ops_rate) ||
-          !parse_u64(argv[5], bytes_rate) ||
-          (argc > 6 && !parse_u64(argv[6], ops, 1))) {
-        return usage();
-      }
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      return rcmd_qos(c, argv[3], ops_rate, bytes_rate, ops);
-    }
-    if (cmd == "balance") {
-      std::uint64_t shards = 0, cycles = 3;
-      if (argc < 4 || argc > 5 || !parse_u64(argv[3], shards, 1, 1024) ||
-          (argc > 4 && !parse_u64(argv[4], cycles, 1, 1 << 20))) {
-        return usage();
-      }
-      net::Client c;  // the cycle runs entirely server-side (kBalanceText)
-      c.connect(host, port, g_connect_opts);
-      std::fputs(c.balance_text(cycles).c_str(), stdout);
-      return 0;
-    }
-    if (cmd == "stats") {
-      std::uint64_t shards = 1;
-      bool json = false, have_shards = false;
-      for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && !json) {
-          json = true;
-        } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-          have_shards = true;
-        } else {
-          return usage();
-        }
-      }
-      (void)shards;
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      std::fputs(c.stats_text(json).c_str(), stdout);
-      return 0;
-    }
-    if (cmd == "metrics") {
-      std::uint64_t shards = 1, watch = 0;
-      bool json = false, prom = false, have_shards = false;
-      for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && !json && !prom) {
-          json = true;
-        } else if (std::strcmp(argv[i], "--prom") == 0 && !json && !prom) {
-          prom = true;
-        } else if (std::strcmp(argv[i], "--watch") == 0 && watch == 0 &&
-                   i + 1 < argc) {
-          if (!parse_u64(argv[++i], watch, 1, 1 << 20)) return usage();
-        } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-          have_shards = true;
-        } else {
-          return usage();
-        }
-      }
-      (void)shards;
-      (void)prom;  // Prometheus exposition is the remote default too
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      return rcmd_metrics(c, host, port, json, watch);
-    }
-    if (cmd == "cache") {
-      // Same shapes as the local form; <root> is kept for symmetry but the
-      // daemon operates on its own root.
-      const bool clear = argc > 2 && std::strcmp(argv[2], "clear") == 0;
-      const int root_at = clear ? 3 : 2;
-      if (argc <= root_at) return usage();
-      std::uint64_t shards = 1;
-      bool json = false, have_shards = false;
-      for (int i = root_at + 1; i < argc; ++i) {
-        if (!clear && std::strcmp(argv[i], "--json") == 0 && !json) {
-          json = true;
-        } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-          have_shards = true;
-        } else {
-          return usage();
-        }
-      }
-      (void)shards;
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      if (clear) {
-        c.cache_clear();
-        std::fputs("caches cleared\n", stdout);
-      }
-      std::fputs(c.cache_text(json).c_str(), stdout);
-      return 0;
-    }
-    if (cmd == "trace") {
-      std::uint64_t tenants = 0, ops = 0, shards = 2, sample = 1,
-                    slow_us = 1000;
-      if (argc < 5 || !parse_u64(argv[3], tenants, 1, 1 << 16) ||
-          !parse_u64(argv[4], ops, 1)) {
-        return usage();
-      }
-      bool have_shards = false;
-      for (int i = 5; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
-          if (!parse_u64(argv[++i], sample, 1, 1u << 30)) return usage();
-        } else if (std::strcmp(argv[i], "--slow-us") == 0 && i + 1 < argc) {
-          if (!parse_u64(argv[++i], slow_us, 1)) return usage();
-        } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-          have_shards = true;
-        } else {
-          return usage();
-        }
-      }
-      (void)shards;
-      return rcmd_trace(host, port, tenants, ops, sample, slow_us);
-    }
-    const bool known_volume_cmd = cmd == "info" || cmd == "runs" ||
-                                  cmd == "scan" || cmd == "maintain" ||
-                                  cmd == "query" || cmd == "raw" ||
-                                  cmd == "dump-run";
-    if (!known_volume_cmd) return usage();
-    std::uint64_t block = 0, count = 1;
-    if (cmd == "query" || cmd == "raw") {
-      if (argc < 4 || argc > 5 || !parse_u64(argv[3], block) ||
-          (argc > 4 && !parse_u64(argv[4], count, 1))) {
-        return usage();
-      }
-    } else if (cmd == "dump-run") {
-      if (argc != 4) return usage();
-    } else if (argc != 3) {
-      return usage();
-    }
-    const std::string tenant = argv[2];  // where local takes a directory
-    net::Client c;
-    c.connect(host, port, g_connect_opts);
-    std::string out;
-    if (cmd == "info") {
-      out = c.info_text(tenant);
-    } else if (cmd == "runs") {
-      out = c.runs_text(tenant);
-    } else if (cmd == "scan") {
-      out = c.scan_text(tenant);
-    } else if (cmd == "maintain") {
-      out = c.maintain_text(tenant);
-    } else if (cmd == "query" || cmd == "raw") {
-      out = c.query_text(tenant, block, count, cmd == "raw");
-    } else {
-      out = c.dump_run_text(tenant, argv[3]);
-    }
-    std::fputs(out.c_str(), stdout);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "backlogctl: %s\n", e.what());
-    return 1;
+    out += c.cache_text(a.json);
+  } else {
+    out = volume_report(c, a);
   }
+  std::fputs(out.c_str(), stdout);
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  if (std::strcmp(argv[1], "--connect") == 0) {
-    // --connect host:port <cmd> [args] — shift past the flag + spec so the
-    // remote dispatcher sees the same argv layout as the local one.
-    if (argc < 4) return usage();
-    std::string host;
-    std::uint16_t port = 0;
-    if (!net::parse_host_port(argv[2], host, port)) return usage();
+  Target target;
+  const bool remote = argc >= 2 && std::strcmp(argv[1], "--connect") == 0;
+  if (remote) {
+    // --connect host:port [--wait-ms N] <cmd> [args] — shift past the flags
+    // so the parser sees the same argv layout as the local form.
+    if (argc < 4 ||
+        !net::parse_host_port(argv[2], target.host, target.port)) {
+      return usage();
+    }
     int shift = 2;
     if (argc >= 5 && std::strcmp(argv[3], "--wait-ms") == 0) {
       std::uint64_t wait_ms = 0;
       if (argc < 6 || !parse_u64(argv[4], wait_ms, 0, 10 * 60 * 1000))
         return usage();
-      g_connect_opts.retry_for_ms = static_cast<std::uint32_t>(wait_ms);
+      target.connect_opts.retry_for_ms = static_cast<std::uint32_t>(wait_ms);
       shift = 4;
     }
-    return remote_main(host, port, argc - shift, argv + shift);
+    argc -= shift;
+    argv += shift;
+    target.name = target.host + ":" + std::to_string(target.port);
   }
-  const std::string cmd = argv[1];
-  // Service-level commands take a service *root* (volumes live underneath).
-  // Arity and argument ranges are validated up front: a malformed
-  // invocation is a usage error (exit 2), never a half-parsed run.
-  if (cmd == "stress" || cmd == "snap" || cmd == "clone" || cmd == "destroy" ||
-      cmd == "migrate" || cmd == "qos" || cmd == "balance" || cmd == "stats" ||
-      cmd == "metrics" || cmd == "trace" || cmd == "cache") {
-    try {
-      if (cmd == "stress") {
-        // Trailing option: --batch N routes the replay through apply_batch
-        // with N-op batches (0/absent = the per-op apply loop).
-        std::uint64_t batch = 0;
-        int end = argc;
-        if (argc >= 7 && std::strcmp(argv[argc - 2], "--batch") == 0) {
-          if (!parse_u64(argv[argc - 1], batch, 1, 1 << 20)) return usage();
-          end = argc - 2;
-        }
-        std::uint64_t tenants = 0, ops = 0, shards = 4;
-        if (end < 5 || end > 6 ||
-            !parse_u64(argv[3], tenants, 1, 1 << 16) ||
-            !parse_u64(argv[4], ops, 1) ||
-            (end > 5 && !parse_u64(argv[5], shards, 1, 1024))) {
-          return usage();
-        }
-        return cmd_stress(argv[2], tenants, ops, shards, batch);
-      }
-      if (cmd == "snap") {
-        std::uint64_t line = 0;
-        if (argc < 4 || argc > 5 || (argc > 4 && !parse_u64(argv[4], line)))
-          return usage();
-        return cmd_snap(argv[2], argv[3], line);
-      }
-      if (cmd == "clone") {
-        std::uint64_t line = 0, version = 0;
-        if (argc < 5 || argc > 7 || (argc > 5 && !parse_u64(argv[5], line)) ||
-            (argc > 6 && !parse_u64(argv[6], version))) {
-          return usage();
-        }
-        return cmd_clone(argv[2], argv[3], argv[4], line, version);
-      }
-      if (cmd == "destroy") {
-        std::uint64_t shards = 1;
-        if (argc < 4 || argc > 5 ||
-            (argc > 4 && !parse_u64(argv[4], shards, 1, 1024))) {
-          return usage();
-        }
-        return cmd_destroy(argv[2], argv[3], shards);
-      }
-      if (cmd == "qos") {
-        std::uint64_t ops_rate = 0, bytes_rate = 0, ops = 2000;
-        if (argc < 6 || argc > 7 || !parse_u64(argv[4], ops_rate) ||
-            !parse_u64(argv[5], bytes_rate) ||
-            (argc > 6 && !parse_u64(argv[6], ops, 1))) {
-          return usage();
-        }
-        return cmd_qos(argv[2], argv[3], ops_rate, bytes_rate, ops);
-      }
-      if (cmd == "balance") {
-        std::uint64_t shards = 0, cycles = 3;
-        if (argc < 4 || argc > 5 || !parse_u64(argv[3], shards, 1, 1024) ||
-            (argc > 4 && !parse_u64(argv[4], cycles, 1, 1 << 20))) {
-          return usage();
-        }
-        return cmd_balance(argv[2], shards, cycles);
-      }
-      if (cmd == "stats") {
-        // stats <root> [shards] [--json] — one optional shard count, one
-        // optional flag; anything else (double flags, junk) is exit 2.
-        std::uint64_t shards = 1;
-        bool json = false, have_shards = false;
-        for (int i = 3; i < argc; ++i) {
-          if (std::strcmp(argv[i], "--json") == 0 && !json) {
-            json = true;
-          } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-            have_shards = true;
-          } else {
-            return usage();
-          }
-        }
-        return cmd_stats(argv[2], shards, json);
-      }
-      if (cmd == "metrics") {
-        std::uint64_t shards = 1, watch = 0;
-        bool json = false, prom = false, have_shards = false;
-        for (int i = 3; i < argc; ++i) {
-          if (std::strcmp(argv[i], "--json") == 0 && !json && !prom) {
-            json = true;
-          } else if (std::strcmp(argv[i], "--prom") == 0 && !json && !prom) {
-            prom = true;
-          } else if (std::strcmp(argv[i], "--watch") == 0 && watch == 0 &&
-                     i + 1 < argc) {
-            if (!parse_u64(argv[++i], watch, 1, 1 << 20)) return usage();
-          } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-            have_shards = true;
-          } else {
-            return usage();
-          }
-        }
-        return cmd_metrics(argv[2], shards, json, watch);
-      }
-      if (cmd == "cache") {
-        // cache <root> [shards] [--json]   — print the cache report
-        // cache clear <root> [shards]      — cold-cache the whole service
-        const bool clear = argc > 2 && std::strcmp(argv[2], "clear") == 0;
-        const int root_at = clear ? 3 : 2;
-        if (argc <= root_at) return usage();
-        std::uint64_t shards = 1;
-        bool json = false, have_shards = false;
-        for (int i = root_at + 1; i < argc; ++i) {
-          if (!clear && std::strcmp(argv[i], "--json") == 0 && !json) {
-            json = true;
-          } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-            have_shards = true;
-          } else {
-            return usage();
-          }
-        }
-        return cmd_cache(argv[root_at], shards, json, clear);
-      }
-      if (cmd == "trace") {
-        std::uint64_t tenants = 0, ops = 0, shards = 2, sample = 1,
-                      slow_us = 1000;
-        if (argc < 5 || !parse_u64(argv[3], tenants, 1, 1 << 16) ||
-            !parse_u64(argv[4], ops, 1)) {
-          return usage();
-        }
-        bool have_shards = false;
-        for (int i = 5; i < argc; ++i) {
-          if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
-            if (!parse_u64(argv[++i], sample, 1, 1u << 30)) return usage();
-          } else if (std::strcmp(argv[i], "--slow-us") == 0 && i + 1 < argc) {
-            if (!parse_u64(argv[++i], slow_us, 1)) return usage();
-          } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-            have_shards = true;
-          } else {
-            return usage();
-          }
-        }
-        return cmd_trace(argv[2], tenants, ops, shards, sample, slow_us);
-      }
-      std::uint64_t target = 0, shards = 4;
-      if (argc < 5 || argc > 6 || !parse_u64(argv[4], target) ||
-          (argc > 5 && !parse_u64(argv[5], shards, 1, 1024)) ||
-          target >= shards) {
-        return usage();
-      }
-      return cmd_migrate(argv[2], argv[3], target, shards);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "backlogctl: %s\n", e.what());
-      return 1;
-    }
-  }
-  const bool known_volume_cmd = cmd == "info" || cmd == "runs" ||
-                                cmd == "scan" || cmd == "maintain" ||
-                                cmd == "query" || cmd == "raw" ||
-                                cmd == "dump-run";
-  if (!known_volume_cmd) return usage();
-  // Validate arguments before touching the volume (Env creation writes).
-  std::uint64_t block = 0, count = 1;
-  if (cmd == "query" || cmd == "raw") {
-    if (argc < 4 || argc > 5 || !parse_u64(argv[3], block) ||
-        (argc > 4 && !parse_u64(argv[4], count, 1))) {
-      return usage();
-    }
-  } else if (cmd == "dump-run") {
-    if (argc != 4) return usage();
-  } else if (argc != 3) {
-    return usage();
-  }
+  Args a;
+  if (!parse(argc, argv, remote, a)) return usage();
   try {
-    storage::Env env(argv[2]);
-    if (cmd == "info") return cmd_info(env);
-    if (cmd == "runs") return cmd_runs(env);
-    if (cmd == "scan") return cmd_scan(env);
-    if (cmd == "maintain") return cmd_maintain(env);
-    if (cmd == "query" || cmd == "raw")
-      return cmd_query(env, block, count, cmd == "raw");
-    return cmd_dump_run(env, argv[3]);
+    if (!remote) {
+      std::filesystem::path root = a.where;
+      std::string only;
+      if (is_volume_verb(a.cmd)) {
+        // <dir> names the volume; its parent is the service root.
+        std::filesystem::path dir =
+            std::filesystem::absolute(root).lexically_normal();
+        if (!dir.has_filename()) dir = dir.parent_path();
+        only = dir.filename().string();
+        root = dir.parent_path();
+        a.where = only;
+      }
+      target.name = root.string() + " (in process)";
+      target.local = std::make_unique<net::ServiceHost>(
+          root, static_cast<std::size_t>(a.shards), 0, only);
+    }
+    const int rc = run(target, a);
+    if (target.local) target.local->stop();  // surface flush errors
+    return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "backlogctl: %s\n", e.what());
     return 1;

@@ -3,10 +3,13 @@
 //   backlogd <root> [--port N] [--bind ADDR] [--shards N] [--io-threads N]
 //            [--commit-window-us N]
 //
-// Hosts every volume directory under <root> in one VolumeManager and serves
-// the wire protocol (see src/net/frame.hpp) on an epoll server. Port 0 (the
-// default) binds an ephemeral port; the bound address is printed to stdout
-// as soon as the server is accepting —
+// Runs a net::ServiceHost over <root>: every committed volume directory
+// under it (any name validate_tenant_name accepts, dotted ones included;
+// crashed clones' `.cloning` staging dirs are discarded first) is hosted in
+// one VolumeManager with the WAL on and background maintenance running, and
+// the wire protocol (see src/net/frame.hpp) is served on an epoll server.
+// Port 0 (the default) binds an ephemeral port; the bound address is
+// printed to stdout as soon as the server is accepting —
 //
 //   backlogd: listening on 127.0.0.1:43211
 //
@@ -19,15 +22,13 @@
 #include <csignal>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
-#include <vector>
 
 #include "net/handlers.hpp"
-#include "service/service.hpp"
 
 using namespace backlog;
 
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Handlers go in *before* the VolumeManager exists: a SIGTERM landing
+  // Handlers go in *before* the ServiceHost exists: a SIGTERM landing
   // during recovery/WAL replay must request a clean stop (finish startup,
   // then immediately shut down) rather than hit the default action and kill
   // the process mid-recovery. SA_RESTART keeps recovery's blocking I/O from
@@ -110,37 +111,19 @@ int main(int argc, char** argv) {
   ::sigprocmask(SIG_BLOCK, &blocked, &orig_mask);
 
   try {
-    service::ServiceOptions so;
-    so.shards = shards;
-    so.root = root;
-    // A remote mutation must be durable when acked: every apply future
-    // resolves only once its WAL record is fsync-covered. The window
-    // amortizes one fsync over every batch on the shard (0 = per-batch).
-    so.wal_enabled = true;
-    so.wal_commit_window_micros = static_cast<std::uint32_t>(commit_window_us);
-    service::VolumeManager vm(so);
-
-    // Host whatever already lives under the root; remote kOpenVolume adds
-    // more at runtime.
-    std::vector<std::string> tenants;
-    std::filesystem::create_directories(root);
-    for (const auto& e : std::filesystem::directory_iterator(root)) {
-      if (e.is_directory() &&
-          e.path().filename().string().find('.') == std::string::npos) {
-        tenants.push_back(e.path().filename().string());
-      }
-    }
-    for (const auto& t : tenants) vm.open_volume(t);
-
-    net::ServiceEndpoint endpoint(vm);
+    // The host opens whatever already lives under the root; remote
+    // kOpenVolume adds more at runtime.
+    net::ServiceHost host(root, shards,
+                          static_cast<std::uint32_t>(commit_window_us));
     net::ServerOptions opts;
     opts.bind_address = bind_address;
     opts.port = static_cast<std::uint16_t>(port);
     opts.io_threads = io_threads;
-    endpoint.start(opts);
+    host.listen(opts);
 
     std::printf("backlogd: listening on %s:%u (%zu volumes, %llu shards)\n",
-                bind_address.c_str(), endpoint.port(), tenants.size(),
+                bind_address.c_str(), host.port(),
+                host.volumes().tenants().size(),
                 static_cast<unsigned long long>(shards));
     std::fflush(stdout);
 
@@ -153,8 +136,7 @@ int main(int argc, char** argv) {
     ::sigprocmask(SIG_SETMASK, &orig_mask, nullptr);
 
     std::fprintf(stderr, "backlogd: shutting down\n");
-    endpoint.stop();
-    for (const auto& t : vm.tenants()) vm.close_volume(t);
+    host.stop();
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "backlogd: %s\n", e.what());
