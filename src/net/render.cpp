@@ -1,29 +1,14 @@
 #include "net/render.hpp"
 
-#include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "lsm/run_file.hpp"
+#include "util/format.hpp"
 
 namespace backlog::net {
 
-namespace {
-
-void appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof buf - 1));
-}
-
-}  // namespace
+using util::appendf;
 
 std::string render_info(core::BacklogDb& db, const std::string& label) {
   std::string out;

@@ -39,8 +39,8 @@ std::string render_maintenance(const core::MaintenanceStats& m);
 /// `backlogctl dump-run`: decode one run file record by record.
 std::string render_dump_run(storage::Env& env, const std::string& file);
 
-/// `backlogctl stats`: the merged ServiceStats as the per-tenant table (or
-/// one JSON object with json=true).
+/// `backlogctl stats`: the ServiceStats snapshot as the per-tenant table
+/// plus the lifetime total (or one JSON object with json=true).
 std::string render_stats(const service::ServiceStats& stats, bool json);
 
 /// `backlogctl cache`: the shared block cache's counters plus each hosted

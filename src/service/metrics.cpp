@@ -6,36 +6,47 @@
 
 #include "service/volume_manager.hpp"
 #include "util/clock.hpp"
+#include "util/format.hpp"
+#include "util/json.hpp"
 
 namespace backlog::service {
 
 namespace {
 
-/// Minimal JSON string escaping: the registry's metric names and label
-/// strings are programmer-chosen identifiers, so quotes/backslashes only
-/// appear inside label *values* ("shard=\"3\"") and control characters never
-/// do.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
+using util::appendf;
+using util::json_escape;
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
+/// MetricsPoller's windowed rates: the gauge each is published as, the
+/// lifetime total it differences and the RateSample field it fills.
+struct RateSeries {
+  const char* gauge;
+  const char* help;
+  std::uint64_t (*total)(const TenantStats&);
+  double RateSample::*rate;
+};
 
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
+const RateSeries kRates[] = {
+    {"backlog_update_ops_per_sec",
+     "Update ops applied per second (last window)",
+     [](const TenantStats& t) { return t.updates; },
+     &RateSample::update_ops_per_sec},
+    {"backlog_queries_per_sec", "Queries served per second (last window)",
+     [](const TenantStats& t) { return t.queries; },
+     &RateSample::queries_per_sec},
+    {"backlog_throttles_per_sec",
+     "QoS throttle decisions (queued + rejected) per second",
+     [](const TenantStats& t) {
+       return t.throttle_queued + t.throttle_rejected;
+     },
+     &RateSample::throttles_per_sec},
+    {"backlog_io_read_bytes_per_sec",
+     "Cache-miss bytes read from storage per second",
+     [](const TenantStats& t) { return t.io.bytes_read; },
+     &RateSample::io_read_bytes_per_sec},
+    {"backlog_io_write_bytes_per_sec", "Bytes written to storage per second",
+     [](const TenantStats& t) { return t.io.bytes_written; },
+     &RateSample::io_write_bytes_per_sec},
+};
 
 }  // namespace
 
@@ -46,7 +57,7 @@ MetricsRegistry::Counter& MetricsRegistry::counter(const std::string& name,
                                                    const std::string& help) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>(name, help, slots_);
+  if (slot == nullptr) slot = std::make_unique<Counter>(help, slots_);
   return *slot;
 }
 
@@ -63,21 +74,17 @@ MetricsRegistry::Histogram& MetricsRegistry::histogram(
     const std::string& name, const std::string& help) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(name, help, slots_);
+  if (slot == nullptr) slot = std::make_unique<Histogram>(help, slots_);
   return *slot;
 }
 
-LatencyHistogram MetricsRegistry::Histogram::merged() const {
-  LatencyHistogram out;
-  for (const Slot& s : slots_) {
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      const std::uint64_t n = s.buckets[i].load(std::memory_order_relaxed);
-      if (n != 0) out.ingest_bucket(i, n);
-    }
-    out.ingest_sum_max(s.sum.load(std::memory_order_relaxed),
-                       s.max.load(std::memory_order_relaxed));
+void fold(const HistogramCell& cell, LatencyHistogram& out) noexcept {
+  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    const std::uint64_t n = cell.buckets[i].load(std::memory_order_relaxed);
+    if (n != 0) out.ingest_bucket(i, n);
   }
-  return out;
+  out.ingest_sum_max(cell.sum.load(std::memory_order_relaxed),
+                     cell.max.load(std::memory_order_relaxed));
 }
 
 std::string MetricsRegistry::to_prometheus() const {
@@ -88,9 +95,7 @@ std::string MetricsRegistry::to_prometheus() const {
   for (const auto& [name, c] : counters_) {
     out += "# HELP " + name + " " + c->help() + "\n";
     out += "# TYPE " + name + " counter\n";
-    out += name + " ";
-    append_u64(out, c->total());
-    out += "\n";
+    appendf(out, "%s %" PRIu64 "\n", name.c_str(), c->total());
   }
 
   // Gauges are keyed name+labels; emit one HELP/TYPE per family, then every
@@ -105,13 +110,12 @@ std::string MetricsRegistry::to_prometheus() const {
     }
     out += g->name();
     if (!g->labels().empty()) out += "{" + g->labels() + "}";
-    out += " ";
-    append_double(out, g->value());
-    out += "\n";
+    appendf(out, " %.17g\n", g->value());
   }
 
   for (const auto& [name, h] : histograms_) {
     const LatencyHistogram merged = h->merged();
+    const char* n = name.c_str();
     out += "# HELP " + name + " " + h->help() + "\n";
     out += "# TYPE " + name + " histogram\n";
     std::uint64_t cum = 0;
@@ -120,21 +124,13 @@ std::string MetricsRegistry::to_prometheus() const {
       // The top log2 bucket's bound is UINT64_MAX — fold it into +Inf
       // instead of emitting an unreadable 20-digit `le`.
       if (b.le_micros == UINT64_MAX) continue;
-      out += name + "_bucket{le=\"";
-      append_u64(out, b.le_micros);
-      out += "\"} ";
-      append_u64(out, cum);
-      out += "\n";
+      appendf(out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n", n,
+              b.le_micros, cum);
     }
-    out += name + "_bucket{le=\"+Inf\"} ";
-    append_u64(out, merged.count());
-    out += "\n";
-    out += name + "_sum ";
-    append_u64(out, merged.sum_micros());
-    out += "\n";
-    out += name + "_count ";
-    append_u64(out, merged.count());
-    out += "\n";
+    appendf(out,
+            "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n%s_sum %" PRIu64
+            "\n%s_count %" PRIu64 "\n",
+            n, merged.count(), n, merged.sum_micros(), n, merged.count());
   }
   return out;
 }
@@ -142,54 +138,39 @@ std::string MetricsRegistry::to_prometheus() const {
 std::string MetricsRegistry::to_json() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"counters\":{";
-  bool first = true;
+  const char* sep = "";
   for (const auto& [name, c] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + json_escape(name) + "\":";
-    append_u64(out, c->total());
+    appendf(out, "%s\"%s\":%" PRIu64, sep, json_escape(name).c_str(),
+            c->total());
+    sep = ",";
   }
   out += "},\"gauges\":[";
-  first = true;
+  sep = "";
   for (const auto& [key, g] : gauges_) {
     (void)key;
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + json_escape(g->name()) + "\",\"labels\":\"" +
-           json_escape(g->labels()) + "\",\"value\":";
-    append_double(out, g->value());
-    out += "}";
+    appendf(out, "%s{\"name\":\"%s\",\"labels\":\"%s\",\"value\":%.17g}",
+            sep, json_escape(g->name()).c_str(),
+            json_escape(g->labels()).c_str(), g->value());
+    sep = ",";
   }
   out += "],\"histograms\":{";
-  first = true;
+  sep = "";
   for (const auto& [name, h] : histograms_) {
-    if (!first) out += ",";
-    first = false;
     const LatencyHistogram m = h->merged();
-    out += "\"" + json_escape(name) + "\":{\"count\":";
-    append_u64(out, m.count());
-    out += ",\"sum_micros\":";
-    append_u64(out, m.sum_micros());
-    out += ",\"max_micros\":";
-    append_u64(out, m.max_micros());
-    out += ",\"p50\":";
-    append_u64(out, m.p50());
-    out += ",\"p95\":";
-    append_u64(out, m.p95());
-    out += ",\"p99\":";
-    append_u64(out, m.p99());
-    out += ",\"buckets\":[";
-    bool bfirst = true;
+    appendf(out,
+            "%s\"%s\":{\"count\":%" PRIu64 ",\"sum_micros\":%" PRIu64
+            ",\"max_micros\":%" PRIu64 ",\"p50\":%" PRIu64
+            ",\"p95\":%" PRIu64 ",\"p99\":%" PRIu64 ",\"buckets\":[",
+            sep, json_escape(name).c_str(), m.count(), m.sum_micros(),
+            m.max_micros(), m.p50(), m.p95(), m.p99());
+    const char* bsep = "";
     for (const HistogramBucket& b : m.to_buckets()) {
-      if (!bfirst) out += ",";
-      bfirst = false;
-      out += "{\"le_micros\":";
-      append_u64(out, b.le_micros);
-      out += ",\"count\":";
-      append_u64(out, b.count);
-      out += "}";
+      appendf(out, "%s{\"le_micros\":%" PRIu64 ",\"count\":%" PRIu64 "}",
+              bsep, b.le_micros, b.count);
+      bsep = ",";
     }
     out += "]}";
+    sep = ",";
   }
   out += "}}";
   return out;
@@ -199,18 +180,8 @@ MetricsPoller::MetricsPoller(VolumeManager& vm,
                              std::chrono::milliseconds interval)
     : vm_(vm), interval_(interval) {
   MetricsRegistry& reg = vm.metrics();
-  g_updates_ = &reg.gauge("backlog_update_ops_per_sec",
-                          "Update ops applied per second (last window)");
-  g_queries_ = &reg.gauge("backlog_queries_per_sec",
-                          "Queries served per second (last window)");
-  g_throttles_ =
-      &reg.gauge("backlog_throttles_per_sec",
-                 "QoS throttle decisions (queued + rejected) per second");
-  g_read_bytes_ =
-      &reg.gauge("backlog_io_read_bytes_per_sec",
-                 "Cache-miss bytes read from storage per second");
-  g_write_bytes_ = &reg.gauge("backlog_io_write_bytes_per_sec",
-                              "Bytes written to storage per second");
+  for (const RateSeries& r : kRates)
+    g_rates_.push_back(&reg.gauge(r.gauge, r.help));
   // slots() counts one per shard plus the API slot.
   const std::size_t shards = reg.slots() - 1;
   g_busy_.reserve(shards);
@@ -257,16 +228,12 @@ void MetricsPoller::loop() {
 RateSample MetricsPoller::poll_once() { return poll_once(util::now_micros()); }
 
 RateSample MetricsPoller::poll_once(std::uint64_t now_micros) {
-  // Scrape outside mu_ — stats() runs tasks on every shard.
+  // Scrape outside mu_ — stats() gathers IoStats with a task per shard.
   const ServiceStats stats = vm_.stats();
   const auto loads = vm_.shard_loads();
 
-  const std::uint64_t updates = stats.total.updates;
-  const std::uint64_t queries = stats.total.queries;
-  const std::uint64_t throttles =
-      stats.total.throttle_queued + stats.total.throttle_rejected;
-  const std::uint64_t read_bytes = stats.total.io.bytes_read;
-  const std::uint64_t write_bytes = stats.total.io.bytes_written;
+  std::vector<std::uint64_t> totals;
+  for (const RateSeries& r : kRates) totals.push_back(r.total(stats.total));
 
   const std::lock_guard<std::mutex> lock(mu_);
   RateSample s;
@@ -278,14 +245,14 @@ RateSample MetricsPoller::poll_once(std::uint64_t now_micros) {
     const double dt =
         static_cast<double>(now_micros - prev_at_) / 1'000'000.0;
     s.window_seconds = dt;
-    s.update_ops_per_sec = static_cast<double>(updates - prev_updates_) / dt;
-    s.queries_per_sec = static_cast<double>(queries - prev_queries_) / dt;
-    s.throttles_per_sec =
-        static_cast<double>(throttles - prev_throttles_) / dt;
-    s.io_read_bytes_per_sec =
-        static_cast<double>(read_bytes - prev_read_bytes_) / dt;
-    s.io_write_bytes_per_sec =
-        static_cast<double>(write_bytes - prev_write_bytes_) / dt;
+    // The totals are lifetime totals and never go down; the clamp only
+    // absorbs a scrape racing a volume's retirement (its Env bytes can be
+    // seen both hosted and retired for one window).
+    const auto rate = [dt](std::uint64_t now, std::uint64_t prev) {
+      return now > prev ? static_cast<double>(now - prev) / dt : 0.0;
+    };
+    for (std::size_t i = 0; i < totals.size(); ++i)
+      s.*kRates[i].rate = rate(totals[i], prev_totals_[i]);
     for (std::size_t i = 0; i < loads.size(); ++i) {
       const std::uint64_t prev =
           i < prev_busy_.size() ? prev_busy_[i] : 0;
@@ -298,21 +265,14 @@ RateSample MetricsPoller::poll_once(std::uint64_t now_micros) {
 
   primed_ = true;
   prev_at_ = now_micros;
-  prev_updates_ = updates;
-  prev_queries_ = queries;
-  prev_throttles_ = throttles;
-  prev_read_bytes_ = read_bytes;
-  prev_write_bytes_ = write_bytes;
+  prev_totals_ = std::move(totals);
   prev_busy_.resize(loads.size());
   for (std::size_t i = 0; i < loads.size(); ++i) {
     prev_busy_[i] = loads[i].busy_micros;
   }
 
-  g_updates_->set(s.update_ops_per_sec);
-  g_queries_->set(s.queries_per_sec);
-  g_throttles_->set(s.throttles_per_sec);
-  g_read_bytes_->set(s.io_read_bytes_per_sec);
-  g_write_bytes_->set(s.io_write_bytes_per_sec);
+  for (std::size_t i = 0; i < g_rates_.size(); ++i)
+    g_rates_[i]->set(s.*kRates[i].rate);
   for (std::size_t i = 0; i < g_busy_.size(); ++i) {
     g_busy_[i]->set(i < s.shard_busy_fraction.size()
                         ? s.shard_busy_fraction[i]

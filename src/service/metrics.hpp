@@ -1,25 +1,33 @@
 // MetricsRegistry: named counters / gauges / histograms with per-shard
-// single-writer slots, merged only at scrape time.
+// single-writer slots and per-tenant children, merged only at scrape time.
 //
-// The write side is built for the shard-per-thread service: every metric
-// family owns one cache-line-aligned slot per shard plus one extra slot
-// shared by API/control threads. A shard thread bumps its own slot with a
-// relaxed load+store (no RMW, no contention, no allocation); a scrape sums
-// the slots with relaxed loads. Totals are therefore eventually consistent
-// across slots — exactly the semantics a Prometheus scrape needs — while the
-// hot path pays a single uncontended store.
+// The write side is built for the shard-per-thread service. Every counter
+// and histogram family owns one cache-line-aligned slot per shard plus one
+// trailing slot shared by API/control threads. A shard thread bumps its own
+// slot with a relaxed load+store (no RMW, no contention, no allocation); the
+// shared API slot takes a fetch_add, since any number of threads write it.
+// A family may also hold *children*: cells owned elsewhere that count
+// toward the family total while attached — one per hosted volume, written
+// only by the volume's owning shard (its QoS gate's two counters take a
+// fetch_add). detach() folds a child into the family's retired part, so a
+// total never goes down when a tenant leaves. A scrape sums slots, children
+// and the retired part with relaxed loads. Totals are therefore eventually
+// consistent across writers — exactly the semantics a Prometheus scrape
+// needs — while the hot path pays a single uncontended store.
 //
-// Export formats:
+// Export formats (one unlabelled series per family; children are summed,
+// not exported):
 //   to_prometheus()  text exposition (counters `_total`, histograms with
 //                    cumulative `_bucket{le=...}` / `_sum` / `_count`)
 //   to_json()        one JSON object mirroring the same data, used by
 //                    `backlogctl metrics --json` and bench tooling
 //
-// MetricsPoller turns the cumulative counters (ServiceStats + the WorkerPool
-// busy clock) into windowed rates: ops/s, queries/s, throttles/s, cache-free
-// IO bytes/s (the Env only charges cache-miss reads, so read rates are
-// cache-free by construction) and per-shard busy fraction. poll_once() takes
-// an explicit timestamp so tests get deterministic windows.
+// MetricsPoller turns cumulative service totals (VolumeManager::stats(),
+// whose counters are these family totals, plus the WorkerPool busy clock)
+// into windowed rates: ops/s, queries/s, throttles/s, cache-free IO bytes/s
+// (the Env only charges cache-miss reads, so read rates are cache-free by
+// construction) and per-shard busy fraction. poll_once() takes an explicit
+// timestamp so tests get deterministic windows.
 #pragma once
 
 #include <atomic>
@@ -47,41 +55,117 @@ class VolumeManager;
 /// GCC warn on any header use.
 inline constexpr std::size_t kMetricSlotAlign = 64;
 
+/// Add `n` to a metric cell. A cell with one writing thread at a time takes
+/// a relaxed load+store (no RMW); a `shared` cell takes a fetch_add.
+inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n = 1,
+                 bool shared = false) noexcept {
+  if (shared) {
+    cell.fetch_add(n, std::memory_order_relaxed);
+  } else {
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  }
+}
+
+/// One writer's log2 histogram storage: a slot of a histogram family, or a
+/// volume's child of one. Buckets index like LatencyHistogram::bucket_of;
+/// the count is their sum.
+struct HistogramCell {
+  std::atomic<std::uint64_t> buckets[LatencyHistogram::kBuckets]{};
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> max{0};
+
+  void record(std::uint64_t micros, bool shared = false) noexcept {
+    bump(buckets[LatencyHistogram::bucket_of(micros)], 1, shared);
+    bump(sum, micros, shared);
+    // A new maximum is rare, so its RMW costs even a single writer nothing.
+    std::uint64_t seen = max.load(std::memory_order_relaxed);
+    while (micros > seen && !max.compare_exchange_weak(
+                                seen, micros, std::memory_order_relaxed)) {
+    }
+  }
+};
+
+/// Scrape side: add one cell's contents to a family total.
+inline void fold(const std::atomic<std::uint64_t>& cell,
+                 std::uint64_t& out) noexcept {
+  out += cell.load(std::memory_order_relaxed);
+}
+void fold(const HistogramCell& cell, LatencyHistogram& out) noexcept;
+
+/// What counter and histogram families share: one cache-line-aligned slot
+/// per writer, the attached children, and the retired part that detached
+/// children fold into (see the file comment).
+template <typename Cell, typename Total>
+class MetricFamily {
+ public:
+  MetricFamily(std::string help, std::size_t slots)
+      : slots_(slots), help_(std::move(help)) {}
+
+  /// Count `cell` (owned and written by the caller) in the family total
+  /// until detach(); the cell must outlive the attachment. `tenant` labels
+  /// the child.
+  void attach(const std::string& tenant, const Cell& cell) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    children_.push_back({tenant, &cell});
+  }
+
+  /// Fold `cell` into the retired part and forget it; a no-op for a cell
+  /// that is not attached.
+  void detach(const Cell& cell) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(children_, [&](const Child& c) {
+      if (c.cell != &cell) return false;
+      fold(cell, retired_);
+      return true;
+    });
+  }
+
+  [[nodiscard]] const std::string& help() const noexcept { return help_; }
+
+ protected:
+  /// The family total: slots + attached children + retired part.
+  [[nodiscard]] Total read() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    Total out = retired_;
+    for (const Slot& s : slots_) fold(s.cell, out);
+    for (const Child& c : children_) fold(*c.cell, out);
+    return out;
+  }
+
+  /// Each slot has one writer (its shard) except the trailing one, which
+  /// every API/control thread shares.
+  struct alignas(kMetricSlotAlign) Slot {
+    Cell cell{};
+  };
+  std::vector<Slot> slots_;
+
+ private:
+  struct Child {
+    std::string tenant;
+    const Cell* cell;
+  };
+  std::string help_;
+  mutable std::mutex mu_;  ///< guards children_ and retired_
+  std::vector<Child> children_;
+  Total retired_{};
+};
+
 class MetricsRegistry {
  public:
   /// `slots` = writer count: one per shard plus one for API/control threads
   /// (VolumeManager passes shards + 1).
   explicit MetricsRegistry(std::size_t slots);
 
-  /// Monotonic counter. add() is single-writer per slot: a relaxed
-  /// load+store pair, not an RMW — two threads must never share a slot.
-  class Counter {
+  /// Monotonic counter family.
+  class Counter : public MetricFamily<std::atomic<std::uint64_t>,
+                                      std::uint64_t> {
    public:
-    Counter(std::string name, std::string help, std::size_t slots)
-        : name_(std::move(name)), help_(std::move(help)), slots_(slots) {}
-
+    using MetricFamily::MetricFamily;
     void add(std::size_t slot, std::uint64_t n = 1) noexcept {
-      auto& cell = slots_[slot].value;
-      cell.store(cell.load(std::memory_order_relaxed) + n,
-                 std::memory_order_relaxed);
+      bump(slots_[slot].cell, n, slot + 1 == slots_.size());
     }
-
-    [[nodiscard]] std::uint64_t total() const noexcept {
-      std::uint64_t sum = 0;
-      for (const auto& s : slots_) sum += s.value.load(std::memory_order_relaxed);
-      return sum;
-    }
-
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] const std::string& help() const noexcept { return help_; }
-
-   private:
-    struct alignas(kMetricSlotAlign) Slot {
-      std::atomic<std::uint64_t> value{0};
-    };
-    std::string name_;
-    std::string help_;
-    std::vector<Slot> slots_;
+    [[nodiscard]] std::uint64_t total() const { return read(); }
   };
 
   /// Point-in-time value, any thread may set it (last writer wins). An
@@ -117,43 +201,15 @@ class MetricsRegistry {
     std::function<double()> fn_;
   };
 
-  /// Log2-bucketed latency histogram with per-slot single-writer storage;
-  /// merged() folds the slots into a LatencyHistogram at scrape time.
-  class Histogram {
+  /// Log2-bucketed latency histogram family; merged() folds it into a
+  /// LatencyHistogram at scrape time.
+  class Histogram : public MetricFamily<HistogramCell, LatencyHistogram> {
    public:
-    Histogram(std::string name, std::string help, std::size_t slots)
-        : name_(std::move(name)), help_(std::move(help)), slots_(slots) {}
-
+    using MetricFamily::MetricFamily;
     void record(std::size_t slot, std::uint64_t micros) noexcept {
-      Slot& s = slots_[slot];
-      bump(s.buckets[LatencyHistogram::bucket_of(micros)]);
-      bump(s.count);
-      bump(s.sum, micros);
-      if (micros > s.max.load(std::memory_order_relaxed)) {
-        s.max.store(micros, std::memory_order_relaxed);
-      }
+      slots_[slot].cell.record(micros, slot + 1 == slots_.size());
     }
-
-    [[nodiscard]] LatencyHistogram merged() const;
-
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] const std::string& help() const noexcept { return help_; }
-
-   private:
-    static void bump(std::atomic<std::uint64_t>& cell,
-                     std::uint64_t n = 1) noexcept {
-      cell.store(cell.load(std::memory_order_relaxed) + n,
-                 std::memory_order_relaxed);
-    }
-    struct alignas(kMetricSlotAlign) Slot {
-      std::atomic<std::uint64_t> buckets[LatencyHistogram::kBuckets]{};
-      std::atomic<std::uint64_t> count{0};
-      std::atomic<std::uint64_t> sum{0};
-      std::atomic<std::uint64_t> max{0};
-    };
-    std::string name_;
-    std::string help_;
-    std::vector<Slot> slots_;
+    [[nodiscard]] LatencyHistogram merged() const { return read(); }
   };
 
   /// Registration is idempotent (same name -> same object) and returns a
@@ -198,10 +254,11 @@ struct RateSample {
   std::vector<double> shard_busy_fraction;  ///< per shard, 0..1
 };
 
-/// Periodically (or on demand) diffs cumulative ServiceStats + WorkerPool
-/// busy clocks into rates and mirrors them into registry gauges
-/// (backlog_update_ops_per_sec, backlog_shard_busy_fraction{shard="k"}, ...).
-/// The first poll primes the window and reports zero rates.
+/// Periodically (or on demand) diffs the service's lifetime totals
+/// (VolumeManager::stats().total) and the WorkerPool busy clocks into rates
+/// and mirrors them into registry gauges (backlog_update_ops_per_sec,
+/// backlog_shard_busy_fraction{shard="k"}, ...). The first poll primes the
+/// window and reports zero rates.
 class MetricsPoller {
  public:
   /// Registers its gauges in vm.metrics(). Does not start a thread; call
@@ -233,19 +290,11 @@ class MetricsPoller {
   mutable std::mutex mu_;
   bool primed_ = false;
   std::uint64_t prev_at_ = 0;
-  std::uint64_t prev_updates_ = 0;
-  std::uint64_t prev_queries_ = 0;
-  std::uint64_t prev_throttles_ = 0;
-  std::uint64_t prev_read_bytes_ = 0;
-  std::uint64_t prev_write_bytes_ = 0;
+  std::vector<std::uint64_t> prev_totals_;  ///< one per rate series
   std::vector<std::uint64_t> prev_busy_;
   RateSample last_{};
 
-  MetricsRegistry::Gauge* g_updates_;
-  MetricsRegistry::Gauge* g_queries_;
-  MetricsRegistry::Gauge* g_throttles_;
-  MetricsRegistry::Gauge* g_read_bytes_;
-  MetricsRegistry::Gauge* g_write_bytes_;
+  std::vector<MetricsRegistry::Gauge*> g_rates_;  ///< one per rate series
   std::vector<MetricsRegistry::Gauge*> g_busy_;
 
   std::mutex stop_mu_;

@@ -224,11 +224,15 @@ class QosGate {
     return gated_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] std::uint64_t rejected() const noexcept {
-    return rejected_.load(std::memory_order_relaxed);
+  /// The ops-queued and ops-rejected counters (fetch_add on API threads):
+  /// VolumeManager attaches them as the tenant's throttle series.
+  [[nodiscard]] const std::atomic<std::uint64_t>& queued_counter()
+      const noexcept {
+    return queued_;
   }
-  [[nodiscard]] std::uint64_t throttled() const noexcept {
-    return queued_.load(std::memory_order_relaxed);
+  [[nodiscard]] const std::atomic<std::uint64_t>& rejected_counter()
+      const noexcept {
+    return rejected_;
   }
 
  private:

@@ -4,8 +4,9 @@
 //   MaintenanceScheduler  — tenant-fair background compaction
 //   Balancer              — autonomous load-balancing placement
 //   TenantQos / QosGate   — per-tenant admission control + fair scheduling
-//   ServiceStats          — per-tenant latency histograms + I/O accounting
-//   MetricsRegistry       — named counters/gauges/histograms + rate poller
+//   MetricsRegistry       — named counters/gauges/histograms, per-volume
+//                           children, rate poller: each statistic's one record
+//   ServiceStats          — snapshot of it: per-tenant rows + lifetime total
 //   TraceRing / TraceSpan — sampled per-op tracing and slow-op forensics
 //
 // See volume_manager.hpp for the threading model.

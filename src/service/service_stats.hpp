@@ -1,11 +1,13 @@
-// Service-level metrics for the multi-tenant volume manager.
+// Service-level statistics snapshots for the multi-tenant volume manager.
 //
-// Each hosted volume accumulates a TenantStats on its owning shard thread
-// (single-writer, no synchronization); VolumeManager::stats() gathers
-// snapshots by running a task on every shard and merges them into a
-// ServiceStats: per-tenant latency histograms for the three service verbs
-// (update batches / consistency points / queries), maintenance accounting,
-// and the volume's IoStats, plus a service-wide total.
+// Every per-op statistic is recorded once, in the service's MetricsRegistry
+// (metrics.hpp): each hosted volume owns one single-writer child per counter
+// and histogram family, written only by its shard thread.
+// VolumeManager::stats() reads those children into per-tenant TenantStats
+// rows and the family totals into ServiceStats::total, adding the volumes'
+// IoStats and file ownership, which stay shard-private and are gathered
+// with a task per shard. LatencyHistogram is the log2 histogram both the
+// registry and these snapshots use.
 #pragma once
 
 #include <algorithm>
@@ -45,9 +47,6 @@ class LatencyHistogram {
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] std::uint64_t sum_micros() const noexcept { return sum_micros_; }
   [[nodiscard]] std::uint64_t max_micros() const noexcept { return max_micros_; }
-  [[nodiscard]] double mean_micros() const noexcept {
-    return count_ == 0 ? 0.0 : static_cast<double>(sum_micros_) / count_;
-  }
 
   /// Quantile `q` in (0, 1], linearly interpolated within the winning
   /// bucket (histogram_quantile semantics): the bucket holding the q-th
@@ -139,10 +138,10 @@ class LatencyHistogram {
   std::uint64_t max_micros_ = 0;
 };
 
-/// Per-tenant service metrics. Owned and updated exclusively by the tenant's
-/// shard thread; copied wholesale into snapshots.
+/// One tenant's (or the service total's) statistics at snapshot time: a
+/// plain value filled by VolumeManager::stats().
 struct TenantStats {
-  std::size_t shard = 0;
+  std::size_t shard = 0;                 ///< hosting shard (rows only)
   std::uint64_t updates = 0;             ///< add/remove ops applied
   std::uint64_t batches = 0;             ///< apply() calls executed
   std::uint64_t cps = 0;
@@ -153,8 +152,7 @@ struct TenantStats {
   std::uint64_t migrations = 0;          ///< completed shard handoffs
   std::uint64_t maintenance_runs = 0;
   std::uint64_t maintenance_skipped = 0; ///< bg probes below threshold / WS busy
-  // QoS admission counters (accumulated on API threads by the tenant's
-  // gate, stamped into the snapshot by stats()).
+  // QoS admission counters (the tenant's gate counts them on API threads).
   std::uint64_t throttle_queued = 0;     ///< ops that waited for tokens
   std::uint64_t throttle_rejected = 0;   ///< ops refused with kThrottled
   // Copy-on-write ownership gauges, resolved against the service's shared
@@ -178,35 +176,14 @@ struct TenantStats {
   /// queue_wait_micros.
   LatencyHistogram gate_wait_micros;
   storage::IoStats io;                   ///< volume Env counters at snapshot
-
-  void merge(const TenantStats& o) noexcept {
-    updates += o.updates;
-    batches += o.batches;
-    cps += o.cps;
-    queries += o.queries;
-    snapshots += o.snapshots;
-    clones += o.clones;
-    snapshot_deletes += o.snapshot_deletes;
-    migrations += o.migrations;
-    maintenance_runs += o.maintenance_runs;
-    maintenance_skipped += o.maintenance_skipped;
-    throttle_queued += o.throttle_queued;
-    throttle_rejected += o.throttle_rejected;
-    owned_bytes += o.owned_bytes;
-    shared_bytes += o.shared_bytes;
-    shared_files += o.shared_files;
-    update_batch_micros.merge(o.update_batch_micros);
-    cp_micros.merge(o.cp_micros);
-    query_micros.merge(o.query_micros);
-    maintenance_micros.merge(o.maintenance_micros);
-    queue_wait_micros.merge(o.queue_wait_micros);
-    gate_wait_micros.merge(o.gate_wait_micros);
-    io += o.io;
-  }
 };
 
-/// Aggregated service snapshot: one row per tenant plus the merged total
-/// (IoStats summed across the per-volume Envs).
+/// Aggregated service snapshot: one row per hosted tenant plus the service
+/// lifetime total. The total's counters and histograms are the registry's
+/// family totals and its IoStats also count volumes that have since closed,
+/// so it equals the sum of the rows until a volume leaves (closed, destroyed
+/// or a failed open/clone) and never goes down; its ownership gauges sum the
+/// hosted rows.
 struct ServiceStats {
   std::map<std::string, TenantStats> tenants;
   TenantStats total;

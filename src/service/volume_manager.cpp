@@ -74,6 +74,59 @@ bool link_or_fall_back(storage::Env& env, const std::string& name,
   }
 }
 
+/// The registry family of each per-volume series, in VolumeManager::Counted
+/// / Timed order, and the TenantStats field stats() reads it into.
+template <typename T>
+struct SeriesFamily {
+  const char* name;
+  const char* help;
+  T TenantStats::*field;
+};
+
+constexpr SeriesFamily<std::uint64_t> kCountedFamilies[] = {
+    {"backlog_updates_total", "Add/remove ops applied", &TenantStats::updates},
+    {"backlog_update_batches_total", "Update batches executed",
+     &TenantStats::batches},
+    {"backlog_cps_total", "Consistency points committed", &TenantStats::cps},
+    {"backlog_queries_total", "Owner queries served", &TenantStats::queries},
+    {"backlog_snapshots_total", "Snapshots taken", &TenantStats::snapshots},
+    {"backlog_clones_total",
+     "Writable lines branched (create_clone and clone_volume)",
+     &TenantStats::clones},
+    {"backlog_snapshot_deletes_total", "Snapshots deleted",
+     &TenantStats::snapshot_deletes},
+    {"backlog_migrations_total", "Completed live shard handoffs",
+     &TenantStats::migrations},
+    {"backlog_maintenance_runs_total", "Maintenance passes executed",
+     &TenantStats::maintenance_runs},
+    {"backlog_maintenance_skipped_total",
+     "Background maintenance probes skipped (below threshold, write store "
+     "busy or volume wounded)",
+     &TenantStats::maintenance_skipped},
+    {"backlog_throttle_queued_total", "Ops held by a QoS gate for tokens",
+     &TenantStats::throttle_queued},
+    {"backlog_throttle_rejected_total",
+     "Ops refused with kThrottled (QoS wait queue full)",
+     &TenantStats::throttle_rejected},
+};
+
+constexpr SeriesFamily<LatencyHistogram> kTimedFamilies[] = {
+    {"backlog_update_batch_micros", "On-shard update-batch execution time",
+     &TenantStats::update_batch_micros},
+    {"backlog_cp_micros", "Consistency-point execution time",
+     &TenantStats::cp_micros},
+    {"backlog_query_micros", "On-shard query execution time",
+     &TenantStats::query_micros},
+    {"backlog_maintenance_micros", "Maintenance pass execution time",
+     &TenantStats::maintenance_micros},
+    {"backlog_queue_wait_micros",
+     "Submit-to-execute delay (queue plus gate wait) of waiting ops",
+     &TenantStats::queue_wait_micros},
+    {"backlog_gate_wait_micros",
+     "QoS gate hold time of throttled ops (populated while tracing)",
+     &TenantStats::gate_wait_micros},
+};
+
 /// Clears the volume's maintenance-pending flag on every exit path of a
 /// background probe.
 struct PendingGuard {
@@ -115,11 +168,8 @@ core::CpFlushStats VolumeManager::commit_cp(Volume& v) {
   throw_if_wounded(v);
   const std::uint64_t t0 = now_micros();
   const core::CpFlushStats s = v.db->consistency_point();
-  ++v.stats.cps;
-  const std::uint64_t d = now_micros() - t0;
-  v.stats.cp_micros.record(d);
-  hot_.cps->add(metric_slot());
-  hot_.cp_micros->record(metric_slot(), d);
+  v.count(kCps);
+  v.time(kCpMicros, now_micros() - t0);
   // The committed CP covers every logged op at or below its epoch: the log
   // restarts empty behind it. (A crash between the CP and this reset is
   // benign — replay skips records below the recovered epoch, and the write
@@ -154,28 +204,12 @@ VolumeManager::VolumeManager(ServiceOptions options)
     telemetry_.push_back(std::make_unique<ShardTelemetry>(
         options_.trace_ring_size, options_.slow_op_ring_size));
   }
-  // The hot-path counter handles (see README "Observability" for the
-  // catalog). Registered once here; the verbs bump them with one relaxed
-  // store per op.
-  hot_.updates = &metrics_.counter("backlog_updates_total",
-                                   "Add/remove ops applied");
-  hot_.batches = &metrics_.counter("backlog_update_batches_total",
-                                   "Update batches executed");
-  hot_.queries = &metrics_.counter("backlog_queries_total",
-                                   "Owner queries served");
-  hot_.cps = &metrics_.counter("backlog_cps_total",
-                               "Consistency points committed");
-  hot_.snapshots = &metrics_.counter("backlog_snapshots_total",
-                                     "Snapshots taken");
-  hot_.migrations = &metrics_.counter("backlog_migrations_total",
-                                      "Completed live shard handoffs");
-  hot_.maintenance_runs = &metrics_.counter(
-      "backlog_maintenance_runs_total", "Maintenance passes executed");
-  hot_.throttle_queued = &metrics_.counter(
-      "backlog_throttle_queued_total", "Ops held by a QoS gate for tokens");
-  hot_.throttle_rejected = &metrics_.counter(
-      "backlog_throttle_rejected_total",
-      "Ops refused with kThrottled (QoS wait queue full)");
+  // The per-volume series' families, registered up front so a scrape
+  // shows them before any volume opens; each volume attaches its children.
+  for (const auto& f : kCountedFamilies) metrics_.counter(f.name, f.help);
+  for (const auto& f : kTimedFamilies) metrics_.histogram(f.name, f.help);
+  // The service-wide handles (see README "Observability" for the catalog).
+  // Registered once here; the verbs bump them with one relaxed store per op.
   hot_.trace_spans = &metrics_.counter("backlog_trace_spans_total",
                                        "Sampled spans recorded");
   hot_.trace_evictions = &metrics_.counter(
@@ -199,57 +233,38 @@ VolumeManager::VolumeManager(ServiceOptions options)
   hot_.volumes_wounded = &metrics_.counter(
       "backlog_volumes_wounded_total",
       "Volumes flipped read-only by persistent write errors");
-  hot_.update_batch_micros = &metrics_.histogram(
-      "backlog_update_batch_micros", "On-shard update-batch execution time");
-  hot_.query_micros = &metrics_.histogram("backlog_query_micros",
-                                          "On-shard query execution time");
-  hot_.cp_micros = &metrics_.histogram("backlog_cp_micros",
-                                       "Consistency-point execution time");
-  hot_.queue_wait_micros = &metrics_.histogram(
-      "backlog_queue_wait_micros",
-      "Submit-to-execute delay (queue plus gate wait) of waiting ops");
-  hot_.gate_wait_micros = &metrics_.histogram(
-      "backlog_gate_wait_micros",
-      "QoS gate hold time of throttled ops (populated while tracing)");
   // Block-cache counters live inside BlockCache as relaxed atomics (many
   // writers); the registry exports them through callback gauges evaluated
   // at scrape time instead of mirroring them on the hot path. Monotonic
   // except entries/bytes (and all reset by `backlogctl cache clear`).
-  metrics_
-      .gauge("backlog_block_cache_hits", "Shared block cache page hits")
-      .set_callback([this] {
-        return static_cast<double>(block_cache_.stats().hits);
-      });
-  metrics_
-      .gauge("backlog_block_cache_misses",
-             "Shared block cache page misses (each one storage read)")
-      .set_callback([this] {
-        return static_cast<double>(block_cache_.stats().misses);
-      });
-  metrics_
-      .gauge("backlog_block_cache_evictions",
-             "Pages evicted from the shared block cache (LRU)")
-      .set_callback([this] {
-        return static_cast<double>(block_cache_.stats().evictions);
-      });
-  metrics_
-      .gauge("backlog_block_cache_invalidations",
-             "Pages dropped because their file's last link was removed")
-      .set_callback([this] {
-        return static_cast<double>(block_cache_.stats().invalidations);
-      });
-  metrics_
-      .gauge("backlog_block_cache_entries",
-             "Pages currently resident in the shared block cache")
-      .set_callback([this] {
-        return static_cast<double>(block_cache_.stats().entries);
-      });
-  metrics_
-      .gauge("backlog_block_cache_bytes",
-             "Bytes currently resident in the shared block cache")
-      .set_callback([this] {
-        return static_cast<double>(block_cache_.stats().bytes);
-      });
+  const struct {
+    const char* name;
+    const char* help;
+    std::uint64_t storage::BlockCacheStats::*field;
+  } kCacheGauges[] = {
+      {"backlog_block_cache_hits", "Shared block cache page hits",
+       &storage::BlockCacheStats::hits},
+      {"backlog_block_cache_misses",
+       "Shared block cache page misses (each one storage read)",
+       &storage::BlockCacheStats::misses},
+      {"backlog_block_cache_evictions",
+       "Pages evicted from the shared block cache (LRU)",
+       &storage::BlockCacheStats::evictions},
+      {"backlog_block_cache_invalidations",
+       "Pages dropped because their file's last link was removed",
+       &storage::BlockCacheStats::invalidations},
+      {"backlog_block_cache_entries",
+       "Pages currently resident in the shared block cache",
+       &storage::BlockCacheStats::entries},
+      {"backlog_block_cache_bytes",
+       "Bytes currently resident in the shared block cache",
+       &storage::BlockCacheStats::bytes},
+  };
+  for (const auto& g : kCacheGauges) {
+    metrics_.gauge(g.name, g.help).set_callback([this, field = g.field] {
+      return static_cast<double>(block_cache_.stats().*field);
+    });
+  }
   // Graceful-degradation visibility: how many hosted volumes are currently
   // read-only after persistent write errors. Evaluated at scrape time from
   // the per-volume flags (cheap: one relaxed load per volume under mu_).
@@ -295,10 +310,7 @@ void VolumeManager::finish_trace(Volume& v, const TraceCtx& ctx,
                                      : io_before_micros;
   s.io_micros = std::min(io_now - io_before_micros, s.execute_micros);
   s.set_tenant(v.tenant);
-  if (ctx.t_admit != 0) {
-    v.stats.gate_wait_micros.record(s.gate_wait_micros);
-    hot_.gate_wait_micros->record(shard, s.gate_wait_micros);
-  }
+  if (ctx.t_admit != 0) v.time(kGateWaitMicros, s.gate_wait_micros);
   ShardTelemetry& tel = *telemetry_[shard];
   if (ctx.sampled) {
     hot_.trace_spans->add(shard);
@@ -581,7 +593,6 @@ std::shared_ptr<VolumeManager::Volume> VolumeManager::register_volume(
   vol->tenant = tenant;
   const std::size_t home = shard_of(tenant);
   vol->shard.store(home, std::memory_order_relaxed);
-  vol->stats.shard = home;
   vol->flow_id = next_flow_id_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lock(mu_);
   if (!volumes_.emplace(tenant, vol).second)
@@ -598,6 +609,7 @@ void VolumeManager::recover_volume(const std::shared_ptr<Volume>& vol) {
        db_opts = volume_db_options()] {
         try {
           recover_volume_on_shard(*vol, dir, db_opts);
+          link_series(*vol, /*attach=*/true);
           prom->set_value();
         } catch (...) {
           prom->set_exception(std::current_exception());
@@ -625,6 +637,34 @@ std::shared_ptr<VolumeManager::Volume> VolumeManager::unregister_volume(
   return vol;
 }
 
+void VolumeManager::retire(Volume& v) {
+  {
+    std::lock_guard lock(retired_mu_);
+    retired_io_ += v.env->stats();
+  }
+  v.close_handles();
+  link_series(v, /*attach=*/false);
+}
+
+void VolumeManager::link_series(Volume& v, bool attach) {
+  static_assert(std::size(kCountedFamilies) == kCountedSeries);
+  static_assert(std::size(kTimedFamilies) == kTimedSeries);
+  const auto link = [&](auto& family, const auto& cell) {
+    if (attach)
+      family.attach(v.tenant, cell);
+    else
+      family.detach(cell);
+  };
+  for (std::size_t i = 0; i < kCountedSeries; ++i) {
+    const auto& f = kCountedFamilies[i];
+    link(metrics_.counter(f.name, f.help), v.counter(static_cast<Counted>(i)));
+  }
+  for (std::size_t i = 0; i < kTimedSeries; ++i) {
+    const auto& f = kTimedFamilies[i];
+    link(metrics_.histogram(f.name, f.help), v.latencies[i]);
+  }
+}
+
 void VolumeManager::open_volume(const std::string& tenant) {
   // Registered before the open task runs: any operation submitted after
   // open_volume() returns queues behind this task for the same volume
@@ -642,18 +682,19 @@ void VolumeManager::open_volume(const std::string& tenant) {
 
 void VolumeManager::close_volume(const std::string& tenant) {
   run_on(unregister_volume(tenant),
-         [](Volume& v) {
-           // Commit anything still buffered, then tear down (persists the
-           // manifest base via the CP's edit append). Tear-down happens even
+         [this](Volume& v) {
+           // Commit anything still buffered, then retire (persists the
+           // manifest base via the CP's edit append). Retirement happens even
            // if the flush fails: the tenant is already unrouted, so the
            // volume must actually close — a queued background probe checks
            // v.db and a subsequent open_volume() re-opens the directory —
            // while the caller still sees the flush error. Unflushed entries
            // are then lost to journal replay, exactly as in a crash.
            struct Teardown {
+             VolumeManager& vm;
              Volume& v;
-             ~Teardown() { v.close_handles(); }
-           } teardown{v};
+             ~Teardown() { vm.retire(v); }
+           } teardown{*this, v};
            if (v.db->quick_stats().ws_entries != 0) {
              v.db->consistency_point();
            }
@@ -690,14 +731,13 @@ void VolumeManager::destroy_volume(const std::string& tenant) {
   const std::filesystem::path dir = options_.root / tenant;
   run_on(unregister_volume(tenant),
          [this, dir](Volume& v) {
-           // Close the handles first so every file descriptor is released,
-           // then delete through the manifest: each run's own link is
-           // removed and its refcount decremented — a file shared with a
-           // clone lives on in the sharer's directory, a sole-owned file's
-           // unlink here is its physical removal. No remove_all shortcut:
-           // that would leave the refcount table claiming holders that no
-           // longer exist.
-           v.close_handles();
+           // Retire first so every file descriptor is released, then delete
+           // through the manifest: each run's own link is removed and its
+           // refcount decremented — a file shared with a clone lives on in
+           // the sharer's directory, a sole-owned file's unlink here is its
+           // physical removal. No remove_all shortcut: that would leave the
+           // refcount table claiming holders that no longer exist.
+           retire(v);
            release_directory_via_manifest(dir);
          })
       .get();
@@ -760,14 +800,9 @@ std::future<void> VolumeManager::submit_update(const std::string& tenant,
 
 void VolumeManager::record_update_batch(Volume& v, std::size_t ops,
                                         std::uint64_t t0) {
-  v.stats.updates += ops;
-  ++v.stats.batches;
-  const std::uint64_t d = now_micros() - t0;
-  v.stats.update_batch_micros.record(d);
-  const std::size_t slot = metric_slot();
-  hot_.updates->add(slot, ops);
-  hot_.batches->add(slot);
-  hot_.update_batch_micros->record(slot, d);
+  v.count(kUpdates, ops);
+  v.count(kBatches);
+  v.time(kUpdateBatchMicros, now_micros() - t0);
 }
 
 void VolumeManager::wound(Volume& v, const char* what) {
@@ -986,8 +1021,7 @@ std::future<core::Epoch> VolumeManager::take_snapshot(const std::string& tenant,
         // of the snapshot; the CP advance makes later updates invisible to it.
         const core::Epoch version = v.db->registry().take_snapshot(line);
         commit_cp(v);
-        ++v.stats.snapshots;
-        hot_.snapshots->add(metric_slot());
+        v.count(kSnapshots);
         return version;
       },
       /*background=*/false, 0, 0, /*bypass_gate=*/false,
@@ -1001,7 +1035,7 @@ std::future<core::LineId> VolumeManager::create_clone(const std::string& tenant,
     throw_if_wounded(v);
     const core::LineId line = v.db->registry().create_clone(parent_line, version);
     v.db->persist_registry();
-    ++v.stats.clones;
+    v.count(kClones);
     return line;
   });
 }
@@ -1013,7 +1047,7 @@ std::future<void> VolumeManager::delete_snapshot(const std::string& tenant,
     throw_if_wounded(v);
     v.db->registry().delete_snapshot(line, version);
     v.db->persist_registry();
-    ++v.stats.snapshot_deletes;
+    v.count(kSnapshotDeletes);
   });
 }
 
@@ -1129,7 +1163,7 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
                     const core::LineId line =
                         v.db->registry().create_clone(parent_line, version);
                     v.db->persist_registry();
-                    ++v.stats.clones;
+                    v.count(kClones);
                     return line;
                   })
         .get();
@@ -1144,7 +1178,7 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
       volumes_.erase(dst_tenant);
     }
     try {
-      run_on(dst, [](Volume& v) { v.close_handles(); }).get();
+      run_on(dst, [this](Volume& v) { retire(v); }).get();
     } catch (...) {
       // "volume is closed" when the open never happened — nothing to tear
       // down.
@@ -1205,9 +1239,7 @@ MigrationStats VolumeManager::migrate_volume(const std::string& tenant,
               // early, which is never incorrect.)
               if (options_.wal_enabled)
                 wal_commit_now(WorkerPool::current_shard());
-              ++vol->stats.migrations;
-              hot_.migrations->add(metric_slot());
-              vol->stats.shard = target_shard;
+              vol->count(kMigrations);
             }
           }
           prom->set_value(result);
@@ -1287,20 +1319,16 @@ std::vector<core::BackrefEntry> VolumeManager::timed_query(
     Volume& v, const QueryRange& r) {
   const std::uint64_t t0 = now_micros();
   std::vector<core::BackrefEntry> out = v.db->query(r.first, r.count, r.opts);
-  ++v.stats.queries;
-  const std::uint64_t d = now_micros() - t0;
-  v.stats.query_micros.record(d);
-  hot_.queries->add(metric_slot());
-  hot_.query_micros->record(metric_slot(), d);
+  v.count(kQueries);
+  v.time(kQueryMicros, now_micros() - t0);
   return out;
 }
 
 core::MaintenanceStats VolumeManager::timed_maintain(Volume& v) {
   const std::uint64_t t0 = now_micros();
   core::MaintenanceStats m = v.db->maintain();
-  ++v.stats.maintenance_runs;
-  v.stats.maintenance_micros.record(now_micros() - t0);
-  hot_.maintenance_runs->add(metric_slot());
+  v.count(kMaintenanceRuns);
+  v.time(kMaintenanceMicros, now_micros() - t0);
   return m;
 }
 
@@ -1344,7 +1372,7 @@ bool VolumeManager::schedule_maintenance(const std::string& tenant,
         // A wounded volume cannot write new runs; skip instead of failing
         // the background probe with an exception nobody awaits.
         if (v.wounded.load(std::memory_order_relaxed)) {
-          ++v.stats.maintenance_skipped;
+          v.count(kMaintenanceSkipped);
           return;
         }
         const core::QuickStats q = v.db->quick_stats();
@@ -1352,13 +1380,13 @@ bool VolumeManager::schedule_maintenance(const std::string& tenant,
         // are retried on a later sweep rather than forced through an early
         // consistency point.
         if (q.ws_entries != 0) {
-          ++v.stats.maintenance_skipped;
+          v.count(kMaintenanceSkipped);
           return;
         }
         const bool over_runs = q.l0_runs() >= l0;
         const bool over_bytes = bytes != 0 && q.db_bytes >= bytes;
         if (!over_runs && !over_bytes) {
-          ++v.stats.maintenance_skipped;
+          v.count(kMaintenanceSkipped);
           return;
         }
         timed_maintain(v);
@@ -1389,9 +1417,18 @@ std::future<storage::IoStats> VolumeManager::io_stats(
 
 ServiceStats VolumeManager::stats() {
   ServiceStats out;
+  // Rows: each hosted volume's registry children, IoStats and file
+  // ownership, read on its shard.
   gather_by_shard(
       [](Volume& v) {
-        TenantStats ts = v.stats;
+        TenantStats ts;
+        ts.shard = WorkerPool::current_shard();
+        for (std::size_t i = 0; i < kCountedSeries; ++i) {
+          fold(v.counter(static_cast<Counted>(i)),
+               ts.*kCountedFamilies[i].field);
+        }
+        for (std::size_t i = 0; i < kTimedSeries; ++i)
+          fold(v.latencies[i], ts.*kTimedFamilies[i].field);
         ts.io = v.env->stats();
         const core::FileOwnershipStats fo = v.db->file_ownership();
         ts.owned_bytes = fo.owned_bytes;
@@ -1400,13 +1437,25 @@ ServiceStats VolumeManager::stats() {
         return ts;
       },
       [&out](Volume& vol, TenantStats ts) {
-        // The QoS counters live on the API side of the gate, not on the
-        // shard thread; stamp them into the snapshot here.
-        ts.throttle_queued = vol.gate.throttled();
-        ts.throttle_rejected = vol.gate.rejected();
-        out.total.merge(ts);
         out.tenants.emplace(vol.tenant, std::move(ts));
       });
+  // The lifetime total: the family totals (hosted children plus retired
+  // parts) and the retired IoStats plus the hosted rows'.
+  TenantStats& t = out.total;
+  for (const auto& f : kCountedFamilies)
+    t.*f.field = metrics_.counter(f.name, f.help).total();
+  for (const auto& f : kTimedFamilies)
+    t.*f.field = metrics_.histogram(f.name, f.help).merged();
+  {
+    std::lock_guard lock(retired_mu_);
+    t.io = retired_io_;
+  }
+  for (const auto& [name, ts] : out.tenants) {
+    t.io += ts.io;
+    t.owned_bytes += ts.owned_bytes;
+    t.shared_bytes += ts.shared_bytes;
+    t.shared_files += ts.shared_files;
+  }
   return out;
 }
 
@@ -1427,28 +1476,15 @@ VolumeManager::CacheReport VolumeManager::cache_stats() {
 
 void VolumeManager::clear_caches() {
   // One clear of the shared cache, then each volume drops its result cache
-  // on its own shard. bypass_gate so a throttled tenant cannot wedge the
-  // fleet-wide cold-cache lever.
+  // on its own shard — bypassing the gate, so a throttled tenant cannot
+  // wedge the fleet-wide cold-cache lever.
   block_cache_.clear();
-  std::vector<std::shared_ptr<Volume>> vols;
-  {
-    std::lock_guard lock(mu_);
-    for (const auto& [name, vol] : volumes_) vols.push_back(vol);
-  }
-  std::vector<std::future<void>> futs;
-  futs.reserve(vols.size());
-  for (const auto& vol : vols) {
-    futs.push_back(run_on(
-        vol, [](Volume& v) { v.db->clear_result_cache(); },
-        /*background=*/false, 0, 0, /*bypass_gate=*/true));
-  }
-  for (auto& fut : futs) {
-    try {
-      fut.get();
-    } catch (const std::logic_error&) {
-      // Closed while the task was queued — nothing to clear.
-    }
-  }
+  gather_by_shard(
+      [](Volume& v) {
+        v.db->clear_result_cache();
+        return true;
+      },
+      [](Volume&, bool) {});
 }
 
 std::future<void> VolumeManager::with_db(

@@ -28,6 +28,7 @@
 // maintenance never interposes inside a tenant's CP window.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -463,11 +464,13 @@ class VolumeManager {
   /// these isolate one tenant's I/O from every other's.
   std::future<storage::IoStats> io_stats(const std::string& tenant);
 
-  /// Aggregated snapshot across all shards and tenants. Shards are
-  /// snapshotted *sequentially* — shard k's snapshot task is submitted only
-  /// after shard k-1's completed — so at most one shard is ever servicing
-  /// stats at a time: a slow shard delays only the aggregation, never the
-  /// other shards, and the fleet never takes a coordinated stats blip.
+  /// Snapshot of the service: one row per hosted tenant, read from the
+  /// volume's registry children, and `total`, the service lifetime total
+  /// (ServiceStats). Only the shard-private IoStats and file ownership are
+  /// gathered on the shards, *sequentially* — shard k's tasks are submitted
+  /// only after shard k-1's completed — so at most one shard is ever
+  /// servicing stats at a time: a slow shard delays only the snapshot, never
+  /// the other shards.
   ServiceStats stats();
 
   // --- caches ----------------------------------------------------------------
@@ -551,6 +554,20 @@ class VolumeManager {
     bool background = false;
   };
 
+  /// A volume's per-op series. Each is a child of the registry family of
+  /// the same name (see link_series), so it is recorded exactly once. The
+  /// counters below kOwnCounters live in Volume::counters; the two throttle
+  /// series are the volume's QoS gate's own counters.
+  enum Counted : std::size_t {
+    kUpdates, kBatches, kCps, kQueries, kSnapshots, kClones, kSnapshotDeletes,
+    kMigrations, kMaintenanceRuns, kMaintenanceSkipped, kOwnCounters,
+    kThrottleQueued = kOwnCounters, kThrottleRejected, kCountedSeries
+  };
+  enum Timed : std::size_t {
+    kUpdateBatchMicros, kCpMicros, kQueryMicros, kMaintenanceMicros,
+    kQueueWaitMicros, kGateWaitMicros, kTimedSeries
+  };
+
   struct Volume {
     std::string tenant;
     // Routing state, guarded by routing_mu_: `shard` is where tasks enqueue,
@@ -587,11 +604,26 @@ class VolumeManager {
     // without visiting the shard; never cleared while hosted (close and
     // reopen — after fixing the disk — heals it).
     std::atomic<bool> wounded{false};
-    TenantStats stats;  // shard-thread-only
+    // The volume's registry children: written only on the owning shard's
+    // thread, read relaxed by stats() and scrapes.
+    std::array<std::atomic<std::uint64_t>, kOwnCounters> counters{};
+    std::array<HistogramCell, kTimedSeries> latencies{};
     std::atomic<bool> maintenance_pending{false};
     // Trace sampling cursor: every Nth foreground op of this volume is
     // recorded (relaxed fetch_add on the submit path, only while tracing).
     std::atomic<std::uint64_t> trace_seq{0};
+
+    void count(Counted c, std::uint64_t n = 1) noexcept {
+      bump(counters[c], n);
+    }
+    [[nodiscard]] const std::atomic<std::uint64_t>& counter(Counted c) const {
+      if (c < kOwnCounters) return counters[c];
+      return c == kThrottleQueued ? gate.queued_counter()
+                                  : gate.rejected_counter();
+    }
+    void time(Timed t, std::uint64_t micros) noexcept {
+      latencies[t].record(micros);
+    }
 
     // Shard-thread teardown: the WAL before the Env it writes through.
     void close_handles() {
@@ -614,11 +646,21 @@ class VolumeManager {
 
   /// Add `tenant` to the volume table at its hash shard (throws
   /// std::invalid_argument if invalid or already open) / run
-  /// recover_volume_on_shard for it on that shard and wait / remove it from
-  /// the table and release its QoS gate's waiting ops ahead of a teardown.
+  /// recover_volume_on_shard for it on that shard, attach its series and
+  /// wait / remove it from the table and release its QoS gate's waiting ops
+  /// ahead of a teardown.
   std::shared_ptr<Volume> register_volume(const std::string& tenant);
   void recover_volume(const std::shared_ptr<Volume>& vol);
   std::shared_ptr<Volume> unregister_volume(const std::string& tenant);
+
+  /// Shard-thread end of an open volume's life: fold the Env's final
+  /// IoStats into retired_io_, close the handles and detach the volume's
+  /// series, whose values fold into their families' retired parts.
+  void retire(Volume& v);
+
+  /// Attach (or detach) v's series — its counters, latencies and QoS gate
+  /// counters — as children of their registry families.
+  void link_series(Volume& v, bool attach);
 
   /// Shard-thread body of the volume open/recovery sequence, shared by
   /// open_volume() and clone_volume()'s destination open: construct the Env
@@ -811,19 +853,17 @@ class VolumeManager {
     return ctx;
   }
 
-  /// Shard-side start of an op body: records a stamped op's queue wait
-  /// (queue time plus any gate wait; the span splits the two, the
-  /// histogram keeps the total) and returns its execute time, 0 when
-  /// unstamped. Throws if the volume closed while the op was queued.
+  /// Shard-side start of an op body: throws if the volume closed while the
+  /// op was queued, else records a stamped op's queue wait (queue time plus
+  /// any gate wait; the span splits the two, the histogram keeps the total)
+  /// and returns its execute time, 0 when unstamped.
   std::uint64_t start_body(Volume& v, const TraceCtx& ctx) {
-    std::uint64_t t_exec = 0;
-    if (ctx.t_submit != 0) {
-      t_exec = std::max(WorkerPool::dispatch_time_micros(), ctx.t_submit);
-      v.stats.queue_wait_micros.record(t_exec - ctx.t_submit);
-      hot_.queue_wait_micros->record(metric_slot(), t_exec - ctx.t_submit);
-    }
     if (v.db == nullptr)
       throw std::logic_error("volume is closed: " + v.tenant);
+    if (ctx.t_submit == 0) return 0;
+    const std::uint64_t t_exec =
+        std::max(WorkerPool::dispatch_time_micros(), ctx.t_submit);
+    v.time(kQueueWaitMicros, t_exec - ctx.t_submit);
     return t_exec;
   }
 
@@ -847,12 +887,9 @@ class VolumeManager {
       if (ctx.active) ctx.t_admit = util::now_micros();
       submit_chasing(std::move(vol), make_body(ctx), /*background=*/false);
     };
-    const Admission adm = gate_vol->gate.admit(
-        ops_cost, bytes_cost, util::now_micros(), std::move(release));
-    if (adm == Admission::kQueued) {
-      hot_.throttle_queued->add(metric_slot());
-    } else if (adm == Admission::kRejected) {
-      hot_.throttle_rejected->add(metric_slot());
+    // The gate counts the decision itself (the tenant's throttle series).
+    if (gate_vol->gate.admit(ops_cost, bytes_cost, util::now_micros(),
+                             std::move(release)) == Admission::kRejected) {
       prom.set_exception(std::make_exception_ptr(ServiceError(
           ErrorCode::kThrottled,
           "throttled: QoS wait queue full for " + gate_vol->tenant)));
@@ -1008,18 +1045,10 @@ class VolumeManager {
   /// merged and sorted by submit time.
   [[nodiscard]] std::vector<TraceSpan> gather_spans(bool slow);
 
-  /// Pre-resolved registry handles for the hot path (wired once in the
-  /// constructor; see the metric catalog in README "Observability").
+  /// Pre-resolved handles of the service-wide families (wired once in the
+  /// constructor; see the metric catalog in README "Observability"). The
+  /// per-tenant series live on each Volume instead.
   struct HotMetrics {
-    MetricsRegistry::Counter* updates = nullptr;
-    MetricsRegistry::Counter* batches = nullptr;
-    MetricsRegistry::Counter* queries = nullptr;
-    MetricsRegistry::Counter* cps = nullptr;
-    MetricsRegistry::Counter* snapshots = nullptr;
-    MetricsRegistry::Counter* migrations = nullptr;
-    MetricsRegistry::Counter* maintenance_runs = nullptr;
-    MetricsRegistry::Counter* throttle_queued = nullptr;
-    MetricsRegistry::Counter* throttle_rejected = nullptr;
     MetricsRegistry::Counter* trace_spans = nullptr;
     MetricsRegistry::Counter* trace_evictions = nullptr;
     MetricsRegistry::Counter* slow_ops = nullptr;
@@ -1029,11 +1058,6 @@ class VolumeManager {
     MetricsRegistry::Counter* wal_syncs = nullptr;
     MetricsRegistry::Counter* wal_replayed_ops = nullptr;
     MetricsRegistry::Counter* volumes_wounded = nullptr;
-    MetricsRegistry::Histogram* update_batch_micros = nullptr;
-    MetricsRegistry::Histogram* query_micros = nullptr;
-    MetricsRegistry::Histogram* cp_micros = nullptr;
-    MetricsRegistry::Histogram* queue_wait_micros = nullptr;
-    MetricsRegistry::Histogram* gate_wait_micros = nullptr;
   };
 
   ServiceOptions options_;
@@ -1060,6 +1084,10 @@ class VolumeManager {
   std::vector<std::unique_ptr<ShardTelemetry>> telemetry_;
   std::atomic<std::uint64_t> next_trace_id_{1};
   HotMetrics hot_;
+  // IoStats of every volume already retired (see retire()), so the
+  // service total's IoStats never goes down.
+  std::mutex retired_mu_;
+  storage::IoStats retired_io_;
   // Group-commit windows, one per shard, each touched only on its shard's
   // thread (sized in the constructor, never resized after).
   std::vector<std::unique_ptr<ShardCommit>> commit_;

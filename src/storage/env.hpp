@@ -43,10 +43,10 @@ struct IoStats {
 
   void reset() { *this = IoStats{}; }
 
-  /// Field-complete accumulate: TenantStats::merge and every other consumer
-  /// fold IoStats with this operator so a newly added counter cannot be
-  /// silently dropped (the static_assert below trips when a field is added
-  /// without updating += and -).
+  /// Field-complete accumulate: VolumeManager::stats() and every other
+  /// consumer fold IoStats with this operator so a newly added counter
+  /// cannot be silently dropped (the static_assert below trips when a field
+  /// is added without updating += and -).
   IoStats& operator+=(const IoStats& rhs) {
     page_reads += rhs.page_reads;
     page_writes += rhs.page_writes;

@@ -7,8 +7,9 @@
 // op that crossed a live migration park/replay; (b) the slow-op log is
 // exact (every over-threshold op, not a sample) and captures an injected
 // Env delay; (c) trace rings overwrite oldest and never block or allocate
-// on the shard thread; (d) registry counters agree with the ServiceStats
-// snapshot they mirror; (e) enabling tracing adds zero API-thread
+// on the shard thread; (d) stats().total is the registry's family totals,
+// which never go down when a volume closes, and the shared API slot loses
+// no concurrent increment; (e) enabling tracing adds zero API-thread
 // allocations to the hot path (counting global operator new, same idiom as
 // test_service_batch); (f) scraping every export surface races apply/query
 // load and migration churn without a data race (the TSan CI job runs this
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -337,6 +339,60 @@ TEST(Observability, PrometheusExpositionIsWellFormed) {
   EXPECT_NE(json.find("\"buckets\":["), std::string::npos);
 }
 
+TEST(Observability, MetricsRegistryApiSlotIsExactUnderContention) {
+  // The trailing API slot is written by every non-shard thread (chaos
+  // kill/restart, the balancer and maintenance scheduler threads): its
+  // increments must not be lost the way a load+store pair loses them under
+  // contention.
+  bsvc::MetricsRegistry reg(3);
+  auto& c = reg.counter("backlog_test_total", "test counter");
+  auto& h = reg.histogram("backlog_test_micros", "test histogram");
+  constexpr int kThreads = 8;
+  constexpr int kAdds = 100'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kAdds; ++i) {
+        c.add(reg.slots() - 1);
+        if (i % 100 == 0) h.record(reg.slots() - 1, 10 * t + 1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(c.total(), std::uint64_t{kThreads} * kAdds);
+  const bsvc::LatencyHistogram m = h.merged();
+  EXPECT_EQ(m.count(), std::uint64_t{kThreads} * (kAdds / 100));
+  EXPECT_EQ(m.max_micros(), 10u * (kThreads - 1) + 1);
+}
+
+TEST(Observability, RegistryChildrenFoldIntoRetiredPart) {
+  bsvc::MetricsRegistry reg(2);
+  auto& c = reg.counter("backlog_test_total", "test counter");
+  auto& h = reg.histogram("backlog_test_micros", "test histogram");
+  std::atomic<std::uint64_t> alice{0};
+  bsvc::HistogramCell alice_lat;
+  c.attach("alice", alice);
+  h.attach("alice", alice_lat);
+  c.add(0, 2);
+  bsvc::bump(alice, 5);
+  alice_lat.record(40);
+  EXPECT_EQ(c.total(), 7u);
+  EXPECT_EQ(h.merged().count(), 1u);
+
+  // Detaching keeps the child's value in the total; later writes to the
+  // detached cell no longer count, and a second detach is a no-op.
+  c.detach(alice);
+  h.detach(alice_lat);
+  bsvc::bump(alice, 100);
+  c.detach(alice);
+  EXPECT_EQ(c.total(), 7u);
+  const bsvc::LatencyHistogram m = h.merged();
+  EXPECT_EQ(m.count(), 1u);
+  EXPECT_EQ(m.max_micros(), 40u);
+  EXPECT_NE(reg.to_prometheus().find("backlog_test_total 7\n"),
+            std::string::npos);
+}
+
 // --- service wiring ----------------------------------------------------------
 
 TEST(Observability, VerbCountersMatchServiceStats) {
@@ -346,28 +402,96 @@ TEST(Observability, VerbCountersMatchServiceStats) {
   bsvc::VolumeManager vm(o);
   vm.open_volume("alice");
   vm.open_volume("bob");
+  vm.set_tracing(/*sample_every=*/0, /*slow_op_micros=*/1'000'000);
 
   vm.apply("alice", batch_of(100, 8)).get();
   vm.apply_batch("bob", batch_of(200, 16)).get();
   vm.query("alice", 100).get();
   vm.query("bob", 200).get();
   vm.consistency_point("alice").get();
+  vm.maintain("alice").get();
+  const bc::Epoch v = vm.take_snapshot("bob").get();
+  vm.create_clone("bob", 0, v).get();
+  vm.clone_volume("bob", "carol", 0, v);
+  vm.apply("carol", batch_of(300, 4)).get();
+  vm.query("carol", 300).get();
+  vm.migrate_volume("alice", 1 - vm.current_shard("alice"));
+
+  // 1 op/s, burst 1, wait queue 1: admitted, queued, rejected. Clearing
+  // the QoS releases the queued op; tracing stamps the gate wait of both
+  // released ops.
+  bsvc::TenantQos qos;
+  qos.ops_per_sec = 1;
+  qos.burst_ops = 1;
+  qos.max_wait_queue = 1;
+  vm.set_qos("alice", qos);
+  auto admitted = vm.apply("alice", {add(1)});
+  auto queued = vm.apply("alice", {add(2)});
+  auto rejected = vm.apply("alice", {add(3)});
+  vm.clear_qos("alice");
+  admitted.get();
+  queued.get();
+  EXPECT_THROW(rejected.get(), bsvc::ServiceError);
+
+  // Volumes leave: their series stay in the lifetime totals.
+  vm.close_volume("bob");
+  vm.destroy_volume("carol");
+  vm.query("alice", 100).get();
 
   const bsvc::ServiceStats stats = vm.stats();
   bsvc::MetricsRegistry& reg = vm.metrics();
-  EXPECT_EQ(reg.counter("backlog_updates_total", "").total(),
-            stats.total.updates);
-  EXPECT_EQ(reg.counter("backlog_queries_total", "").total(),
-            stats.total.queries);
-  EXPECT_EQ(reg.counter("backlog_cps_total", "").total(), stats.total.cps);
-  EXPECT_EQ(stats.total.updates, 24u);
-  EXPECT_EQ(stats.total.queries, 2u);
+  const auto counter = [&](const char* name) {
+    return reg.counter(name, "").total();
+  };
+  const auto count = [&](const char* name) {
+    return reg.histogram(name, "").merged().count();
+  };
+  const bsvc::TenantStats& t = stats.total;
+  EXPECT_EQ(counter("backlog_updates_total"), t.updates);
+  EXPECT_EQ(counter("backlog_update_batches_total"), t.batches);
+  EXPECT_EQ(counter("backlog_cps_total"), t.cps);
+  EXPECT_EQ(counter("backlog_queries_total"), t.queries);
+  EXPECT_EQ(counter("backlog_snapshots_total"), t.snapshots);
+  EXPECT_EQ(counter("backlog_clones_total"), t.clones);
+  EXPECT_EQ(counter("backlog_snapshot_deletes_total"), t.snapshot_deletes);
+  EXPECT_EQ(counter("backlog_migrations_total"), t.migrations);
+  EXPECT_EQ(counter("backlog_maintenance_runs_total"), t.maintenance_runs);
+  EXPECT_EQ(counter("backlog_maintenance_skipped_total"),
+            t.maintenance_skipped);
+  EXPECT_EQ(counter("backlog_throttle_queued_total"), t.throttle_queued);
+  EXPECT_EQ(counter("backlog_throttle_rejected_total"), t.throttle_rejected);
+  EXPECT_EQ(count("backlog_update_batch_micros"),
+            t.update_batch_micros.count());
+  EXPECT_EQ(count("backlog_cp_micros"), t.cp_micros.count());
+  EXPECT_EQ(count("backlog_query_micros"), t.query_micros.count());
+  EXPECT_EQ(count("backlog_maintenance_micros"), t.maintenance_micros.count());
+  EXPECT_EQ(count("backlog_queue_wait_micros"), t.queue_wait_micros.count());
+  EXPECT_EQ(count("backlog_gate_wait_micros"), t.gate_wait_micros.count());
 
-  // The new Env counters flowed through IoStats::operator+= into the merged
-  // snapshot: a sync CP fsyncs at least once, and syscall wall time was
-  // accumulated.
-  EXPECT_GE(stats.total.io.fsyncs, 1u);
-  EXPECT_GE(stats.total.io.io_micros, stats.total.io.fsync_micros);
+  // The expected lifetime values, closed and destroyed volumes included.
+  EXPECT_EQ(t.updates, 8u + 16u + 4u + 2u);
+  EXPECT_EQ(t.batches, 5u);
+  EXPECT_EQ(t.update_batch_micros.count(), 5u);
+  EXPECT_EQ(t.queries, 4u);
+  EXPECT_EQ(t.snapshots, 1u);
+  EXPECT_EQ(t.clones, 2u);  // create_clone on bob + clone_volume's line
+  EXPECT_EQ(t.migrations, 1u);
+  EXPECT_EQ(t.maintenance_runs, 1u);
+  EXPECT_EQ(t.maintenance_micros.count(), 1u);
+  EXPECT_EQ(t.throttle_queued, 1u);
+  EXPECT_EQ(t.throttle_rejected, 1u);
+  EXPECT_EQ(t.gate_wait_micros.count(), 2u);  // every op the gate released
+  EXPECT_GE(t.cps, 2u);  // alice's CP + bob's snapshot CP
+  // Only alice is hosted: her row is below the lifetime total.
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants.at("alice").updates, 8u + 2u);
+  EXPECT_EQ(stats.tenants.at("alice").shard, vm.current_shard("alice"));
+
+  // The new Env counters flowed through IoStats::operator+= into the total:
+  // a sync CP fsyncs at least once, and syscall wall time was accumulated.
+  EXPECT_GE(t.io.fsyncs, 1u);
+  EXPECT_GE(t.io.io_micros, t.io.fsync_micros);
+  EXPECT_GE(t.io.fsyncs, stats.tenants.at("alice").io.fsyncs);
 }
 
 TEST(Observability, MetricsPollerComputesWindowedRates) {
@@ -402,6 +526,43 @@ TEST(Observability, MetricsPollerComputesWindowedRates) {
   // The rates were mirrored into registry gauges.
   EXPECT_DOUBLE_EQ(
       vm.metrics().gauge("backlog_update_ops_per_sec", "").value(), 500.0);
+}
+
+TEST(Observability, MetricsPollerRatesSurviveVolumeClose) {
+  bs::TempDir dir;
+  bsvc::VolumeManager vm(service_options(dir, 2));
+  vm.open_volume("alice");
+  vm.open_volume("bob");
+  vm.apply("alice", batch_of(0, 50)).get();
+  vm.consistency_point("alice").get();
+  vm.clear_caches();
+  vm.query("alice", 0).get();  // a cache miss: alice read pages too
+  vm.apply("alice", batch_of(1000, 50)).get();
+  bsvc::MetricsPoller poller(vm, std::chrono::milliseconds(1000));
+
+  const std::uint64_t t0 = butil::now_micros();
+  poller.poll_once(t0);
+  const bsvc::ServiceStats before = vm.stats();
+  ASSERT_GT(before.total.io.bytes_read, 0u);
+  ASSERT_GT(before.total.io.bytes_written, 0u);
+
+  vm.close_volume("alice");  // its close CP writes the second 50 ops
+  const bsvc::RateSample s = poller.poll_once(t0 + 1'000'000);
+  ASSERT_TRUE(s.primed);
+  for (const double rate : {s.update_ops_per_sec, s.io_read_bytes_per_sec,
+                            s.io_write_bytes_per_sec}) {
+    EXPECT_TRUE(std::isfinite(rate));
+    EXPECT_GE(rate, 0.0);
+  }
+  EXPECT_EQ(s.update_ops_per_sec, 0.0);
+  EXPECT_GT(s.io_write_bytes_per_sec, 0.0);  // the close CP, not a wrap
+
+  // The lifetime total keeps the closed volume.
+  const bsvc::ServiceStats after = vm.stats();
+  EXPECT_EQ(after.total.updates, 100u);
+  EXPECT_GE(after.total.io.bytes_written, before.total.io.bytes_written);
+  EXPECT_GE(after.total.io.bytes_read, before.total.io.bytes_read);
+  EXPECT_EQ(after.tenants.count("alice"), 0u);
 }
 
 TEST(Observability, SampledSpansTelescopeExactly) {
@@ -704,10 +865,13 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
   EXPECT_GT(scrapes, 0u);
   EXPECT_GT(applied.load(), 0u);
   // Scrape consistency after quiescence: the registry totals equal the
-  // ServiceStats snapshot they mirror.
+  // ServiceStats total read from them, and the tenant rows sum to it.
   const bsvc::ServiceStats stats = vm.stats();
   EXPECT_EQ(vm.metrics().counter("backlog_updates_total", "").total(),
             stats.total.updates);
+  std::uint64_t row_updates = 0;
+  for (const auto& [name, ts] : stats.tenants) row_updates += ts.updates;
+  EXPECT_EQ(row_updates, stats.total.updates);
   for (const auto& s : vm.trace_spans()) {
     EXPECT_EQ(s.gate_wait_micros + s.queue_wait_micros + s.execute_micros,
               s.end_to_end_micros());
