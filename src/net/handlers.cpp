@@ -35,8 +35,8 @@ service::ServiceOptions host_options(const std::filesystem::path& root,
   so.shards = shards;
   so.root = root;
   // Every apply future resolves only once its WAL record is fsync-covered.
-  // The window amortizes one fsync over every batch on the shard (0 = one
-  // fsync per batch).
+  // The window bounds how long an ack waits to share its fsync with the
+  // shard's other batches (0 = one fsync per batch).
   so.wal_enabled = true;
   so.wal_commit_window_micros = commit_window_micros;
   return so;

@@ -175,6 +175,10 @@ struct TenantStats {
   /// admit time; with tracing off the gate wait stays folded into
   /// queue_wait_micros.
   LatencyHistogram gate_wait_micros;
+  /// Group-commit wait of WAL'd updates: end of on-shard execution to the
+  /// durable ack (0 for window 0). Only populated while tracing is enabled,
+  /// like gate_wait_micros.
+  LatencyHistogram commit_wait_micros;
   storage::IoStats io;                   ///< volume Env counters at snapshot
 };
 

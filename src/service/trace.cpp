@@ -31,7 +31,7 @@ std::string format_span(const TraceSpan& s) {
   std::snprintf(buf, sizeof(buf),
                 "%s id=%llu verb=%s tenant=%s ops=%u shard=%u->%u%s\n"
                 "  gate=%lluus queue=%lluus exec=%lluus (io=%lluus "
-                "core=%lluus) e2e=%lluus",
+                "core=%lluus) commit=%lluus e2e=%lluus",
                 s.slow ? "slow-op" : "span",
                 static_cast<unsigned long long>(s.id), to_string(s.verb),
                 s.tenant, s.ops, s.submit_shard, s.exec_shard,
@@ -41,6 +41,7 @@ std::string format_span(const TraceSpan& s) {
                 static_cast<unsigned long long>(s.execute_micros),
                 static_cast<unsigned long long>(s.io_micros),
                 static_cast<unsigned long long>(s.core_micros()),
+                static_cast<unsigned long long>(s.commit_wait_micros),
                 static_cast<unsigned long long>(s.end_to_end_micros()));
   return buf;
 }

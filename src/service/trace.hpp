@@ -15,11 +15,14 @@
 // handoff shows the park window as queue wait and flags `migrated`.
 //
 // Stages (all microseconds, summing exactly to end-to-end):
-//   gate_wait   submit -> QoS gate admit (0 when the op was not throttled)
-//   queue_wait  admit -> shard thread picks the task up (park time included)
-//   execute     on-shard run of the verb, split into:
-//     io          wall time inside Env read/write/fsync syscalls
-//     core        execute - io: apply/query/CP CPU work
+//   gate_wait    submit -> QoS gate admit (0 when the op was not throttled)
+//   queue_wait   admit -> shard thread picks the task up (park time included)
+//   execute      on-shard run of the verb, split into:
+//     io           wall time inside Env read/write/fsync syscalls
+//     core         execute - io: apply/query/CP CPU work
+//   commit_wait  end of execute -> durable ack: a WAL'd update parked for
+//                the shard's group-commit sweep (0 for every other op, and
+//                for updates acked inside execute: window 0 or an error)
 #pragma once
 
 #include <atomic>
@@ -67,6 +70,7 @@ struct TraceSpan {
   std::uint64_t queue_wait_micros = 0;
   std::uint64_t execute_micros = 0;   ///< on-shard run, IO included
   std::uint64_t io_micros = 0;        ///< Env syscall time within execute
+  std::uint64_t commit_wait_micros = 0;  ///< execute end -> group-commit ack
   std::uint32_t ops = 1;
   std::uint16_t submit_shard = 0;
   std::uint16_t exec_shard = 0;
@@ -76,7 +80,8 @@ struct TraceSpan {
   char tenant[24] = {};               ///< truncated, always NUL-terminated
 
   [[nodiscard]] std::uint64_t end_to_end_micros() const noexcept {
-    return gate_wait_micros + queue_wait_micros + execute_micros;
+    return gate_wait_micros + queue_wait_micros + execute_micros +
+           commit_wait_micros;
   }
   [[nodiscard]] std::uint64_t core_micros() const noexcept {
     return execute_micros - io_micros;
@@ -89,7 +94,7 @@ struct TraceSpan {
 /// in README "Observability"; ordinary sampled spans print "span" instead of
 /// "slow-op"):
 ///   slow-op id=7 verb=query tenant=t0 ops=1 shard=0->1 migrated
-///     gate=0us queue=5210us exec=130us (io=90us core=40us) e2e=5340us
+///     gate=0us queue=521us exec=130us (io=90us core=40us) commit=0us e2e=651us
 [[nodiscard]] std::string format_span(const TraceSpan& s);
 
 /// Fixed-capacity overwrite-oldest span ring. Written exclusively by the

@@ -125,6 +125,10 @@ constexpr SeriesFamily<LatencyHistogram> kTimedFamilies[] = {
     {"backlog_gate_wait_micros",
      "QoS gate hold time of throttled ops (populated while tracing)",
      &TenantStats::gate_wait_micros},
+    {"backlog_commit_wait_micros",
+     "Execute-end to durable-ack wait of WAL'd updates (populated while "
+     "tracing)",
+     &TenantStats::commit_wait_micros},
 };
 
 /// Clears the volume's maintenance-pending flag on every exit path of a
@@ -285,12 +289,11 @@ VolumeManager::VolumeManager(ServiceOptions options)
   recover_clone_staging();
 }
 
-void VolumeManager::finish_trace(Volume& v, const TraceCtx& ctx,
-                                 std::uint64_t t_exec,
-                                 std::uint64_t io_before_micros) noexcept {
+TraceSpan VolumeManager::end_execute(Volume& v, const TraceCtx& ctx,
+                                     std::uint64_t t_exec,
+                                     std::uint64_t io_before_micros) noexcept {
   const std::uint64_t t_end = now_micros();
   const std::size_t shard = WorkerPool::current_shard();
-  if (shard >= telemetry_.size()) return;  // defensive: not a pool thread
   TraceSpan s;
   s.id = ctx.id;
   s.verb = ctx.verb;
@@ -311,6 +314,23 @@ void VolumeManager::finish_trace(Volume& v, const TraceCtx& ctx,
   s.io_micros = std::min(io_now - io_before_micros, s.execute_micros);
   s.set_tenant(v.tenant);
   if (ctx.t_admit != 0) v.time(kGateWaitMicros, s.gate_wait_micros);
+  return s;
+}
+
+void VolumeManager::finish_deferred_trace(Volume& v, const TraceCtx& ctx,
+                                          TraceSpan s,
+                                          std::uint64_t t_ack) noexcept {
+  // The stages so far end where execute did, so commit_wait extends the
+  // telescope to the ack.
+  const std::uint64_t t_executed = s.t_submit + s.end_to_end_micros();
+  s.commit_wait_micros = t_ack > t_executed ? t_ack - t_executed : 0;
+  v.time(kCommitWaitMicros, s.commit_wait_micros);
+  finish_trace(ctx, s);
+}
+
+void VolumeManager::finish_trace(const TraceCtx& ctx, TraceSpan s) noexcept {
+  const std::size_t shard = s.exec_shard;
+  if (shard >= telemetry_.size()) return;  // defensive: not a pool thread
   ShardTelemetry& tel = *telemetry_[shard];
   if (ctx.sampled) {
     hot_.trace_spans->add(shard);
@@ -890,8 +910,8 @@ void VolumeManager::wal_apply_batch(const std::shared_ptr<Volume>& vol,
     return;
   }
   // Group commit: the ack joins the shard's window; the window's first
-  // append schedules the flush sweep. Every batch the shard executes until
-  // the sweep reaches the head of its queue rides the same fsync.
+  // append schedules the flush sweep. Every batch the shard executes before
+  // the sweep runs (see wal_flush_shard) rides the same fsync.
   const std::size_t shard = WorkerPool::current_shard();
   ShardCommit& c = *commit_[shard];
   DoneFn ack = std::move(done);
@@ -912,26 +932,16 @@ void VolumeManager::wal_apply_batch(const std::shared_ptr<Volume>& vol,
 }
 
 void VolumeManager::wal_flush_shard(std::size_t shard) {
-  // The shard queue is stride-fair across per-volume flows, so this task
-  // cannot "queue behind" the window's appends — the scheduler serves it
-  // round-robin with them (after roughly one append per volume). Sleeping
-  // out the whole window here would be worse still: the shard thread goes
-  // dead while appends sit queued. Instead the flush task *yields its
-  // scheduler turns*: while the window is open it resubmits itself, and
-  // each round trip lets the stride scheduler run a fair slice of queued
-  // appends — all of which join this window's sweep. A short sleep is taken
-  // only when the queue holds nothing but this task, so an open window on a
-  // busy shard drains appends at full speed while an open window on a quiet
-  // shard wakes ~20 times instead of busy-spinning. Once the deadline
-  // passes, the sweep covers every record appended so far — one fsync per
-  // dirty volume, the group-commit amortization the README documents.
-  const std::uint64_t deadline = commit_[shard]->window_deadline_micros;
-  const std::uint64_t now = now_micros();
-  if (now < deadline) {
-    if (pool_.queue_depth_approx(shard) <= 1) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          std::min<std::uint64_t>(deadline - now, 100)));
-    }
+  // Commit on idle: the window bounds how long a parked ack may wait for
+  // company, it is not a delay. When the queue holds nothing but this task
+  // no append can join the sweep by waiting, so it commits at once. On a
+  // busy shard the task *yields its scheduler turns* until the deadline:
+  // the queue is stride-fair across per-volume flows, so each resubmission
+  // lets a fair slice of queued appends run, and all of them ride this
+  // sweep — one fsync per dirty volume, the group-commit amortization the
+  // README documents.
+  if (pool_.queue_depth_approx(shard) > 1 &&
+      now_micros() < commit_[shard]->window_deadline_micros) {
     pool_.submit(shard, [this, shard] { wal_flush_shard(shard); });
     return;
   }

@@ -141,13 +141,16 @@ struct ServiceOptions {
   /// hosted Env regardless of `sync_writes`.
   bool wal_enabled = false;
 
-  /// Group-commit window, in microseconds. 0 = per-op fsync: every update
-  /// batch syncs its own WAL record before its future resolves (the
-  /// durable-but-slow baseline bench/durability measures against). N > 0:
-  /// the first WAL append on a shard schedules one flush task N µs out;
-  /// every batch appended to ANY volume on that shard meanwhile rides the
-  /// same single fsync sweep, so durable-ops/s scales with batching rather
-  /// than with fsync count.
+  /// Group-commit window, in microseconds: the longest a parked ack waits
+  /// for company. 0 = per-op fsync: every update batch syncs its own WAL
+  /// record before its future resolves (the durable-but-slow baseline
+  /// bench/durability measures against). N > 0: the first WAL append on a
+  /// shard schedules one flush sweep, which runs as soon as the shard has
+  /// nothing else queued, or N µs after that append if the shard stays
+  /// busy. Every batch appended to ANY volume on that shard meanwhile rides
+  /// the same single fsync sweep, so under load durable-ops/s scales with
+  /// batching rather than with fsync count, while a lone batch on an idle
+  /// shard is acked after its own fsync without waiting out the window.
   std::uint32_t wal_commit_window_micros = 0;
 
   // --- observability (see trace.hpp / metrics.hpp) -------------------------
@@ -565,7 +568,7 @@ class VolumeManager {
   };
   enum Timed : std::size_t {
     kUpdateBatchMicros, kCpMicros, kQueryMicros, kMaintenanceMicros,
-    kQueueWaitMicros, kGateWaitMicros, kTimedSeries
+    kQueueWaitMicros, kGateWaitMicros, kCommitWaitMicros, kTimedSeries
   };
 
   struct Volume {
@@ -738,7 +741,8 @@ class VolumeManager {
   /// `verb`/`op_count` label the op for tracing (see trace.hpp): while
   /// tracing is enabled a TraceCtx rides by value inside the task body,
   /// survives a migration park/replay with it, and is finished into the
-  /// executing shard's trace ring / slow-op log by finish_trace().
+  /// executing shard's trace ring / slow-op log by finish_trace() when `fn`
+  /// returns.
   template <typename Fn>
   auto run_on(std::shared_ptr<Volume> vol, Fn fn, bool background = false,
               double ops_cost = 0, double bytes_cost = 0,
@@ -757,11 +761,13 @@ class VolumeManager {
               ctx.active ? v.env->stats().io_micros : 0;
           if constexpr (std::is_void_v<R>) {
             fn(v);
-            if (ctx.active) finish_trace(v, ctx, t_exec, io_before);
+            if (ctx.active)
+              finish_trace(ctx, end_execute(v, ctx, t_exec, io_before));
             prom->set_value();
           } else {
             R result = fn(v);
-            if (ctx.active) finish_trace(v, ctx, t_exec, io_before);
+            if (ctx.active)
+              finish_trace(ctx, end_execute(v, ctx, t_exec, io_before));
             prom->set_value(std::move(result));
           }
         } catch (...) {
@@ -784,8 +790,10 @@ class VolumeManager {
   /// it after the WAL sync covering the op — instead of when fn returns.
   /// `fn(v, done)` must either throw (the future then carries that
   /// exception) or arrange exactly one `done` call, and must not throw
-  /// after arranging it. A traced span finishes when fn returns, so it
-  /// measures apply + WAL append and excludes the commit-window wait.
+  /// after arranging it. A traced span's execute stage ends when fn returns
+  /// (apply + WAL append); the span finishes when `done` fires, and the time
+  /// in between is its commit_wait stage — 0 when `done` fired inside fn
+  /// (window 0, or an error).
   template <typename Fn>
   std::future<void> run_on_deferred(std::shared_ptr<Volume> vol, Fn fn,
                                     double ops_cost, double bytes_cost,
@@ -795,18 +803,38 @@ class VolumeManager {
     const TraceCtx ctx = begin_op(*vol, verb, op_count, /*background=*/false);
     auto make_body = [this, prom, fn = std::move(fn)](TraceCtx ctx) mutable {
       return [this, fn = std::move(fn), prom, ctx](Volume& v) mutable {
+        const auto resolve = [prom](std::exception_ptr ep) {
+          if (ep)
+            prom->set_exception(std::move(ep));
+          else
+            prom->set_value();
+        };
         try {
           const std::uint64_t t_exec = start_body(v, ctx);
-          const std::uint64_t io_before =
-              ctx.active ? v.env->stats().io_micros : 0;
-          DoneFn done = [prom](std::exception_ptr ep) {
-            if (ep)
-              prom->set_exception(std::move(ep));
-            else
-              prom->set_value();
+          if (!ctx.active) {
+            fn(v, resolve);
+            return;
+          }
+          // Both halves run on this shard: the sweep that fires a parked
+          // `done` runs where the append did (migration settles the window
+          // before ownership moves), so the state needs no lock.
+          struct Deferred {
+            TraceSpan span;
+            bool executed = false;
+            bool acked = false;
           };
-          fn(v, std::move(done));
-          if (ctx.active) finish_trace(v, ctx, t_exec, io_before);
+          const std::uint64_t io_before = v.env->stats().io_micros;
+          auto st = std::make_shared<Deferred>();
+          fn(v, [this, resolve, ctx, st, vp = &v](std::exception_ptr ep) {
+            if (st->executed)
+              finish_deferred_trace(*vp, ctx, st->span, util::now_micros());
+            else
+              st->acked = true;
+            resolve(std::move(ep));
+          });
+          st->span = end_execute(v, ctx, t_exec, io_before);
+          st->executed = true;
+          if (st->acked) finish_deferred_trace(v, ctx, st->span, 0);
         } catch (...) {
           prom->set_exception(std::current_exception());
         }
@@ -966,16 +994,17 @@ class VolumeManager {
                        std::span<const UpdateOp> batch, bool per_op,
                        DoneFn done);
 
-  /// Group-commit sweep of `shard`: sleeps out the remainder of the window,
-  /// then runs wal_commit_now.
+  /// Group-commit flush task of `shard`: runs wal_commit_now as soon as the
+  /// shard has nothing else queued, or at the window deadline, whichever
+  /// comes first; until then it resubmits itself so queued appends run
+  /// ahead of the sweep and ride it.
   void wal_flush_shard(std::size_t shard);
 
   /// The sweep itself, shard-thread-only and idempotent: fsyncs every
   /// distinct dirty volume's WAL once, then delivers the pending acks (a
   /// volume whose sync failed is wounded and its acks carry kWounded).
-  /// Also called directly — without the sleep — by migrate_volume's drain
-  /// barrier, so no ack can still reference a volume after its ownership
-  /// moves to another shard.
+  /// Also called directly by migrate_volume's drain barrier, so no ack can
+  /// still reference a volume after its ownership moves to another shard.
   void wal_commit_now(std::size_t shard);
 
   /// Flip `v` read-only after a persistent WAL write error, bump the
@@ -1002,12 +1031,23 @@ class VolumeManager {
     return s == WorkerPool::kNoShard ? pool_.size() : s;
   }
 
-  /// Shard-thread tail of a traced op (see run_on): computes the stage
-  /// breakdown, pushes the span into this shard's trace ring (if sampled)
-  /// and into the slow-op log (if over threshold), and bumps the trace
-  /// counters. Never allocates, never blocks.
-  void finish_trace(Volume& v, const TraceCtx& ctx, std::uint64_t t_exec,
-                    std::uint64_t io_before_micros) noexcept;
+  /// Shard-thread end of a traced op's execute stage (see run_on): stamps
+  /// the end and returns the span's gate, queue and execute stages, with io
+  /// the Env syscall time since `io_before_micros`, clamped to execute.
+  TraceSpan end_execute(Volume& v, const TraceCtx& ctx, std::uint64_t t_exec,
+                        std::uint64_t io_before_micros) noexcept;
+
+  /// Shard-thread tail of a traced op: pushes the span into this shard's
+  /// trace ring (if sampled) and into the slow-op log (if over threshold),
+  /// and bumps the trace counters. Never allocates, never blocks.
+  void finish_trace(const TraceCtx& ctx, TraceSpan s) noexcept;
+
+  /// finish_trace for a deferred (WAL'd) op acked at `t_ack`: its commit
+  /// wait runs from the end of execute to the ack (0 when `t_ack` is 0,
+  /// the ack fired inside execute) and is recorded in the volume's
+  /// commit-wait histogram.
+  void finish_deferred_trace(Volume& v, const TraceCtx& ctx, TraceSpan s,
+                             std::uint64_t t_ack) noexcept;
 
   /// Lazily start / stop the QoS pacer thread (drains throttled volumes'
   /// wait queues as tokens refill).

@@ -3,10 +3,11 @@
 //
 // The layer's claims are forensic, so the tests pin the invariants a
 // debugging session relies on: (a) a span's stages telescope exactly —
-// gate + queue + execute == end-to-end, io <= execute — including for an
-// op that crossed a live migration park/replay; (b) the slow-op log is
-// exact (every over-threshold op, not a sample) and captures an injected
-// Env delay; (c) trace rings overwrite oldest and never block or allocate
+// gate + queue + execute + commit_wait == end-to-end, io <= execute —
+// including for an op that crossed a live migration park/replay, and a
+// delay injected at the WAL fsync lands in commit_wait under group commit;
+// (b) the slow-op log is exact (every over-threshold op, not a sample) and
+// captures an injected Env delay; (c) trace rings overwrite oldest and never block or allocate
 // on the shard thread; (d) stats().total is the registry's family totals,
 // which never go down when a volume closes, and the shared API slot loses
 // no concurrent increment; (e) enabling tracing adds zero API-thread
@@ -124,6 +125,15 @@ std::vector<bsvc::TraceSpan> spans_of(const std::vector<bsvc::TraceSpan>& all,
     if (s.verb == verb) out.push_back(s);
   }
   return out;
+}
+
+/// The four stages telescope exactly to the end-to-end latency, and the
+/// Env time stays inside execute.
+void expect_telescopes(const bsvc::TraceSpan& s) {
+  EXPECT_EQ(s.gate_wait_micros + s.queue_wait_micros + s.execute_micros +
+                s.commit_wait_micros,
+            s.end_to_end_micros());
+  EXPECT_LE(s.io_micros, s.execute_micros);
 }
 
 // --- building blocks ---------------------------------------------------------
@@ -271,6 +281,7 @@ TEST(Observability, TraceSpanTenantTruncationAndFormat) {
   s.queue_wait_micros = 20;
   s.execute_micros = 30;
   s.io_micros = 12;
+  s.commit_wait_micros = 40;
   s.slow = true;
   s.migrated = true;
   const std::string line = bsvc::format_span(s);
@@ -278,8 +289,9 @@ TEST(Observability, TraceSpanTenantTruncationAndFormat) {
   EXPECT_NE(line.find("verb=query"), std::string::npos);
   EXPECT_NE(line.find("migrated"), std::string::npos);
   EXPECT_NE(line.find("gate=10us"), std::string::npos);
-  EXPECT_NE(line.find("core=18us"), std::string::npos);  // 30 - 12
-  EXPECT_NE(line.find("e2e=60us"), std::string::npos);   // 10 + 20 + 30
+  EXPECT_NE(line.find("core=18us"), std::string::npos);    // 30 - 12
+  EXPECT_NE(line.find("commit=40us"), std::string::npos);
+  EXPECT_NE(line.find("e2e=100us"), std::string::npos);    // 10 + 20 + 30 + 40
 }
 
 TEST(Observability, MetricsRegistrySlotsAndIdempotentRegistration) {
@@ -467,6 +479,8 @@ TEST(Observability, VerbCountersMatchServiceStats) {
   EXPECT_EQ(count("backlog_maintenance_micros"), t.maintenance_micros.count());
   EXPECT_EQ(count("backlog_queue_wait_micros"), t.queue_wait_micros.count());
   EXPECT_EQ(count("backlog_gate_wait_micros"), t.gate_wait_micros.count());
+  EXPECT_EQ(count("backlog_commit_wait_micros"),
+            t.commit_wait_micros.count());
 
   // The expected lifetime values, closed and destroyed volumes included.
   EXPECT_EQ(t.updates, 8u + 16u + 4u + 2u);
@@ -569,10 +583,14 @@ TEST(Observability, SampledSpansTelescopeExactly) {
   bs::TempDir dir;
   bsvc::ServiceOptions o = service_options(dir, 2);
   o.trace_sample_every = 1;  // record every foreground op
+  o.wal_enabled = true;      // the updates' spans close at the durable ack
+  o.wal_commit_window_micros = 2000;
   bsvc::VolumeManager vm(o);
   vm.open_volume("alice");
 
+  const std::uint64_t t_apply = butil::now_micros();
   vm.apply("alice", batch_of(0, 4)).get();
+  const std::uint64_t apply_wall = butil::now_micros() - t_apply;
   vm.apply_batch("alice", batch_of(100, 8)).get();
   vm.query("alice", 0).get();
   vm.query_batch("alice", {{0, 1, {}}, {100, 1, {}}}).get();
@@ -581,14 +599,17 @@ TEST(Observability, SampledSpansTelescopeExactly) {
   const auto spans = vm.trace_spans();
   ASSERT_GE(spans.size(), 5u);
   for (const auto& s : spans) {
-    // The stage breakdown telescopes exactly to the end-to-end latency.
-    EXPECT_EQ(s.gate_wait_micros + s.queue_wait_micros + s.execute_micros,
-              s.end_to_end_micros());
-    EXPECT_LE(s.io_micros, s.execute_micros);
+    expect_telescopes(s);
+    const bool update = s.verb == bsvc::TraceVerb::kApply ||
+                        s.verb == bsvc::TraceVerb::kApplyBatch;
+    if (!update) EXPECT_EQ(s.commit_wait_micros, 0u);  // acked at execute end
     EXPECT_EQ(std::string(s.tenant), "alice");
     EXPECT_FALSE(s.migrated);
     EXPECT_GT(s.id, 0u);
   }
+  // The apply's span runs to its ack, which the caller sees afterwards.
+  EXPECT_LE(spans_of(spans, bsvc::TraceVerb::kApply).at(0).end_to_end_micros(),
+            apply_wall);
   EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kApply).size(), 1u);
   EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kApplyBatch)[0].ops, 8u);
   EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kQueryBatch)[0].ops, 2u);
@@ -648,9 +669,7 @@ TEST(Observability, SlowOpCapturesInjectedEnvDelay) {
   EXPECT_TRUE(s.slow);
   // All stages sum exactly to the recorded end-to-end latency (a far
   // stronger property than the acceptance criterion's 10% band) ...
-  EXPECT_EQ(s.gate_wait_micros + s.queue_wait_micros + s.execute_micros,
-            s.end_to_end_micros());
-  EXPECT_LE(s.io_micros, s.execute_micros);
+  expect_telescopes(s);
   // ... and the span brackets reality: it contains the injected delay and
   // fits inside the caller-observed wall time.
   EXPECT_GE(s.execute_micros, kDelayMicros);
@@ -664,6 +683,52 @@ TEST(Observability, SlowOpCapturesInjectedEnvDelay) {
   // The sync CP did real IO under the span.
   EXPECT_GT(s.io_micros, 0u);
   EXPECT_EQ(vm.metrics().counter("backlog_slow_ops_total", "").total(), 1u);
+}
+
+TEST(Observability, CommitWaitStageCapturesInjectedSyncDelay) {
+  static constexpr std::uint64_t kDelayMicros = 20000;
+  // Window on: the apply is acked by the shard's group-commit sweep, so a
+  // stalled WAL fsync shows as commit_wait, not execute. Window 0 syncs
+  // inside execute, so the same stall is execute and nothing is parked.
+  for (const std::uint32_t window : {2000u, 0u}) {
+    SCOPED_TRACE(window);
+    bs::TempDir dir;
+    bsvc::ServiceOptions o = service_options(dir, 1);
+    o.trace_sample_every = 1;
+    o.wal_enabled = true;
+    o.wal_commit_window_micros = window;
+    butil::FaultPoints faults;
+    o.faults = &faults;
+    bsvc::VolumeManager vm(o);
+    vm.open_volume("alice");
+    faults.arm("wal.synced", butil::FaultAction::call([] {
+                 std::this_thread::sleep_for(
+                     std::chrono::microseconds(kDelayMicros));
+               }));
+    const std::uint64_t t_before = butil::now_micros();
+    vm.apply("alice", batch_of(0, 4)).get();
+    const std::uint64_t wall = butil::now_micros() - t_before;
+
+    const auto applies = spans_of(vm.trace_spans(), bsvc::TraceVerb::kApply);
+    ASSERT_EQ(applies.size(), 1u);
+    const bsvc::TraceSpan& s = applies[0];
+    expect_telescopes(s);
+    if (window != 0) {
+      // A parked ack closes the span before the caller's future resolves.
+      // (At window 0 the ack fires inside execute, which ends when the body
+      // returns, a few microseconds after the caller may have woken.)
+      EXPECT_LE(s.end_to_end_micros(), wall);
+      EXPECT_GE(s.commit_wait_micros, kDelayMicros);
+      EXPECT_LT(s.execute_micros, kDelayMicros);
+    } else {
+      EXPECT_EQ(s.commit_wait_micros, 0u);
+      EXPECT_GE(s.execute_micros, kDelayMicros);
+    }
+    const bsvc::LatencyHistogram waits =
+        vm.stats().tenants.at("alice").commit_wait_micros;
+    ASSERT_EQ(waits.count(), 1u);
+    EXPECT_EQ(waits.max_micros() >= kDelayMicros, window != 0);
+  }
 }
 
 TEST(Observability, SlowOpSpansMigrationParkReplay) {
@@ -715,8 +780,7 @@ TEST(Observability, SlowOpSpansMigrationParkReplay) {
   EXPECT_EQ(s.submit_shard, source);
   EXPECT_EQ(s.exec_shard, target);
   EXPECT_GE(s.queue_wait_micros, 5000u);  // at least the held park window
-  EXPECT_EQ(s.gate_wait_micros + s.queue_wait_micros + s.execute_micros,
-            s.end_to_end_micros());
+  expect_telescopes(s);
   EXPECT_EQ(vm.query("alice", 2).get().size(), 1u);
 }
 
@@ -741,8 +805,7 @@ TEST(Observability, GateWaitStageSplitsFromQueueWait) {
     vm.apply("alice", {add(b)}).get();      // spends the burst
     vm.apply("alice", {add(b + 1)}).get();  // throttled: waits for a token
     for (const auto& s : spans_of(vm.trace_spans(), bsvc::TraceVerb::kApply)) {
-      EXPECT_EQ(s.gate_wait_micros + s.queue_wait_micros + s.execute_micros,
-                s.end_to_end_micros());
+      expect_telescopes(s);
       if (s.gate_wait_micros > 0) saw_gated = true;
     }
   }
@@ -806,6 +869,8 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
   o.slow_op_micros = 500;
   o.trace_ring_size = 64;
   o.slow_op_ring_size = 64;
+  o.wal_enabled = true;  // deferred spans finish in the commit sweep
+  o.wal_commit_window_micros = 1000;
   bsvc::VolumeManager vm(o);
   constexpr int kTenants = 8;
   for (int i = 0; i < kTenants; ++i) {
@@ -872,10 +937,7 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
   std::uint64_t row_updates = 0;
   for (const auto& [name, ts] : stats.tenants) row_updates += ts.updates;
   EXPECT_EQ(row_updates, stats.total.updates);
-  for (const auto& s : vm.trace_spans()) {
-    EXPECT_EQ(s.gate_wait_micros + s.queue_wait_micros + s.execute_micros,
-              s.end_to_end_micros());
-  }
+  for (const auto& s : vm.trace_spans()) expect_telescopes(s);
 }
 
 }  // namespace

@@ -38,8 +38,11 @@ int usage() {
   std::fprintf(stderr,
                "usage: backlogd <root> [--port N] [--bind ADDR] [--shards N] "
                "[--io-threads N] [--commit-window-us N]\n"
-               "  --commit-window-us N   group-commit WAL window (0 = fsync "
-               "per batch, the default)\n");
+               "  --commit-window-us N   group-commit WAL window: the most "
+               "an ack waits for\n"
+               "                         company before its fsync; an idle "
+               "shard commits at once\n"
+               "                         (0 = fsync per batch, the default)\n");
   return 2;
 }
 

@@ -310,10 +310,41 @@ def check_net_loopback(rows, min_wire_fraction=0.10, min_batch_speedup=3.0):
     return failures
 
 
+def check_idle_ack(rows):
+    """Commit-on-idle gate on the durability bench's closed-loop rows (one
+    submitter awaiting each batch): the group-commit ack p50 may exceed the
+    per-batch ack p50 by at most half the window. Machine-independent — a
+    sweep scheduled on an idle shard must commit at once, not wait out the
+    window, so both modes pay one fsync per ack."""
+    by_window = {r.get("window_us"): r for r in rows}
+    failures = []
+    base = by_window.get(0)
+    grouped = [w for w in by_window if w and w > 0]
+    if base is None or not grouped:
+        print("note: durability capture lacks a closed-loop baseline/group "
+              "pair — idle-ack gate skipped")
+        return failures
+    window = max(grouped)
+    base_us = base["idle_ack_us_p50"]
+    group_us = by_window[window]["idle_ack_us_p50"]
+    excess = group_us - base_us
+    limit = window / 2
+    status = "FAIL" if excess > limit else "ok"
+    print(f"{status}: durability idle ack p50: group {group_us:.0f} us vs "
+          f"per-batch {base_us:.0f} us = {excess:+.0f} us (gate <= "
+          f"{limit:.0f} us, half the {window} us window)")
+    if excess > limit:
+        failures.append(
+            f"idle group-commit ack waited {excess:.0f} us longer than "
+            f"per-batch (> half the {window} us window)")
+    return failures
+
+
 def check_durability(rows, min_amortization=3.0, min_speedup=3.0,
                      min_fsync_us=60.0):
     """Group-commit WAL gate on the durability bench of the current run
-    alone (self-skips when the capture has no durability rows). At the
+    alone (self-skips when the capture has no durability rows). The
+    closed-loop rows go to check_idle_ack; on the open-loop rows, at the
     widest fleet that ran both windows:
 
       * amortization: the group-commit run must cover at least
@@ -325,10 +356,13 @@ def check_durability(rows, min_amortization=3.0, min_speedup=3.0,
         costs something, so this half self-skips when the baseline's mean
         fsync is under `min_fsync_us` (tmpfs/overlay runners sync from page
         cache in microseconds and both modes run at memory speed)."""
-    dur = [r for r in rows if r.get("bench") == "durability"]
+    rows = [r for r in rows if r.get("bench") == "durability"]
     failures = []
-    if not dur:
+    if not rows:
         return failures
+    failures.extend(
+        check_idle_ack([r for r in rows if r.get("loop") == "closed"]))
+    dur = [r for r in rows if r.get("loop") != "closed"]
     by_cfg = {(r.get("volumes"), r.get("window_us") > 0): r for r in dur}
     paired = [v for (v, grouped) in by_cfg if grouped
               and (v, False) in by_cfg]
