@@ -17,7 +17,7 @@ using namespace backlog;
 
 int main() {
   // A storage environment is a directory; everything Backlog persists —
-  // run files, the manifest, deletion vectors — lives under it.
+  // run files and the manifest — lives under it.
   storage::TempDir dir("backlog-quickstart");
   storage::Env env(dir.path());
   std::printf("volume directory: %s\n\n", dir.path().c_str());

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <set>
+#include <utility>
 #include <stdexcept>
 
 #include "core/file_manifest.hpp"
@@ -22,11 +23,11 @@ namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestTmpName[] = "MANIFEST.tmp";
-constexpr char kDvFromName[] = "dv_from.bin";
-constexpr char kDvToName[] = "dv_to.bin";
-constexpr char kDvCombinedName[] = "dv_combined.bin";
-constexpr std::uint64_t kManifestMagic = 0x424b4c4f474d4651ULL;
-constexpr std::uint64_t kManifestEditMagic = 0x424b4c4f47454454ULL;
+// Every manifest record is framed [magic u64][len u32][payload][crc32c u32].
+// The magic names the format version; open rejects any other layout.
+constexpr std::uint64_t kManifestRecordMagic = 0x324c4f47464e414dULL;
+constexpr std::size_t kRecordHeader = 12;  // magic + len
+constexpr std::size_t kMaxRunNameLen = 255;
 
 std::size_t record_size_of(std::uint8_t table) {
   switch (table) {
@@ -101,15 +102,22 @@ BacklogDb::BacklogDb(storage::Env& env, BacklogOptions options)
   // pages before the inode can be recycled. Never override a cache the
   // service already attached.
   if (env_.block_cache() == nullptr) env_.set_block_cache(&cache_);
-  if (env_.file_exists(kManifestName)) {
-    load_manifest();
-    remove_orphan_runs();
+  try {
+    if (env_.file_exists(kManifestName)) {
+      load_manifest();
+      remove_orphan_runs();
+    }
+    // Establish the manifest base so per-CP writes can be O(1) edit appends.
+    save_manifest();
+  } catch (...) {
+    detach_private_cache();  // no destructor runs for a failed open
+    throw;
   }
-  // Establish the manifest base so per-CP writes can be O(1) edit appends.
-  save_manifest();
 }
 
-BacklogDb::~BacklogDb() {
+BacklogDb::~BacklogDb() { detach_private_cache(); }
+
+void BacklogDb::detach_private_cache() noexcept {
   // The private cache dies with the db; the Env may outlive it (tests
   // reopen a db over the same Env), so drop the dangling attachment. A
   // service-injected shared cache outlives both — leave it.
@@ -206,21 +214,9 @@ std::uint64_t BacklogDb::flush_table(const std::vector<std::uint8_t>& sorted,
     }
     writer.finish();
 
-    auto meta = std::make_shared<RunMeta>();
-    meta->name = name;
-    meta->table = table;
-    meta->partition = partition;
-    meta->record_count = writer.record_count();
-    meta->size_bytes = writer.file_size();
-    meta->bloom = writer.bloom();
-    meta->min_rec = writer.first_record();
-    meta->max_rec = writer.last_record();
+    auto meta = written_run(name, table, partition, writer);
     track_run_added(*meta);
-    Partition& part = partitions_[partition];
-    (table == Table::kFrom   ? part.from_runs
-     : table == Table::kTo   ? part.to_runs
-                             : part.combined_runs)
-        .push_back(meta);
+    partitions_[partition].of(table).push_back(meta);
     pending_manifest_runs_.push_back(std::move(meta));
   }
   return records;
@@ -246,7 +242,7 @@ CpFlushStats BacklogDb::consistency_point() {
   // rule of write-anywhere systems, §2) — so the registry advances first and
   // the manifest records the post-CP state.
   registry_.advance_cp();
-  persist_registry();
+  append_manifest_edit();
   if (options_.faults != nullptr)
     options_.faults->check(util::fault_point("cp.registry_persisted"),
                            env_.fault_volume());
@@ -259,29 +255,12 @@ CpFlushStats BacklogDb::consistency_point() {
   return s;
 }
 
-void BacklogDb::persist_registry() {
-  // Same write order as a CP commit: deletion vectors first, then the
-  // manifest edit that references any runs created since the last write —
-  // a crash in between leaves the previous edit authoritative.
-  if (dv_dirty_) {
-    dv_from_.save(env_, kDvFromName);
-    dv_to_.save(env_, kDvToName);
-    dv_combined_.save(env_, kDvCombinedName);
-    dv_dirty_ = false;
-  }
-  append_manifest_edit();
-}
-
 std::vector<std::string> BacklogDb::live_files() const {
   std::vector<std::string> out;
   out.push_back(kManifestName);
-  for (const char* dv : {kDvFromName, kDvToName, kDvCombinedName}) {
-    if (env_.file_exists(dv)) out.push_back(dv);
-  }
   for (const auto& [pid, part] : partitions_) {
-    for (const auto& m : part.from_runs) out.push_back(m->name);
-    for (const auto& m : part.to_runs) out.push_back(m->name);
-    for (const auto& m : part.combined_runs) out.push_back(m->name);
+    for (const RunList& runs : part.runs)
+      for (const auto& m : runs) out.push_back(m->name);
   }
   return out;
 }
@@ -298,6 +277,21 @@ std::shared_ptr<BacklogDb::RunMeta> BacklogDb::load_run_meta(
   meta->bloom = rf.bloom();
   if (auto mn = rf.min_record()) meta->min_rec = *mn;
   if (auto mx = rf.max_record()) meta->max_rec = *mx;
+  return meta;
+}
+
+std::shared_ptr<BacklogDb::RunMeta> BacklogDb::written_run(
+    const std::string& name, Table table, std::uint64_t partition,
+    const lsm::RunWriter& writer) {
+  auto meta = std::make_shared<RunMeta>();
+  meta->name = name;
+  meta->table = table;
+  meta->partition = partition;
+  meta->record_count = writer.record_count();
+  meta->size_bytes = writer.file_size();
+  meta->bloom = writer.bloom();
+  meta->min_rec = writer.first_record();
+  meta->max_rec = writer.last_record();
   return meta;
 }
 
@@ -331,6 +325,13 @@ void BacklogDb::drop_run(const RunMeta& meta) {
   // the unlink above *was* the physical removal.
   env_.delete_file(meta.name);
   if (options_.shared_files != nullptr) options_.shared_files->release(meta.name);
+}
+
+void BacklogDb::retire_runs() {
+  const RunList retired = std::exchange(retired_runs_, {});
+  for (const auto& m : retired) drop_run(*m);
+  // One FILEREFS flush per commit, not per retired shared run.
+  if (options_.shared_files != nullptr) options_.shared_files->persist_if_dirty();
 }
 
 void BacklogDb::track_run_added(const RunMeta& meta) noexcept {
@@ -371,9 +372,7 @@ bool BacklogDb::run_may_intersect(const RunMeta& meta, BlockNo block_lo,
 std::unique_ptr<lsm::RecordStream> BacklogDb::table_stream(
     const Partition& part, Table table, BlockNo block_lo, BlockNo block_hi,
     bool include_ws) {
-  const auto& runs = table == Table::kFrom   ? part.from_runs
-                     : table == Table::kTo   ? part.to_runs
-                                             : part.combined_runs;
+  const RunList& runs = part.of(table);
   const std::size_t record_size = record_size_of(static_cast<std::uint8_t>(table));
 
   std::vector<std::unique_ptr<lsm::RecordStream>> inputs;
@@ -526,15 +525,15 @@ void BacklogDb::clear_cache() {
   result_cache_.clear();
 }
 
-void BacklogDb::merge_run_batches(std::vector<std::shared_ptr<RunMeta>>& runs,
-                                  Table table, std::uint64_t partition) {
+void BacklogDb::merge_run_batches(RunList& runs, Table table,
+                                  std::uint64_t partition) {
   const std::size_t batch = std::max<std::size_t>(options_.max_open_runs, 2);
   const std::size_t record_size = record_size_of(static_cast<std::uint8_t>(table));
   // Each pass merges disjoint chunks of `batch` runs into one run apiece
   // (level k -> level k+1); a handful of passes suffices for any backlog,
   // and each record is rewritten only O(log_batch(runs)) times.
   while (runs.size() > batch) {
-    std::vector<std::shared_ptr<RunMeta>> next_level;
+    RunList next_level, merged_runs;
     for (std::size_t chunk = 0; chunk < runs.size(); chunk += batch) {
       const std::size_t chunk_end = std::min(runs.size(), chunk + batch);
       if (chunk_end - chunk == 1) {
@@ -561,25 +560,26 @@ void BacklogDb::merge_run_batches(std::vector<std::shared_ptr<RunMeta>>& runs,
         merged.next();
       }
       writer.finish();
-      for (std::size_t i = chunk; i < chunk_end; ++i) drop_run(*runs[i]);
+      merged_runs.insert(merged_runs.end(), runs.begin() + chunk,
+                         runs.begin() + chunk_end);
 
-      auto meta = std::make_shared<RunMeta>();
-      meta->name = name;
-      meta->table = table;
-      meta->partition = partition;
-      meta->record_count = writer.record_count();
-      meta->size_bytes = writer.file_size();
-      meta->bloom = writer.bloom();
-      meta->min_rec = writer.first_record();
-      meta->max_rec = writer.last_record();
+      auto meta = written_run(name, table, partition, writer);
       track_run_added(*meta);
       next_level.push_back(std::move(meta));
     }
     runs = std::move(next_level);
+    retired_runs_.insert(retired_runs_.end(), merged_runs.begin(),
+                         merged_runs.end());
   }
 }
 
-MaintenanceStats BacklogDb::maintain() {
+MaintenanceStats BacklogDb::maintain() { return maintain_pass(std::nullopt); }
+
+MaintenanceStats BacklogDb::maintain_partition(BlockNo block) {
+  return maintain_pass(partition_of(block));
+}
+
+MaintenanceStats BacklogDb::maintain_pass(std::optional<std::uint64_t> only) {
   if (!ws_.empty())
     throw std::logic_error(
         "BacklogDb::maintain: write store not empty; call consistency_point() "
@@ -591,17 +591,12 @@ MaintenanceStats BacklogDb::maintain() {
   // Zombies whose descendants are gone can finally be purged (§4.2.2).
   registry_.collect_zombies();
 
-  for (auto& [pid, part] : partitions_) maintain_one(pid, part, s);
-
-  if (dv_dirty_) {
-    dv_from_.save(env_, kDvFromName);
-    dv_to_.save(env_, kDvToName);
-    dv_combined_.save(env_, kDvCombinedName);
-    dv_dirty_ = false;
+  for (auto& [pid, part] : partitions_) {
+    if (!only || *only == pid) maintain_one(pid, part, s);
   }
+  // The root is written last (§2): the new base commits the pass, and only
+  // then are the replaced runs unlinked.
   save_manifest();
-  // One FILEREFS flush per compaction pass, not per retired shared run.
-  if (options_.shared_files != nullptr) options_.shared_files->persist_if_dirty();
 
   const storage::IoStats delta = env_.stats() - before;
   s.pages_read = delta.page_reads;
@@ -611,158 +606,109 @@ MaintenanceStats BacklogDb::maintain() {
   return s;
 }
 
-MaintenanceStats BacklogDb::maintain_partition(BlockNo block) {
-  if (!ws_.empty())
-    throw std::logic_error(
-        "BacklogDb::maintain_partition: write store not empty; call "
-        "consistency_point() first");
-  const std::uint64_t t0 = now_micros();
-  const storage::IoStats before = env_.stats();
-  MaintenanceStats s;
-  registry_.collect_zombies();
-  const std::uint64_t pid = partition_of(block);
-  if (auto it = partitions_.find(pid); it != partitions_.end()) {
-    maintain_one(pid, it->second, s);
-  }
-  if (dv_dirty_) {
-    dv_from_.save(env_, kDvFromName);
-    dv_to_.save(env_, kDvToName);
-    dv_combined_.save(env_, kDvCombinedName);
-    dv_dirty_ = false;
-  }
-  save_manifest();
-  if (options_.shared_files != nullptr) options_.shared_files->persist_if_dirty();
-  const storage::IoStats delta = env_.stats() - before;
-  s.pages_read = delta.page_reads;
-  s.pages_written = delta.page_writes;
-  s.wall_micros = now_micros() - t0;
-  ++mutations_;
-  return s;
-}
-
 void BacklogDb::maintain_one(std::uint64_t pid, Partition& part,
                              MaintenanceStats& s) {
   const BlockNo block_lo = pid * options_.partition_blocks;
   const BlockNo block_hi = block_lo + options_.partition_blocks;
 
-  {
-    for (const auto& m : part.from_runs) {
+  bool empty = true;
+  for (const RunList& runs : part.runs) {
+    for (const auto& m : runs) {
       s.input_records += m->record_count;
       s.bytes_before += m->size_bytes;
-    }
-    for (const auto& m : part.to_runs) {
-      s.input_records += m->record_count;
-      s.bytes_before += m->size_bytes;
-    }
-    for (const auto& m : part.combined_runs) {
-      s.input_records += m->record_count;
-      s.bytes_before += m->size_bytes;
-    }
-    if (part.from_runs.empty() && part.to_runs.empty() &&
-        part.combined_runs.empty()) {
-      return;
-    }
-
-    // Pre-merge oversized Level-0 populations into intermediate runs so the
-    // final pass never holds more than max_open_runs files open (the
-    // Stepped-Merge levels of §5.1).
-    merge_run_batches(part.from_runs, Table::kFrom, pid);
-    merge_run_batches(part.to_runs, Table::kTo, pid);
-    merge_run_batches(part.combined_runs, Table::kCombined, pid);
-
-    // Join all From runs against all To runs, then merge with the previous
-    // Combined RS (Fig. 4's query plan).
-    auto join = std::make_unique<OuterJoinStream>(
-        table_stream(part, Table::kFrom, block_lo, block_hi, false),
-        table_stream(part, Table::kTo, block_lo, block_hi, false));
-    std::vector<std::unique_ptr<lsm::RecordStream>> inputs;
-    inputs.push_back(std::move(join));
-    inputs.push_back(
-        table_stream(part, Table::kCombined, block_lo, block_hi, false));
-    lsm::MergeStream merged(std::move(inputs), kCombinedRecordSize);
-
-    const std::string combined_name = new_run_name(Table::kCombined, pid);
-    const std::string from_name = new_run_name(Table::kFrom, pid);
-    std::size_t total_guess = 0;
-    for (const auto& m : part.combined_runs) total_guess += m->record_count;
-    for (const auto& m : part.from_runs) total_guess += m->record_count;
-    lsm::RunWriter combined_writer(env_, combined_name, kCombinedRecordSize,
-                                   std::max<std::size_t>(total_guess, 1),
-                                   options_.combined_bloom_max_bytes);
-    lsm::RunWriter from_writer(env_, from_name, kFromRecordSize,
-                               std::max<std::size_t>(total_guess, 1),
-                               options_.bloom_max_bytes);
-
-    while (merged.valid()) {
-      const CombinedRecord rec = decode_combined(merged.record().data());
-      // Purge rule (§5.2): a record is dead when no retained version, zombie
-      // or clone branch point falls inside its interval. Structural-
-      // inheritance override records (from == 0) are the exception — they
-      // gate expansion for their line, so they must survive until the line
-      // itself is forgotten, even if no retained version observes them.
-      const bool alive =
-          rec.is_override()
-              ? registry_.line_exists(rec.key.line)
-              : registry_.interval_protected(rec.key.line, rec.from, rec.to);
-      if (!alive) {
-        ++s.purged;
-      } else if (rec.to == kInfinity) {
-        // Incomplete records live in the new From RS (§5.2).
-        std::uint8_t buf[kFromRecordSize];
-        encode_from(FromRecord{rec.key, rec.from}, buf);
-        from_writer.add({buf, kFromRecordSize}, rec.key.block);
-        ++s.output_incomplete;
-      } else {
-        std::uint8_t buf[kCombinedRecordSize];
-        encode_combined(rec, buf);
-        combined_writer.add({buf, kCombinedRecordSize}, rec.key.block);
-        ++s.output_complete;
-      }
-      merged.next();
-    }
-    combined_writer.finish();
-    from_writer.finish();
-
-    // Retire the old runs and install the new generation.
-    for (const auto& m : part.from_runs) drop_run(*m);
-    for (const auto& m : part.to_runs) drop_run(*m);
-    for (const auto& m : part.combined_runs) drop_run(*m);
-    part.from_runs.clear();
-    part.to_runs.clear();
-    part.combined_runs.clear();
-
-    auto install = [&](const std::string& name, Table table,
-                       lsm::RunWriter& writer,
-                       std::vector<std::shared_ptr<RunMeta>>& dest) {
-      if (writer.record_count() == 0) {
-        env_.delete_file(name);
-        return;
-      }
-      auto meta = std::make_shared<RunMeta>();
-      meta->name = name;
-      meta->table = table;
-      meta->partition = pid;
-      meta->record_count = writer.record_count();
-      meta->size_bytes = writer.file_size();
-      meta->bloom = writer.bloom();
-      meta->min_rec = writer.first_record();
-      meta->max_rec = writer.last_record();
-      s.bytes_after += meta->size_bytes;
-      track_run_added(*meta);
-      dest.push_back(std::move(meta));
-    };
-    install(combined_name, Table::kCombined, combined_writer, part.combined_runs);
-    install(from_name, Table::kFrom, from_writer, part.from_runs);
-
-    // The deletion-vector entries for this block range were consumed by the
-    // filtered input streams; the new runs no longer contain them.
-    if (dv_from_.erase_block_range(block_lo, block_hi) +
-            dv_to_.erase_block_range(block_lo, block_hi) +
-            dv_combined_.erase_block_range(block_lo, block_hi) >
-        0) {
-      dv_dirty_ = true;
+      empty = false;
     }
   }
+  if (empty) return;
+
+  // Pre-merge oversized Level-0 populations into intermediate runs so the
+  // final pass never holds more than max_open_runs files open (the
+  // Stepped-Merge levels of §5.1).
+  for (const Table t : {Table::kFrom, Table::kTo, Table::kCombined})
+    merge_run_batches(part.of(t), t, pid);
+
+  // Join all From runs against all To runs, then merge with the previous
+  // Combined RS (Fig. 4's query plan).
+  auto join = std::make_unique<OuterJoinStream>(
+      table_stream(part, Table::kFrom, block_lo, block_hi, false),
+      table_stream(part, Table::kTo, block_lo, block_hi, false));
+  std::vector<std::unique_ptr<lsm::RecordStream>> inputs;
+  inputs.push_back(std::move(join));
+  inputs.push_back(
+      table_stream(part, Table::kCombined, block_lo, block_hi, false));
+  lsm::MergeStream merged(std::move(inputs), kCombinedRecordSize);
+
+  const std::string combined_name = new_run_name(Table::kCombined, pid);
+  const std::string from_name = new_run_name(Table::kFrom, pid);
+  std::size_t total_guess = 0;
+  for (const auto& m : part.of(Table::kCombined)) total_guess += m->record_count;
+  for (const auto& m : part.of(Table::kFrom)) total_guess += m->record_count;
+  lsm::RunWriter combined_writer(env_, combined_name, kCombinedRecordSize,
+                                 std::max<std::size_t>(total_guess, 1),
+                                 options_.combined_bloom_max_bytes);
+  lsm::RunWriter from_writer(env_, from_name, kFromRecordSize,
+                             std::max<std::size_t>(total_guess, 1),
+                             options_.bloom_max_bytes);
+
+  while (merged.valid()) {
+    const CombinedRecord rec = decode_combined(merged.record().data());
+    // Purge rule (§5.2): a record is dead when no retained version, zombie
+    // or clone branch point falls inside its interval. Structural-
+    // inheritance override records (from == 0) are the exception — they
+    // gate expansion for their line, so they must survive until the line
+    // itself is forgotten, even if no retained version observes them.
+    const bool alive =
+        rec.is_override()
+            ? registry_.line_exists(rec.key.line)
+            : registry_.interval_protected(rec.key.line, rec.from, rec.to);
+    if (!alive) {
+      ++s.purged;
+    } else if (rec.to == kInfinity) {
+      // Incomplete records live in the new From RS (§5.2).
+      std::uint8_t buf[kFromRecordSize];
+      encode_from(FromRecord{rec.key, rec.from}, buf);
+      from_writer.add({buf, kFromRecordSize}, rec.key.block);
+      ++s.output_incomplete;
+    } else {
+      std::uint8_t buf[kCombinedRecordSize];
+      encode_combined(rec, buf);
+      combined_writer.add({buf, kCombinedRecordSize}, rec.key.block);
+      ++s.output_complete;
+    }
+    merged.next();
+  }
+  combined_writer.finish();
+  from_writer.finish();
+
+  auto output = [&](const std::string& name, Table table,
+                    lsm::RunWriter& writer) -> std::shared_ptr<RunMeta> {
+    if (writer.record_count() == 0) {
+      env_.delete_file(name);
+      return nullptr;
+    }
+    auto meta = written_run(name, table, pid, writer);
+    s.bytes_after += meta->size_bytes;
+    return meta;
+  };
+  const std::shared_ptr<RunMeta> outputs[] = {
+      output(combined_name, Table::kCombined, combined_writer),
+      output(from_name, Table::kFrom, from_writer)};
+
+  // Install the new generation. The old runs stay on disk until the
+  // manifest write that stops naming them has committed.
+  for (RunList& runs : part.runs) {
+    retired_runs_.insert(retired_runs_.end(), runs.begin(), runs.end());
+    runs.clear();
+  }
+  for (const auto& meta : outputs) {
+    if (meta == nullptr) continue;
+    track_run_added(*meta);
+    part.of(meta->table).push_back(meta);
+  }
+
+  // The deletion-vector entries for this block range were consumed by the
+  // filtered input streams; the new runs no longer contain them.
+  for (lsm::DeletionVector& vec : dvs_) vec.erase_block_range(block_lo, block_hi);
 }
 
 std::uint64_t BacklogDb::relocate(BlockNo old_block, std::uint64_t length,
@@ -786,24 +732,24 @@ std::uint64_t BacklogDb::relocate(BlockNo old_block, std::uint64_t length,
     if (it == partitions_.end()) continue;
     Partition& part = it->second;
 
-    auto rewrite = [&](Table table, std::vector<std::uint8_t>& out,
-                       lsm::DeletionVector& vec, std::size_t rec_size) {
+    auto rewrite = [&](Table table, std::vector<std::uint8_t>& out) {
       auto stream = table_stream(part, table, old_block, block_hi, false);
       while (stream->valid()) {
         const std::span<const std::uint8_t> rec = stream->record();
-        vec.insert(rec);
+        dv(table).insert(rec);
+        pending_dv_.emplace_back(table,
+                                 std::vector<std::uint8_t>(rec.begin(), rec.end()));
         const std::size_t n = out.size();
         out.insert(out.end(), rec.begin(), rec.end());
         const BlockNo b = util::get_be64(out.data() + n);
         util::put_be64(out.data() + n, b - old_block + new_block);
         ++moved;
         stream->next();
-        (void)rec_size;
       }
     };
-    rewrite(Table::kFrom, new_from, dv_from_, kFromRecordSize);
-    rewrite(Table::kTo, new_to, dv_to_, kToRecordSize);
-    rewrite(Table::kCombined, new_combined, dv_combined_, kCombinedRecordSize);
+    rewrite(Table::kFrom, new_from);
+    rewrite(Table::kTo, new_to);
+    rewrite(Table::kCombined, new_combined);
   }
 
   auto sort_records = [](std::vector<std::uint8_t>& buf, std::size_t rec_size) {
@@ -833,7 +779,6 @@ std::uint64_t BacklogDb::relocate(BlockNo old_block, std::uint64_t length,
     sort_records(new_combined, kCombinedRecordSize);
     flush_table(new_combined, kCombinedRecordSize, Table::kCombined);
   }
-  if (moved > 0) dv_dirty_ = true;
   ++mutations_;
   return moved;
 }
@@ -841,25 +786,19 @@ std::uint64_t BacklogDb::relocate(BlockNo old_block, std::uint64_t length,
 DbStats BacklogDb::stats() const {
   DbStats s;
   for (const auto& [pid, part] : partitions_) {
-    s.from_runs += part.from_runs.size();
-    s.to_runs += part.to_runs.size();
-    s.combined_runs += part.combined_runs.size();
-    for (const auto& m : part.from_runs) {
-      s.db_bytes += m->size_bytes;
-      s.run_records += m->record_count;
-    }
-    for (const auto& m : part.to_runs) {
-      s.db_bytes += m->size_bytes;
-      s.run_records += m->record_count;
-    }
-    for (const auto& m : part.combined_runs) {
-      s.db_bytes += m->size_bytes;
-      s.run_records += m->record_count;
+    s.from_runs += part.of(Table::kFrom).size();
+    s.to_runs += part.of(Table::kTo).size();
+    s.combined_runs += part.of(Table::kCombined).size();
+    for (const RunList& runs : part.runs) {
+      for (const auto& m : runs) {
+        s.db_bytes += m->size_bytes;
+        s.run_records += m->record_count;
+      }
     }
   }
   s.ws_from = ws_.from_size();
   s.ws_to = ws_.to_size();
-  s.dv_entries = dv_from_.size() + dv_to_.size() + dv_combined_.size();
+  for (const lsm::DeletionVector& vec : dvs_) s.dv_entries += vec.size();
   s.partitions = partitions_.size();
   return s;
 }
@@ -877,17 +816,13 @@ FileOwnershipStats BacklogDb::file_ownership() const {
     }
   };
   for (const auto& [pid, part] : partitions_) {
-    for (const auto& m : part.from_runs) classify(m);
-    for (const auto& m : part.to_runs) classify(m);
-    for (const auto& m : part.combined_runs) classify(m);
+    for (const RunList& runs : part.runs)
+      for (const auto& m : runs) classify(m);
   }
-  // Metadata files are copied into clones, never linked: always owned.
-  for (const char* name :
-       {kManifestName, kDvFromName, kDvToName, kDvCombinedName}) {
-    if (env_.file_exists(name)) {
-      ++s.total_files;
-      s.owned_bytes += env_.file_size(name);
-    }
+  // The manifest is copied into clones, never linked: always owned.
+  if (env_.file_exists(kManifestName)) {
+    ++s.total_files;
+    s.owned_bytes += env_.file_size(kManifestName);
   }
   return s;
 }
@@ -899,189 +834,136 @@ QuickStats BacklogDb::quick_stats() const noexcept {
   return q;
 }
 
-lsm::DeletionVector& BacklogDb::dv(Table table) {
-  switch (table) {
-    case Table::kFrom: return dv_from_;
-    case Table::kTo: return dv_to_;
-    case Table::kCombined: return dv_combined_;
+std::vector<std::uint8_t> BacklogDb::manifest_record(bool full) const {
+  // One payload for the base and for edits; an edit is the same record
+  // restricted to what was added since the last write.
+  std::vector<const RunMeta*> runs;
+  std::vector<std::pair<Table, std::span<const std::uint8_t>>> entries;
+  if (full) {
+    for (const auto& [pid, part] : partitions_) {
+      for (const RunList& list : part.runs)
+        for (const auto& m : list) runs.push_back(m.get());
+    }
+    for (const Table t : {Table::kFrom, Table::kTo, Table::kCombined}) {
+      for (const auto& e : dv(t).entries()) entries.emplace_back(t, e);
+    }
+  } else {
+    for (const auto& m : pending_manifest_runs_) runs.push_back(m.get());
+    for (const auto& [t, e] : pending_dv_) entries.emplace_back(t, e);
   }
-  throw std::logic_error("bad table");
+  std::vector<std::uint8_t> rec(kRecordHeader);  // magic + len, set below
+  util::append_u64(rec, next_run_id_);
+  util::append_u64(rec, max_extent_seen_);
+  registry_.serialize(rec);
+  util::append_u32(rec, static_cast<std::uint32_t>(runs.size()));
+  for (const RunMeta* m : runs) {
+    rec.push_back(static_cast<std::uint8_t>(m->table));
+    util::append_u64(rec, m->partition);
+    util::append_string(rec, m->name);
+  }
+  util::append_u32(rec, static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [t, e] : entries) {
+    rec.push_back(static_cast<std::uint8_t>(t));
+    rec.insert(rec.end(), e.begin(), e.end());
+  }
+  const std::size_t len = rec.size() - kRecordHeader;
+  util::put_u64(rec.data(), kManifestRecordMagic);
+  util::put_u32(rec.data() + 8, static_cast<std::uint32_t>(len));
+  util::append_u32(rec, util::crc32c(rec.data() + kRecordHeader, len));
+  return rec;
 }
-
-const lsm::DeletionVector& BacklogDb::dv(Table table) const {
-  return const_cast<BacklogDb*>(this)->dv(table);
-}
-
-namespace {
-void emit_run_entry(std::vector<std::uint8_t>& out, std::uint8_t table,
-                    std::uint64_t partition, const std::string& name) {
-  out.push_back(table);
-  util::append_u64(out, partition);
-  util::append_string(out, name);
-}
-}  // namespace
 
 void BacklogDb::save_manifest() {
-  std::vector<std::uint8_t> out;
-  util::append_u64(out, kManifestMagic);
-  util::append_u64(out, next_run_id_);
-  util::append_u64(out, max_extent_seen_);
-  registry_.serialize(out);
-  std::uint64_t run_count = 0;
-  for (const auto& [pid, part] : partitions_) {
-    run_count +=
-        part.from_runs.size() + part.to_runs.size() + part.combined_runs.size();
-  }
-  util::append_u64(out, run_count);
-  for (const auto& [pid, part] : partitions_) {
-    auto emit = [&](const std::vector<std::shared_ptr<RunMeta>>& runs) {
-      for (const auto& m : runs) {
-        emit_run_entry(out, static_cast<std::uint8_t>(m->table), m->partition,
-                       m->name);
-      }
-    };
-    emit(part.from_runs);
-    emit(part.to_runs);
-    emit(part.combined_runs);
-  }
+  const std::vector<std::uint8_t> record = manifest_record(/*full=*/true);
   manifest_log_.reset();  // release the old file before replacing it
   auto file = env_.create_file(kManifestTmpName);
-  file->append(out);
+  file->append(record);
   file->sync();
   file->close();
-  env_.rename_file(kManifestTmpName, kManifestName);
+  env_.rename_file(kManifestTmpName, kManifestName);  // the commit point
   pending_manifest_runs_.clear();
+  pending_dv_.clear();
   manifest_log_ = env_.append_file(kManifestName);
+  retire_runs();
 }
 
 void BacklogDb::append_manifest_edit() {
-  // One small record per CP: [magic][len][payload][crc]. The payload
-  // carries the new registry state (it embeds the advanced CP number) and
-  // the runs created since the last manifest write.
-  std::vector<std::uint8_t> payload;
-  util::append_u64(payload, next_run_id_);
-  util::append_u64(payload, max_extent_seen_);
-  registry_.serialize(payload);
-  util::append_u64(payload, pending_manifest_runs_.size());
-  for (const auto& m : pending_manifest_runs_) {
-    emit_run_entry(payload, static_cast<std::uint8_t>(m->table), m->partition,
-                   m->name);
-  }
-  std::vector<std::uint8_t> record;
-  util::append_u64(record, kManifestEditMagic);
-  util::append_u32(record, static_cast<std::uint32_t>(payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
-  util::append_u32(record, util::crc32c(payload.data(), payload.size()));
+  const std::vector<std::uint8_t> record = manifest_record(/*full=*/false);
   if (manifest_log_ == nullptr) manifest_log_ = env_.append_file(kManifestName);
   manifest_log_->append(record);
   manifest_log_->sync();
   pending_manifest_runs_.clear();
+  pending_dv_.clear();
+}
+
+void BacklogDb::apply_manifest_record(std::span<const std::uint8_t> payload) {
+  // The CRC matched, so a field that does not fit is corruption the CRC
+  // missed or a writer bug — never a torn write. Every read is bounds-checked.
+  util::Reader r(payload);
+  const auto read_table = [&r] {
+    const std::uint8_t t = r.u8();
+    if (t > static_cast<std::uint8_t>(Table::kCombined))
+      throw util::SerdeError("manifest: bad table id");
+    return static_cast<Table>(t);
+  };
+  next_run_id_ = r.u64();
+  max_extent_seen_ = r.u64();
+  std::size_t consumed = 0;
+  registry_ = SnapshotRegistry::deserialize(payload.subspan(16), &consumed);
+  r.skip(consumed);
+  for (std::uint32_t n = r.u32(); n > 0; --n) {
+    const Table table = read_table();
+    const std::uint64_t partition = r.u64();
+    const std::string name = r.string(kMaxRunNameLen);
+    auto meta = load_run_meta(name, table, partition);
+    track_run_added(*meta);
+    partitions_[partition].of(table).push_back(std::move(meta));
+  }
+  for (std::uint32_t n = r.u32(); n > 0; --n) {
+    const Table table = read_table();
+    dv(table).insert(r.bytes(record_size_of(static_cast<std::uint8_t>(table))));
+  }
+  if (!r.done()) throw util::SerdeError("manifest: trailing bytes in record");
 }
 
 void BacklogDb::load_manifest() {
   auto file = env_.open_file(kManifestName);
   std::vector<std::uint8_t> buf(file->size());
   file->read(0, buf);
+  // Replay the records in order. The first is the base and must be intact;
+  // after it, replay stops at the first torn or corrupt record (a torn tail
+  // means the CP that wrote it never committed — drop it).
   std::size_t pos = 0;
-  auto need = [&](std::size_t n) {
-    if (pos + n > buf.size()) throw std::runtime_error("manifest: truncated");
-  };
-  auto read_u64 = [&]() {
-    need(8);
-    const std::uint64_t v = util::get_u64(buf.data() + pos);
-    pos += 8;
-    return v;
-  };
-  auto read_runs = [&](std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      need(1);
-      const auto table = static_cast<Table>(buf[pos++]);
-      const std::uint64_t partition = read_u64();
-      need(4);
-      const std::uint32_t name_len = util::get_u32(buf.data() + pos);
-      pos += 4;
-      need(name_len);
-      const std::string name(reinterpret_cast<const char*>(buf.data() + pos),
-                             name_len);
-      pos += name_len;
-      auto meta = load_run_meta(name, table, partition);
-      track_run_added(*meta);
-      Partition& part = partitions_[partition];
-      (table == Table::kFrom   ? part.from_runs
-       : table == Table::kTo   ? part.to_runs
-                               : part.combined_runs)
-          .push_back(std::move(meta));
+  while (pos < buf.size()) {
+    const bool base = pos == 0;
+    const std::size_t left = buf.size() - pos;
+    const std::uint8_t* rec = buf.data() + pos;
+    if (left < kRecordHeader || util::get_u64(rec) != kManifestRecordMagic) {
+      if (base)
+        throw std::runtime_error(
+            "manifest: bad magic (not a manifest of this format version)");
+      break;
     }
-  };
-
-  // Base section.
-  if (read_u64() != kManifestMagic)
-    throw std::runtime_error("manifest: bad magic");
-  next_run_id_ = read_u64();
-  max_extent_seen_ = read_u64();
-  std::size_t consumed = 0;
-  registry_ = SnapshotRegistry::deserialize({buf.data() + pos, buf.size() - pos},
-                                            &consumed);
-  pos += consumed;
-  read_runs(read_u64());
-
-  // Edit log: replay until the end or the first torn/corrupt record (a torn
-  // tail means the CP that wrote it never committed — drop it).
-  while (pos + 12 <= buf.size()) {
-    if (util::get_u64(buf.data() + pos) != kManifestEditMagic) break;
-    const std::uint32_t len = util::get_u32(buf.data() + pos + 8);
-    if (pos + 12 + len + 4 > buf.size()) break;  // torn record
-    const std::uint8_t* payload = buf.data() + pos + 12;
-    const std::uint32_t want = util::get_u32(payload + len);
-    if (util::crc32c(payload, len) != want) break;  // corrupt record
-    pos += 12 + len + 4;
-    // Apply the edit.
-    std::size_t epos = 0;
-    next_run_id_ = util::get_u64(payload + epos);
-    epos += 8;
-    max_extent_seen_ = util::get_u64(payload + epos);
-    epos += 8;
-    std::size_t reg_consumed = 0;
-    registry_ = SnapshotRegistry::deserialize({payload + epos, len - epos},
-                                              &reg_consumed);
-    epos += reg_consumed;
-    const std::uint64_t added = util::get_u64(payload + epos);
-    epos += 8;
-    // Reuse read_runs by temporarily pointing pos at the payload: simpler to
-    // parse inline here.
-    for (std::uint64_t i = 0; i < added; ++i) {
-      const auto table = static_cast<Table>(payload[epos++]);
-      const std::uint64_t partition = util::get_u64(payload + epos);
-      epos += 8;
-      const std::uint32_t name_len = util::get_u32(payload + epos);
-      epos += 4;
-      const std::string name(reinterpret_cast<const char*>(payload + epos),
-                             name_len);
-      epos += name_len;
-      auto meta = load_run_meta(name, table, partition);
-      track_run_added(*meta);
-      Partition& part = partitions_[partition];
-      (table == Table::kFrom   ? part.from_runs
-       : table == Table::kTo   ? part.to_runs
-                               : part.combined_runs)
-          .push_back(std::move(meta));
+    const std::uint32_t len = util::get_u32(rec + 8);
+    const bool intact =
+        std::size_t{len} + 4 <= left - kRecordHeader &&
+        util::crc32c(rec + kRecordHeader, len) ==
+            util::get_u32(rec + kRecordHeader + len);
+    if (!intact) {
+      if (base) throw std::runtime_error("manifest: corrupt base record");
+      break;
     }
+    apply_manifest_record({rec + kRecordHeader, len});
+    pos += kRecordHeader + len + 4;
   }
-
-  dv_from_.load(env_, kDvFromName);
-  dv_to_.load(env_, kDvToName);
-  dv_combined_.load(env_, kDvCombinedName);
+  if (pos == 0) throw std::runtime_error("manifest: empty");
 }
 
 void BacklogDb::remove_orphan_runs() {
   // Run files not referenced by the recovered manifest belong to a CP that
   // never committed; write-anywhere recovery discards them.
   std::set<std::string> referenced;
-  for (const auto& [pid, part] : partitions_) {
-    for (const auto& m : part.from_runs) referenced.insert(m->name);
-    for (const auto& m : part.to_runs) referenced.insert(m->name);
-    for (const auto& m : part.combined_runs) referenced.insert(m->name);
-  }
+  for (const std::string& name : live_files()) referenced.insert(name);
   for (const std::string& name : env_.list_files()) {
     if (name.size() > 4 && name.ends_with(".run") && !referenced.contains(name)) {
       env_.delete_file(name);

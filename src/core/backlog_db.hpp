@@ -12,6 +12,7 @@
 // expansion for writable clones and masking against retained versions.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -150,9 +151,8 @@ struct MaintenanceStats {
 /// Shared-vs-owned byte split of the volume's durable files, resolved
 /// against the shared FileManifest (everything is owned when no manifest is
 /// configured). `shared_bytes` counts run files hard-linked into at least
-/// one other volume directory (copy-on-write clones); metadata files
-/// (manifest, deletion vectors) are always owned — they are copied, never
-/// linked, because they mutate in place.
+/// one other volume directory (copy-on-write clones); the manifest is always
+/// owned — it is copied, never linked, because it mutates in place.
 struct FileOwnershipStats {
   std::uint64_t owned_bytes = 0;
   std::uint64_t shared_bytes = 0;
@@ -195,8 +195,9 @@ class BacklogDb {
  public:
   /// Opens (or creates) the database rooted at `env`. If a manifest exists,
   /// the previous state — run files, snapshot registry, deletion vectors —
-  /// is recovered (§5.4); the write store starts empty and the file system
-  /// replays its journal through add/remove_reference.
+  /// is recovered from it (§5.4); the write store starts empty and the file
+  /// system replays its journal through add/remove_reference. Throws if the
+  /// manifest's first record is corrupt or of another format version.
   explicit BacklogDb(storage::Env& env, BacklogOptions options = {});
   ~BacklogDb();
 
@@ -236,18 +237,18 @@ class BacklogDb {
     return registry_;
   }
 
-  /// Persist the current registry state (and any runs created since the
-  /// last manifest write) as a manifest edit *without* advancing the CP.
-  /// Lets registry mutations made between consistency points — clone
-  /// creation, snapshot deletion — survive a crash instead of waiting for
-  /// the next CP's edit append.
-  void persist_registry();
+  /// Commit the current registry state, and any runs and deletion-vector
+  /// entries added since the last manifest write, as one manifest edit
+  /// *without* advancing the CP. Lets registry mutations made between
+  /// consistency points — clone creation, snapshot deletion — survive a
+  /// crash instead of waiting for the next CP's edit.
+  void append_manifest_edit();
 
   /// Names of every file that makes up the database's durable state: the
-  /// manifest, the deletion-vector files that exist, and all registered run
-  /// files. With an empty write store, copying exactly these files yields a
-  /// byte-complete clone of the volume (the service layer's cross-volume
-  /// clone). Orphan files from uncommitted CPs are excluded by construction.
+  /// manifest and all registered run files. With an empty write store,
+  /// copying exactly these files yields a byte-complete clone of the volume
+  /// (the service layer's cross-volume clone). Orphan files from uncommitted
+  /// CPs and maintenance passes are excluded by construction.
   [[nodiscard]] std::vector<std::string> live_files() const;
 
   // --- queries (§4.2, §6.4) -------------------------------------------------
@@ -283,8 +284,11 @@ class BacklogDb {
   // --- maintenance (§5.2) -----------------------------------------------------
 
   /// Compact every partition: merge runs, precompute Combined, purge dead
-  /// records, apply + consume the deletion vectors. Requires an empty write
-  /// store (call right after consistency_point()).
+  /// records, apply + consume the deletion vectors. One full manifest write
+  /// commits the pass; the replaced runs are unlinked only after it, so a
+  /// failure or crash at any point leaves the volume as it was before the
+  /// pass or as it is after it. Requires an empty write store (call right
+  /// after consistency_point()).
   MaintenanceStats maintain();
 
   /// Selective compaction (§5.3): compact only the partition that covers
@@ -299,6 +303,9 @@ class BacklogDb {
   /// vectors and re-emitted (re-keyed) as fresh Level-0 runs; WS entries are
   /// re-keyed in place. Returns the number of rewritten records. The caller
   /// (file system) is responsible for updating its own block pointers.
+  /// Durable at the next consistency point: the CP's manifest edit commits
+  /// the deletion-vector entries and the re-keyed runs together, and a crash
+  /// before it leaves the records at their old blocks.
   std::uint64_t relocate(BlockNo old_block, std::uint64_t length,
                          BlockNo new_block);
 
@@ -320,21 +327,32 @@ class BacklogDb {
     std::vector<std::uint8_t> min_rec, max_rec;
   };
 
+  using RunList = std::vector<std::shared_ptr<RunMeta>>;
+
   struct Partition {
-    std::vector<std::shared_ptr<RunMeta>> from_runs;
-    std::vector<std::shared_ptr<RunMeta>> to_runs;
-    std::vector<std::shared_ptr<RunMeta>> combined_runs;
+    std::array<RunList, 3> runs;  // indexed by Table
+    RunList& of(Table t) { return runs[static_cast<std::size_t>(t)]; }
+    const RunList& of(Table t) const { return runs[static_cast<std::size_t>(t)]; }
   };
 
   [[nodiscard]] std::uint64_t partition_of(BlockNo block) const {
     return block / options_.partition_blocks;
   }
 
+  void detach_private_cache() noexcept;
+
   // Run-file lifecycle.
   std::shared_ptr<RunMeta> load_run_meta(const std::string& name, Table table,
                                          std::uint64_t partition);
+  static std::shared_ptr<RunMeta> written_run(const std::string& name,
+                                              Table table,
+                                              std::uint64_t partition,
+                                              const lsm::RunWriter& writer);
   std::shared_ptr<lsm::RunFile> open_run(const RunMeta& meta);
   void drop_run(const RunMeta& meta);
+  // Unlinks every run the committed manifest no longer names (maintenance
+  // inputs); called only once the full manifest write has synced.
+  void retire_runs();
   std::string new_run_name(Table table, std::uint64_t partition);
 
   // QuickStats bookkeeping: every install/retire of a registered run passes
@@ -349,9 +367,11 @@ class BacklogDb {
   // Stepped-Merge intermediate levels (§5.1): when a partition holds more
   // runs than can be merged in one pass (bounded by open-file capacity),
   // batches of the oldest runs are pre-merged into single larger runs.
-  void merge_run_batches(std::vector<std::shared_ptr<RunMeta>>& runs,
-                         Table table, std::uint64_t partition);
+  void merge_run_batches(RunList& runs, Table table, std::uint64_t partition);
 
+  // The body of maintain() and maintain_partition(): compacts the partition
+  // `only` (every partition if empty), then commits with one manifest write.
+  MaintenanceStats maintain_pass(std::optional<std::uint64_t> only);
   // Compaction of a single partition; accumulates into `s`.
   void maintain_one(std::uint64_t pid, Partition& part, MaintenanceStats& s);
 
@@ -367,18 +387,23 @@ class BacklogDb {
   std::vector<CombinedRecord> collect_raw(BlockNo block_lo, BlockNo block_hi);
   void expand_inheritance(std::vector<CombinedRecord>& records) const;
 
-  // Manifest: a base snapshot plus an append-only edit log. Every CP
-  // appends one small edit record (new registry state + runs added since
-  // the last edit); maintenance rewrites the base and truncates the log.
-  // This keeps the per-CP manifest cost O(1) even with thousands of
-  // accumulated Level-0 runs between compactions.
-  void save_manifest();         // full rewrite (open/maintain)
-  void append_manifest_edit();  // per-CP delta
+  // Manifest: the volume's only commit record. It is a sequence of
+  // CRC-framed records with one payload format. The first (the base) holds
+  // the full state; every CP appends an edit holding the new registry state
+  // and the runs and deletion-vector entries added since the last write.
+  // Edits only ever add — only maintenance erases deletion-vector entries or
+  // retires runs, and it rewrites the base. This keeps the per-CP manifest
+  // cost O(1) even with thousands of accumulated Level-0 runs.
+  void save_manifest();  // full rewrite (open/maintain), then retire_runs()
+  [[nodiscard]] std::vector<std::uint8_t> manifest_record(bool full) const;
+  void apply_manifest_record(std::span<const std::uint8_t> payload);
   void load_manifest();
   void remove_orphan_runs();
 
-  lsm::DeletionVector& dv(Table table);
-  [[nodiscard]] const lsm::DeletionVector& dv(Table table) const;
+  lsm::DeletionVector& dv(Table t) { return dvs_[static_cast<std::size_t>(t)]; }
+  [[nodiscard]] const lsm::DeletionVector& dv(Table t) const {
+    return dvs_[static_cast<std::size_t>(t)];
+  }
 
   storage::Env& env_;
   BacklogOptions options_;
@@ -401,14 +426,18 @@ class BacklogDb {
   // 1 for block-granularity workloads, so the overscan is usually zero.
   std::uint64_t max_extent_seen_ = 1;
 
-  // Runs created since the last manifest write (base or edit).
-  std::vector<std::shared_ptr<RunMeta>> pending_manifest_runs_;
+  // Runs and deletion-vector entries added since the last manifest write
+  // (base or edit): the next edit's payload.
+  RunList pending_manifest_runs_;
+  std::vector<std::pair<Table, std::vector<std::uint8_t>>> pending_dv_;
+  // Runs that in-memory state no longer names but the committed manifest
+  // may; save_manifest() unlinks them once the new base has committed.
+  RunList retired_runs_;
   std::unique_ptr<storage::WritableFile> manifest_log_;
 
-  lsm::DeletionVector dv_from_{kFromRecordSize};
-  lsm::DeletionVector dv_to_{kToRecordSize};
-  lsm::DeletionVector dv_combined_{kCombinedRecordSize};
-  bool dv_dirty_ = false;
+  std::array<lsm::DeletionVector, 3> dvs_{  // indexed by Table
+      lsm::DeletionVector{kFromRecordSize}, lsm::DeletionVector{kToRecordSize},
+      lsm::DeletionVector{kCombinedRecordSize}};
 
   // Open-file LRU over run files (bounded fd usage with many L0 runs).
   std::unordered_map<std::string, std::shared_ptr<lsm::RunFile>> open_runs_;

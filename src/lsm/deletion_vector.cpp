@@ -39,33 +39,4 @@ std::size_t DeletionVector::erase_block_range(std::uint64_t block_lo,
   return removed;
 }
 
-void DeletionVector::save(storage::Env& env, const std::string& file_name) const {
-  std::vector<std::uint8_t> out;
-  util::append_u64(out, entries_.size());
-  util::append_u64(out, record_size_);
-  for (const auto& e : entries_) out.insert(out.end(), e.begin(), e.end());
-  auto file = env.create_file(file_name);
-  file->append(out);
-  file->sync();
-}
-
-void DeletionVector::load(storage::Env& env, const std::string& file_name) {
-  entries_.clear();
-  if (!env.file_exists(file_name)) return;
-  auto file = env.open_file(file_name);
-  std::vector<std::uint8_t> buf(file->size());
-  if (buf.size() < 16) return;
-  file->read(0, buf);
-  const std::uint64_t count = util::get_u64(buf.data());
-  const std::uint64_t rec_size = util::get_u64(buf.data() + 8);
-  if (rec_size != record_size_)
-    throw std::runtime_error("DeletionVector: record size mismatch on load");
-  if (buf.size() < 16 + count * rec_size)
-    throw std::runtime_error("DeletionVector: truncated file");
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t* p = buf.data() + 16 + i * rec_size;
-    entries_.emplace(p, p + rec_size);
-  }
-}
-
 }  // namespace backlog::lsm

@@ -9,19 +9,18 @@
 // are removed from it.
 //
 // The vector is an in-memory ordered index (the paper stores it as a small
-// B-tree, "usually entirely cached"); it is persisted to a side file at each
-// consistency point so recovery restores it.
+// B-tree, "usually entirely cached"). It does no I/O: the owning BacklogDb
+// commits its entries in the manifest's CRC-framed records, alongside the
+// runs they suppress records of, and recovery replays them from there.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "lsm/run_file.hpp"
-#include "storage/env.hpp"
 
 namespace backlog::lsm {
 
@@ -43,10 +42,10 @@ class DeletionVector {
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   void clear() { entries_.clear(); }
 
-  /// Persist to / restore from a side file (whole-file rewrite; the vector
-  /// is small by construction).
-  void save(storage::Env& env, const std::string& file_name) const;
-  void load(storage::Env& env, const std::string& file_name);
+  /// Every entry, in record order.
+  [[nodiscard]] const std::set<std::vector<std::uint8_t>>& entries() const noexcept {
+    return entries_;
+  }
 
   [[nodiscard]] std::size_t record_size() const noexcept { return record_size_; }
 

@@ -1016,7 +1016,12 @@ std::future<std::uint64_t> VolumeManager::relocate(const std::string& tenant,
                                                    core::BlockNo new_block) {
   return run_on(find(tenant), [this, old_block, length, new_block](Volume& v) {
     throw_if_wounded(v);
-    return v.db->relocate(old_block, length, new_block);
+    // The WAL logs block ops, not relocations: commit the relocation with a
+    // CP before acking it, so the log restarts behind it and replayed ops
+    // land on the relocated state.
+    const std::uint64_t moved = v.db->relocate(old_block, length, new_block);
+    commit_cp(v);
+    return moved;
   });
 }
 
@@ -1044,7 +1049,7 @@ std::future<core::LineId> VolumeManager::create_clone(const std::string& tenant,
   return run_on(find(tenant), [this, parent_line, version](Volume& v) {
     throw_if_wounded(v);
     const core::LineId line = v.db->registry().create_clone(parent_line, version);
-    v.db->persist_registry();
+    v.db->append_manifest_edit();
     v.count(kClones);
     return line;
   });
@@ -1056,7 +1061,7 @@ std::future<void> VolumeManager::delete_snapshot(const std::string& tenant,
   return run_on(find(tenant), [this, line, version](Volume& v) {
     throw_if_wounded(v);
     v.db->registry().delete_snapshot(line, version);
-    v.db->persist_registry();
+    v.db->append_manifest_edit();
     v.count(kSnapshotDeletes);
   });
 }
@@ -1100,10 +1105,10 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
     // Quiesce-and-share on the source shard: the task serializes behind
     // every update submitted before this call, flushes anything buffered so
     // the durable files are the complete state, validates the snapshot, and
-    // stages the db's own file list (manifest, deletion vectors, runs) into
+    // stages the db's own file list (the manifest and the runs) into
     // `<dst>.cloning`. Immutable run files are hard-linked (no data copy;
     // the shared FileManifest's refcounts take ownership) and only the
-    // mutable metadata is byte-copied. Two durability points commit the
+    // manifest is byte-copied. Two durability points commit the
     // clone, in this order: the refcount table (FILEREFS), then the atomic
     // staging->dst rename; recover_clone_staging() reconciles a crash
     // between them.
@@ -1172,7 +1177,7 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
                   [parent_line, version](Volume& v) {
                     const core::LineId line =
                         v.db->registry().create_clone(parent_line, version);
-                    v.db->persist_registry();
+                    v.db->append_manifest_edit();
                     v.count(kClones);
                     return line;
                   })

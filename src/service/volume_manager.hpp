@@ -321,6 +321,10 @@ class VolumeManager {
 
   std::future<core::CpFlushStats> consistency_point(const std::string& tenant);
 
+  /// Relocate an extent's back references (BacklogDb::relocate) and commit
+  /// them with a consistency point: durable when acked. The WAL logs block
+  /// ops only, so the CP is what lets ops acked after this one replay onto
+  /// the relocated state after a crash.
   std::future<std::uint64_t> relocate(const std::string& tenant,
                                       core::BlockNo old_block,
                                       std::uint64_t length,
@@ -357,7 +361,7 @@ class VolumeManager {
   /// flush buffered updates (if any) and *share* its durable files:
   /// immutable run files are hard-linked into a staging directory — no data
   /// copy, refcounts bumped in the shared FileManifest — and only the small
-  /// mutable metadata (manifest, deletion vectors) is byte-copied, so clone
+  /// mutable manifest is byte-copied, so clone
   /// cost is O(metadata). A run the file system cannot link (EXDEV, EPERM,
   /// EMLINK, ENOTSUP) is byte-copied instead and not counted as shared. The
   /// staging directory commits by an atomic rename; a crash before the

@@ -129,9 +129,9 @@ class Env {
                     const std::filesystem::path& dst_dir);
 
   /// Byte-copy `name` into `dst_dir` under the same name, replacing any
-  /// existing file (mutable metadata — manifest, deletion vectors — must be
-  /// copied, not linked: an append or rewrite through a link would corrupt
-  /// every sharer). Charges the copied bytes as written pages.
+  /// existing file (mutable metadata such as a manifest must be copied, not
+  /// linked: an append or rewrite through a link would corrupt every
+  /// sharer). Charges the copied bytes as written pages.
   void copy_file_to(const std::string& name,
                     const std::filesystem::path& dst_dir);
 

@@ -3,14 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <filesystem>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/backlog_db.hpp"
 #include "lsm/run_file.hpp"
 #include "storage/env.hpp"
+#include "util/crc32c.hpp"
+#include "util/fault_points.hpp"
+#include "util/serde.hpp"
 
 namespace bc = backlog::core;
 namespace bs = backlog::storage;
+namespace bu = backlog::util;
 
 namespace {
 
@@ -29,6 +39,18 @@ std::vector<bc::CombinedRecord> recs(const std::vector<bc::BackrefEntry>& es) {
   std::vector<bc::CombinedRecord> out;
   for (const auto& e : es) out.push_back(e.rec);
   return out;
+}
+
+std::vector<std::uint8_t> read_file(bs::Env& env, const std::string& name) {
+  auto file = env.open_file(name);
+  std::vector<std::uint8_t> buf(file->size());
+  file->read(0, buf);
+  return buf;
+}
+
+/// The record magic of the manifest format this build writes.
+std::uint64_t manifest_magic(bs::Env& env) {
+  return bu::get_u64(read_file(env, "MANIFEST").data());
 }
 
 }  // namespace
@@ -406,6 +428,9 @@ TEST(BacklogDb, RelocateRewritesAllTables) {
   EXPECT_EQ(r[1].to, 2u);  // completed interval preserved
   EXPECT_EQ(r[2].key.block, 902u);
   db.consistency_point();
+  // The manifest is the only commit record: no deletion-vector side files.
+  for (const std::string& name : env.list_files())
+    EXPECT_TRUE(name == "MANIFEST" || name.ends_with(".run")) << name;
   // Maintenance consumes the deletion vector.
   db.maintain();
   EXPECT_EQ(db.stats().dv_entries, 0u);
@@ -420,7 +445,7 @@ TEST(BacklogDb, RelocationSurvivesReopen) {
     db.add_reference(key(10));
     db.consistency_point();
     db.relocate(10, 1, 500);
-    db.consistency_point();  // persists the deletion vector + new runs
+    db.consistency_point();  // one manifest edit commits the entries + runs
   }
   bs::Env env(dir.path());
   bc::BacklogDb db(env);
@@ -572,8 +597,13 @@ TEST(BacklogDb, TornManifestEditIsDiscarded) {
   {
     bc::BacklogDb db(env);
     db.add_reference(key(1));
+    db.add_reference(key(10));
+    db.add_reference(key(20));
+    db.consistency_point();
+    db.relocate(10, 1, 510);  // committed by the next edit
     db.consistency_point();
     db.add_reference(key(2));
+    db.relocate(20, 1, 520);  // its entries ride in the edit torn below
     db.consistency_point();
   }
   // Corrupt the tail: chop a few bytes off the last edit record.
@@ -589,7 +619,95 @@ TEST(BacklogDb, TornManifestEditIsDiscarded) {
   // The torn CP (which flushed block 2) rolls back; block 1 survives.
   EXPECT_EQ(db.query_raw(1).size(), 1u);
   EXPECT_TRUE(db.query_raw(2).empty());
-  EXPECT_EQ(db.current_cp(), 2u);
+  EXPECT_EQ(db.current_cp(), 3u);
+  // The earlier edit's deletion-vector entry survives; the torn edit's
+  // entry vanishes with the runs it would have committed.
+  EXPECT_EQ(db.stats().dv_entries, 1u);
+  EXPECT_TRUE(db.query_raw(10).empty());
+  EXPECT_EQ(db.query_raw(510).size(), 1u);
+  EXPECT_EQ(db.query_raw(20).size(), 1u);
+  EXPECT_TRUE(db.query_raw(520).empty());
+}
+
+namespace {
+
+/// Appends one CRC-framed record with `payload` to the manifest, as an edit.
+void append_manifest_record(bs::Env& env, const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> rec;
+  bu::append_u64(rec, manifest_magic(env));
+  bu::append_u32(rec, static_cast<std::uint32_t>(payload.size()));
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  bu::append_u32(rec, bu::crc32c(payload.data(), payload.size()));
+  env.append_file("MANIFEST")->append(rec);
+}
+
+}  // namespace
+
+TEST(BacklogDb, CrcValidEditThatOverstatesItsPayloadFailsToOpen) {
+  bs::TempDir dir;
+  bs::Env env(dir.path());
+  { bc::BacklogDb db(env); }
+  // The fresh base holds no runs and no entries. Copy its payload and
+  // tamper with the run list; the CRC is recomputed, so only the decoder's
+  // bounds and range checks stand between it and an out-of-bounds read.
+  const std::vector<std::uint8_t> base = read_file(env, "MANIFEST");
+  const std::uint32_t len = bu::get_u32(base.data() + 8);
+  const std::vector<std::uint8_t> payload(base.begin() + 12,
+                                          base.begin() + 12 + len);
+  ASSERT_GE(payload.size(), 8u);
+  const std::size_t runs_at = payload.size() - 8;  // run count, entry count
+  ASSERT_EQ(bu::get_u64(payload.data() + runs_at), 0u);
+
+  std::vector<std::uint8_t> overstated = payload;
+  bu::put_u32(overstated.data() + runs_at, 1000);
+  std::vector<std::uint8_t> bad_table(payload.begin(),
+                                      payload.begin() + runs_at);
+  bu::append_u32(bad_table, 1);
+  bad_table.push_back(7);  // tables are 0 (From), 1 (To) and 2 (Combined)
+  bu::append_u64(bad_table, 0);
+  bu::append_string(bad_table, "f_000000_00000001.run");
+  bu::append_u32(bad_table, 0);
+
+  for (const auto& edit : {overstated, bad_table}) {
+    bs::TempDir copy;
+    bs::Env cenv(copy.path());
+    cenv.create_file("MANIFEST")->append(base);
+    append_manifest_record(cenv, edit);
+    EXPECT_THROW({ bc::BacklogDb db(cenv); }, std::runtime_error);
+  }
+}
+
+TEST(BacklogDb, CorruptOrForeignBaseRecordFailsToOpen) {
+  bs::TempDir dir;
+  bs::Env env(dir.path());
+  {
+    bc::BacklogDb db(env);
+    db.add_reference(key(1));
+    db.consistency_point();
+    db.maintain();  // the base now names the run
+  }
+  std::vector<std::uint8_t> bytes = read_file(env, "MANIFEST");
+  bytes[20] ^= 0x01;  // inside the base payload: the CRC no longer matches
+  env.create_file("MANIFEST")->append(bytes);
+  try {
+    bc::BacklogDb db(env);
+    ADD_FAILURE() << "opened over a corrupt base record";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("corrupt base"), std::string::npos)
+        << e.what();
+  }
+  // A manifest of the older, unframed layout is rejected by its magic.
+  std::vector<std::uint8_t> old;
+  bu::append_u64(old, 0x424b4c4f474d4651ULL);
+  bu::append_u64(old, 1);
+  env.create_file("MANIFEST")->append(old);
+  try {
+    bc::BacklogDb db(env);
+    ADD_FAILURE() << "opened a manifest of another format version";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("format version"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BacklogDb, OrphanRunsRemovedOnRecovery) {
@@ -773,4 +891,160 @@ TEST(BacklogDb, ExtentRelocationMovesWholeExtent) {
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].rec.key.block, 900u);
   EXPECT_EQ(r[0].rec.key.length, 4u);
+}
+
+// --- env.* fault sweep --------------------------------------------------------
+// Each scenario runs once with counting callbacks on every env.* point to
+// learn how often the operation hits each one. Then, for every (point, hit)
+// pair, the scenario is rebuilt and that hit fails with EIO. The operation
+// must throw, and a reopen over a fresh Env must succeed and show exactly
+// the state before the operation or the state after it — never a mix, and
+// never a lost volume.
+
+namespace {
+
+constexpr std::array<std::string_view, 5> kEnvPoints = {
+    "env.create", "env.link", "env.copy", "env.append", "env.sync"};
+
+struct SweepScenario {
+  bc::BacklogOptions opts;
+  std::uint64_t blocks = 0;  // every record lives below this block
+  std::function<void(bc::BacklogDb&)> setup;  // runs with no fault armed
+  std::function<void(bc::BacklogDb&)> op;     // the operation under test
+};
+
+std::vector<bc::CombinedRecord> reopened_state(const SweepScenario& sc,
+                                               const std::filesystem::path& dir) {
+  bs::Env env(dir);
+  bc::BacklogDb db(env, sc.opts);
+  return db.query_raw(0, sc.blocks);
+}
+
+/// Builds the scenario in `dir`; with `arm` set, arms it around the
+/// operation and runs the operation. Returns whether the operation threw.
+bool run_scenario(const SweepScenario& sc, const std::filesystem::path& dir,
+                  const std::function<void(bu::FaultPoints&)>& arm) {
+  bu::FaultPoints faults;
+  bs::Env env(dir);
+  env.set_sync(false);  // the points still fire; reopen reads the page cache
+  env.set_faults(&faults, "sweep");
+  bc::BacklogDb db(env, sc.opts);
+  sc.setup(db);
+  if (!arm) return false;
+  arm(faults);
+  try {
+    sc.op(db);
+  } catch (const std::system_error&) {
+    return true;
+  }
+  return false;
+}
+
+void sweep(const SweepScenario& sc) {
+  bs::TempDir before_dir, after_dir;
+  run_scenario(sc, before_dir.path(), nullptr);
+  const auto before = reopened_state(sc, before_dir.path());
+  std::array<std::uint64_t, kEnvPoints.size()> hits{};
+  ASSERT_FALSE(run_scenario(sc, after_dir.path(), [&](bu::FaultPoints& f) {
+    for (std::size_t i = 0; i < kEnvPoints.size(); ++i)
+      f.arm(kEnvPoints[i], bu::FaultAction::call([&hits, i] { ++hits[i]; }));
+  }));
+  const auto after = reopened_state(sc, after_dir.path());
+  ASSERT_TRUE(before != after) << "the operation must change the state";
+
+  std::uint64_t swept = 0;
+  for (std::size_t i = 0; i < kEnvPoints.size(); ++i) {
+    for (std::uint64_t hit = 0; hit < hits[i]; ++hit, ++swept) {
+      SCOPED_TRACE(std::string(kEnvPoints[i]) + " hit " + std::to_string(hit));
+      bs::TempDir dir;
+      EXPECT_TRUE(run_scenario(sc, dir.path(), [&](bu::FaultPoints& f) {
+        f.arm(kEnvPoints[i], bu::FaultAction::fail(EIO).skip(hit).once());
+      })) << "the injected failure did not fail the operation";
+      try {
+        const auto got = reopened_state(sc, dir.path());
+        EXPECT_TRUE(got == before || got == after)
+            << "reopened with " << got.size() << " records; before had "
+            << before.size() << ", after " << after.size();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "reopen failed: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(swept, 0u);
+}
+
+/// The MaintenancePreservesQueryResults history (one partition, ten CPs, a
+/// snapshot every third CP), except that each CP removes a quarter of the
+/// previous CP's references: the intervals no snapshot retains are dead, so
+/// maintenance changes the raw view.
+void churn_history(bc::BacklogDb& db) {
+  const auto ref = [](std::uint64_t cp, std::uint64_t b) {
+    return key((cp * 37 + b * 11) % 1000, 2 + b % 5, b);
+  };
+  for (std::uint64_t cp = 0; cp < 10; ++cp) {
+    for (std::uint64_t b = 0; b < 200; ++b) {
+      db.add_reference(ref(cp, b));
+      if (cp > 0 && b % 4 == 0) db.remove_reference(ref(cp - 1, b));
+    }
+    if (cp % 3 == 0) db.registry().take_snapshot(0);
+    db.consistency_point();
+  }
+}
+
+/// Four CPs over 100 blocks, each retained by a snapshot.
+void snapshot_history(bc::BacklogDb& db) {
+  for (std::uint64_t cp = 0; cp < 4; ++cp) {
+    for (std::uint64_t b = 0; b < 100; ++b) db.add_reference(key(b, 2 + cp, cp));
+    db.registry().take_snapshot(0);
+    db.consistency_point();
+  }
+}
+
+}  // namespace
+
+TEST(FaultSweep, ConsistencyPoint) {
+  SweepScenario sc;
+  sc.blocks = 1000;
+  sc.setup = [](bc::BacklogDb& db) {
+    snapshot_history(db);
+    for (std::uint64_t b = 0; b < 50; ++b) db.remove_reference(key(b, 2, 0));
+    for (std::uint64_t b = 200; b < 250; ++b) db.add_reference(key(b));
+  };
+  sc.op = [](bc::BacklogDb& db) { db.consistency_point(); };
+  sweep(sc);
+}
+
+TEST(FaultSweep, Maintain) {
+  SweepScenario sc;
+  sc.blocks = 1000;
+  sc.setup = churn_history;
+  sc.op = [](bc::BacklogDb& db) { db.maintain(); };
+  sweep(sc);
+}
+
+TEST(FaultSweep, MaintainPartition) {
+  SweepScenario sc;
+  sc.opts.partition_blocks = 100;
+  sc.blocks = 1000;
+  sc.setup = [](bc::BacklogDb& db) {
+    churn_history(db);
+    // Deletion-vector entries in partitions 0 and 5: the pass consumes
+    // partition 0's and its new base must carry partition 5's.
+    db.relocate(10, 20, 700);
+    db.relocate(510, 20, 800);
+    db.consistency_point();
+  };
+  sc.op = [](bc::BacklogDb& db) { db.maintain_partition(42); };
+  sweep(sc);
+}
+
+TEST(FaultSweep, RelocateThenConsistencyPoint) {
+  SweepScenario sc;
+  sc.blocks = 6000;
+  sc.setup = snapshot_history;
+  sc.op = [](bc::BacklogDb& db) {
+    db.relocate(10, 20, 5000);
+    db.consistency_point();
+  };
+  sweep(sc);
 }

@@ -298,32 +298,6 @@ TEST(DeletionVector, EraseBlockRange) {
   EXPECT_TRUE(dv.contains(rec(25)));
 }
 
-TEST(DeletionVector, SaveLoadRoundTrip) {
-  bs::TempDir dir;
-  bs::Env env(dir.path());
-  bl::DeletionVector dv(kRec);
-  for (std::uint64_t k = 0; k < 100; k += 7) dv.insert(rec(k));
-  dv.save(env, "dv.bin");
-  bl::DeletionVector dv2(kRec);
-  dv2.load(env, "dv.bin");
-  EXPECT_EQ(dv2.size(), dv.size());
-  for (std::uint64_t k = 0; k < 100; k += 7) EXPECT_TRUE(dv2.contains(rec(k)));
-  // Loading a missing file yields an empty vector.
-  bl::DeletionVector dv3(kRec);
-  dv3.load(env, "missing.bin");
-  EXPECT_TRUE(dv3.empty());
-}
-
-TEST(DeletionVector, LoadRejectsSizeMismatch) {
-  bs::TempDir dir;
-  bs::Env env(dir.path());
-  bl::DeletionVector dv(kRec);
-  dv.insert(rec(1));
-  dv.save(env, "dv.bin");
-  bl::DeletionVector other(kRec + 8);
-  EXPECT_THROW(other.load(env, "dv.bin"), std::runtime_error);
-}
-
 // --- corrupt-run-file hardening ----------------------------------------------
 // The footer is untrusted input: every field a bit flip can reach must either
 // be rejected at open or lead to a well-defined (possibly wrong, never

@@ -600,6 +600,28 @@ TEST(WalGroupCommit, AckedWritesSurviveReopenWithoutAnyConsistencyPoint) {
             10u);
 }
 
+TEST(WalGroupCommit, OpsAckedAfterARelocateReplayOntoTheRelocatedState) {
+  // The WAL logs block ops at the blocks the caller names, so an op acked
+  // after a relocate names the new block. The relocate itself is not
+  // logged: unless it is committed before it is acked, replay applies the
+  // later ops to the un-relocated state.
+  bs::TempDir dir;
+  {
+    bsvc::VolumeManager vm(wal_options(dir.path()));
+    vm.open_volume("a");
+    vm.apply("a", {add(10), add(11)}).get();
+    vm.consistency_point("a").get();  // 10 and 11 live in runs
+    vm.apply("a", {add(12)}).get();   // 12 lives in the write store
+    EXPECT_EQ(vm.relocate("a", 10, 3, 300).get(), 3u);
+    vm.apply("a", {rm(301)}).get();
+  }  // torn down with the remove only in the WAL — like a clean kill
+  bsvc::VolumeManager vm(wal_options(dir.path()));
+  vm.open_volume("a");
+  EXPECT_EQ(live_keys(vm, "a"),
+            naive_live_keys({add(300), add(301), add(302), rm(301)}));
+  expect_disk_matches_manifest(vm, dir.path(), "a");
+}
+
 TEST(WalGroupCommit, ConsistencyPointTruncatesTheLog) {
   bs::TempDir dir;
   bsvc::VolumeManager vm(wal_options(dir.path()));
