@@ -553,7 +553,6 @@ int run(const Config& cfg) {
       try {
         backlog::fsim::ReplayOptions ro;
         ro.batch_ops = 128;
-        ro.use_apply_batch = true;
         ro.ops_per_cp = 2000;
         ro.query_every_ops = 64;
         verifier_results = backlog::fsim::replay_concurrently(

@@ -54,7 +54,6 @@ struct ConfigResult {
   std::uint64_t maintenance_runs = 0;
   std::uint64_t migrations = 0;
   std::uint64_t churn_period_ms = 0;
-  bool batched = false;
   bool pinned = false;
   double wall_seconds = 0;
   double ops_per_second = 0;
@@ -78,8 +77,7 @@ std::string bucket_string(const service::LatencyHistogram& h) {
 
 ConfigResult run_config(std::size_t shards, std::size_t tenants,
                         std::uint64_t total_ops_budget,
-                        std::uint64_t churn_period_ms = 0,
-                        bool use_batch = false) {
+                        std::uint64_t churn_period_ms = 0) {
   storage::TempDir dir("backlog_svc");
   service::ServiceOptions so;
   so.shards = shards;
@@ -121,7 +119,6 @@ ConfigResult run_config(std::size_t shards, std::size_t tenants,
 
   fsim::ReplayOptions ro;
   ro.batch_ops = 256;
-  ro.use_apply_batch = use_batch;
   ro.ops_per_cp = 2000;
   ro.query_every_ops = 64;
 
@@ -173,7 +170,6 @@ ConfigResult run_config(std::size_t shards, std::size_t tenants,
   ConfigResult r;
   r.shards = shards;
   r.tenants = tenants;
-  r.batched = use_batch;
   r.pinned = vm.shards_pinned();
   r.migrations = migrations.load();
   r.churn_period_ms = churn_period_ms;
@@ -201,7 +197,6 @@ void report(const ConfigResult& r) {
       .str("bench", "service_throughput")
       .num("shards", static_cast<std::uint64_t>(r.shards))
       .num("tenants", static_cast<std::uint64_t>(r.tenants))
-      .num("batched", r.batched ? 1 : 0)
       .num("total_ops", r.total_ops)
       .num("wall_seconds", r.wall_seconds)
       .num("ops_per_second", r.ops_per_second)
@@ -359,12 +354,12 @@ void run_balancer_ab(std::uint64_t budget, bool balancer_on) {
 
 /// Isolates the queue-boundary overhead the batching work attacks: `total`
 /// no-op "ops" are pushed through a 1-shard WorkerPool either as one task
-/// per op (the unbatched path's shape: every op crosses the queue alone) or
-/// as one task per `batch` ops (the apply_batch shape: the crossing is
-/// amortized). The op body is a relaxed counter increment, so the measured
-/// per-op nanos are almost purely enqueue + dequeue + type-erasure cost —
-/// no BacklogDb work. The regression gate holds the single/batched ratio
-/// (>= 3x), which is machine-independent.
+/// per op (every op crosses the queue alone) or as one task per `batch` ops
+/// (the apply_batch shape: the crossing is amortized). The op body is a
+/// relaxed counter increment, so the measured per-op nanos are almost
+/// purely enqueue + dequeue + type-erasure cost — no BacklogDb work. The
+/// regression gate holds the single/batched ratio (>= 3x), which is
+/// machine-independent.
 void run_dispatch_overhead(std::uint64_t total, std::size_t batch) {
   const std::size_t per_task = batch == 0 ? 1 : batch;
   const std::uint64_t tasks = total / per_task;
@@ -450,7 +445,7 @@ double measure_clone_micros(std::uint64_t ops, bool cow,
       op.key.length = 1;
       batch.push_back(op);
     }
-    vm.apply("src", std::move(batch)).get();
+    vm.apply_batch("src", std::move(batch)).get();
     vm.consistency_point("src").get();
   }
   vm.maintain("src").get();
@@ -528,7 +523,7 @@ int main() {
   {
     // One throwaway pool answers "did pinning take?" for the header line
     // (run_config reports the same state per row).
-    service::WorkerPool probe(1, 8, 16, /*pin_threads=*/true);
+    service::WorkerPool probe(1, 8, /*pin_threads=*/true);
     std::printf("host hardware concurrency: %u, shard pinning: %s\n\n",
                 std::thread::hardware_concurrency(),
                 probe.pinned() ? "on" : "off (unsupported platform)");
@@ -548,27 +543,8 @@ int main() {
     if (shards == 4) ops_4_shards = r.ops_per_second;
   }
   if (ops_1_shard > 0) {
-    std::printf("\n1 -> 4 shard speedup: %.2fx (target >= 2x on >= 4 cores)\n",
+    std::printf("\n1 -> 4 shard speedup: %.2fx (gated >= 2x on >= 4 cores)\n",
                 ops_4_shards / ops_1_shard);
-  }
-
-  std::printf("\nsweep (a2): same shard sweep through the batched verb "
-              "(apply_batch, 256 ops/batch)\n");
-  header_row();
-  double batched_1 = 0, batched_4 = 0;
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const ConfigResult r =
-        run_config(shards, 16, budget, /*churn_period_ms=*/0,
-                   /*use_batch=*/true);
-    report(r);
-    if (shards == 1) batched_1 = r.ops_per_second;
-    if (shards == 4) batched_4 = r.ops_per_second;
-  }
-  if (batched_1 > 0) {
-    std::printf("\nbatched 1 -> 4 shard speedup: %.2fx (gated >= 2x on >= 4 "
-                "cores); batched vs unbatched at 4 shards: %.2fx\n",
-                batched_4 / batched_1,
-                ops_4_shards > 0 ? batched_4 / ops_4_shards : 0);
   }
 
   std::printf("\nsweep (b): tenants at 4 shards\n");

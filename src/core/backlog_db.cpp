@@ -28,6 +28,9 @@ constexpr char kManifestTmpName[] = "MANIFEST.tmp";
 constexpr std::uint64_t kManifestRecordMagic = 0x324c4f47464e414dULL;
 constexpr std::size_t kRecordHeader = 12;  // magic + len
 constexpr std::size_t kMaxRunNameLen = 255;
+// Queries touching at most this many blocks probe Bloom filters per block to
+// skip runs entirely; wider scans rely on min/max fencing.
+constexpr std::uint64_t kBloomProbeLimit = 64;
 
 std::size_t record_size_of(std::uint8_t table) {
   switch (table) {
@@ -360,7 +363,7 @@ bool BacklogDb::run_may_intersect(const RunMeta& meta, BlockNo block_lo,
   const BlockNo min_block = util::get_be64(meta.min_rec.data());
   const BlockNo max_block = util::get_be64(meta.max_rec.data());
   if (max_block < block_lo || min_block >= block_hi) return false;
-  if (options_.use_bloom && block_hi - block_lo <= options_.bloom_probe_limit) {
+  if (options_.use_bloom && block_hi - block_lo <= kBloomProbeLimit) {
     for (BlockNo b = block_lo; b < block_hi; ++b) {
       if (meta.bloom.may_contain(b)) return true;
     }

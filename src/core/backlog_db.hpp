@@ -71,10 +71,6 @@ struct BacklogOptions {
   /// How many run files may be held open simultaneously.
   std::size_t max_open_runs = 256;
 
-  /// Queries touching at most this many blocks probe Bloom filters per
-  /// block to skip runs entirely; wider scans rely on min/max fencing.
-  std::uint64_t bloom_probe_limit = 64;
-
   /// Upper bound on extent length (§6.1's btrfs length field). Records sort
   /// by *starting* block, so a query for block b must begin scanning at
   /// b - max_extent_blocks + 1 to catch extents covering b; bounding the
@@ -219,7 +215,8 @@ class BacklogDb {
   /// validated *up front*, so an invalid op (zero-length / oversized
   /// extent) throws std::invalid_argument before anything is applied —
   /// the sequential calls would apply the prefix. Used by the service's
-  /// apply()/apply_batch() verbs and the journal-replay recovery path.
+  /// apply_batch() verb, its WAL replay on reopen, and jsim's journal
+  /// replay.
   void apply_many(std::span<const Update> ops);
 
   // --- consistency points ----------------------------------------------------

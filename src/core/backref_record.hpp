@@ -74,8 +74,8 @@ struct CombinedRecord {
 };
 
 /// One update-path operation (§5 callbacks in value form): the element type
-/// of the batch verbs — BacklogDb::apply_many() in core and
-/// apply()/apply_batch() at the service layer (service::UpdateOp is an alias).
+/// of the batch verbs — BacklogDb::apply_many() in core and apply_batch() at
+/// the service layer (service::UpdateOp is an alias).
 struct Update {
   enum class Kind : std::uint8_t { kAdd, kRemove };
   Kind kind = Kind::kAdd;

@@ -128,9 +128,7 @@ TenantReplayResult replay_one(service::VolumeManager& vm,
     if (batch.empty()) return;
     r.ops += batch.size();
     ++r.batches;
-    applied.push_back(options.use_apply_batch
-                          ? vm.apply_batch(wl.tenant, std::move(batch))
-                          : vm.apply(wl.tenant, std::move(batch)));
+    applied.push_back(vm.apply_batch(wl.tenant, std::move(batch)));
     batch = {};
     batch.reserve(options.batch_ops);
   };

@@ -75,12 +75,7 @@ struct TenantTrace {
 TenantTrace synthesize_tenant_trace(const TenantTraceOptions& options);
 
 struct ReplayOptions {
-  std::size_t batch_ops = 256;      ///< ops per apply() batch
-  /// Feed batches through the batched verb (VolumeManager::apply_batch,
-  /// i.e. BacklogDb::apply_many on the shard) instead of apply()'s per-op
-  /// loop. Same data, same ordering guarantees; this is the hot-path mode
-  /// the service_throughput bench sweeps A/B.
-  bool use_apply_batch = false;
+  std::size_t batch_ops = 256;      ///< ops per apply_batch() call
   std::uint64_t ops_per_cp = 2000;  ///< consistency point every N ops
   /// Issue one owner query per N ops against a recently touched block
   /// (0 = no queries). Queries are verified to return at least one entry.

@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -57,13 +56,6 @@ std::uint32_t jittered(std::uint32_t base_ms) {
 /// success, the failing errno otherwise (ETIMEDOUT for a poll timeout).
 int connect_bounded(int fd, const sockaddr* addr, socklen_t addrlen,
                     std::uint32_t timeout_ms) {
-  if (timeout_ms == 0) {
-    int rc;
-    do {
-      rc = ::connect(fd, addr, addrlen);
-    } while (rc < 0 && errno == EINTR);
-    return rc == 0 ? 0 : errno;
-  }
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) return errno;
   int rc;
@@ -156,7 +148,7 @@ void Client::connect(const std::string& host, std::uint16_t port,
   // client can race a daemon's startup: keep attempting for retry_for_ms
   // with exponentially backed-off, jittered pauses.
   const std::uint64_t give_up = mono_ms() + opts.retry_for_ms;
-  std::uint32_t backoff = std::max<std::uint32_t>(1, opts.retry_backoff_ms);
+  std::uint32_t backoff = kRetryBackoffMs;
   int last_errno = ECONNREFUSED;
   for (;;) {
     for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
@@ -166,8 +158,8 @@ void Client::connect(const std::string& host, std::uint16_t port,
         last_errno = errno;
         continue;
       }
-      const int err = connect_bounded(fd, ai->ai_addr, ai->ai_addrlen,
-                                      opts.connect_timeout_ms);
+      const int err =
+          connect_bounded(fd, ai->ai_addr, ai->ai_addrlen, kConnectTimeoutMs);
       if (err == 0) {
         fd_ = fd;
         break;
@@ -187,13 +179,6 @@ void Client::connect(const std::string& host, std::uint16_t port,
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  if (opts.read_timeout_ms != 0) {
-    timeval tv{};
-    tv.tv_sec = opts.read_timeout_ms / 1000;
-    tv.tv_usec = static_cast<long>(opts.read_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  }
 }
 
 void Client::adopt(int fd) {
@@ -215,11 +200,10 @@ void Client::write_all(std::span<const std::uint8_t> data) {
         ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const bool timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
+      const int err = errno;
       close();
-      throw std::runtime_error(timed_out ? "net write: timeout"
-                                         : std::string("net write: ") +
-                                               std::strerror(errno));
+      throw std::runtime_error(std::string("net write: ") +
+                               std::strerror(err));
     }
     if (n == 0) {
       close();
@@ -235,14 +219,9 @@ bool Client::read_exact(std::uint8_t* dst, std::size_t n) {
     const ssize_t r = ::read(fd_, dst + off, n - off);
     if (r < 0) {
       if (errno == EINTR) continue;
-      // SO_RCVTIMEO expiry: the server stalled past ConnectOptions::
-      // read_timeout_ms. The stream is unusable (a late response would
-      // desynchronize it), so close like any protocol failure.
-      const bool timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
+      const int err = errno;
       close();
-      throw std::runtime_error(timed_out ? "net read: timeout"
-                                         : std::string("net read: ") +
-                                               std::strerror(errno));
+      throw std::runtime_error(std::string("net read: ") + std::strerror(err));
     }
     if (r == 0) {
       close();

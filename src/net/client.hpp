@@ -39,28 +39,20 @@ class Client {
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;
 
-  /// Connection behavior knobs. The defaults are the old behavior except
-  /// that a connect attempt is bounded instead of hanging on a black-holed
-  /// address.
+  /// Connection behavior knobs. Each connect attempt is bounded by
+  /// kConnectTimeoutMs (non-blocking connect + poll) instead of hanging on a
+  /// black-holed address.
   struct ConnectOptions {
-    /// Per-attempt connect bound (non-blocking connect + poll). 0 = the
-    /// OS default (minutes).
-    std::uint32_t connect_timeout_ms = 5000;
-    /// SO_RCVTIMEO/SO_SNDTIMEO on the connected socket: a call() blocked on
-    /// a stalled server throws ("net read: timeout") instead of hanging
-    /// forever. 0 = no timeout. Note a timed-out client is closed like any
-    /// other protocol failure — the request may have executed server-side,
-    /// so only retry verbs that are idempotent (queries, open, stats).
-    std::uint32_t read_timeout_ms = 0;
     /// Keep retrying refused/timed-out connects for this long before giving
     /// up — lets a client race a daemon's startup without external sleeps.
     /// Retrying a *connect* is always safe: no request has been sent yet.
-    /// 0 = single attempt.
+    /// The first retry pauses kRetryBackoffMs, doubling per attempt (capped
+    /// at 1 s) with ±50% jitter so a fleet of clients doesn't stampede a
+    /// restarting server. 0 = single attempt.
     std::uint32_t retry_for_ms = 0;
-    /// First retry backoff; doubles per attempt (capped at 1 s) with ±50%
-    /// jitter so a fleet of clients doesn't stampede a restarting server.
-    std::uint32_t retry_backoff_ms = 50;
   };
+  static constexpr std::uint32_t kConnectTimeoutMs = 5000;
+  static constexpr std::uint32_t kRetryBackoffMs = 50;
 
   /// Resolve + connect (blocking). Throws std::runtime_error on failure.
   void connect(const std::string& host, std::uint16_t port);

@@ -143,7 +143,7 @@ class LatencyHistogram {
 struct TenantStats {
   std::size_t shard = 0;                 ///< hosting shard (rows only)
   std::uint64_t updates = 0;             ///< add/remove ops applied
-  std::uint64_t batches = 0;             ///< apply() calls executed
+  std::uint64_t batches = 0;             ///< apply_batch() calls executed
   std::uint64_t cps = 0;
   std::uint64_t queries = 0;
   std::uint64_t snapshots = 0;           ///< take_snapshot verbs committed
@@ -175,9 +175,10 @@ struct TenantStats {
   /// admit time; with tracing off the gate wait stays folded into
   /// queue_wait_micros.
   LatencyHistogram gate_wait_micros;
-  /// Group-commit wait of WAL'd updates: end of on-shard execution to the
-  /// durable ack (0 for window 0). Only populated while tracing is enabled,
-  /// like gate_wait_micros.
+  /// Every traced update's end of on-shard execution to its ack: the
+  /// group-commit wait of WAL'd updates, 0 when acked at execute end (no
+  /// WAL, window 0). Only populated while tracing is enabled, like
+  /// gate_wait_micros.
   LatencyHistogram commit_wait_micros;
   storage::IoStats io;                   ///< volume Env counters at snapshot
 };

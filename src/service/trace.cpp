@@ -8,7 +8,6 @@ namespace backlog::service {
 
 const char* to_string(TraceVerb v) noexcept {
   switch (v) {
-    case TraceVerb::kApply: return "apply";
     case TraceVerb::kApplyBatch: return "apply_batch";
     case TraceVerb::kQuery: return "query";
     case TraceVerb::kQueryBatch: return "query_batch";

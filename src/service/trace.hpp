@@ -22,7 +22,8 @@
 //     core         execute - io: apply/query/CP CPU work
 //   commit_wait  end of execute -> durable ack: a WAL'd update parked for
 //                the shard's group-commit sweep (0 for every other op, and
-//                for updates acked inside execute: window 0 or an error)
+//                for updates acked inside execute: no WAL, window 0 or an
+//                error)
 #pragma once
 
 #include <atomic>
@@ -34,7 +35,6 @@ namespace backlog::service {
 
 /// Which service verb a span measured.
 enum class TraceVerb : std::uint8_t {
-  kApply,
   kApplyBatch,
   kQuery,
   kQueryBatch,

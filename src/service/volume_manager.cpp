@@ -48,9 +48,6 @@ ServiceOptions validated(ServiceOptions options) {
     throw std::invalid_argument("ServiceOptions: shards must be > 0");
   if (options.root.empty())
     throw std::invalid_argument("ServiceOptions: root must be set");
-  if (options.dequeue_chunk == 0)
-    throw std::invalid_argument(
-        "ServiceOptions: dequeue_chunk must be > 0 (1 = unchunked dequeue)");
   return options;
 }
 
@@ -198,7 +195,7 @@ VolumeManager::VolumeManager(ServiceOptions options)
                    options_.cache.block_cache_shards),
       metrics_(options_.shards + 1),  // one slot per shard + the API slot
       pool_(options_.shards, options_.bg_starvation_limit,
-            options_.dequeue_chunk, options_.pin_shards) {
+            options_.pin_shards) {
   trace_.sample_every.store(options_.trace_sample_every,
                             std::memory_order_relaxed);
   trace_.slow_op_micros.store(options_.slow_op_micros,
@@ -763,21 +760,8 @@ void VolumeManager::destroy_volume(const std::string& tenant) {
       .get();
 }
 
-std::future<void> VolumeManager::apply(const std::string& tenant,
-                                       std::vector<UpdateOp> batch) {
-  return submit_update(tenant, std::move(batch), /*per_op=*/true,
-                       TraceVerb::kApply);
-}
-
 std::future<void> VolumeManager::apply_batch(const std::string& tenant,
                                              std::vector<UpdateOp> batch) {
-  return submit_update(tenant, std::move(batch), /*per_op=*/false,
-                       TraceVerb::kApplyBatch);
-}
-
-std::future<void> VolumeManager::submit_update(const std::string& tenant,
-                                               std::vector<UpdateOp> batch,
-                                               bool per_op, TraceVerb verb) {
   // QoS metering: a batch costs its op count against the ops bucket and an
   // approximate encoded size (one From/To record per op) against the bytes
   // bucket — charged once for the whole batch, which rides as a single task
@@ -786,36 +770,12 @@ std::future<void> VolumeManager::submit_update(const std::string& tenant,
   const double bytes_cost = ops_cost * core::kFromRecordSize;
   const auto op_count = static_cast<std::uint32_t>(batch.size());
   std::shared_ptr<Volume> vol = find(tenant);
-  if (options_.wal_enabled) {
-    // Durable form of the verb: the future resolves only once the applied
-    // prefix is covered by a WAL fsync (inline or the shard's group-commit
-    // sweep).
-    return run_on_deferred(
-        vol,
-        [this, vol, per_op, batch = std::move(batch)](Volume&, DoneFn done) {
-          wal_apply_batch(vol, batch, per_op, std::move(done));
-        },
-        ops_cost, bytes_cost, verb, op_count);
-  }
-  return run_on(
-      std::move(vol),
-      [this, per_op, batch = std::move(batch)](Volume& v) {
-        const std::uint64_t t0 = now_micros();
-        if (per_op) {
-          for (const UpdateOp& op : batch) {
-            if (op.kind == UpdateOp::Kind::kAdd) {
-              v.db->add_reference(op.key);
-            } else {
-              v.db->remove_reference(op.key);
-            }
-          }
-        } else {
-          v.db->apply_many(batch);
-        }
-        record_update_batch(v, batch.size(), t0);
+  return run_on_deferred(
+      vol,
+      [this, vol, batch = std::move(batch)](Volume&, DoneFn done) {
+        apply_on_shard(vol, batch, std::move(done));
       },
-      /*background=*/false, ops_cost, bytes_cost, /*bypass_gate=*/false, verb,
-      op_count);
+      ops_cost, bytes_cost, TraceVerb::kApplyBatch, op_count);
 }
 
 void VolumeManager::record_update_batch(Volume& v, std::size_t ops,
@@ -825,88 +785,68 @@ void VolumeManager::record_update_batch(Volume& v, std::size_t ops,
   v.time(kUpdateBatchMicros, now_micros() - t0);
 }
 
-void VolumeManager::wound(Volume& v, const char* what) {
+void VolumeManager::wound(Volume& v, const char* what, const DoneFn& done) {
   bool expected = false;
-  if (!v.wounded.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-    return;  // already wounded — keep the first cause, count once
+  if (v.wounded.compare_exchange_strong(expected, true,
+                                        std::memory_order_acq_rel)) {
+    // First cause only: a volume is counted and reported once.
+    hot_.volumes_wounded->add(metric_slot());
+    std::fprintf(stderr,
+                 "backlog: volume '%s' wounded (read-only): %s failed\n",
+                 v.tenant.c_str(), what);
   }
-  hot_.volumes_wounded->add(metric_slot());
-  std::fprintf(stderr,
-               "backlog: volume '%s' wounded (read-only): %s failed\n",
-               v.tenant.c_str(), what);
+  done(std::make_exception_ptr(ServiceError(
+      ErrorCode::kWounded,
+      std::string(what) + " failed (volume now read-only): " + v.tenant)));
 }
 
-void VolumeManager::wal_apply_batch(const std::shared_ptr<Volume>& vol,
-                                    std::span<const UpdateOp> batch,
-                                    bool per_op, DoneFn done) {
+bool VolumeManager::sync_wal(Volume& v) {
+  try {
+    v.wal->sync();
+    hot_.wal_syncs->add(metric_slot());
+    inject(util::fault_point("wal.synced"), v);
+  } catch (...) {
+    return false;
+  }
+  return true;
+}
+
+void VolumeManager::apply_on_shard(const std::shared_ptr<Volume>& vol,
+                                   std::span<const UpdateOp> batch,
+                                   DoneFn done) {
   Volume& v = *vol;
   throw_if_wounded(v);
   const std::uint64_t t0 = now_micros();
-  // 1. Apply to the db first — a validation failure must never reach the
-  //    log. per_op keeps apply()'s partial-prefix contract (ops before the
-  //    failing one are applied, logged, and made durable); the batched verb
-  //    validates up front, so apply_many throws with nothing applied and
-  //    run_on_deferred routes that exception into the future.
-  std::size_t applied = batch.size();
-  std::exception_ptr apply_err;
-  if (per_op) {
-    applied = 0;
-    for (const UpdateOp& op : batch) {
-      try {
-        if (op.kind == UpdateOp::Kind::kAdd) {
-          v.db->add_reference(op.key);
-        } else {
-          v.db->remove_reference(op.key);
-        }
-      } catch (...) {
-        apply_err = std::current_exception();
-        break;
-      }
-      ++applied;
-    }
-  } else {
-    v.db->apply_many(batch);
-  }
-  // 2. Log the applied prefix. A write error here is the degradation
-  //    trigger: the in-memory state holds ops whose durability can no
-  //    longer be promised, so the volume flips read-only.
-  if (applied != 0) {
-    try {
-      v.wal->append(v.db->current_cp(), batch.first(applied));
-      inject(util::fault_point("wal.appended"), v);
-    } catch (...) {
-      wound(v, "WAL append");
-      done(std::make_exception_ptr(ServiceError(
-          ErrorCode::kWounded,
-          "WAL append failed (volume now read-only): " + v.tenant)));
-      return;
-    }
-    hot_.wal_records->add(metric_slot());
-  }
-  record_update_batch(v, applied, t0);
-  if (applied == 0) {
-    // Empty batch, or per_op's first op failed: nothing logged, nothing to
-    // make durable — resolve immediately (apply_err is null when empty).
-    done(std::move(apply_err));
+  // 1. Apply to the db first. apply_many validates the whole batch up front,
+  //    so an invalid op throws with nothing applied and nothing logged;
+  //    run_on_deferred routes the exception into the future.
+  v.db->apply_many(batch);
+  record_update_batch(v, batch.size(), t0);
+  // Without a WAL (or with nothing to log) there is nothing to make
+  // durable: ack at the end of execute.
+  if (!v.wal || batch.empty()) {
+    done(nullptr);
     return;
   }
+  // 2. Log the batch. A write error here is the degradation trigger: the
+  //    in-memory state holds ops whose durability can no longer be
+  //    promised, so the volume flips read-only.
+  try {
+    v.wal->append(v.db->current_cp(), batch);
+    inject(util::fault_point("wal.appended"), v);
+  } catch (...) {
+    wound(v, "WAL append", done);
+    return;
+  }
+  hot_.wal_records->add(metric_slot());
   // 3. Make it durable. Window 0 is the per-op-fsync baseline: sync inline
   //    and ack before returning.
   const std::uint32_t window = options_.wal_commit_window_micros;
   if (window == 0) {
-    try {
-      v.wal->sync();
-      inject(util::fault_point("wal.synced"), v);
-    } catch (...) {
-      wound(v, "WAL sync");
-      done(std::make_exception_ptr(ServiceError(
-          ErrorCode::kWounded,
-          "WAL sync failed (volume now read-only): " + v.tenant)));
-      return;
-    }
-    hot_.wal_syncs->add(metric_slot());
-    done(std::move(apply_err));
+    if (sync_wal(v))
+      done(nullptr);
+    else
+      wound(v, "WAL sync", done);
     return;
   }
   // Group commit: the ack joins the shard's window; the window's first
@@ -914,16 +854,7 @@ void VolumeManager::wal_apply_batch(const std::shared_ptr<Volume>& vol,
   // the sweep runs (see wal_flush_shard) rides the same fsync.
   const std::size_t shard = WorkerPool::current_shard();
   ShardCommit& c = *commit_[shard];
-  DoneFn ack = std::move(done);
-  if (apply_err != nullptr) {
-    // Partial-prefix contract under group commit: the caller sees the
-    // validation error, but only after the applied prefix is covered by
-    // the sweep (whose own kWounded failure outranks it).
-    ack = [inner = std::move(ack), apply_err](std::exception_ptr ep) {
-      inner(ep != nullptr ? ep : apply_err);
-    };
-  }
-  c.pending.push_back({vol, std::move(ack)});
+  c.pending.push_back({vol, std::move(done)});
   if (!c.flush_scheduled) {
     c.flush_scheduled = true;
     c.window_deadline_micros = now_micros() + window;
@@ -954,35 +885,24 @@ void VolumeManager::wal_commit_now(std::size_t shard) {
   if (c.pending.empty()) return;
   std::vector<ShardCommit::PendingAck> acks;
   acks.swap(c.pending);
-  // One fsync per distinct volume. A clean WAL is skipped without losing
-  // the ack's durability promise: the only way a logged-but-unsynced record
-  // disappears from the log is a consistency point, which made its ops
-  // durable in run files first. Likewise a closed volume (null wal) already
-  // committed its buffered state in its close CP.
+  // One fsync per distinct volume, at its first pending ack. A clean WAL is
+  // skipped without losing the ack's durability promise: the only way a
+  // logged-but-unsynced record disappears from the log is a consistency
+  // point, which made its ops durable in run files first. Likewise a closed
+  // volume (null wal) already committed its buffered state in its close CP.
   std::vector<Volume*> seen;
   seen.reserve(acks.size());
-  for (const ShardCommit::PendingAck& a : acks) {
-    Volume& v = *a.vol;
-    if (std::find(seen.begin(), seen.end(), &v) != seen.end()) continue;
-    seen.push_back(&v);
-    if (v.wounded.load(std::memory_order_relaxed)) continue;
-    if (!v.wal || !v.wal->dirty()) continue;
-    try {
-      v.wal->sync();
-      hot_.wal_syncs->add(metric_slot());
-      inject(util::fault_point("wal.synced"), v);
-    } catch (...) {
-      wound(v, "WAL sync");
-    }
-  }
   for (ShardCommit::PendingAck& a : acks) {
-    if (a.vol->wounded.load(std::memory_order_relaxed)) {
-      a.done(std::make_exception_ptr(ServiceError(
-          ErrorCode::kWounded,
-          "WAL sync failed (volume now read-only): " + a.vol->tenant)));
-    } else {
-      a.done(nullptr);
+    Volume& v = *a.vol;
+    bool ok = !v.wounded.load(std::memory_order_relaxed);
+    if (std::find(seen.begin(), seen.end(), &v) == seen.end()) {
+      seen.push_back(&v);
+      if (ok && v.wal && v.wal->dirty()) ok = sync_wal(v);
     }
+    if (ok)
+      a.done(nullptr);
+    else
+      wound(v, "WAL sync", a.done);
   }
 }
 
@@ -1379,10 +1299,9 @@ bool VolumeManager::schedule_maintenance(const std::string& tenant,
     return false;  // a probe is already queued or running
   }
   const std::uint64_t l0 = policy.l0_run_threshold;
-  const std::uint64_t bytes = policy.db_bytes_threshold;
   run_on(
       vol,
-      [this, l0, bytes](Volume& v) {
+      [this, l0](Volume& v) {
         PendingGuard guard{v.maintenance_pending};
         // A wounded volume cannot write new runs; skip instead of failing
         // the background probe with an exception nobody awaits.
@@ -1398,9 +1317,7 @@ bool VolumeManager::schedule_maintenance(const std::string& tenant,
           v.count(kMaintenanceSkipped);
           return;
         }
-        const bool over_runs = q.l0_runs() >= l0;
-        const bool over_bytes = bytes != 0 && q.db_bytes >= bytes;
-        if (!over_runs && !over_bytes) {
+        if (q.l0_runs() < l0) {
           v.count(kMaintenanceSkipped);
           return;
         }

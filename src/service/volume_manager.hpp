@@ -109,11 +109,6 @@ struct ServiceOptions {
   /// run after this many consecutive foreground tasks.
   std::size_t bg_starvation_limit = 8;
 
-  /// Chunked dequeue: a worker drains up to this many tasks from its queue
-  /// per lock acquisition and runs them without re-locking (1 restores the
-  /// one-pop-per-task behaviour). See shard_queue.hpp.
-  std::size_t dequeue_chunk = 16;
-
   /// Pin each shard's worker thread to CPU (shard mod hardware cores) via
   /// pthread_setaffinity_np, keeping a shard's working set on one core's
   /// caches. Linux-only; silently unpinned elsewhere (see shards_pinned()).
@@ -131,10 +126,10 @@ struct ServiceOptions {
 
   // --- durability (group-commit WAL; see README "Durability") --------------
 
-  /// Write-ahead logging for the update verbs: every applied batch is
+  /// Write-ahead logging for the update verb: every applied batch is
   /// appended to the volume's WAL (core/wal.hpp) and the returned future
   /// resolves only after the record is covered by an fsync, so a resolved
-  /// apply survives a crash — recovery replays the WAL tail through
+  /// apply_batch survives a crash — recovery replays the WAL tail through
   /// apply_many. Off by default: without it the service keeps the paper's
   /// CP-only durability (buffered updates lost on crash, the file system's
   /// journal replay covers them). Enabling it forces real fsyncs on every
@@ -176,9 +171,6 @@ struct MaintenancePolicy {
   /// Schedule maintenance once a volume holds at least this many Level-0
   /// (From + To) runs.
   std::uint64_t l0_run_threshold = 48;
-  /// Additionally schedule once the volume's run files exceed this many
-  /// bytes (0 = disabled).
-  std::uint64_t db_bytes_threshold = 0;
   /// Max background jobs enqueued per scheduler sweep, handed out
   /// round-robin over tenants — the tenant-fair budget that keeps compaction
   /// from monopolizing shards.
@@ -296,26 +288,20 @@ class VolumeManager {
 
   // --- update path -----------------------------------------------------------
 
-  /// Apply a batch of add/remove callbacks in order on the tenant's shard.
-  /// On a per-op validation failure the future carries the exception and the
-  /// batch is applied only up to the failing op (same contract as issuing
-  /// the calls directly). Prefer apply_batch() on the hot path: same
-  /// routing cost, but the batch is applied through BacklogDb::apply_many
-  /// and validated as one unit.
-  std::future<void> apply(const std::string& tenant,
-                          std::vector<UpdateOp> batch);
-
-  /// The batched update verb (the future wire protocol's RPC shape): the
-  /// whole batch crosses the routing/QoS/queue boundary once — one gate
+  /// The update verb, the service form of the paper's add/remove callbacks:
+  /// the whole batch crosses the routing/QoS/queue boundary once — one gate
   /// charge with the batch's total cost, one task, one promise — and is
-  /// applied via BacklogDb::apply_many. Ordering: the batch occupies a
-  /// single slot in the tenant's FIFO, atomically ordered against
-  /// interleaved apply()/query() calls and preserved across live
+  /// applied in order via BacklogDb::apply_many. Ordering: the batch
+  /// occupies a single slot in the tenant's FIFO, atomically ordered against
+  /// interleaved apply_batch()/query() calls and preserved across live
   /// migrations (a batch is parked/replayed as one unit, never split).
-  /// Unlike apply(), validation is up front: an invalid op fails the whole
-  /// batch with std::invalid_argument and nothing is applied. A batch
+  /// Validation is up front: an invalid op fails the whole batch with
+  /// std::invalid_argument and nothing is applied or logged. A batch
   /// rejected by QoS carries ServiceError(kThrottled) once, covering every
-  /// constituent op; nothing is partially admitted.
+  /// constituent op; nothing is partially admitted. With the WAL enabled the
+  /// future resolves once the batch's record is covered by an fsync (see
+  /// ServiceOptions::wal_commit_window_micros); without it, when the batch
+  /// has been applied.
   std::future<void> apply_batch(const std::string& tenant,
                                 std::vector<UpdateOp> batch);
 
@@ -399,9 +385,9 @@ class VolumeManager {
   // --- per-tenant QoS --------------------------------------------------------
 
   /// Install (or replace) the tenant's QoS: token-bucket admission for
-  /// apply()/query() plus the weighted-fair share of its shard. Applies to
-  /// ops submitted after the call. Throws std::invalid_argument on
-  /// nonsensical settings.
+  /// apply_batch()/query() plus the weighted-fair share of its shard.
+  /// Applies to ops submitted after the call. Throws std::invalid_argument
+  /// on nonsensical settings.
   void set_qos(const std::string& tenant, const TenantQos& qos);
 
   /// Remove the tenant's QoS; ops already waiting are released immediately
@@ -456,9 +442,9 @@ class VolumeManager {
   std::future<core::MaintenanceStats> maintain(const std::string& tenant);
 
   /// Background maintenance probe (MaintenanceScheduler entry point): at
-  /// most one in flight per volume; the probe re-checks the thresholds on
+  /// most one in flight per volume; the probe re-checks the threshold on
   /// the shard against a QuickStats snapshot and silently skips when the
-  /// volume is below them or mid-CP-window. Returns false if the tenant is
+  /// volume is below it or mid-CP-window. Returns false if the tenant is
   /// unknown or a probe is already pending.
   bool schedule_maintenance(const std::string& tenant,
                             const MaintenancePolicy& policy);
@@ -784,20 +770,21 @@ class VolumeManager {
     return fut;
   }
 
-  /// Completion callback of a deferred (WAL'd) update op: exactly one call,
-  /// with null on success or the exception the future should carry.
+  /// Completion callback of a deferred update op: exactly one call, with
+  /// null on success or the exception the future should carry.
   using DoneFn = std::function<void(std::exception_ptr)>;
 
-  /// Deferred-completion sibling of run_on for the WAL'd update verbs: same
+  /// Deferred-completion sibling of run_on for the update verb: same
   /// routing, QoS gating and queue-wait accounting, but the future resolves
-  /// when `fn`'s DoneFn is invoked — the shard's group-commit flush calls
-  /// it after the WAL sync covering the op — instead of when fn returns.
+  /// when `fn`'s DoneFn is invoked — inside fn without a WAL, or by the
+  /// shard's group-commit flush after the WAL sync covering the op — instead
+  /// of when fn returns.
   /// `fn(v, done)` must either throw (the future then carries that
   /// exception) or arrange exactly one `done` call, and must not throw
   /// after arranging it. A traced span's execute stage ends when fn returns
-  /// (apply + WAL append); the span finishes when `done` fires, and the time
-  /// in between is its commit_wait stage — 0 when `done` fired inside fn
-  /// (window 0, or an error).
+  /// (apply + any WAL append); the span finishes when `done` fires, and the
+  /// time in between is its commit_wait stage — 0 when `done` fired inside
+  /// fn (no WAL, window 0, or an error).
   template <typename Fn>
   std::future<void> run_on_deferred(std::shared_ptr<Volume> vol, Fn fn,
                                     double ops_cost, double bytes_cost,
@@ -976,12 +963,6 @@ class VolumeManager {
     std::vector<PendingAck> pending;
   };
 
-  /// apply()/apply_batch() body: `per_op` applies op by op (apply()'s
-  /// partial-prefix contract), otherwise through BacklogDb::apply_many.
-  std::future<void> submit_update(const std::string& tenant,
-                                  std::vector<UpdateOp> batch, bool per_op,
-                                  TraceVerb verb);
-
   /// Shard-thread query / maintenance pass with its stats accounting.
   std::vector<core::BackrefEntry> timed_query(Volume& v, const QueryRange& r);
   core::MaintenanceStats timed_maintain(Volume& v);
@@ -990,13 +971,13 @@ class VolumeManager {
   /// started executing at `t0`.
   void record_update_batch(Volume& v, std::size_t ops, std::uint64_t t0);
 
-  /// Shard-thread body shared by apply()/apply_batch() under WAL: apply the
-  /// batch to the db (`per_op` keeps apply()'s partial-prefix contract),
-  /// append the applied prefix to the volume's WAL, then sync inline
-  /// (window 0) or register `done` with the shard's group-commit window.
-  void wal_apply_batch(const std::shared_ptr<Volume>& vol,
-                       std::span<const UpdateOp> batch, bool per_op,
-                       DoneFn done);
+  /// Shard-thread body of apply_batch(), one for both durability modes:
+  /// fail fast if wounded, apply the batch through apply_many, record it,
+  /// then ack at once (no WAL, or an empty batch) or append it to the
+  /// volume's WAL and either sync inline (window 0) or park `done` in the
+  /// shard's group-commit window.
+  void apply_on_shard(const std::shared_ptr<Volume>& vol,
+                      std::span<const UpdateOp> batch, DoneFn done);
 
   /// Group-commit flush task of `shard`: runs wal_commit_now as soon as the
   /// shard has nothing else queued, or at the window deadline, whichever
@@ -1005,15 +986,19 @@ class VolumeManager {
   void wal_flush_shard(std::size_t shard);
 
   /// The sweep itself, shard-thread-only and idempotent: fsyncs every
-  /// distinct dirty volume's WAL once, then delivers the pending acks (a
+  /// distinct dirty volume's WAL once and delivers the pending acks (a
   /// volume whose sync failed is wounded and its acks carry kWounded).
   /// Also called directly by migrate_volume's drain barrier, so no ack can
   /// still reference a volume after its ownership moves to another shard.
   void wal_commit_now(std::size_t shard);
 
-  /// Flip `v` read-only after a persistent WAL write error, bump the
-  /// counters; idempotent.
-  void wound(Volume& v, const char* what);
+  /// fsync `v`'s WAL and count it; false if the sync (or the fault point
+  /// after it) threw.
+  bool sync_wal(Volume& v);
+
+  /// Flip `v` read-only after its WAL `what` failed (idempotent: the first
+  /// cause is reported and counted once), then fail `done` with kWounded.
+  void wound(Volume& v, const char* what, const DoneFn& done);
 
   void throw_if_wounded(const Volume& v) const {
     if (v.wounded.load(std::memory_order_relaxed))
@@ -1046,7 +1031,7 @@ class VolumeManager {
   /// and bumps the trace counters. Never allocates, never blocks.
   void finish_trace(const TraceCtx& ctx, TraceSpan s) noexcept;
 
-  /// finish_trace for a deferred (WAL'd) op acked at `t_ack`: its commit
+  /// finish_trace for a deferred (update) op acked at `t_ack`: its commit
   /// wait runs from the end of execute to the ack (0 when `t_ack` is 0,
   /// the ack fired inside execute) and is recorded in the volume's
   /// commit-wait histogram.

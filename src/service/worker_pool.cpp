@@ -48,10 +48,10 @@ void WorkerPool::start_worker(std::size_t i) {
   s->stop.store(false, std::memory_order_relaxed);
   // Tasks are exception-safe wrappers (they route failures into their
   // promise), so the drain loop itself never needs a try/catch.
-  s->thread = std::thread([s, i, chunk = chunk_] {
+  s->thread = std::thread([s, i] {
     tls_shard = i;
     std::vector<Task> tasks;
-    tasks.reserve(chunk);
+    tasks.reserve(kDequeueChunk);
     for (;;) {
       // Chunk-boundary stop check, *before* pop_many: a stopping worker
       // must never pop tasks it won't run (they'd be dropped with broken
@@ -60,7 +60,7 @@ void WorkerPool::start_worker(std::size_t i) {
       // here on the next iteration.
       if (s->stop.load(std::memory_order_acquire)) break;
       tasks.clear();
-      const std::size_t n = s->queue.pop_many(tasks, chunk);
+      const std::size_t n = s->queue.pop_many(tasks, kDequeueChunk);
       if (n == 0) break;  // closed + drained
       // The popped chunk no longer counts in the queue's depth, but a
       // submitter still waits behind it — keep it visible to the
@@ -100,8 +100,7 @@ void WorkerPool::start_worker(std::size_t i) {
 }
 
 WorkerPool::WorkerPool(std::size_t shards, std::size_t bg_starvation_limit,
-                       std::size_t dequeue_chunk, bool pin_threads) {
-  chunk_ = dequeue_chunk == 0 ? 1 : dequeue_chunk;
+                       bool pin_threads) {
   pin_requested_ = pin_threads;
   if (pin_threads) {
 #if defined(__linux__)

@@ -8,9 +8,9 @@
 // drain/replay handoff guarantees the old and new owner never touch the
 // volume concurrently.
 //
-// Drain loop (the batching PR): the worker pops tasks in chunks of
-// `dequeue_chunk` via ShardQueue::pop_many — one mutex/condvar round-trip
-// per chunk instead of per task — and runs the chunk lock-free. The loop
+// Drain loop: the worker pops tasks in chunks of up to kDequeueChunk via
+// ShardQueue::pop_many — one mutex/condvar round-trip per chunk instead of
+// per task — and runs the chunk lock-free. The loop
 // also owns the hot path's only clock reads: it timestamps once per task
 // *boundary* (task i's end is task i+1's start), feeding both the per-shard
 // execution-time EWMA and, through dispatch_time_micros(), the queue-wait
@@ -52,8 +52,11 @@ namespace backlog::service {
 
 class WorkerPool {
  public:
+  /// Most tasks a worker pops per queue lock acquisition.
+  static constexpr std::size_t kDequeueChunk = 16;
+
   WorkerPool(std::size_t shards, std::size_t bg_starvation_limit,
-             std::size_t dequeue_chunk = 16, bool pin_threads = false);
+             bool pin_threads = false);
   /// Closes every queue, drains pending tasks, joins the threads.
   ~WorkerPool();
 
@@ -167,7 +170,6 @@ class WorkerPool {
   void start_worker(std::size_t i);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t chunk_ = 16;
   bool pin_requested_ = false;
   std::vector<int> pin_cpus_;  ///< allowed CPUs resolved at construction
   bool pinned_ = false;

@@ -301,7 +301,6 @@ TEST(FleetSim, ChaosSmokeKillRestartUnderVerifier) {
   std::thread replayer([&] {
     bf::ReplayOptions ro;
     ro.batch_ops = 64;
-    ro.use_apply_batch = true;
     ro.ops_per_cp = 600;
     ro.query_every_ops = 128;
     results = bf::replay_concurrently(vm, fleet, ro);

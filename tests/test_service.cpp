@@ -134,9 +134,9 @@ TEST(Service, VolumeLifecycleAndReopen) {
   {
     bsvc::VolumeManager vm(service_options(dir, 2));
     vm.open_volume("alice");
-    vm.apply("alice", {add(100), add(200)}).get();
+    vm.apply_batch("alice", {add(100), add(200)}).get();
     vm.consistency_point("alice").get();
-    vm.apply("alice", {add(300)}).get();
+    vm.apply_batch("alice", {add(300)}).get();
     // close_volume commits the still-buffered add(300).
     vm.close_volume("alice");
     EXPECT_FALSE(vm.has_volume("alice"));
@@ -161,7 +161,7 @@ TEST(Service, QueryWhileMaintenanceOnOneShard) {
   for (int cp = 0; cp < 12; ++cp) {
     std::vector<bsvc::UpdateOp> batch;
     for (int i = 0; i < 200; ++i) batch.push_back(add(next++));
-    vm.apply("alice", std::move(batch)).get();
+    vm.apply_batch("alice", std::move(batch)).get();
     vm.consistency_point("alice").get();
   }
   ASSERT_GE(vm.quick_stats("alice").get().l0_runs(), 12u);
@@ -183,7 +183,7 @@ TEST(Service, QueryWhileMaintenanceOnOneShard) {
     queries.push_back(vm.query("alice", 1 + static_cast<bc::BlockNo>(i * 7)));
     queries.push_back(vm.query("bob", 999));  // bob is empty: 0 results, no error
   }
-  auto bob_apply = vm.apply("bob", {add(999)});
+  auto bob_apply = vm.apply_batch("bob", {add(999)});
   release.set_value();
   blocker.get();
   bob_apply.get();
@@ -209,7 +209,7 @@ TEST(Service, MaintenanceSkipsMidCpWindow) {
   bs::TempDir dir;
   bsvc::VolumeManager vm(service_options(dir, 1));
   vm.open_volume("alice");
-  vm.apply("alice", {add(1), add(2)}).get();  // write store non-empty
+  vm.apply_batch("alice", {add(1), add(2)}).get();  // write store non-empty
 
   bsvc::MaintenancePolicy policy;
   policy.l0_run_threshold = 0;  // always over threshold
@@ -232,7 +232,7 @@ TEST(Service, IoStatsIsolationAcrossVolumes) {
   vm.open_volume("heavy");
   vm.open_volume("light");
 
-  vm.apply("light", {add(1)}).get();
+  vm.apply_batch("light", {add(1)}).get();
   vm.consistency_point("light").get();
   const bs::IoStats light_before = vm.io_stats("light").get();
 
@@ -241,7 +241,7 @@ TEST(Service, IoStatsIsolationAcrossVolumes) {
   for (int cp = 0; cp < 8; ++cp) {
     std::vector<bsvc::UpdateOp> batch;
     for (int i = 0; i < 500; ++i) batch.push_back(add(next++));
-    vm.apply("heavy", std::move(batch)).get();
+    vm.apply_batch("heavy", std::move(batch)).get();
     vm.consistency_point("heavy").get();
   }
   vm.maintain("heavy").get();
@@ -283,7 +283,7 @@ TEST(Service, QuickStatsMatchesFullWalk) {
       batch.push_back({bsvc::UpdateOp::Kind::kRemove,
                        key(next - 1 - static_cast<bc::BlockNo>(i))});
     }
-    vm.apply("alice", std::move(batch)).get();
+    vm.apply_batch("alice", std::move(batch)).get();
     check("mid-window");
     vm.consistency_point("alice").get();
     check("after cp");
@@ -333,7 +333,7 @@ TEST(Service, StatsSnapshotsShardsSequentially) {
 
   // Shard 1 keeps serving while shard 0 is gated; these 3 updates complete
   // strictly before the gate opens.
-  vm.apply(t1, {add(1), add(2), add(3)}).get();
+  vm.apply_batch(t1, {add(1), add(2), add(3)}).get();
 
   release.set_value();
   blocker.get();

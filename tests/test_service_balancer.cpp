@@ -63,7 +63,7 @@ TEST(Balancer, CleanOnlyMigrationAbortsOnBufferedUpdates) {
   const std::size_t away = 1 - home;
 
   // Buffered updates: a clean-only move must refuse without forcing a CP.
-  vm.apply("alice", {add(1), add(2)}).get();
+  vm.apply_batch("alice", {add(1), add(2)}).get();
   const bsvc::MigrationStats aborted =
       vm.migrate_volume("alice", away, /*require_clean=*/true);
   EXPECT_FALSE(aborted.moved);
@@ -93,7 +93,7 @@ void pulse(bsvc::VolumeManager& vm, const std::vector<std::string>& tenants,
   std::vector<std::future<void>> futs;
   for (const auto& t : tenants) {
     for (int i = 0; i < ops_per_tenant; ++i)
-      futs.push_back(vm.apply(t, {add(next_block++)}));
+      futs.push_back(vm.apply_batch(t, {add(next_block++)}));
   }
   for (auto& f : futs) f.get();
   for (const auto& t : tenants) vm.consistency_point(t).get();

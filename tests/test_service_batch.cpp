@@ -9,8 +9,9 @@
 // API thread regardless of batch size; (b) chunked dequeue (pop_many) is
 // schedule-equivalent to repeated pop() — stride fairness and the
 // background anti-starvation rule hold inside chunks; (c) the batch verbs
-// keep per-tenant FIFO order against interleaved single ops, validate
-// atomically, and match the per-op path's pruning semantics exactly;
+// keep per-tenant FIFO order against interleaved single queries, validate
+// atomically with and without the WAL, and match the sequential
+// add/remove callbacks' pruning semantics exactly;
 // (d) ServiceOptions::pin_shards actually pins the worker threads.
 #include <gtest/gtest.h>
 
@@ -262,7 +263,7 @@ TEST(ServiceBatch, BatchAndSingleOpsInterleaveInFifoOrder) {
   bsvc::VolumeManager vm(service_options(dir, 2));
   vm.open_volume("alice");
 
-  vm.apply("alice", {add(1)}).get();
+  vm.apply_batch("alice", {add(1)}).get();
   auto b1 = vm.apply_batch("alice", {add(2), add(3)});
   auto q1 = vm.query("alice", 2);  // submitted after b1: must see it (FIFO)
   auto b2 = vm.apply_batch("alice", {remove(1), add(4)});
@@ -288,23 +289,40 @@ TEST(ServiceBatch, BatchAndSingleOpsInterleaveInFifoOrder) {
   EXPECT_TRUE(vm.query_batch("alice", {}).get().empty());
 }
 
-TEST(ServiceBatch, ApplyBatchValidatesAtomicallyApplyAppliesPrefix) {
-  bs::TempDir dir;
-  bsvc::VolumeManager vm(service_options(dir, 1));
-  vm.open_volume("alice");
+TEST(ServiceBatch, ApplyBatchValidatesAtomicallyInEveryDurabilityMode) {
+  struct Mode {
+    const char* name;
+    bool wal;
+    std::uint32_t window_micros;
+  };
+  for (const Mode& m : {Mode{"no WAL", false, 0}, Mode{"WAL window 0", true, 0},
+                        Mode{"WAL window 2000us", true, 2000}}) {
+    SCOPED_TRACE(m.name);
+    bs::TempDir dir;
+    bsvc::ServiceOptions o = service_options(dir, 1);
+    o.wal_enabled = m.wal;
+    o.wal_commit_window_micros = m.window_micros;
+    bsvc::VolumeManager vm(o);
+    vm.open_volume("alice");
+    const auto wal_records = [&vm] {
+      return vm.metrics().counter("backlog_wal_records_total", "").total();
+    };
 
-  bsvc::UpdateOp bad = add(2);
-  bad.key.length = 0;
+    bsvc::UpdateOp bad = add(2);
+    bad.key.length = 0;
 
-  // apply_batch: validation is up front, nothing lands.
-  auto fut = vm.apply_batch("alice", {add(1), bad, add(3)});
-  EXPECT_THROW(fut.get(), std::invalid_argument);
-  EXPECT_EQ(vm.quick_stats("alice").get().ws_entries, 0u);
+    // Validation is up front: nothing lands and nothing is logged.
+    const std::uint64_t records_before = wal_records();
+    auto fut = vm.apply_batch("alice", {add(1), bad, add(3)});
+    EXPECT_THROW(fut.get(), std::invalid_argument);
+    EXPECT_EQ(vm.quick_stats("alice").get().ws_entries, 0u);
+    EXPECT_EQ(wal_records(), records_before);
 
-  // apply: the documented prefix contract — op 1 landed before the throw.
-  auto fut2 = vm.apply("alice", {add(1), bad, add(3)});
-  EXPECT_THROW(fut2.get(), std::invalid_argument);
-  EXPECT_EQ(vm.quick_stats("alice").get().ws_entries, 1u);
+    // The volume is not harmed: a valid batch after it acks and lands.
+    EXPECT_NO_THROW(vm.apply_batch("alice", {add(1), add(3)}).get());
+    EXPECT_EQ(vm.quick_stats("alice").get().ws_entries, 2u);
+    EXPECT_EQ(wal_records(), records_before + (m.wal ? 1u : 0u));
+  }
 }
 
 TEST(ServiceBatch, ApplyManyMatchesSequentialPruningSemantics) {

@@ -85,7 +85,7 @@ void seed_volume(bsvc::VolumeManager& vm, const std::string& tenant,
     std::vector<bsvc::UpdateOp> batch;
     const std::uint64_t n = (i == cps - 1) ? (first + count - b) : per_cp;
     for (std::uint64_t j = 0; j < n; ++j) batch.push_back(add(b++));
-    vm.apply(tenant, std::move(batch)).get();
+    vm.apply_batch(tenant, std::move(batch)).get();
     vm.consistency_point(tenant).get();
   }
 }
@@ -192,7 +192,7 @@ TEST(ServiceCloneCow, CloneSharesRunFilesWithoutCopyingData) {
 
   // Writes diverge: the clone's new runs are its own, the source never
   // sees them.
-  vm.apply("beta", {add(10000)}).get();
+  vm.apply_batch("beta", {add(10000)}).get();
   vm.consistency_point("beta").get();
   EXPECT_FALSE(vm.query("beta", 10000).get().empty());
   EXPECT_TRUE(vm.query("alpha", 10000).get().empty());
@@ -566,14 +566,14 @@ TEST(ServiceCloneCowStress, ClonesRaceWritesCompactionDeletesAndMigration) {
     std::uint64_t n = 0;
     while (!stop.load(std::memory_order_acquire)) {
       const bc::BlockNo fresh = next++;
-      vm.apply("src", {add(fresh)}).get();
+      vm.apply_batch("src", {add(fresh)}).get();
       live.insert(tup(key(fresh)));
       live_checksum ^= key_checksum(key(fresh));
       removable.push_back(fresh);
       if (n % 3 == 2 && removable.size() > 4) {
         const bc::BlockNo victim = removable.front();
         removable.erase(removable.begin());
-        vm.apply("src", {rm(victim)}).get();
+        vm.apply_batch("src", {rm(victim)}).get();
         live.erase(tup(key(victim)));
         live_checksum ^= key_checksum(key(victim));
       }

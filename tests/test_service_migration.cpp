@@ -80,10 +80,11 @@ TEST(ServiceMigration, MigratedVolumeReturnsIdenticalResults) {
 
   std::vector<bsvc::UpdateOp> batch;
   for (bc::BlockNo b = 1; b <= 64; ++b) batch.push_back(add(b));
-  vm.apply("alice", std::move(batch)).get();
+  vm.apply_batch("alice", std::move(batch)).get();
   // A retained snapshot plus later churn makes the version masks nontrivial.
   const bc::Epoch snap = vm.take_snapshot("alice").get();
-  vm.apply("alice", {{bsvc::UpdateOp::Kind::kRemove, key(10)}, add(100)}).get();
+  vm.apply_batch("alice", {{bsvc::UpdateOp::Kind::kRemove, key(10)}, add(100)})
+      .get();
   vm.consistency_point("alice").get();
 
   std::vector<std::vector<bc::BackrefEntry>> before;
@@ -122,7 +123,7 @@ TEST(ServiceMigration, DrainForcesConsistencyPointForBufferedUpdates) {
   bs::TempDir dir;
   bsvc::VolumeManager vm(service_options(dir, 2));
   vm.open_volume("alice");
-  vm.apply("alice", {add(1), add(2), add(3)}).get();  // buffered, no CP
+  vm.apply_batch("alice", {add(1), add(2), add(3)}).get();  // buffered, no CP
 
   const std::size_t target = (vm.current_shard("alice") + 1) % 2;
   const bsvc::MigrationStats ms = vm.migrate_volume("alice", target);
@@ -151,9 +152,9 @@ TEST(ServiceMigration, QueriesRaceMigrationsAndAlwaysSeePriorWrites) {
   bsvc::VolumeManager vm(service_options(dir, 3));
   vm.open_volume("alice");
   vm.open_volume("bob");  // an innocent bystander that must never stall
-  vm.apply("alice", {add(7), add(8)}).get();
+  vm.apply_batch("alice", {add(7), add(8)}).get();
   vm.consistency_point("alice").get();
-  vm.apply("bob", {add(7)}).get();
+  vm.apply_batch("bob", {add(7)}).get();
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> alice_queries{0}, bob_ops{0};
@@ -181,7 +182,7 @@ TEST(ServiceMigration, QueriesRaceMigrationsAndAlwaysSeePriorWrites) {
   std::uint64_t replayed = 0;
   for (int round = 0; round < 24; ++round) {
     const bc::BlockNo fresh = next++;
-    vm.apply("alice", {add(fresh)}).get();
+    vm.apply_batch("alice", {add(fresh)}).get();
     const std::size_t target = (vm.current_shard("alice") + 1) % 3;
     const bsvc::MigrationStats ms = vm.migrate_volume("alice", target);
     EXPECT_TRUE(ms.moved);
@@ -215,7 +216,7 @@ TEST(ServiceMigration, ApplyBatchesSpanMigrationsAtomicallyAndInOrder) {
   bsvc::VolumeManager vm(service_options(dir, 3));
   vm.open_volume("alice");
   vm.open_volume("bob");  // bystander that must never stall
-  vm.apply("bob", {add(7)}).get();
+  vm.apply_batch("bob", {add(7)}).get();
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> bob_ops{0};
@@ -232,7 +233,7 @@ TEST(ServiceMigration, ApplyBatchesSpanMigrationsAtomicallyAndInOrder) {
   bc::BlockNo next = 1000;
   for (int round = 0; round < 24; ++round) {
     const bc::BlockNo single_blk = next++;
-    vm.apply("alice", {add(single_blk)}).get();
+    vm.apply_batch("alice", {add(single_blk)}).get();
 
     std::vector<bsvc::UpdateOp> batch;
     const bc::BlockNo batch_base = next;

@@ -416,7 +416,7 @@ TEST(Observability, VerbCountersMatchServiceStats) {
   vm.open_volume("bob");
   vm.set_tracing(/*sample_every=*/0, /*slow_op_micros=*/1'000'000);
 
-  vm.apply("alice", batch_of(100, 8)).get();
+  vm.apply_batch("alice", batch_of(100, 8)).get();
   vm.apply_batch("bob", batch_of(200, 16)).get();
   vm.query("alice", 100).get();
   vm.query("bob", 200).get();
@@ -425,7 +425,7 @@ TEST(Observability, VerbCountersMatchServiceStats) {
   const bc::Epoch v = vm.take_snapshot("bob").get();
   vm.create_clone("bob", 0, v).get();
   vm.clone_volume("bob", "carol", 0, v);
-  vm.apply("carol", batch_of(300, 4)).get();
+  vm.apply_batch("carol", batch_of(300, 4)).get();
   vm.query("carol", 300).get();
   vm.migrate_volume("alice", 1 - vm.current_shard("alice"));
 
@@ -437,9 +437,9 @@ TEST(Observability, VerbCountersMatchServiceStats) {
   qos.burst_ops = 1;
   qos.max_wait_queue = 1;
   vm.set_qos("alice", qos);
-  auto admitted = vm.apply("alice", {add(1)});
-  auto queued = vm.apply("alice", {add(2)});
-  auto rejected = vm.apply("alice", {add(3)});
+  auto admitted = vm.apply_batch("alice", {add(1)});
+  auto queued = vm.apply_batch("alice", {add(2)});
+  auto rejected = vm.apply_batch("alice", {add(3)});
   vm.clear_qos("alice");
   admitted.get();
   queued.get();
@@ -521,7 +521,8 @@ TEST(Observability, MetricsPollerComputesWindowedRates) {
   // "idle", and consumers (metrics --watch) label it instead of printing it.
   EXPECT_FALSE(primed.primed);
 
-  for (int i = 0; i < 10; ++i) vm.apply("alice", batch_of(i * 100, 50)).get();
+  for (int i = 0; i < 10; ++i)
+    vm.apply_batch("alice", batch_of(i * 100, 50)).get();
   vm.query("alice", 0).get();
 
   // Deterministic window: exactly one second after the prime.
@@ -547,11 +548,11 @@ TEST(Observability, MetricsPollerRatesSurviveVolumeClose) {
   bsvc::VolumeManager vm(service_options(dir, 2));
   vm.open_volume("alice");
   vm.open_volume("bob");
-  vm.apply("alice", batch_of(0, 50)).get();
+  vm.apply_batch("alice", batch_of(0, 50)).get();
   vm.consistency_point("alice").get();
   vm.clear_caches();
   vm.query("alice", 0).get();  // a cache miss: alice read pages too
-  vm.apply("alice", batch_of(1000, 50)).get();
+  vm.apply_batch("alice", batch_of(1000, 50)).get();
   bsvc::MetricsPoller poller(vm, std::chrono::milliseconds(1000));
 
   const std::uint64_t t0 = butil::now_micros();
@@ -589,7 +590,7 @@ TEST(Observability, SampledSpansTelescopeExactly) {
   vm.open_volume("alice");
 
   const std::uint64_t t_apply = butil::now_micros();
-  vm.apply("alice", batch_of(0, 4)).get();
+  vm.apply_batch("alice", batch_of(0, 4)).get();
   const std::uint64_t apply_wall = butil::now_micros() - t_apply;
   vm.apply_batch("alice", batch_of(100, 8)).get();
   vm.query("alice", 0).get();
@@ -600,18 +601,20 @@ TEST(Observability, SampledSpansTelescopeExactly) {
   ASSERT_GE(spans.size(), 5u);
   for (const auto& s : spans) {
     expect_telescopes(s);
-    const bool update = s.verb == bsvc::TraceVerb::kApply ||
-                        s.verb == bsvc::TraceVerb::kApplyBatch;
-    if (!update) EXPECT_EQ(s.commit_wait_micros, 0u);  // acked at execute end
+    if (s.verb != bsvc::TraceVerb::kApplyBatch) {
+      EXPECT_EQ(s.commit_wait_micros, 0u);  // acked at execute end
+    }
     EXPECT_EQ(std::string(s.tenant), "alice");
     EXPECT_FALSE(s.migrated);
     EXPECT_GT(s.id, 0u);
   }
-  // The apply's span runs to its ack, which the caller sees afterwards.
-  EXPECT_LE(spans_of(spans, bsvc::TraceVerb::kApply).at(0).end_to_end_micros(),
-            apply_wall);
-  EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kApply).size(), 1u);
-  EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kApplyBatch)[0].ops, 8u);
+  // Both updates are spans of the one update verb, in submit order. The
+  // first one's span runs to its ack, which the caller sees afterwards.
+  const auto updates = spans_of(spans, bsvc::TraceVerb::kApplyBatch);
+  ASSERT_EQ(updates.size(), 2u);
+  EXPECT_LE(updates[0].end_to_end_micros(), apply_wall);
+  EXPECT_EQ(updates[0].ops, 4u);
+  EXPECT_EQ(updates[1].ops, 8u);
   EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kQueryBatch)[0].ops, 2u);
   EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kCp).size(), 1u);
   EXPECT_EQ(vm.metrics().counter("backlog_trace_spans_total", "").total(),
@@ -626,7 +629,7 @@ TEST(Observability, ServiceTraceRingOverflowKeepsNewest) {
   bsvc::VolumeManager vm(o);
   vm.open_volume("alice");
 
-  for (int i = 0; i < 100; ++i) vm.apply("alice", {add(i)}).get();
+  for (int i = 0; i < 100; ++i) vm.apply_batch("alice", {add(i)}).get();
 
   const auto spans = vm.trace_spans();
   ASSERT_EQ(spans.size(), 8u);  // capacity, not 100: oldest were evicted
@@ -648,7 +651,7 @@ TEST(Observability, SlowOpCapturesInjectedEnvDelay) {
   o.faults = &faults;
   bsvc::VolumeManager vm(o);
   vm.open_volume("alice");
-  vm.apply("alice", batch_of(0, 16)).get();
+  vm.apply_batch("alice", batch_of(0, 16)).get();
   EXPECT_TRUE(vm.slow_ops().empty());  // nothing slow yet
 
   // The CP creates run files; the armed action stretches each create by
@@ -706,10 +709,11 @@ TEST(Observability, CommitWaitStageCapturesInjectedSyncDelay) {
                      std::chrono::microseconds(kDelayMicros));
                }));
     const std::uint64_t t_before = butil::now_micros();
-    vm.apply("alice", batch_of(0, 4)).get();
+    vm.apply_batch("alice", batch_of(0, 4)).get();
     const std::uint64_t wall = butil::now_micros() - t_before;
 
-    const auto applies = spans_of(vm.trace_spans(), bsvc::TraceVerb::kApply);
+    const auto applies =
+        spans_of(vm.trace_spans(), bsvc::TraceVerb::kApplyBatch);
     ASSERT_EQ(applies.size(), 1u);
     const bsvc::TraceSpan& s = applies[0];
     expect_telescopes(s);
@@ -738,7 +742,7 @@ TEST(Observability, SlowOpSpansMigrationParkReplay) {
   o.trace_sample_every = 1;
   bsvc::VolumeManager vm(o);
   vm.open_volume("alice");
-  vm.apply("alice", {add(1)}).get();
+  vm.apply_batch("alice", {add(1)}).get();
   const std::size_t source = vm.current_shard("alice");
   const std::size_t target = 1 - source;
 
@@ -760,7 +764,7 @@ TEST(Observability, SlowOpSpansMigrationParkReplay) {
   // Phase 1 (park) needs only the routing lock; give it ample time, then
   // submit the op that must land in the parked deque.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  auto parked_op = vm.apply("alice", {add(2)});
+  auto parked_op = vm.apply_batch("alice", {add(2)});
   // Hold the park open long enough that the op is unambiguously slow.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   release.store(true, std::memory_order_release);
@@ -773,7 +777,7 @@ TEST(Observability, SlowOpSpansMigrationParkReplay) {
   // The op's span survived the handoff: recorded on the target shard,
   // flagged migrated, park time showing up as queue wait, stages still
   // telescoping exactly.
-  const auto applies = spans_of(vm.slow_ops(), bsvc::TraceVerb::kApply);
+  const auto applies = spans_of(vm.slow_ops(), bsvc::TraceVerb::kApplyBatch);
   ASSERT_FALSE(applies.empty());
   const bsvc::TraceSpan& s = applies.back();
   EXPECT_TRUE(s.migrated);
@@ -802,9 +806,10 @@ TEST(Observability, GateWaitStageSplitsFromQueueWait) {
   vm.set_qos("alice", qos);
   bool saw_gated = false;
   for (bc::BlockNo b = 1; b < 20 && !saw_gated; b += 2) {
-    vm.apply("alice", {add(b)}).get();      // spends the burst
-    vm.apply("alice", {add(b + 1)}).get();  // throttled: waits for a token
-    for (const auto& s : spans_of(vm.trace_spans(), bsvc::TraceVerb::kApply)) {
+    vm.apply_batch("alice", {add(b)}).get();      // spends the burst
+    vm.apply_batch("alice", {add(b + 1)}).get();  // throttled: waits
+    for (const auto& s :
+         spans_of(vm.trace_spans(), bsvc::TraceVerb::kApplyBatch)) {
       expect_telescopes(s);
       if (s.gate_wait_micros > 0) saw_gated = true;
     }
@@ -820,16 +825,16 @@ TEST(Observability, SetTracingTogglesAtRuntime) {
   bsvc::VolumeManager vm(service_options(dir, 1));  // tracing off by default
   vm.open_volume("alice");
 
-  vm.apply("alice", {add(1)}).get();
+  vm.apply_batch("alice", {add(1)}).get();
   EXPECT_TRUE(vm.trace_spans().empty());
 
   vm.set_tracing(/*sample_every=*/1, /*slow_op_micros=*/0);
-  vm.apply("alice", {add(2)}).get();
+  vm.apply_batch("alice", {add(2)}).get();
   const std::size_t traced = vm.trace_spans().size();
   EXPECT_GE(traced, 1u);
 
   vm.set_tracing(0, 0);
-  vm.apply("alice", {add(3)}).get();
+  vm.apply_batch("alice", {add(3)}).get();
   // No new spans beyond what the enabled window recorded (the disabled
   // scrape itself is not traced).
   EXPECT_EQ(vm.trace_spans().size(), traced);
@@ -846,10 +851,10 @@ TEST(Observability, TracingAddsNoApiThreadAllocations) {
   // are preallocated.
   constexpr int kOps = 64;
   const auto measure = [&](bc::BlockNo base) {
-    for (int i = 0; i < 8; ++i) vm.apply("alice", {add(base + i)}).get();
+    for (int i = 0; i < 8; ++i) vm.apply_batch("alice", {add(base + i)}).get();
     const std::uint64_t before = thread_allocs();
     for (int i = 8; i < 8 + kOps; ++i) {
-      vm.apply("alice", {add(base + i)}).get();
+      vm.apply_batch("alice", {add(base + i)}).get();
     }
     return thread_allocs() - before;
   };

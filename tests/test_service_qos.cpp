@@ -188,8 +188,8 @@ TEST(ServiceQos, ZeroRateBucketThrottlesEverythingAndBackpressures) {
   // The first 4 ops queue; the 5th is rejected with the backpressure code.
   std::vector<std::future<void>> queued;
   for (int i = 0; i < 4; ++i)
-    queued.push_back(vm.apply("frozen", {add(100 + i)}));
-  auto overflow = vm.apply("frozen", {add(999)});
+    queued.push_back(vm.apply_batch("frozen", {add(100 + i)}));
+  auto overflow = vm.apply_batch("frozen", {add(999)});
   EXPECT_TRUE(is_throttled(overflow));
 
   // Nothing ran: the volume's stats see zero updates, and the gate reports
@@ -223,10 +223,10 @@ TEST(ServiceQos, BurstOneAdmitsOneThenPaces) {
   vm.set_qos("drip", qos);
 
   // Op 1 rides the burst; op 2 must wait for the bucket (~20 ms at 50/s).
-  auto first = vm.apply("drip", {add(1)});
+  auto first = vm.apply_batch("drip", {add(1)});
   EXPECT_EQ(first.wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
-  auto second = vm.apply("drip", {add(2)});
+  auto second = vm.apply_batch("drip", {add(2)});
   auto snap = vm.qos("drip");
   EXPECT_EQ(snap.admitted, 1u);
   EXPECT_EQ(snap.queued, 1u);
@@ -241,7 +241,7 @@ TEST(ServiceQos, ThrottleUnthrottleTransitionPreservesOrderAndData) {
   vm.open_volume("alice");
 
   // Unthrottled warm-up.
-  vm.apply("alice", {add(1)}).get();
+  vm.apply_batch("alice", {add(1)}).get();
 
   bsvc::TenantQos qos;
   qos.ops_per_sec = 0;
@@ -250,7 +250,8 @@ TEST(ServiceQos, ThrottleUnthrottleTransitionPreservesOrderAndData) {
   vm.set_qos("alice", qos);
 
   std::vector<std::future<void>> futs;
-  for (int i = 0; i < 8; ++i) futs.push_back(vm.apply("alice", {add(10 + i)}));
+  for (int i = 0; i < 8; ++i)
+    futs.push_back(vm.apply_batch("alice", {add(10 + i)}));
   // A consistency point submitted *behind* throttled updates must not jump
   // ahead of them (order under throttling), so it queues too.
   auto cp = vm.consistency_point("alice");
@@ -263,7 +264,7 @@ TEST(ServiceQos, ThrottleUnthrottleTransitionPreservesOrderAndData) {
     EXPECT_EQ(vm.query("alice", 10 + i).get().size(), 1u) << i;
   // And the gate is inert again: fresh ops flow with no queueing.
   const auto before = vm.qos("alice").queued;
-  vm.apply("alice", {add(99)}).get();
+  vm.apply_batch("alice", {add(99)}).get();
   EXPECT_EQ(vm.qos("alice").queued, before);
   EXPECT_FALSE(vm.qos("alice").enabled);
 }
@@ -276,8 +277,8 @@ TEST(ServiceQos, CloseVolumeFlushesThrottledOps) {
   qos.ops_per_sec = 0;
   qos.burst_ops = 0;
   vm.set_qos("alice", qos);
-  auto f1 = vm.apply("alice", {add(1)});
-  auto f2 = vm.apply("alice", {add(2)});
+  auto f1 = vm.apply_batch("alice", {add(1)});
+  auto f2 = vm.apply_batch("alice", {add(2)});
   // close_volume releases the wait queue ahead of the teardown: the ops
   // commit (and survive reopen) instead of stranding their futures.
   vm.close_volume("alice");
@@ -353,8 +354,8 @@ TEST(ServiceQos, ApplyBatchQueuesBehindThrottledSinglesInOrder) {
   qos.max_wait_queue = 1024;
   vm.set_qos("alice", qos);
 
-  auto s1 = vm.apply("alice", {add(1)});
-  auto s2 = vm.apply("alice", {add(2)});
+  auto s1 = vm.apply_batch("alice", {add(1)});
+  auto s2 = vm.apply_batch("alice", {add(2)});
   auto b = vm.apply_batch("alice", {add(3), add(4)});
   // A CP submitted behind the throttled batch must not jump ahead of it:
   // when it completes, every earlier update is committed.
@@ -468,7 +469,7 @@ std::uint64_t victim_p99_under_flood(bsvc::VolumeManager& vm,
   flood.reserve(kHogWindows);
   cps.reserve(kHogWindows);
   for (int i = 0; i < kHogWindows; ++i) {
-    flood.push_back(vm.apply(
+    flood.push_back(vm.apply_batch(
         "hog", batch_of(hog_base + static_cast<bc::BlockNo>(i) * kHogBatchOps,
                         kHogBatchOps)));
     cps.push_back(vm.consistency_point("hog"));
@@ -520,7 +521,7 @@ TEST(ServiceQos, NoisyNeighborDegradesVictimAndQosRestoresIsolation) {
     bsvc::VolumeManager vm(service_options(dir_a, 1));
     vm.open_volume("hog");
     vm.open_volume("victim");
-    vm.apply("victim", {add(1)}).get();
+    vm.apply_batch("victim", {add(1)}).get();
     vm.consistency_point("victim").get();
     p99_unthrottled = victim_p99_under_flood(vm, 1000);
   }
@@ -532,7 +533,7 @@ TEST(ServiceQos, NoisyNeighborDegradesVictimAndQosRestoresIsolation) {
     bsvc::VolumeManager vm(service_options(dir_b, 1));
     vm.open_volume("hog");
     vm.open_volume("victim");
-    vm.apply("victim", {add(1)}).get();
+    vm.apply_batch("victim", {add(1)}).get();
     vm.consistency_point("victim").get();
     bsvc::TenantQos qos;
     qos.ops_per_sec = 2000;   // a trickle next to the ~400k-op flood

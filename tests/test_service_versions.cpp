@@ -399,7 +399,7 @@ TEST_P(ServiceVersions, RandomizedVerbsMatchNaiveModel) {
       if (rng.below(2) == 0) {
         vm.apply_batch(t, batch).get();
       } else {
-        vm.apply(t, batch).get();
+        vm.apply_batch(t, batch).get();
       }
       for (std::size_t i = 0; i < batch.size(); ++i) {
         model_apply(m, batch[i], structural[i]);

@@ -401,7 +401,7 @@ void run_wal_crash_case(std::string_view point, int ordinal,
   {
     bsvc::VolumeManager vm(wal_options(dir.path()));
     vm.open_volume("alpha");
-    vm.apply("alpha", seed).get();
+    vm.apply_batch("alpha", seed).get();
     vm.consistency_point("alpha").get();
   }  // joined: single-threaded again, safe to fork
 
@@ -416,10 +416,10 @@ void run_wal_crash_case(std::string_view point, int ordinal,
     try {
       bsvc::VolumeManager vm(so);
       vm.open_volume("alpha");
-      vm.apply("alpha", batches[0]).get();
-      vm.apply("alpha", batches[1]).get();
+      vm.apply_batch("alpha", batches[0]).get();
+      vm.apply_batch("alpha", batches[1]).get();
       vm.consistency_point("alpha").get();
-      vm.apply("alpha", batches[2]).get();
+      vm.apply_batch("alpha", batches[2]).get();
       vm.consistency_point("alpha").get();
     } catch (...) {
       ::_exit(18);
@@ -449,7 +449,7 @@ void run_wal_crash_case(std::string_view point, int ordinal,
 
   // The recovered volume is fully serviceable: a fresh committed write
   // round-trips.
-  vm.apply("alpha", {add(450)}).get();
+  vm.apply_batch("alpha", {add(450)}).get();
   vm.consistency_point("alpha").get();
   EXPECT_FALSE(vm.query("alpha", 450).get().empty());
 }
@@ -526,7 +526,8 @@ TEST(WalGroupCommit, WindowZeroIsPerOpFsync) {
   bs::TempDir dir;
   bsvc::VolumeManager vm(wal_options(dir.path(), 0));
   vm.open_volume("a");
-  for (std::uint64_t i = 0; i < 8; ++i) vm.apply("a", {add(10 + i)}).get();
+  for (std::uint64_t i = 0; i < 8; ++i)
+    vm.apply_batch("a", {add(10 + i)}).get();
   EXPECT_EQ(vm.metrics().counter("backlog_wal_records_total", "").total(), 8u);
   EXPECT_EQ(vm.metrics().counter("backlog_wal_syncs_total", "").total(), 8u);
 }
@@ -548,8 +549,8 @@ TEST(WalGroupCommit, WindowAmortizesFsyncsAcrossBatchesAndVolumes) {
              bu::FaultAction::call([queued] { queued.wait(); }).once());
   std::vector<std::future<void>> acks;
   for (std::uint64_t i = 0; i < 16; ++i) {
-    acks.push_back(vm.apply("a", {add(100 + i)}));
-    acks.push_back(vm.apply("b", {add(200 + i)}));
+    acks.push_back(vm.apply_batch("a", {add(100 + i)}));
+    acks.push_back(vm.apply_batch("b", {add(200 + i)}));
   }
   all_queued.set_value();
   for (auto& f : acks) EXPECT_NO_THROW(f.get());
@@ -570,7 +571,7 @@ TEST(WalGroupCommit, IdleShardAcksWithoutWaitingOutTheWindow) {
   bsvc::VolumeManager vm(wal_options(dir.path(), kWindowMicros));
   vm.open_volume("a");
   const auto start = std::chrono::steady_clock::now();
-  vm.apply("a", {add(10)}).get();
+  vm.apply_batch("a", {add(10)}).get();
   const auto waited = std::chrono::steady_clock::now() - start;
   // The window bounds how long an ack may wait for company; with nothing
   // else queued the sweep commits at once.
@@ -587,7 +588,7 @@ TEST(WalGroupCommit, AckedWritesSurviveReopenWithoutAnyConsistencyPoint) {
     std::vector<std::future<void>> acks;
     std::vector<bsvc::UpdateOp> all;
     for (std::uint64_t i = 0; i < 10; ++i) {
-      acks.push_back(vm.apply("a", {add(50 + i)}));
+      acks.push_back(vm.apply_batch("a", {add(50 + i)}));
       all.push_back(add(50 + i));
     }
     for (auto& f : acks) f.get();
@@ -609,11 +610,11 @@ TEST(WalGroupCommit, OpsAckedAfterARelocateReplayOntoTheRelocatedState) {
   {
     bsvc::VolumeManager vm(wal_options(dir.path()));
     vm.open_volume("a");
-    vm.apply("a", {add(10), add(11)}).get();
+    vm.apply_batch("a", {add(10), add(11)}).get();
     vm.consistency_point("a").get();  // 10 and 11 live in runs
-    vm.apply("a", {add(12)}).get();   // 12 lives in the write store
+    vm.apply_batch("a", {add(12)}).get();   // 12 lives in the write store
     EXPECT_EQ(vm.relocate("a", 10, 3, 300).get(), 3u);
-    vm.apply("a", {rm(301)}).get();
+    vm.apply_batch("a", {rm(301)}).get();
   }  // torn down with the remove only in the WAL — like a clean kill
   bsvc::VolumeManager vm(wal_options(dir.path()));
   vm.open_volume("a");
@@ -633,11 +634,11 @@ TEST(WalGroupCommit, ConsistencyPointTruncatesTheLog) {
       }).get();
     return size;
   };
-  vm.apply("a", {add(10), add(11)}).get();
+  vm.apply_batch("a", {add(10), add(11)}).get();
   EXPECT_GT(wal_size(), 0u);
   vm.consistency_point("a").get();
   EXPECT_EQ(wal_size(), 0u) << "CP did not truncate the WAL";
-  vm.apply("a", {add(12)}).get();
+  vm.apply_batch("a", {add(12)}).get();
   EXPECT_GT(wal_size(), 0u);
 }
 
@@ -653,12 +654,12 @@ TEST(WoundedVolume, PersistentWriteErrorFlipsReadOnlyWithTypedErrors) {
     so.faults = &faults;
     bsvc::VolumeManager vm(so);
     vm.open_volume("w");
-    vm.apply("w", {add(10), add(11)}).get();
+    vm.apply_batch("w", {add(10), add(11)}).get();
     vm.consistency_point("w").get();
 
     faults.arm("env.append", bu::FaultAction::fail().on("w"));
 
-    auto f = vm.apply("w", {add(20)});
+    auto f = vm.apply_batch("w", {add(20)});
     EXPECT_EQ(code_of(f), bsvc::ErrorCode::kWounded);
 
     // Reads keep working on the wounded volume. The refused batch was
@@ -671,7 +672,7 @@ TEST(WoundedVolume, PersistentWriteErrorFlipsReadOnlyWithTypedErrors) {
     EXPECT_EQ(live_keys(vm, "w"), ghost);
 
     // Every mutating verb fast-fails with the typed code.
-    auto f2 = vm.apply("w", {add(21)});
+    auto f2 = vm.apply_batch("w", {add(21)});
     EXPECT_EQ(code_of(f2), bsvc::ErrorCode::kWounded);
     EXPECT_THROW(
         {
@@ -696,7 +697,7 @@ TEST(WoundedVolume, PersistentWriteErrorFlipsReadOnlyWithTypedErrors) {
   bsvc::VolumeManager vm(wal_options(dir.path()));
   vm.open_volume("w");
   EXPECT_EQ(live_keys(vm, "w"), committed);
-  vm.apply("w", {add(30)}).get();
+  vm.apply_batch("w", {add(30)}).get();
   EXPECT_EQ(vm.metrics().gauge("backlog_wounded_volumes", "").value(), 0.0);
 }
 
@@ -713,13 +714,13 @@ TEST(WoundedVolume, SyncFailureUnderGroupCommitWoundsOnlyThatVolume) {
   // error wounds the volume and its pending ack carries the typed code.
   faults.arm("env.sync", bu::FaultAction::fail().on("sick"));
 
-  auto sick = vm.apply("sick", {add(10)});
-  auto ok = vm.apply("healthy", {add(20)});
+  auto sick = vm.apply_batch("sick", {add(10)});
+  auto ok = vm.apply_batch("healthy", {add(20)});
   EXPECT_EQ(code_of(sick), bsvc::ErrorCode::kWounded);
   EXPECT_NO_THROW(ok.get());  // the neighbour's ack is not wounded
 
   EXPECT_EQ(live_keys(vm, "healthy").size(), 1u);
-  auto again = vm.apply("sick", {add(11)});
+  auto again = vm.apply_batch("sick", {add(11)});
   EXPECT_EQ(code_of(again), bsvc::ErrorCode::kWounded);
   EXPECT_EQ(vm.metrics().gauge("backlog_wounded_volumes", "").value(), 1.0);
 }
@@ -735,7 +736,7 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
     vm.open_volume("w");
     std::vector<bsvc::UpdateOp> seed;
     for (std::uint64_t b = 1; b <= 8; ++b) seed.push_back(add(b));
-    vm.apply("w", seed).get();
+    vm.apply_batch("w", seed).get();
     vm.consistency_point("w").get();
     apply_to_model(committed, seed);
 
@@ -745,7 +746,7 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
     faults.arm("env.append",
                bu::FaultAction::fail(EIO, bu::FaultAction::Kind::kTornPage)
                    .on("w"));
-    auto f = vm.apply("w", record_ops(100, 200));  // big enough to tear
+    auto f = vm.apply_batch("w", record_ops(100, 200));  // big enough to tear
     EXPECT_EQ(code_of(f), bsvc::ErrorCode::kWounded);
     std::uint64_t torn = 0;
     vm.with_env("w", [&torn](bs::Env& env, bc::BacklogDb&) {
@@ -758,7 +759,7 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
   EXPECT_EQ(live_keys(vm, "w"), committed);
   expect_disk_matches_manifest(vm, dir.path(), "w");
   // Healed on reopen: the wound does not persist across recovery.
-  vm.apply("w", {add(400)}).get();
+  vm.apply_batch("w", {add(400)}).get();
   vm.consistency_point("w").get();
   EXPECT_FALSE(vm.query("w", 400).get().empty());
 }
