@@ -191,11 +191,10 @@ std::string BacklogDb::new_run_name(Table table, std::uint64_t partition) {
   return buf;
 }
 
-std::uint64_t BacklogDb::flush_table(const std::vector<std::uint8_t>& sorted,
-                                     std::size_t record_size, Table table) {
-  if (sorted.empty()) return 0;
+void BacklogDb::flush_table(const std::vector<std::uint8_t>& sorted,
+                            std::size_t record_size, Table table,
+                            RunList& staged) {
   const std::size_t n = sorted.size() / record_size;
-  std::uint64_t records = 0;
   std::size_t i = 0;
   while (i < n) {
     // Records are globally sorted block-first, so each partition's records
@@ -213,16 +212,18 @@ std::uint64_t BacklogDb::flush_table(const std::vector<std::uint8_t>& sorted,
       if (b >= part_end) break;
       writer.add({rec, record_size}, b);
       ++i;
-      ++records;
     }
     writer.finish();
+    staged.push_back(written_run(name, table, partition, writer));
+  }
+}
 
-    auto meta = written_run(name, table, partition, writer);
+void BacklogDb::install_runs(RunList& staged) {
+  for (auto& meta : staged) {
     track_run_added(*meta);
-    partitions_[partition].of(table).push_back(meta);
+    partitions_[meta->partition].of(meta->table).push_back(meta);
     pending_manifest_runs_.push_back(std::move(meta));
   }
-  return records;
 }
 
 CpFlushStats BacklogDb::consistency_point() {
@@ -234,8 +235,24 @@ CpFlushStats BacklogDb::consistency_point() {
   s.block_ops = ops_since_cp_;
   s.records_flushed = ws_.from_size() + ws_.to_size();
 
-  flush_table(ws_.encode_from_sorted(), kFromRecordSize, Table::kFrom);
-  flush_table(ws_.encode_to_sorted(), kToRecordSize, Table::kTo);
+  // Both tables are written before any run is installed, so a failed flush
+  // leaves the runs and the write store as they were and a retried CP
+  // flushes every record once. A run file cut short by the failure is an
+  // orphan that the next open removes.
+  RunList staged;
+  try {
+    flush_table(ws_.encode_from_sorted(), kFromRecordSize, Table::kFrom, staged);
+    flush_table(ws_.encode_to_sorted(), kToRecordSize, Table::kTo, staged);
+  } catch (...) {
+    for (const auto& meta : staged) {
+      try {
+        env_.delete_file(meta->name);
+      } catch (...) {  // best effort: an undeleted run is an orphan too
+      }
+    }
+    throw;
+  }
+  install_runs(staged);
   ws_.clear();
   if (options_.faults != nullptr)
     options_.faults->check(util::fault_point("cp.flushed"),
@@ -770,18 +787,14 @@ std::uint64_t BacklogDb::relocate(BlockNo old_block, std::uint64_t length,
     }
     buf = std::move(sorted);
   };
-  if (!new_from.empty()) {
-    sort_records(new_from, kFromRecordSize);
-    flush_table(new_from, kFromRecordSize, Table::kFrom);
-  }
-  if (!new_to.empty()) {
-    sort_records(new_to, kToRecordSize);
-    flush_table(new_to, kToRecordSize, Table::kTo);
-  }
-  if (!new_combined.empty()) {
-    sort_records(new_combined, kCombinedRecordSize);
-    flush_table(new_combined, kCombinedRecordSize, Table::kCombined);
-  }
+  RunList staged;
+  sort_records(new_from, kFromRecordSize);
+  flush_table(new_from, kFromRecordSize, Table::kFrom, staged);
+  sort_records(new_to, kToRecordSize);
+  flush_table(new_to, kToRecordSize, Table::kTo, staged);
+  sort_records(new_combined, kCombinedRecordSize);
+  flush_table(new_combined, kCombinedRecordSize, Table::kCombined, staged);
+  install_runs(staged);
   ++mutations_;
   return moved;
 }
@@ -830,7 +843,7 @@ FileOwnershipStats BacklogDb::file_ownership() const {
   return s;
 }
 
-QuickStats BacklogDb::quick_stats() const noexcept {
+QuickStats BacklogDb::quick_stats() const {
   QuickStats q = quick_;
   q.ws_entries = ws_.from_size() + ws_.to_size();
   q.ops_since_cp = ops_since_cp_;

@@ -168,10 +168,11 @@ struct DbStats {
   std::uint64_t partitions = 0;
 };
 
-/// O(1) stats snapshot. Unlike stats(), which walks every partition and run,
-/// these counters are maintained incrementally as runs are installed and
+/// Cheap stats snapshot. Unlike stats(), which walks every partition and run,
+/// the run counters are maintained incrementally as runs are installed and
 /// retired — cheap enough for a scheduler to poll across hundreds of hosted
-/// volumes between every task.
+/// volumes between every task. `ws_entries` folds the write store's log
+/// first, a sort of the updates made since the last read.
 struct QuickStats {
   std::uint64_t from_runs = 0;
   std::uint64_t to_runs = 0;
@@ -187,6 +188,9 @@ struct QuickStats {
   }
 };
 
+/// A BacklogDb is confined to one thread at a time, const members included:
+/// every read first folds the write store's log. The service calls each
+/// volume's db only on the volume's shard thread; the TSan suites check it.
 class BacklogDb {
  public:
   /// Opens (or creates) the database rooted at `env`. If a manifest exists,
@@ -308,7 +312,7 @@ class BacklogDb {
 
   [[nodiscard]] DbStats stats() const;
   [[nodiscard]] FileOwnershipStats file_ownership() const;
-  [[nodiscard]] QuickStats quick_stats() const noexcept;
+  [[nodiscard]] QuickStats quick_stats() const;
   [[nodiscard]] const BacklogOptions& options() const noexcept { return options_; }
 
  private:
@@ -357,9 +361,12 @@ class BacklogDb {
   void track_run_added(const RunMeta& meta) noexcept;
   void track_run_removed(const RunMeta& meta) noexcept;
 
-  // Flush helpers.
-  std::uint64_t flush_table(const std::vector<std::uint8_t>& sorted,
-                            std::size_t record_size, Table table);
+  // Writes `sorted` as one run per touched partition and appends their
+  // metas to `staged`; installs nothing.
+  void flush_table(const std::vector<std::uint8_t>& sorted,
+                   std::size_t record_size, Table table, RunList& staged);
+  // Registers written runs with the partitions and the next manifest edit.
+  void install_runs(RunList& staged);
 
   // Stepped-Merge intermediate levels (§5.1): when a partition holds more
   // runs than can be merged in one pass (bounded by open-file capacity),

@@ -1,24 +1,30 @@
 // In-memory write stores for the From and To tables (§5, §5.1).
 //
-// The WS is a balanced tree sorted the same way as the on-disk runs, so that
-// (a) the CP flush can build the run file bottom-up with zero sorting work
-// and (b) proactive pruning can find the entry it needs in O(log n):
+// The WS has two parts. The log is an append-only vector of the current CP's
+// updates, so an update is one append. The folded view is two vectors sorted
+// the same way as the on-disk runs. §5.1 needs the WS sorted only when the CP
+// flushes it, so every reader first folds: one stable sort of the log by key,
+// then one linear merge pass against the folded view that applies each key's
+// updates in arrival order, with proactive pruning:
 //
 //  * add+remove within one CP  -> both sides are still in memory; the From
-//    entry is erased and nothing is ever written (records with from == to
+//    entry is dropped and nothing is ever written (records with from == to
 //    never materialize);
 //  * remove+re-add within one CP (reallocation) -> the buffered To entry is
-//    erased, so the original From record simply stays incomplete and the
+//    dropped, so the original From record simply stays incomplete and the
 //    reference's lifetime continues uninterrupted (the paper's "3..present"
 //    example).
 //
 // Invariant: every epoch stored in the WS equals the *current* CP number —
 // the WS is flushed at every consistency point, which is what makes pruning
-// a pure in-memory operation.
+// a pure in-memory operation. The log carries that one epoch; an update with
+// another epoch folds the log first.
+//
+// Readers are const but fold, so the vectors are mutable: a WriteStore, like
+// the BacklogDb that owns it, is used by one thread at a time.
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -26,36 +32,25 @@
 
 namespace backlog::core {
 
-/// Outcome of an update, for stats and tests.
-enum class WsUpdate {
-  kInserted,        ///< a new WS entry was created
-  kPrunedAnnihilate,///< add+remove in one CP cancelled out (nothing remains)
-  kPrunedMerge,     ///< remove+add in one CP merged intervals (To erased)
-};
-
 class WriteStore {
  public:
   /// `pruning` off is used only by the ablation bench (§5.1 design choice).
   explicit WriteStore(bool pruning = true) : pruning_(pruning) {}
 
   /// A reference to `key` became live at the current CP `cp`.
-  WsUpdate add_reference(const BackrefKey& key, Epoch cp);
+  void add_reference(const BackrefKey& key, Epoch cp);
 
   /// The reference to `key` died at the current CP `cp`.
-  WsUpdate remove_reference(const BackrefKey& key, Epoch cp);
+  void remove_reference(const BackrefKey& key, Epoch cp);
 
-  /// Bulk update: apply `ops` in order with exactly the same pruning rules
-  /// as the per-op calls, amortizing per-record overhead. All ops carry the
-  /// same epoch `cp` (the write-store invariant), so the per-op epoch stamp
-  /// and pruning-probe setup are paid once; inserts are hinted at the tail,
-  /// which is O(1) amortized for the dominant append pattern (fresh blocks
-  /// allocated monotonically) and falls back to O(log n) otherwise.
+  /// Bulk update: append `ops` to the log. The next read folds them with
+  /// exactly the same pruning rules as the per-op calls issued in order.
   void apply_many(std::span<const Update> ops, Epoch cp);
 
-  [[nodiscard]] std::size_t from_size() const noexcept { return from_.size(); }
-  [[nodiscard]] std::size_t to_size() const noexcept { return to_.size(); }
-  [[nodiscard]] bool empty() const noexcept {
-    return from_.empty() && to_.empty();
+  [[nodiscard]] std::size_t from_size() const { return fold().from_.size(); }
+  [[nodiscard]] std::size_t to_size() const { return fold().to_.size(); }
+  [[nodiscard]] bool empty() const {
+    return fold().from_.empty() && to_.empty();
   }
 
   /// Sorted snapshots of the stores as encoded record buffers (the flush
@@ -76,33 +71,29 @@ class WriteStore {
   std::size_t rekey_block_range(BlockNo block_lo, BlockNo block_hi,
                                 BlockNo new_lo);
 
-  [[nodiscard]] const std::set<FromRecord>& from_entries() const noexcept {
-    return from_;
+  [[nodiscard]] const std::vector<FromRecord>& from_entries() const {
+    return fold().from_;
   }
-  [[nodiscard]] const std::set<ToRecord>& to_entries() const noexcept {
-    return to_;
+  [[nodiscard]] const std::vector<ToRecord>& to_entries() const {
+    return fold().to_;
   }
 
   /// Drop everything (after a successful CP flush, or to simulate a crash).
   void clear() {
-    from_.clear();
-    to_.clear();
+    log_.clear();
+    from_ = {};
+    to_ = {};
   }
 
-  /// Remove WS entries matching an exact key (relocation support). Returns
-  /// the erased (from?, to?) entries' presence.
-  struct Erased {
-    bool from = false;
-    bool to = false;
-    Epoch from_epoch = 0;
-    Epoch to_epoch = 0;
-  };
-  Erased erase_key(const BackrefKey& key, Epoch cp);
-
  private:
+  /// Folds the log into the sorted view; returns *this for the reader.
+  const WriteStore& fold() const;
+
   bool pruning_;
-  std::set<FromRecord> from_;
-  std::set<ToRecord> to_;
+  Epoch log_cp_ = 0;  // the epoch of every update in log_
+  mutable std::vector<Update> log_;
+  mutable std::vector<FromRecord> from_;
+  mutable std::vector<ToRecord> to_;
 };
 
 }  // namespace backlog::core

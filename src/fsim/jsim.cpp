@@ -109,7 +109,7 @@ void JournalingFileSystem::recover_after_crash() {
   // The in-memory write store dies with the crash; the on-disk state is the
   // last checkpoint. Re-open and redo the journal (§5.4) — through the
   // batched update path: the journal is validated history, so replaying it
-  // as one apply_many call rebuilds the write store at bulk-insert speed
+  // as one apply_many call appends it to the write store's log in one go
   // instead of paying the per-op callback overhead entry by entry.
   db_.reset();
   db_ = std::make_unique<core::BacklogDb>(env_, backlog_options_);

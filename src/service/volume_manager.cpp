@@ -173,8 +173,7 @@ core::CpFlushStats VolumeManager::commit_cp(Volume& v) {
   v.time(kCpMicros, now_micros() - t0);
   // The committed CP covers every logged op at or below its epoch: the log
   // restarts empty behind it. (A crash between the CP and this reset is
-  // benign — replay skips records below the recovered epoch, and the write
-  // store's set semantics make a same-epoch re-apply idempotent.)
+  // benign: replay skips records below the recovered epoch.)
   if (v.wal) {
     v.wal->reset();
     inject(util::fault_point("wal.truncated"), v);

@@ -899,7 +899,10 @@ TEST(BacklogDb, ExtentRelocationMovesWholeExtent) {
 // pair, the scenario is rebuilt and that hit fails with EIO. The operation
 // must throw, and a reopen over a fresh Env must succeed and show exactly
 // the state before the operation or the state after it — never a mix, and
-// never a lost volume.
+// never a lost volume. A scenario that sets `retry_before_flushed` also
+// retries the operation on the same open db after every hit that fails it
+// before "cp.flushed": a failed flush must leave the in-memory state alone,
+// so the retry must reach exactly the state after, live and on reopen.
 
 namespace {
 
@@ -911,6 +914,7 @@ struct SweepScenario {
   std::uint64_t blocks = 0;  // every record lives below this block
   std::function<void(bc::BacklogDb&)> setup;  // runs with no fault armed
   std::function<void(bc::BacklogDb&)> op;     // the operation under test
+  bool retry_before_flushed = false;
 };
 
 std::vector<bc::CombinedRecord> reopened_state(const SweepScenario& sc,
@@ -921,20 +925,25 @@ std::vector<bc::CombinedRecord> reopened_state(const SweepScenario& sc,
 }
 
 /// Builds the scenario in `dir`; with `arm` set, arms it around the
-/// operation and runs the operation. Returns whether the operation threw.
+/// operation and runs the operation. Returns whether the operation threw;
+/// if it did, `on_throw` then runs on the same open db.
 bool run_scenario(const SweepScenario& sc, const std::filesystem::path& dir,
-                  const std::function<void(bu::FaultPoints&)>& arm) {
+                  const std::function<void(bu::FaultPoints&)>& arm,
+                  const std::function<void(bc::BacklogDb&)>& on_throw = {}) {
   bu::FaultPoints faults;
   bs::Env env(dir);
   env.set_sync(false);  // the points still fire; reopen reads the page cache
   env.set_faults(&faults, "sweep");
-  bc::BacklogDb db(env, sc.opts);
+  bc::BacklogOptions opts = sc.opts;
+  opts.faults = &faults;  // the cp.* landmarks
+  bc::BacklogDb db(env, opts);
   sc.setup(db);
   if (!arm) return false;
   arm(faults);
   try {
     sc.op(db);
   } catch (const std::system_error&) {
+    if (on_throw) on_throw(db);
     return true;
   }
   return false;
@@ -945,24 +954,38 @@ void sweep(const SweepScenario& sc) {
   run_scenario(sc, before_dir.path(), nullptr);
   const auto before = reopened_state(sc, before_dir.path());
   std::array<std::uint64_t, kEnvPoints.size()> hits{};
+  std::array<std::uint64_t, kEnvPoints.size()> hits_before_flushed{};
   ASSERT_FALSE(run_scenario(sc, after_dir.path(), [&](bu::FaultPoints& f) {
     for (std::size_t i = 0; i < kEnvPoints.size(); ++i)
       f.arm(kEnvPoints[i], bu::FaultAction::call([&hits, i] { ++hits[i]; }));
+    f.arm("cp.flushed", bu::FaultAction::call(
+                            [&] { hits_before_flushed = hits; }));
   }));
   const auto after = reopened_state(sc, after_dir.path());
   ASSERT_TRUE(before != after) << "the operation must change the state";
 
-  std::uint64_t swept = 0;
+  std::uint64_t swept = 0, retried = 0;
   for (std::size_t i = 0; i < kEnvPoints.size(); ++i) {
     for (std::uint64_t hit = 0; hit < hits[i]; ++hit, ++swept) {
       SCOPED_TRACE(std::string(kEnvPoints[i]) + " hit " + std::to_string(hit));
+      const bool retry = sc.retry_before_flushed && hit < hits_before_flushed[i];
+      const auto retry_op = [&](bc::BacklogDb& db) {
+        sc.op(db);  // the one-shot fault has fired; nothing is armed
+        EXPECT_TRUE(db.query_raw(0, sc.blocks) == after)
+            << "the retried operation did not reach the state after";
+        ++retried;
+      };
       bs::TempDir dir;
-      EXPECT_TRUE(run_scenario(sc, dir.path(), [&](bu::FaultPoints& f) {
-        f.arm(kEnvPoints[i], bu::FaultAction::fail(EIO).skip(hit).once());
-      })) << "the injected failure did not fail the operation";
+      EXPECT_TRUE(run_scenario(
+          sc, dir.path(),
+          [&](bu::FaultPoints& f) {
+            f.arm(kEnvPoints[i], bu::FaultAction::fail(EIO).skip(hit).once());
+          },
+          retry ? std::function<void(bc::BacklogDb&)>(retry_op) : nullptr))
+          << "the injected failure did not fail the operation";
       try {
         const auto got = reopened_state(sc, dir.path());
-        EXPECT_TRUE(got == before || got == after)
+        EXPECT_TRUE(got == after || (!retry && got == before))
             << "reopened with " << got.size() << " records; before had "
             << before.size() << ", after " << after.size();
       } catch (const std::exception& e) {
@@ -971,6 +994,9 @@ void sweep(const SweepScenario& sc) {
     }
   }
   EXPECT_GT(swept, 0u);
+  if (sc.retry_before_flushed) {
+    EXPECT_GT(retried, 0u);
+  }
 }
 
 /// The MaintenancePreservesQueryResults history (one partition, ten CPs, a
@@ -1011,6 +1037,7 @@ TEST(FaultSweep, ConsistencyPoint) {
     for (std::uint64_t b = 200; b < 250; ++b) db.add_reference(key(b));
   };
   sc.op = [](bc::BacklogDb& db) { db.consistency_point(); };
+  sc.retry_before_flushed = true;
   sweep(sc);
 }
 

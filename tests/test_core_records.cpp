@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/backref_record.hpp"
@@ -207,18 +209,26 @@ TEST(Registry, SerializeRoundTrip) {
 
 TEST(WriteStore, AddThenRemoveSameCpAnnihilates) {
   bc::WriteStore ws;
-  EXPECT_EQ(ws.add_reference(key(1), 5), bc::WsUpdate::kInserted);
-  EXPECT_EQ(ws.remove_reference(key(1), 5), bc::WsUpdate::kPrunedAnnihilate);
+  ws.add_reference(key(1), 5);
+  EXPECT_FALSE(ws.empty());
+  EXPECT_EQ(ws.from_size(), 1u);
+  ws.remove_reference(key(1), 5);
   EXPECT_TRUE(ws.empty());
+  EXPECT_EQ(ws.from_size(), 0u);
+  EXPECT_EQ(ws.to_size(), 0u);
 }
 
 TEST(WriteStore, RemoveThenAddSameCpMerges) {
   // The paper's example: reference alive since CP 3, removed and re-added
   // within CP 4 -> the buffered To is erased and the lifetime continues.
   bc::WriteStore ws;
-  EXPECT_EQ(ws.remove_reference(key(1), 4), bc::WsUpdate::kInserted);
-  EXPECT_EQ(ws.add_reference(key(1), 4), bc::WsUpdate::kPrunedMerge);
+  ws.remove_reference(key(1), 4);
+  EXPECT_FALSE(ws.empty());
+  EXPECT_EQ(ws.to_size(), 1u);
+  ws.add_reference(key(1), 4);
   EXPECT_TRUE(ws.empty());
+  EXPECT_EQ(ws.from_size(), 0u);
+  EXPECT_EQ(ws.to_size(), 0u);
 }
 
 TEST(WriteStore, PruningDisabledKeepsBothSides) {
@@ -267,6 +277,171 @@ TEST(WriteStore, RekeyBlockRange) {
   EXPECT_EQ(buf.size(), 2 * bc::kFromRecordSize);
   // The To entry at block 12 was outside the range and stays put.
   EXPECT_EQ(ws.encode_to_range(12, 13).size(), bc::kToRecordSize);
+}
+
+// The fold against a reference model: a map from (key, epoch) to the two
+// sides, updated by the per-op pruning rules as each update arrives. Random
+// updates over 32 keys (so pruning fires often) are interleaved with reads
+// that fold mid-CP, with re-keys, with epoch changes and with clears; every
+// read must equal the model.
+namespace {
+
+struct WsModel {
+  struct Sides {
+    bool from = false;
+    bool to = false;
+  };
+  bool pruning;
+  std::map<std::pair<bc::BackrefKey, bc::Epoch>, Sides> m;
+
+  void apply(bool add, const bc::BackrefKey& k, bc::Epoch cp) {
+    Sides& s = m[{k, cp}];
+    if (add) {
+      if (pruning && s.to) s.to = false; else s.from = true;
+    } else {
+      if (pruning && s.from) s.from = false; else s.to = true;
+    }
+  }
+
+  std::size_t rekey(bc::BlockNo lo, bc::BlockNo hi, bc::BlockNo new_lo) {
+    std::vector<std::pair<std::pair<bc::BackrefKey, bc::Epoch>, Sides>> hits;
+    for (auto it = m.begin(); it != m.end();) {
+      if (it->first.first.block >= lo && it->first.first.block < hi) {
+        hits.push_back(*it);
+        it = m.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::size_t moved = 0;
+    for (auto [k, s] : hits) {
+      moved += (s.from ? 1 : 0) + (s.to ? 1 : 0);
+      k.first.block = k.first.block - lo + new_lo;
+      Sides& dst = m[k];
+      dst.from = dst.from || s.from;
+      dst.to = dst.to || s.to;
+    }
+    return moved;
+  }
+
+  std::vector<bc::FromRecord> froms() const {
+    std::vector<bc::FromRecord> out;
+    for (const auto& [k, s] : m)
+      if (s.from) out.push_back({k.first, k.second});
+    return out;
+  }
+  std::vector<bc::ToRecord> tos() const {
+    std::vector<bc::ToRecord> out;
+    for (const auto& [k, s] : m)
+      if (s.to) out.push_back({k.first, k.second});
+    return out;
+  }
+};
+
+template <class Rec, class Encode>
+std::vector<std::uint8_t> encoded_range(const std::vector<Rec>& recs,
+                                        bc::BlockNo lo, bc::BlockNo hi,
+                                        Encode encode) {
+  std::vector<std::uint8_t> out;
+  for (const Rec& r : recs) {
+    if (r.key.block < lo || r.key.block >= hi) continue;
+    out.resize(out.size() + bc::kFromRecordSize);
+    encode(r, out.data() + out.size() - bc::kFromRecordSize);
+  }
+  return out;
+}
+
+void check_against_model(const bc::WriteStore& ws, const WsModel& model,
+                         bu::Rng& rng) {
+  const auto froms = model.froms();
+  const auto tos = model.tos();
+  switch (rng.below(3)) {
+    case 0:
+      ASSERT_EQ(ws.from_size(), froms.size());
+      ASSERT_EQ(ws.to_size(), tos.size());
+      ASSERT_EQ(ws.empty(), froms.empty() && tos.empty());
+      break;
+    case 1: {
+      const bc::BlockNo lo = rng.below(12);
+      const bc::BlockNo hi = lo + rng.below(6);
+      ASSERT_EQ(ws.encode_from_range(lo, hi),
+                encoded_range(froms, lo, hi, bc::encode_from));
+      ASSERT_EQ(ws.encode_to_range(lo, hi),
+                encoded_range(tos, lo, hi, bc::encode_to));
+      break;
+    }
+    default:
+      ASSERT_EQ(ws.from_entries(), froms);
+      ASSERT_EQ(ws.to_entries(), tos);
+      break;
+  }
+}
+
+void run_fold_model(bool pruning, std::uint64_t seed) {
+  SCOPED_TRACE("pruning " + std::to_string(pruning) + " seed " +
+               std::to_string(seed));
+  bu::Rng rng(seed);
+  bc::WriteStore ws(pruning);
+  WsModel model{pruning, {}};
+  bc::Epoch cp = 1;
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t roll = rng.below(100);
+    if (roll < 70) {
+      // A batch of 1-8 updates over 8 blocks x 2 inodes x 2 offsets.
+      std::vector<bc::Update> ops(1 + rng.below(8));
+      for (bc::Update& op : ops) {
+        op.kind = rng.chance(0.5) ? bc::Update::Kind::kAdd
+                                  : bc::Update::Kind::kRemove;
+        op.key = key(rng.below(8), 2 + rng.below(2), rng.below(2));
+        model.apply(op.kind == bc::Update::Kind::kAdd, op.key, cp);
+      }
+      if (ops.size() == 1 && rng.chance(0.5)) {
+        if (ops[0].kind == bc::Update::Kind::kAdd)
+          ws.add_reference(ops[0].key, cp);
+        else
+          ws.remove_reference(ops[0].key, cp);
+      } else {
+        ws.apply_many(ops, cp);
+      }
+    } else if (roll < 88) {
+      check_against_model(ws, model, rng);
+      if (::testing::Test::HasFatalFailure()) return;
+    } else if (roll < 95) {
+      const bc::BlockNo lo = rng.below(8);
+      const bc::BlockNo hi = lo + 1 + rng.below(3);
+      const bc::BlockNo new_lo = rng.below(10);
+      ASSERT_EQ(ws.rekey_block_range(lo, hi, new_lo), model.rekey(lo, hi, new_lo));
+    } else if (roll < 98) {
+      ++cp;  // an update at a new epoch folds the log first
+    } else {
+      // A consistency point: the CP reads the sorted tables, then clears.
+      ASSERT_EQ(ws.encode_from_sorted(),
+                encoded_range(model.froms(), 0, ~0ull, bc::encode_from));
+      ASSERT_EQ(ws.encode_to_sorted(),
+                encoded_range(model.tos(), 0, ~0ull, bc::encode_to));
+      ws.clear();
+      model.m.clear();
+      ++cp;
+    }
+  }
+  ASSERT_EQ(ws.from_entries(), model.froms());
+  ASSERT_EQ(ws.to_entries(), model.tos());
+}
+
+}  // namespace
+
+TEST(WriteStore, FoldMatchesPerOpModelWithPruning) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    run_fold_model(true, seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WriteStore, FoldMatchesPerOpModelWithoutPruning) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    run_fold_model(false, seed);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // --- join_group (§4.2.1) -------------------------------------------------------
