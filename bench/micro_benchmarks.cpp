@@ -153,7 +153,8 @@ void BM_BacklogUpdatePath(benchmark::State& state) {
   core::BacklogDb db(env);
   std::uint64_t b = 0, since_cp = 0;
   for (auto _ : state) {
-    db.add_reference(make_key(b++ % 100000, 2 + b % 7, b % 64));
+    db.add_reference(make_key(b % 100000, 2 + b % 7, b % 64));
+    ++b;
     if (++since_cp == 2000) {
       db.consistency_point();
       since_cp = 0;

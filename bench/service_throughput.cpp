@@ -70,7 +70,8 @@ std::string bucket_string(const service::LatencyHistogram& h) {
   for (const service::HistogramBucket& b : h.to_buckets()) {
     if (!out.empty()) out += ",";
     out += b.le_micros == UINT64_MAX ? "inf" : std::to_string(b.le_micros);
-    out += ":" + std::to_string(b.count);
+    out += ':';
+    out += std::to_string(b.count);
   }
   return out;
 }
@@ -462,8 +463,7 @@ double measure_clone_micros(std::uint64_t ops, bool cow,
     const double micros = (bench::now_seconds() - t0) * 1e6;
     if (r == 0 || micros < best) best = micros;
     if (shared_bytes_out != nullptr && r == 0) {
-      const auto stats = vm.shared_files().stats();
-      *shared_bytes_out = stats.shared_bytes;
+      *shared_bytes_out = vm.shared_file_stats().shared_bytes;
     }
     vm.destroy_volume(dst);
   }

@@ -9,7 +9,6 @@
 #include <utility>
 #include <stdexcept>
 
-#include "core/file_manifest.hpp"
 #include "core/join.hpp"
 #include "util/clock.hpp"
 #include "util/crc32c.hpp"
@@ -179,10 +178,10 @@ std::string BacklogDb::new_run_name(Table table, std::uint64_t partition) {
                   static_cast<unsigned long long>(partition),
                   static_cast<unsigned long long>(next_run_id_++));
   } else {
-    // The tag makes the name unique across every volume sharing a
-    // FileManifest: a cloned volume inherits its source's runs (and the
-    // source's next_run_id_), so without the tag both could mint the same
-    // name and a later flush would truncate a file the other still reads.
+    // The tag makes the name unique across every volume of a service: a
+    // cloned volume inherits its source's runs (and the source's
+    // next_run_id_), so without the tag both could mint the same name and a
+    // later flush would truncate a file the other still reads.
     std::snprintf(buf, sizeof buf, "%c_%.32s_%06llu_%08llu.run", prefix,
                   options_.file_tag.c_str(),
                   static_cast<unsigned long long>(partition),
@@ -333,25 +332,21 @@ std::shared_ptr<lsm::RunFile> BacklogDb::open_run(const RunMeta& meta) {
   return rf;
 }
 
-void BacklogDb::drop_run(const RunMeta& meta) {
-  track_run_removed(meta);
-  if (auto it = open_runs_.find(meta.name); it != open_runs_.end()) {
-    open_lru_.remove(meta.name);
-    open_runs_.erase(it);
-  }
-  // Deleting this directory's entry is always safe: a run shared with a
-  // cloned volume is a hard link, so sharers keep the inode alive. The
-  // manifest release keeps the logical refcount in step — at refcount zero
-  // the unlink above *was* the physical removal.
-  env_.delete_file(meta.name);
-  if (options_.shared_files != nullptr) options_.shared_files->release(meta.name);
-}
-
 void BacklogDb::retire_runs() {
   const RunList retired = std::exchange(retired_runs_, {});
-  for (const auto& m : retired) drop_run(*m);
-  // One FILEREFS flush per commit, not per retired shared run.
-  if (options_.shared_files != nullptr) options_.shared_files->persist_if_dirty();
+  // Forget every retired run before unlinking any: a failed unlink then
+  // leaves only an orphan file, which the next open removes.
+  for (const auto& m : retired) {
+    track_run_removed(*m);
+    if (auto it = open_runs_.find(m->name); it != open_runs_.end()) {
+      open_lru_.remove(m->name);
+      open_runs_.erase(it);
+    }
+  }
+  // Deleting this directory's entry is always safe: a run shared with a
+  // cloned volume is a hard link, so sharers keep the inode alive, and the
+  // last link's removal is the physical one.
+  for (const auto& m : retired) env_.delete_file(m->name);
 }
 
 void BacklogDb::track_run_added(const RunMeta& meta) noexcept {
@@ -823,8 +818,7 @@ FileOwnershipStats BacklogDb::file_ownership() const {
   FileOwnershipStats s;
   const auto classify = [&](const std::shared_ptr<RunMeta>& m) {
     ++s.total_files;
-    if (options_.shared_files != nullptr &&
-        options_.shared_files->is_shared(m->name)) {
+    if (env_.link_count(m->name) >= 2) {
       ++s.shared_files;
       s.shared_bytes += m->size_bytes;
     } else {
@@ -981,12 +975,9 @@ void BacklogDb::remove_orphan_runs() {
   std::set<std::string> referenced;
   for (const std::string& name : live_files()) referenced.insert(name);
   for (const std::string& name : env_.list_files()) {
-    if (name.size() > 4 && name.ends_with(".run") && !referenced.contains(name)) {
+    if (name.size() > 4 && name.ends_with(".run") && !referenced.contains(name))
       env_.delete_file(name);
-      if (options_.shared_files != nullptr) options_.shared_files->release(name);
-    }
   }
-  if (options_.shared_files != nullptr) options_.shared_files->persist_if_dirty();
 }
 
 }  // namespace backlog::core

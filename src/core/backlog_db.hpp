@@ -35,8 +35,6 @@
 
 namespace backlog::core {
 
-class FileManifest;
-
 struct BacklogOptions {
   /// Horizontal partitioning granularity (§5.3): run files cover disjoint
   /// fixed ranges of `partition_blocks` physical blocks each.
@@ -81,8 +79,8 @@ struct BacklogOptions {
   bool use_bloom = true;
   bool pruning = true;
 
-  /// Uniquifies run-file names across every volume sharing a FileManifest:
-  /// with a tag, runs are named `<table>_<tag>_<partition>_<id>.run`. Two db
+  /// Uniquifies run-file names across every volume of a service: with a
+  /// tag, runs are named `<table>_<tag>_<partition>_<id>.run`. Two db
   /// instances with distinct tags can never mint the same name, so a run
   /// hard-linked into another volume's directory (copy-on-write clone) is
   /// never rewritten in place by that volume's own flushes — RunWriter
@@ -91,14 +89,6 @@ struct BacklogOptions {
   /// standalone default) keeps the legacy `<table>_<partition>_<id>.run`
   /// names. Characters are restricted to [A-Za-z0-9._-].
   std::string file_tag;
-
-  /// Shared-file ownership hook (borrowed; outlives the db). When set,
-  /// every run file the db retires — compaction, batch pre-merges, orphan
-  /// removal — is released through the manifest after the db unlinks its
-  /// own directory entry, so refcounts of files shared with cloned volumes
-  /// stay exact. Null (the standalone default) means every file is
-  /// sole-owned and plain deletion suffices.
-  FileManifest* shared_files = nullptr;
 
   /// Fault-injection registry (borrowed; outlives the db). A consistency
   /// point fires "cp.flushed" once its run files are on disk (registry not
@@ -144,11 +134,11 @@ struct MaintenanceStats {
   std::uint64_t wall_micros = 0;
 };
 
-/// Shared-vs-owned byte split of the volume's durable files, resolved
-/// against the shared FileManifest (everything is owned when no manifest is
-/// configured). `shared_bytes` counts run files hard-linked into at least
-/// one other volume directory (copy-on-write clones); the manifest is always
-/// owned — it is copied, never linked, because it mutates in place.
+/// Shared-vs-owned byte split of the volume's durable files, read from the
+/// file system's link counts. `shared_bytes` counts run files with two or
+/// more hard links, i.e. linked into at least one other volume directory
+/// (copy-on-write clones); the manifest is always owned — it is copied,
+/// never linked, because it mutates in place.
 struct FileOwnershipStats {
   std::uint64_t owned_bytes = 0;
   std::uint64_t shared_bytes = 0;
@@ -350,7 +340,6 @@ class BacklogDb {
                                               std::uint64_t partition,
                                               const lsm::RunWriter& writer);
   std::shared_ptr<lsm::RunFile> open_run(const RunMeta& meta);
-  void drop_run(const RunMeta& meta);
   // Unlinks every run the committed manifest no longer names (maintenance
   // inputs); called only once the full manifest write has synced.
   void retire_runs();

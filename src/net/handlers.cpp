@@ -244,7 +244,7 @@ void ServiceEndpoint::register_handlers() {
         const core::Epoch version = r.u64();
         if (!vm_.has_volume(src)) return no_such_tenant(src);
         const core::LineId new_line = vm_.clone_volume(src, dst, line, version);
-        const core::FileManifest::Stats fs = vm_.shared_files().stats();
+        const service::SharedFileStats fs = vm_.shared_file_stats();
         util::Writer w;
         w.u64(new_line);
         w.u64(fs.shared_files);

@@ -155,9 +155,9 @@ struct TenantStats {
   // QoS admission counters (the tenant's gate counts them on API threads).
   std::uint64_t throttle_queued = 0;     ///< ops that waited for tokens
   std::uint64_t throttle_rejected = 0;   ///< ops refused with kThrottled
-  // Copy-on-write ownership gauges, resolved against the service's shared
-  // FileManifest at snapshot time: how many of the volume's durable bytes
-  // are hard-linked into other volumes (clone sharing) vs owned alone.
+  // Copy-on-write ownership gauges, read from the run files' link counts at
+  // snapshot time: how many of the volume's durable bytes are hard-linked
+  // into other volumes (clone sharing) vs owned alone.
   std::uint64_t owned_bytes = 0;
   std::uint64_t shared_bytes = 0;
   std::uint64_t shared_files = 0;
@@ -192,6 +192,14 @@ struct TenantStats {
 struct ServiceStats {
   std::map<std::string, TenantStats> tenants;
   TenantStats total;
+};
+
+/// Service-wide copy-on-write sharing, from one scan of the committed volume
+/// directories: every run inode with two or more links counts once.
+struct SharedFileStats {
+  std::uint64_t shared_files = 0;  ///< run inodes linked into >= 2 places
+  std::uint64_t shared_bytes = 0;  ///< their bytes, stored once
+  std::uint64_t saved_bytes = 0;   ///< sum of (links - 1) * size
 };
 
 }  // namespace backlog::service

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -23,8 +24,8 @@ namespace {
 /// is a crashed clone and is discarded.
 constexpr char kCloneStagingSuffix[] = ".cloning";
 
-/// A name component unique across every volume instance that shares a
-/// FileManifest (see BacklogOptions::file_tag): a process-wide random nonce
+/// A name component unique across every volume instance of the service
+/// (see BacklogOptions::file_tag): a process-wide random nonce
 /// mixed with an instance counter. Uniqueness is what matters — stability
 /// across reopens is not (old files keep their recorded names, only newly
 /// minted runs carry the new tag).
@@ -157,12 +158,6 @@ void validate_tenant_name(const std::string& tenant) {
         "tenant name must not end with the reserved clone-staging suffix "
         "'.cloning': " +
         tenant);
-  // The shared-file refcount table and its rename buddy live directly in
-  // the service root; a volume directory with either name would make every
-  // FILEREFS persist fail with EISDIR.
-  if (tenant == "FILEREFS" || tenant == "FILEREFS.tmp")
-    throw std::invalid_argument(
-        "tenant name is reserved for the shared-file manifest: " + tenant);
 }
 
 core::CpFlushStats VolumeManager::commit_cp(Volume& v) {
@@ -189,7 +184,6 @@ bool VolumeManager::flush_buffered_cp(Volume& v) {
 
 VolumeManager::VolumeManager(ServiceOptions options)
     : options_(validated(std::move(options))),
-      shared_files_(options_.root),
       block_cache_(options_.cache.capacity_bytes,
                    options_.cache.block_cache_shards),
       metrics_(options_.shards + 1),  // one slot per shard + the API slot
@@ -373,34 +367,47 @@ std::vector<TraceSpan> VolumeManager::slow_ops() {
 }
 
 void VolumeManager::recover_clone_staging() {
-  std::vector<std::filesystem::path> volume_dirs;
-  bool found_staging = false;
+  std::filesystem::create_directories(options_.root);
   std::error_code ec;
   for (const auto& de :
        std::filesystem::directory_iterator(options_.root, ec)) {
-    if (!de.is_directory()) continue;
-    if (de.path().filename().string().ends_with(kCloneStagingSuffix)) {
-      // A clone that died before its commit rename. Its contents are hard
-      // links into live volumes, so removing them only drops this
-      // directory's references — the rebuild below recounts the survivors.
+    if (de.is_directory() &&
+        de.path().filename().string().ends_with(kCloneStagingSuffix)) {
       std::error_code rm_ec;
       std::filesystem::remove_all(de.path(), rm_ec);
-      found_staging = true;
-    } else {
-      volume_dirs.push_back(de.path());
     }
   }
-  // FILEREFS may be stale in either direction after a crash (ahead of a
-  // clone that never committed, or behind one that did); the committed
-  // directories are the truth. Skip the recount only when there is plainly
-  // nothing to reconcile (fresh root).
-  if (found_staging || !volume_dirs.empty()) shared_files_.rebuild(volume_dirs);
+}
+
+SharedFileStats VolumeManager::shared_file_stats() const {
+  SharedFileStats s;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;  // (dev, ino)
+  std::error_code ec;
+  for (const auto& vol :
+       std::filesystem::directory_iterator(options_.root, ec)) {
+    if (!vol.is_directory() ||
+        vol.path().filename().string().ends_with(kCloneStagingSuffix))
+      continue;
+    std::error_code dir_ec;
+    for (const auto& de :
+         std::filesystem::directory_iterator(vol.path(), dir_ec)) {
+      struct ::stat st{};
+      if (!de.path().filename().string().ends_with(".run") ||
+          ::stat(de.path().c_str(), &st) != 0 || st.st_nlink < 2 ||
+          !seen.emplace(st.st_dev, st.st_ino).second)
+        continue;
+      const auto size = static_cast<std::uint64_t>(st.st_size);
+      ++s.shared_files;
+      s.shared_bytes += size;
+      s.saved_bytes += (st.st_nlink - 1) * size;
+    }
+  }
+  return s;
 }
 
 core::BacklogOptions VolumeManager::volume_db_options() {
   core::BacklogOptions opts = options_.db_options;
   opts.file_tag = make_file_tag();
-  opts.shared_files = &shared_files_;
   // Hosted volumes read through the service-wide block cache (the BacklogDb
   // ctor attaches it to the volume's Env for unlink invalidation).
   opts.shared_cache = &block_cache_;
@@ -718,11 +725,9 @@ void VolumeManager::close_volume(const std::string& tenant) {
       .get();
 }
 
-void VolumeManager::release_directory_via_manifest(
-    const std::filesystem::path& dir) {
+void VolumeManager::release_directory(const std::filesystem::path& dir) {
   std::error_code ec;
   for (const auto& de : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = de.path().filename().string();
     // This path deletes with std::filesystem directly (the volume's Env is
     // already gone), so it must mirror Env::delete_file's cache rule by
     // hand: drop the file's cached pages when this link is the last one —
@@ -736,9 +741,7 @@ void VolumeManager::release_directory_via_manifest(
     }
     std::error_code rm_ec;
     std::filesystem::remove(de.path(), rm_ec);
-    if (!rm_ec && name.ends_with(".run")) shared_files_.note_unlink(name);
   }
-  shared_files_.persist();
   std::error_code rm_ec;
   std::filesystem::remove_all(dir, rm_ec);
 }
@@ -747,14 +750,12 @@ void VolumeManager::destroy_volume(const std::string& tenant) {
   const std::filesystem::path dir = options_.root / tenant;
   run_on(unregister_volume(tenant),
          [this, dir](Volume& v) {
-           // Retire first so every file descriptor is released, then delete
-           // through the manifest: each run's own link is removed and its
-           // refcount decremented — a file shared with a clone lives on in
+           // Retire first so every file descriptor is released, then remove
+           // this directory's links: a file shared with a clone lives on in
            // the sharer's directory, a sole-owned file's unlink here is its
-           // physical removal. No remove_all shortcut: that would leave the
-           // refcount table claiming holders that no longer exist.
+           // physical removal.
            retire(v);
-           release_directory_via_manifest(dir);
+           release_directory(dir);
          })
       .get();
 }
@@ -1011,10 +1012,9 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
   const std::filesystem::path dst_dir = options_.root / dst_tenant;
   const std::filesystem::path staging =
       options_.root / (dst_tenant + kCloneStagingSuffix);
-  bool copied = false;
   // Set by the shard task the moment the staging->dst rename lands: from
-  // then on dst_dir is a committed volume and every failure path must
-  // dismantle it through the manifest rather than roll refcounts back.
+  // then on dst_dir is a committed volume, and a failure must dismantle it
+  // instead of the staging directory.
   auto committed = std::make_shared<std::atomic<bool>>(false);
   try {
     if (std::filesystem::exists(dst_dir))
@@ -1026,11 +1026,10 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
     // the durable files are the complete state, validates the snapshot, and
     // stages the db's own file list (the manifest and the runs) into
     // `<dst>.cloning`. Immutable run files are hard-linked (no data copy;
-    // the shared FileManifest's refcounts take ownership) and only the
-    // manifest is byte-copied. Two durability points commit the
-    // clone, in this order: the refcount table (FILEREFS), then the atomic
-    // staging->dst rename; recover_clone_staging() reconciles a crash
-    // between them.
+    // the file system's link count records the sharing) and only the
+    // manifest is byte-copied. The atomic staging->dst rename commits the
+    // clone; recover_clone_staging() removes a staging directory that a
+    // crash left behind.
     run_on(src,
            [this, parent_line, version, dst_dir, staging,
             committed](Volume& v) {
@@ -1044,48 +1043,17 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
              std::error_code ec;
              std::filesystem::remove_all(staging, ec);  // stale leftovers
              std::filesystem::create_directories(staging);
-             std::vector<std::string> linked;
-             try {
-               for (const std::string& name : v.db->live_files()) {
-                 if (name.ends_with(".run") &&
-                     link_or_fall_back(*v.env, name, staging)) {
-                   shared_files_.note_link(name, v.env->file_size(name));
-                   linked.push_back(name);
-                 } else {
-                   v.env->copy_file_to(name, staging);
-                 }
-               }
-               inject(util::fault_point("clone.files_staged"), v);
-               if (!linked.empty()) {
-                 shared_files_.persist();
-                 inject(util::fault_point("clone.refs_persisted"), v);
-               }
-               std::filesystem::rename(staging, dst_dir);  // the commit point
-               committed->store(true, std::memory_order_release);
-               inject(util::fault_point("clone.committed"), v);
-             } catch (...) {
-               if (committed->load(std::memory_order_acquire)) {
-                 // The rename already committed: the links are live and the
-                 // in-memory refcounts are right — leave both alone and let
-                 // the outer cleanup dismantle the committed directory
-                 // through the manifest.
-                 throw;
-               }
-               // A failed link/copy mid-stage: step the refcounts back with
-               // the links. Never bare remove_all — the staged runs are
-               // shared state now, and dropping their links without
-               // releasing them would leave the table claiming a holder
-               // that no longer exists.
-               for (const std::string& name : linked)
-                 shared_files_.note_unlink(name);
-               if (!linked.empty()) shared_files_.persist();
-               std::error_code rm_ec;
-               std::filesystem::remove_all(staging, rm_ec);
-               throw;
+             for (const std::string& name : v.db->live_files()) {
+               if (!name.ends_with(".run") ||
+                   !link_or_fall_back(*v.env, name, staging))
+                 v.env->copy_file_to(name, staging);
              }
+             inject(util::fault_point("clone.files_staged"), v);
+             std::filesystem::rename(staging, dst_dir);  // the commit point
+             committed->store(true, std::memory_order_release);
+             inject(util::fault_point("clone.committed"), v);
            })
         .get();
-    copied = true;
 
     // The destination recovers from the copied manifest like any reopened
     // volume, then branches its writable line off the snapshot. The new
@@ -1102,11 +1070,16 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
                   })
         .get();
   } catch (...) {
+    // Before the commit, the clone got as far as its staging directory.
+    // Remove it while the reservation still keeps a retry from staging
+    // into the same path.
+    if (!committed->load(std::memory_order_acquire)) {
+      std::error_code ec;
+      std::filesystem::remove_all(staging, ec);
+    }
     // Unregister the reservation, tear down whatever opened on the shard,
-    // and drop the committed directory *through the manifest* — its run
-    // links hold shared references that must be released, exactly as in
-    // destroy_volume. A retry must not hit "destination already exists"
-    // for a volume that never came to life.
+    // and drop a committed directory. A retry must not hit "destination
+    // already exists" for a volume that never came to life.
     {
       std::lock_guard lock(mu_);
       volumes_.erase(dst_tenant);
@@ -1117,9 +1090,7 @@ core::LineId VolumeManager::clone_volume(const std::string& src_tenant,
       // "volume is closed" when the open never happened — nothing to tear
       // down.
     }
-    if (copied || committed->load(std::memory_order_acquire)) {
-      release_directory_via_manifest(dst_dir);
-    }
+    if (committed->load(std::memory_order_acquire)) release_directory(dst_dir);
     throw;
   }
 }

@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "core/backlog_db.hpp"
-#include "core/file_manifest.hpp"
 #include "core/result_cache.hpp"
 #include "core/wal.hpp"
 #include "service/metrics.hpp"
@@ -210,8 +209,8 @@ struct MigrationStats {
 };
 
 /// The rule every hosted volume name obeys (it names a directory under the
-/// root): [A-Za-z0-9._-], at most 255 bytes, not a dot directory, not the
-/// clone-staging suffix `.cloning`, not the shared-file manifest's names.
+/// root): [A-Za-z0-9._-], at most 255 bytes, not a dot directory, not
+/// ending in the clone-staging suffix `.cloning`.
 /// Throws std::invalid_argument naming the violated part.
 void validate_tenant_name(const std::string& tenant);
 
@@ -277,10 +276,9 @@ class VolumeManager {
   void close_volume(const std::string& tenant);
 
   /// Close `tenant` without flushing and permanently delete its directory.
-  /// Every run file is released through the shared FileManifest before its
-  /// link is removed: files shared with cloned volumes survive (their
-  /// refcount drops by one), sole-owned files are physically removed.
-  /// Blocks.
+  /// Removing a run's link here removes only this volume's reference: files
+  /// shared with cloned volumes survive under the sharers' links, sole-owned
+  /// files are physically removed. Blocks.
   void destroy_volume(const std::string& tenant);
 
   [[nodiscard]] bool has_volume(const std::string& tenant) const;
@@ -346,13 +344,12 @@ class VolumeManager {
   /// `dst_tenant`. The source is quiesced on its shard just long enough to
   /// flush buffered updates (if any) and *share* its durable files:
   /// immutable run files are hard-linked into a staging directory — no data
-  /// copy, refcounts bumped in the shared FileManifest — and only the small
-  /// mutable manifest is byte-copied, so clone
-  /// cost is O(metadata). A run the file system cannot link (EXDEV, EPERM,
+  /// copy; the file system's link count records the sharing — and only the
+  /// small mutable manifest is byte-copied, so clone cost is O(metadata). A run the file system cannot link (EXDEV, EPERM,
   /// EMLINK, ENOTSUP) is byte-copied instead and not counted as shared. The
   /// staging directory commits by an atomic rename; a crash before the
   /// rename leaves a `<dst>.cloning` directory that the next VolumeManager
-  /// construction removes (releasing its references). The new volume
+  /// construction removes (dropping its links). The new volume
   /// recovers from the committed directory, shares the full
   /// structural-inheritance history through its (copied) SnapshotRegistry,
   /// and gets a fresh writable line — whose id this call returns — cloned
@@ -531,11 +528,11 @@ class VolumeManager {
       const std::string& tenant,
       std::function<void(storage::Env&, core::BacklogDb&)> fn);
 
-  /// The service-wide reference-counted ownership table of files shared
-  /// across volume directories by copy-on-write clones.
-  [[nodiscard]] core::FileManifest& shared_files() noexcept {
-    return shared_files_;
-  }
+  /// Run files shared across volume directories by copy-on-write clones:
+  /// one scan of the committed volume directories that counts each inode
+  /// once by its link count. Costs a stat() per run file of the service, so
+  /// it serves clone replies and reports, not the op path.
+  [[nodiscard]] SharedFileStats shared_file_stats() const;
 
   [[nodiscard]] const ServiceOptions& options() const noexcept {
     return options_;
@@ -1045,21 +1042,19 @@ class VolumeManager {
   void pacer_loop();
 
   /// Per-hosted-volume BacklogOptions: the shared defaults plus a fresh
-  /// file_tag (globally unique run names) and the shared-file release hook.
+  /// file_tag (globally unique run names) and the shared block cache.
   [[nodiscard]] core::BacklogOptions volume_db_options();
 
   /// Constructor helper: remove `*.cloning` staging directories left by a
-  /// clone that crashed before its commit rename, then recount the shared
-  /// FileManifest from the committed volume directories (the table itself
-  /// is never trusted across a crash).
+  /// clone that crashed before its commit rename. Their runs are hard links,
+  /// so removing them only drops the staging directory's references.
   void recover_clone_staging();
 
-  /// Delete a volume directory *through the manifest*: every run file's
-  /// own link is removed and its holder deregistered (only when the remove
-  /// actually succeeded — a failed unlink must not desynchronize the
-  /// table), then the refcounts persist and the directory goes away. Used
-  /// by destroy_volume and by clone_volume's committed-directory cleanup.
-  void release_directory_via_manifest(const std::filesystem::path& dir);
+  /// Delete a closed volume's directory, file by file: a run's last link
+  /// takes its cached pages with it, a run still linked elsewhere keeps
+  /// them. Used by destroy_volume and by clone_volume's committed-directory
+  /// cleanup.
+  void release_directory(const std::filesystem::path& dir);
 
   /// All trace/slow-op spans of one shard, owned (written and read) only on
   /// that shard's thread — scrapes run as tasks on the shard.
@@ -1090,7 +1085,6 @@ class VolumeManager {
   };
 
   ServiceOptions options_;
-  core::FileManifest shared_files_;  // shared-file refcounts (CoW clones)
   // The shared block cache. Declared before volumes_/pool_ so it outlives
   // every hosted Env/BacklogDb that reads through it (members destroy in
   // reverse order; the pool joins first, then volumes_, then this).

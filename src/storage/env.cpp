@@ -125,7 +125,13 @@ std::uint64_t Env::file_size(const std::string& name) const {
   return std::filesystem::file_size(full(name));
 }
 
+std::uint64_t Env::link_count(const std::string& name) const {
+  return std::filesystem::hard_link_count(full(name));
+}
+
 void Env::delete_file(const std::string& name) {
+  if (faults_ != nullptr)
+    faults_->check(util::fault_point("env.delete"), fault_volume_);
   // Removing the *last* hard link frees the inode for recycling; a later
   // file may be handed the same (dev, ino) and would alias any cached pages
   // left behind. Links held by other volumes (CoW-shared runs) keep the
@@ -138,6 +144,8 @@ void Env::delete_file(const std::string& name) {
 }
 
 void Env::rename_file(const std::string& from, const std::string& to) {
+  if (faults_ != nullptr)
+    faults_->check(util::fault_point("env.rename"), fault_volume_);
   // rename over an existing target unlinks the target exactly like
   // delete_file would.
   invalidate_cached_file(full(to), /*last_link_only=*/true);

@@ -119,6 +119,12 @@ class Env {
 
   [[nodiscard]] bool file_exists(const std::string& name) const;
   [[nodiscard]] std::uint64_t file_size(const std::string& name) const;
+
+  /// Hard links to `name` (st_nlink). A run linked into a copy-on-write
+  /// clone's directory reports 2 or more: the file system's link count is
+  /// the one record of which volumes share a file.
+  [[nodiscard]] std::uint64_t link_count(const std::string& name) const;
+
   void delete_file(const std::string& name);
   void rename_file(const std::string& from, const std::string& to);
 
@@ -137,8 +143,9 @@ class Env {
 
   /// Attach the fault-injection registry (borrowed; must outlive the Env)
   /// and the volume name its actions target. create_file, link_file_to,
-  /// copy_file_to and WritableFile::append/sync then fire the env.* points
-  /// (see util/fault_points.hpp). Null (the default) disables injection.
+  /// copy_file_to, rename_file, delete_file and WritableFile::append/sync
+  /// then fire the env.* points (see util/fault_points.hpp). Null (the
+  /// default) disables injection.
   void set_faults(util::FaultPoints* faults, std::string volume) {
     faults_ = faults;
     fault_volume_ = std::move(volume);

@@ -23,14 +23,14 @@
 namespace backlog::util {
 
 /// Every injection point, in pipeline order within each layer.
-inline constexpr std::array<std::string_view, 13> kFaultPoints = {
+inline constexpr std::array<std::string_view, 14> kFaultPoints = {
     "env.create",         "env.link",
     "env.copy",           "env.append",
-    "env.sync",           "wal.appended",
+    "env.sync",           "env.rename",
+    "env.delete",         "wal.appended",
     "wal.synced",         "wal.truncated",
     "cp.flushed",         "cp.registry_persisted",
-    "clone.files_staged", "clone.refs_persisted",
-    "clone.committed",
+    "clone.files_staged", "clone.committed",
 };
 
 static_assert(kFaultPoints.size() <= 32, "the armed mask is one word");

@@ -906,8 +906,9 @@ TEST(BacklogDb, ExtentRelocationMovesWholeExtent) {
 
 namespace {
 
-constexpr std::array<std::string_view, 5> kEnvPoints = {
-    "env.create", "env.link", "env.copy", "env.append", "env.sync"};
+constexpr std::array<std::string_view, 7> kEnvPoints = {
+    "env.create", "env.link",   "env.copy",  "env.append",
+    "env.sync",   "env.rename", "env.delete"};
 
 struct SweepScenario {
   bc::BacklogOptions opts;
@@ -915,6 +916,7 @@ struct SweepScenario {
   std::function<void(bc::BacklogDb&)> setup;  // runs with no fault armed
   std::function<void(bc::BacklogDb&)> op;     // the operation under test
   bool retry_before_flushed = false;
+  std::vector<std::string_view> must_hit;  // env.* points op must reach
 };
 
 std::vector<bc::CombinedRecord> reopened_state(const SweepScenario& sc,
@@ -963,6 +965,12 @@ void sweep(const SweepScenario& sc) {
   }));
   const auto after = reopened_state(sc, after_dir.path());
   ASSERT_TRUE(before != after) << "the operation must change the state";
+  for (const std::string_view p : sc.must_hit) {
+    const auto i = static_cast<std::size_t>(
+        std::find(kEnvPoints.begin(), kEnvPoints.end(), p) - kEnvPoints.begin());
+    ASSERT_LT(i, kEnvPoints.size()) << p;
+    EXPECT_GT(hits[i], 0u) << "the operation never reached " << p;
+  }
 
   std::uint64_t swept = 0, retried = 0;
   for (std::size_t i = 0; i < kEnvPoints.size(); ++i) {
@@ -1046,7 +1054,29 @@ TEST(FaultSweep, Maintain) {
   sc.blocks = 1000;
   sc.setup = churn_history;
   sc.op = [](bc::BacklogDb& db) { db.maintain(); };
+  // The new base commits by a rename; the replaced runs go after it.
+  sc.must_hit = {"env.rename", "env.delete"};
   sweep(sc);
+}
+
+TEST(FaultSweep, FailedRetirementUnlinkLeavesNoStaleRunCount) {
+  // maintain() unlinks the runs it replaced only after its new base has
+  // committed. A failed unlink leaves an orphan file, which the next open
+  // removes, and must not leave quick_stats() counting a retired run.
+  bs::TempDir dir;
+  bu::FaultPoints faults;
+  bs::Env env(dir.path());
+  env.set_sync(false);
+  env.set_faults(&faults, "sweep");
+  bc::BacklogDb db(env);
+  churn_history(db);
+  faults.arm("env.delete", bu::FaultAction::fail(EIO).once());
+  EXPECT_THROW(db.maintain(), std::system_error);
+  const bc::DbStats s = db.stats();
+  const bc::QuickStats q = db.quick_stats();
+  EXPECT_EQ(q.from_runs, s.from_runs);
+  EXPECT_EQ(q.to_runs, s.to_runs);
+  EXPECT_EQ(q.combined_runs, s.combined_runs);
 }
 
 TEST(FaultSweep, MaintainPartition) {
@@ -1062,6 +1092,7 @@ TEST(FaultSweep, MaintainPartition) {
     db.consistency_point();
   };
   sc.op = [](bc::BacklogDb& db) { db.maintain_partition(42); };
+  sc.must_hit = {"env.rename", "env.delete"};
   sweep(sc);
 }
 

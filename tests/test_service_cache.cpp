@@ -184,7 +184,7 @@ TEST(ResultCache, EpochTagInvalidatesAcrossEveryMutatingVerb) {
   const bc::Epoch snap_v = db.registry().take_snapshot(0);
   {
     const auto before = db.result_cache_stats();
-    db.query(100);
+    (void)db.query(100);
     EXPECT_EQ(db.result_cache_stats().stale_hits, before.stale_hits + 1)
         << "take_snapshot";
   }
@@ -194,7 +194,7 @@ TEST(ResultCache, EpochTagInvalidatesAcrossEveryMutatingVerb) {
   const bc::LineId clone = db.registry().create_clone(0, snap_v);
   {
     const auto before = db.result_cache_stats();
-    db.query(100);
+    (void)db.query(100);
     EXPECT_EQ(db.result_cache_stats().stale_hits, before.stale_hits + 1)
         << "create_clone";
   }
@@ -204,7 +204,7 @@ TEST(ResultCache, EpochTagInvalidatesAcrossEveryMutatingVerb) {
   db.registry().kill_line(clone);
   {
     const auto before = db.result_cache_stats();
-    db.query(100);
+    (void)db.query(100);
     EXPECT_EQ(db.result_cache_stats().stale_hits, before.stale_hits + 1)
         << "kill_line";
   }
@@ -215,7 +215,7 @@ TEST(ResultCache, EpochTagInvalidatesAcrossEveryMutatingVerb) {
   db.maintain();
   {
     const auto before = db.result_cache_stats();
-    db.query(100);
+    (void)db.query(100);
     EXPECT_EQ(db.result_cache_stats().stale_hits, before.stale_hits + 1)
         << "maintain";
   }

@@ -1,19 +1,19 @@
-// Copy-on-write clone_volume: sharing, refcount GC, crash and fault
-// injection, and a TSan'd stress suite.
+// Copy-on-write clone_volume: sharing by hard link, release on destroy and
+// compaction, crash and fault injection, and a TSan'd stress suite.
 //
 // The invariants under test, after *any* interleaving of clone / delete /
 // destroy / compaction — including a process kill at every clone.* point
-// the fault registry declares (around the FILEREFS refcount persist and the
-// staging->dst commit rename), a FILEREFS left stale behind committed
-// directories, and injected link/copy failures mid-clone:
+// the fault registry declares (around the staging->dst commit rename) and
+// injected link/copy failures mid-clone:
 //
 //   * no leaks: every file on disk belongs to some volume's live manifest
 //     (per volume: on-disk set == BacklogDb::live_files), and no `.cloning`
 //     staging directory survives recovery;
 //   * no dangles: every volume (source, clone, clone-of-clone) still serves
 //     its full record state after any sharer compacts, deletes or dies;
-//   * exact refcounts: the shared FileManifest equals a naive recount of
-//     run-file names across the volume directories.
+//   * exact links: every run's link count equals the number of volume
+//     directories holding it, and the per-tenant sharing stats agree
+//     (tests/cow_invariants.hpp).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -30,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/file_manifest.hpp"
+#include "cow_invariants.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/fault_points.hpp"
@@ -114,48 +114,17 @@ std::set<std::string> scan_strings(bsvc::VolumeManager& vm,
   return out;
 }
 
-/// The leak/dangle/refcount invariant sweep. For every open tenant, the
-/// live-manifest set and the directory listing are captured inside one
-/// shard task (nothing of that volume's can interleave); the shared
-/// FileManifest must then equal a naive recount of run names across the
-/// directories.
-void expect_cow_invariants(bsvc::VolumeManager& vm, const fs::path& root,
-                           const std::vector<std::string>& tenants) {
-  std::map<std::string, std::uint32_t> holders;
-  for (const std::string& t : tenants) {
-    std::set<std::string> live, on_disk;
-    const fs::path dir = root / t;
-    vm.with_db(t,
-               [&](bc::BacklogDb& db) {
-                 for (const auto& f : db.live_files()) live.insert(f);
-                 for (const auto& de : fs::directory_iterator(dir)) {
-                   if (de.is_regular_file())
-                     on_disk.insert(de.path().filename().string());
-                 }
-               })
-        .get();
-    EXPECT_EQ(on_disk, live) << "leaked or missing files in " << t;
-    for (const auto& f : live) {
-      if (f.ends_with(".run")) ++holders[f];
-    }
-  }
-  std::map<std::string, std::uint32_t> want;
-  for (const auto& [name, n] : holders) {
-    if (n >= 2) want.emplace(name, n);
-  }
-  std::map<std::string, std::uint32_t> got;
-  for (const auto& [name, e] : vm.shared_files().snapshot()) {
-    got.emplace(name, e.refcount);
-  }
-  EXPECT_EQ(got, want) << "FILEREFS disagrees with the naive recount";
+using backlog::testing::expect_cow_invariants;
 
-  // No stray directories either: the root holds exactly the open volumes
-  // (and never a `.cloning` staging leftover).
-  std::set<std::string> dirs, expect_dirs(tenants.begin(), tenants.end());
-  for (const auto& de : fs::directory_iterator(root)) {
-    if (de.is_directory()) dirs.insert(de.path().filename().string());
+/// Run files of `dir` with two or more links: the clone-shared ones.
+std::map<std::string, std::uintmax_t> shared_runs(const fs::path& dir) {
+  std::map<std::string, std::uintmax_t> out;
+  for (const auto& de : fs::directory_iterator(dir)) {
+    if (de.path().extension() != ".run") continue;
+    const std::uintmax_t links = fs::hard_link_count(de.path());
+    if (links >= 2) out.emplace(de.path().filename().string(), links);
   }
-  EXPECT_EQ(dirs, expect_dirs);
+  return out;
 }
 
 }  // namespace
@@ -175,12 +144,13 @@ TEST(ServiceCloneCow, CloneSharesRunFilesWithoutCopyingData) {
   EXPECT_EQ(scan_strings(vm, "beta"), before);
 
   // Run files are hard links, not copies: two directory entries, one inode.
-  const auto refs = vm.shared_files().snapshot();
+  const auto refs = shared_runs(dir.path() / "beta");
   ASSERT_FALSE(refs.empty());
-  for (const auto& [name, e] : refs) {
-    EXPECT_EQ(e.refcount, 2u) << name;
-    EXPECT_EQ(fs::hard_link_count(dir.path() / "beta" / name), 2u) << name;
-    EXPECT_TRUE(fs::exists(dir.path() / "alpha" / name)) << name;
+  for (const auto& [name, links] : refs) {
+    EXPECT_EQ(links, 2u) << name;
+    EXPECT_TRUE(fs::equivalent(dir.path() / "alpha" / name,
+                               dir.path() / "beta" / name))
+        << name;
   }
 
   // Ownership gauges: both sides report the linked bytes as shared.
@@ -215,11 +185,9 @@ TEST(ServiceCloneCow, CloneChainsShareTransitivelyAndCompactionUnshares) {
     vm.clone_volume(chain[i - 1], chain[i], 0, snap);
   }
   // Every original run is now held by all four directories.
-  const auto refs = vm.shared_files().snapshot();
+  const auto refs = shared_runs(dir.path() / "b3");
   ASSERT_FALSE(refs.empty());
-  bool saw_four = false;
-  for (const auto& [name, e] : refs) saw_four |= e.refcount == 4;
-  EXPECT_TRUE(saw_four);
+  for (const auto& [name, links] : refs) EXPECT_EQ(links, 4u) << name;
   expect_cow_invariants(vm, dir.path(), chain);
 
   // Compaction un-shares: each maintain() rewrites that volume's runs into
@@ -232,39 +200,53 @@ TEST(ServiceCloneCow, CloneChainsShareTransitivelyAndCompactionUnshares) {
       EXPECT_EQ(scan_strings(vm, u), want) << u << " after maintaining " << t;
     }
   }
-  // All four rewrote their files: nothing is shared any more, and the
-  // refcount table says so.
-  EXPECT_TRUE(vm.shared_files().snapshot().empty());
+  // All four rewrote their files: nothing is shared any more.
+  for (const std::string& t : chain)
+    EXPECT_TRUE(shared_runs(dir.path() / t).empty()) << t;
+  EXPECT_EQ(vm.shared_file_stats().shared_files, 0u);
   expect_cow_invariants(vm, dir.path(), chain);
 }
 
 TEST(ServiceCloneCow, DestroyReleasesOnlyItsOwnReferences) {
   bs::TempDir dir;
+  std::set<std::string> want;
+  {
+    bsvc::VolumeManager vm(service_options(dir.path()));
+    vm.open_volume("alpha");
+    seed_volume(vm, "alpha", 1, 128);
+    const bc::Epoch snap = vm.take_snapshot("alpha").get();
+    vm.clone_volume("alpha", "beta", 0, snap);
+    vm.clone_volume("alpha", "gamma", 0, snap);
+
+    want = scan_strings(vm, "alpha");
+    const auto refs = shared_runs(dir.path() / "alpha");
+    ASSERT_FALSE(refs.empty());
+    for (const auto& [name, links] : refs) EXPECT_EQ(links, 3u) << name;
+    const bsvc::SharedFileStats before = vm.shared_file_stats();
+    EXPECT_EQ(before.shared_files, refs.size());
+    EXPECT_EQ(before.saved_bytes, 2 * before.shared_bytes);
+
+    // Destroying the *source* must not touch the clones: they hold links.
+    vm.destroy_volume("alpha");
+    EXPECT_FALSE(fs::exists(dir.path() / "alpha"));
+    EXPECT_EQ(scan_strings(vm, "beta"), want);
+    EXPECT_EQ(scan_strings(vm, "gamma"), want);
+    for (const auto& [name, links] : shared_runs(dir.path() / "beta"))
+      EXPECT_EQ(links, 2u) << name;
+    EXPECT_EQ(vm.shared_file_stats().saved_bytes, before.shared_bytes);
+    expect_cow_invariants(vm, dir.path(), {"beta", "gamma"});
+  }
+
+  // A restart sees only the two volume directories; their links still
+  // record the sharing.
   bsvc::VolumeManager vm(service_options(dir.path()));
-  vm.open_volume("alpha");
-  seed_volume(vm, "alpha", 1, 128);
-  const bc::Epoch snap = vm.take_snapshot("alpha").get();
-  vm.clone_volume("alpha", "beta", 0, snap);
-  vm.clone_volume("alpha", "gamma", 0, snap);
-
-  const auto want = scan_strings(vm, "alpha");
-  for (const auto& [name, e] : vm.shared_files().snapshot()) {
-    EXPECT_EQ(e.refcount, 3u) << name;
-  }
-
-  // Destroying the *source* must not touch the clones: they hold links.
-  vm.destroy_volume("alpha");
-  EXPECT_FALSE(fs::exists(dir.path() / "alpha"));
-  EXPECT_EQ(scan_strings(vm, "beta"), want);
-  EXPECT_EQ(scan_strings(vm, "gamma"), want);
-  for (const auto& [name, e] : vm.shared_files().snapshot()) {
-    EXPECT_EQ(e.refcount, 2u) << name;
-  }
+  vm.open_volume("beta");
+  vm.open_volume("gamma");
   expect_cow_invariants(vm, dir.path(), {"beta", "gamma"});
 
   vm.destroy_volume("beta");
   EXPECT_EQ(scan_strings(vm, "gamma"), want);
-  EXPECT_TRUE(vm.shared_files().snapshot().empty());  // gamma sole-owns
+  EXPECT_TRUE(shared_runs(dir.path() / "gamma").empty());  // sole owner
   expect_cow_invariants(vm, dir.path(), {"gamma"});
 
   vm.destroy_volume("gamma");
@@ -286,36 +268,16 @@ TEST(ServiceCloneCow, UnlinkableRunsFallBackToByteCopyAndShareNothing) {
   const auto want = scan_strings(vm, "alpha");
   vm.clone_volume("alpha", "beta", 0, snap);
   EXPECT_EQ(scan_strings(vm, "beta"), want);
-  EXPECT_TRUE(vm.shared_files().snapshot().empty());
+  EXPECT_EQ(vm.shared_file_stats().shared_files, 0u);
   std::size_t runs = 0;
   for (const auto& de : fs::directory_iterator(dir.path() / "beta")) {
     EXPECT_EQ(fs::hard_link_count(de.path()), 1u) << de.path();
     runs += de.path().extension() == ".run";
   }
   EXPECT_GT(runs, 0u);
-  // A service restart recounts FILEREFS from the directories; the copies
-  // duplicate run *names* across two dirs, but rebuild() verifies sharing
-  // by inode identity and must not invent refcounts for them.
-  {
-    bsvc::VolumeManager reopened(service_options(dir.path()));
-    EXPECT_TRUE(reopened.shared_files().snapshot().empty());
-  }
-  // No refcount recount here: a byte copy duplicates *names* without
-  // sharing, so only the per-volume leak check applies.
-  for (const char* t : {"alpha", "beta"}) {
-    std::set<std::string> live, on_disk;
-    const fs::path vdir = dir.path() / t;
-    vm.with_db(t,
-               [&](bc::BacklogDb& db) {
-                 for (const auto& f : db.live_files()) live.insert(f);
-                 for (const auto& de : fs::directory_iterator(vdir)) {
-                   if (de.is_regular_file())
-                     on_disk.insert(de.path().filename().string());
-                 }
-               })
-        .get();
-    EXPECT_EQ(on_disk, live) << t;
-  }
+  // The copies duplicate run *names* across two directories without
+  // sharing an inode: the invariants count links per inode, not per name.
+  expect_cow_invariants(vm, dir.path(), {"alpha", "beta"});
 }
 
 TEST(ServiceCloneCow, FaultInjectedLinkFailureReleasesAndRecovers) {
@@ -330,13 +292,12 @@ TEST(ServiceCloneCow, FaultInjectedLinkFailureReleasesAndRecovers) {
   const auto want = scan_strings(vm, "alpha");
 
   // Fail the third link with EIO (not a can't-link errno, so no fallback):
-  // some references were already taken and must be stepped back with the
-  // staged links.
+  // the links already staged must go with the staging directory.
   faults.arm("env.link", bu::FaultAction::fail(EIO).skip(2).once());
   EXPECT_THROW(vm.clone_volume("alpha", "beta", 0, snap), std::system_error);
   EXPECT_FALSE(fs::exists(dir.path() / "beta"));
   EXPECT_FALSE(fs::exists(dir.path() / "beta.cloning"));
-  EXPECT_TRUE(vm.shared_files().snapshot().empty());
+  EXPECT_TRUE(shared_runs(dir.path() / "alpha").empty());
   EXPECT_FALSE(vm.has_volume("beta"));
   expect_cow_invariants(vm, dir.path(), {"alpha"});
 
@@ -344,63 +305,13 @@ TEST(ServiceCloneCow, FaultInjectedLinkFailureReleasesAndRecovers) {
   faults.arm("env.copy", bu::FaultAction::fail(EIO).once());
   EXPECT_THROW(vm.clone_volume("alpha", "beta", 0, snap), std::system_error);
   EXPECT_FALSE(fs::exists(dir.path() / "beta.cloning"));
-  EXPECT_TRUE(vm.shared_files().snapshot().empty());
+  EXPECT_TRUE(shared_runs(dir.path() / "alpha").empty());
   expect_cow_invariants(vm, dir.path(), {"alpha"});
 
   // Both one-shot faults fired and disarmed: the same clone succeeds.
   vm.clone_volume("alpha", "beta", 0, snap);
   EXPECT_EQ(scan_strings(vm, "beta"), want);
   expect_cow_invariants(vm, dir.path(), {"alpha", "beta"});
-}
-
-TEST(ServiceCloneCow, StaleFileRefsBehindCommittedClonesRecountedOnStart) {
-  // FILEREFS is a cache of the directories, never the truth: a service
-  // that starts over a table older than its committed clones — a state
-  // only a crash or a rolled-back table can leave, since every writer
-  // (backlogctl included) runs inside the service — must recount it from
-  // the directories.
-  bs::TempDir dir;
-  const fs::path refs = dir.path() / "FILEREFS";
-  bc::Epoch snap = 0;
-  std::set<std::string> want;
-  {
-    bsvc::VolumeManager vm(service_options(dir.path()));
-    vm.open_volume("alpha");
-    seed_volume(vm, "alpha", 1, 192);
-    snap = vm.take_snapshot("alpha").get();
-    want = scan_strings(vm, "alpha");
-  }
-  // A fresh root has no table yet; restoring that state means removing it.
-  const bool had_refs = fs::exists(refs);
-  const fs::path pre_clone = dir.path() / "FILEREFS.pre-clone";
-  if (had_refs) fs::copy_file(refs, pre_clone);
-  {
-    bsvc::VolumeManager vm(service_options(dir.path()));
-    vm.open_volume("alpha");
-    vm.clone_volume("alpha", "beta", 0, snap);
-    ASSERT_FALSE(vm.shared_files().snapshot().empty());
-  }
-  if (had_refs) {
-    fs::rename(pre_clone, refs);
-  } else {
-    fs::remove(refs);
-  }
-  EXPECT_TRUE(bc::FileManifest(dir.path()).snapshot().empty())
-      << "the restored table should know nothing of the clone";
-
-  bsvc::VolumeManager vm(service_options(dir.path()));
-  vm.open_volume("alpha");
-  vm.open_volume("beta");
-  EXPECT_FALSE(vm.shared_files().snapshot().empty());
-  EXPECT_EQ(scan_strings(vm, "beta"), want);
-  expect_cow_invariants(vm, dir.path(), {"alpha", "beta"});
-  const auto persisted = bc::FileManifest(dir.path()).snapshot();
-  const auto live = vm.shared_files().snapshot();
-  ASSERT_EQ(persisted.size(), live.size()) << "the recount was not persisted";
-  for (const auto& [name, e] : live) {
-    ASSERT_TRUE(persisted.contains(name)) << name;
-    EXPECT_EQ(persisted.at(name).refcount, e.refcount) << name;
-  }
 }
 
 // --- crash injection ---------------------------------------------------------
@@ -416,14 +327,13 @@ struct CloneCrashRow {
 
 constexpr CloneCrashRow kCloneCrashRows[] = {
     {"clone.files_staged", false},
-    {"clone.refs_persisted", false},
     {"clone.committed", true},
 };
 
 /// Kills a clone at `row.point` by _exit()ing a forked child mid-commit,
-/// then verifies recovery: the staging directory is gone, refcounts match
-/// the naive recount, no file is leaked or dangling, and a retry of the
-/// same clone succeeds.
+/// then verifies recovery: the staging directory is gone, link counts match
+/// the directories, no file is leaked or dangling, and a retry of the same
+/// clone succeeds.
 void run_crash_case(const CloneCrashRow& row) {
   SCOPED_TRACE("crash at " + std::string(row.point));
   bs::TempDir dir;
@@ -465,13 +375,9 @@ void run_crash_case(const CloneCrashRow& row) {
   const bool committed = row.committed;
   EXPECT_EQ(fs::exists(dir.path() / "beta"), committed);
   EXPECT_NE(fs::exists(dir.path() / "beta.cloning"), committed);
-  if (row.point == "clone.refs_persisted") {
-    // The refcount table was persisted ahead of the directory commit.
-    EXPECT_GT(fs::file_size(dir.path() / "FILEREFS"), 0u);
-  }
 
-  // Recovery: constructing the service removes staging leftovers and
-  // recounts the refcount table from the committed directories.
+  // Recovery: constructing the service removes staging leftovers; their
+  // links go with them.
   bsvc::VolumeManager vm(service_options(dir.path()));
   EXPECT_FALSE(fs::exists(dir.path() / "beta.cloning"));
   vm.open_volume("alpha");
@@ -659,6 +565,6 @@ TEST(ServiceCloneCowStress, ClonesRaceWritesCompactionDeletesAndMigration) {
   EXPECT_EQ(got_checksum, live_checksum);
   EXPECT_EQ(got, live);
 
-  // And the global CoW invariants hold: no leaks, no dangles, exact refs.
+  // And the global CoW invariants hold: no leaks, no dangles, exact links.
   expect_cow_invariants(vm, dir.path(), tenants);
 }

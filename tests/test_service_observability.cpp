@@ -88,6 +88,14 @@ namespace butil = backlog::util;
 
 namespace {
 
+/// "t<i>", built by append: GCC 12 misreports `"t" + std::to_string(i)`
+/// under -Wrestrict when it inlines the concatenation.
+std::string tenant_name(int i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  return name;
+}
+
 bsvc::ServiceOptions service_options(const bs::TempDir& dir,
                                      std::size_t shards) {
   bsvc::ServiceOptions o;
@@ -879,7 +887,7 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
   bsvc::VolumeManager vm(o);
   constexpr int kTenants = 8;
   for (int i = 0; i < kTenants; ++i) {
-    vm.open_volume("t" + std::to_string(i));
+    vm.open_volume(tenant_name(i));
   }
   bsvc::MetricsPoller poller(vm, std::chrono::milliseconds(5));
   poller.start();
@@ -892,7 +900,7 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
       bc::BlockNo next = 1'000'000ull * (w + 1);
       int tenant = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        const std::string name = "t" + std::to_string(tenant % kTenants);
+        const std::string name = tenant_name(tenant % kTenants);
         ++tenant;
         auto fut = vm.apply_batch(name, batch_of(next, 16));
         next += 16;
@@ -905,7 +913,7 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
   std::thread churn([&] {
     int round = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const std::string name = "t" + std::to_string(round++ % kTenants);
+      const std::string name = tenant_name(round++ % kTenants);
       const std::size_t target =
           (vm.current_shard(name) + 1) % o.shards;
       ASSERT_NO_THROW(vm.migrate_volume(name, target));

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "baseline/naive_backrefs.hpp"
+#include "cow_invariants.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/random.hpp"
@@ -238,9 +239,14 @@ std::set<ExpectedEntry> service_query(bsvc::VolumeManager& vm,
 std::string dump_entries(const std::set<ExpectedEntry>& entries) {
   std::string out;
   for (const auto& [rec, versions] : entries) {
-    out += "  " + bc::to_string(rec) + " versions:";
-    for (const bc::Epoch v : versions) out += " " + std::to_string(v);
-    out += "\n";
+    out += "  ";
+    out += bc::to_string(rec);
+    out += " versions:";
+    for (const bc::Epoch v : versions) {
+      out += ' ';
+      out += std::to_string(v);
+    }
+    out += '\n';
   }
   return out.empty() ? "  (empty)\n" : out;
 }
@@ -580,37 +586,15 @@ TEST_P(ServiceVersions, RandomizedVerbsMatchNaiveModel) {
     }
   }
 
-  // CoW manifest cross-check against the naive manifest model: per volume,
-  // the on-disk file set must equal its live Backlog manifest (no leaked or
-  // dangling files after any interleaving of clones, deletes, migrations
-  // and compactions), and the shared FileManifest's refcounts must equal a
-  // from-scratch recount of run-file names across the volume directories.
-  std::map<std::string, std::uint32_t> holders;
-  for (const std::string& t : tenants) {
-    std::set<std::string> live, on_disk;
-    const std::filesystem::path vdir = so.root / t;
-    vm.with_db(t,
-               [&](bc::BacklogDb& db) {
-                 for (const auto& f : db.live_files()) live.insert(f);
-                 for (const auto& de : std::filesystem::directory_iterator(vdir)) {
-                   if (de.is_regular_file())
-                     on_disk.insert(de.path().filename().string());
-                 }
-               })
-        .get();
-    ASSERT_EQ(on_disk, live) << "seed " << GetParam() << " tenant " << t;
-    for (const auto& f : live) {
-      if (f.ends_with(".run")) ++holders[f];
-    }
+  // CoW cross-check after any interleaving of clones, deletes, migrations
+  // and compactions: per volume, the on-disk file set equals its live
+  // Backlog manifest (no leaked or dangling files), every run's link count
+  // equals the volume directories holding it, and stats() agrees.
+  {
+    SCOPED_TRACE("seed " + std::to_string(GetParam()));
+    backlog::testing::expect_cow_invariants(vm, so.root, tenants);
+    if (::testing::Test::HasFailure()) return;
   }
-  std::map<std::string, std::uint32_t> want_refs, got_refs;
-  for (const auto& [name, n] : holders) {
-    if (n >= 2) want_refs.emplace(name, n);
-  }
-  for (const auto& [name, e] : vm.shared_files().snapshot()) {
-    got_refs.emplace(name, e.refcount);
-  }
-  ASSERT_EQ(got_refs, want_refs) << "seed " << GetParam();
 
   // Verb accounting survived migrations and clones; shard handoffs are the
   // driver's plus exactly the balancer's.

@@ -392,7 +392,9 @@ TEST(BTree, RandomizedAgainstStdMapOracle) {
         auto got = tree.get(key8(k));
         auto it = oracle.find(k);
         ASSERT_EQ(got.has_value(), it != oracle.end());
-        if (got) EXPECT_EQ(bu::get_u64(got->data()), it->second);
+        if (got) {
+          EXPECT_EQ(bu::get_u64(got->data()), it->second);
+        }
       }
     }
   }

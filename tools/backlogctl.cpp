@@ -55,9 +55,8 @@
 //
 // Locally, service verbs host <root> with every committed volume under it,
 // sized by [shards] (default 1; 4 for stress and migrate, 2 for trace).
-// Volume verbs host <dir>'s parent as the service root and open only <dir>;
-// maintenance therefore keeps the root's FILEREFS accounting current. A
-// mutation is durable when the command returns: the host's WAL fsyncs every
+// Volume verbs host <dir>'s parent as the service root and open only <dir>.
+// A mutation is durable when the command returns: the host's WAL fsyncs every
 // batch before acknowledging it.
 //
 // Remotely, volume verbs take the *tenant name* where the local form takes
