@@ -11,7 +11,6 @@
 
 #include "core/join.hpp"
 #include "util/clock.hpp"
-#include "util/crc32c.hpp"
 #include "util/serde.hpp"
 
 namespace backlog::core {
@@ -22,10 +21,9 @@ namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestTmpName[] = "MANIFEST.tmp";
-// Every manifest record is framed [magic u64][len u32][payload][crc32c u32].
-// The magic names the format version; open rejects any other layout.
-constexpr std::uint64_t kManifestRecordMagic = 0x324c4f47464e414dULL;
-constexpr std::size_t kRecordHeader = 12;  // magic + len
+// The manifest's RecordLog magic names its format version; open rejects
+// any other layout.
+constexpr std::uint64_t kManifestMagic = 0x324c4f47464e414dULL;
 constexpr std::size_t kMaxRunNameLen = 255;
 // Queries touching at most this many blocks probe Bloom filters per block to
 // skip runs entirely; wider scans rely on min/max fencing.
@@ -259,9 +257,17 @@ CpFlushStats BacklogDb::consistency_point() {
 
   // The CP is committed by the manifest write (the "root node written last"
   // rule of write-anywhere systems, §2) — so the registry advances first and
-  // the manifest records the post-CP state.
+  // the manifest records the post-CP state. A write that fails before it
+  // commits leaves no open manifest log; it rolls the registry back, so a
+  // retried CP commits the same CP number.
+  SnapshotRegistry committed = registry_;
   registry_.advance_cp();
-  append_manifest_edit();
+  try {
+    append_manifest_edit();
+  } catch (...) {
+    if (manifest_log_ == nullptr) registry_ = std::move(committed);
+    throw;
+  }
   if (options_.faults != nullptr)
     options_.faults->check(util::fault_point("cp.registry_persisted"),
                            env_.fault_volume());
@@ -844,7 +850,8 @@ QuickStats BacklogDb::quick_stats() const {
   return q;
 }
 
-std::vector<std::uint8_t> BacklogDb::manifest_record(bool full) const {
+void BacklogDb::manifest_record(bool full,
+                                std::vector<std::uint8_t>& out) const {
   // One payload for the base and for edits; an edit is the same record
   // restricted to what was added since the last write.
   std::vector<const RunMeta*> runs;
@@ -861,47 +868,53 @@ std::vector<std::uint8_t> BacklogDb::manifest_record(bool full) const {
     for (const auto& m : pending_manifest_runs_) runs.push_back(m.get());
     for (const auto& [t, e] : pending_dv_) entries.emplace_back(t, e);
   }
-  std::vector<std::uint8_t> rec(kRecordHeader);  // magic + len, set below
-  util::append_u64(rec, next_run_id_);
-  util::append_u64(rec, max_extent_seen_);
-  registry_.serialize(rec);
-  util::append_u32(rec, static_cast<std::uint32_t>(runs.size()));
+  util::append_u64(out, next_run_id_);
+  util::append_u64(out, max_extent_seen_);
+  registry_.serialize(out);
+  util::append_u32(out, static_cast<std::uint32_t>(runs.size()));
   for (const RunMeta* m : runs) {
-    rec.push_back(static_cast<std::uint8_t>(m->table));
-    util::append_u64(rec, m->partition);
-    util::append_string(rec, m->name);
+    out.push_back(static_cast<std::uint8_t>(m->table));
+    util::append_u64(out, m->partition);
+    util::append_string(out, m->name);
   }
-  util::append_u32(rec, static_cast<std::uint32_t>(entries.size()));
+  util::append_u32(out, static_cast<std::uint32_t>(entries.size()));
   for (const auto& [t, e] : entries) {
-    rec.push_back(static_cast<std::uint8_t>(t));
-    rec.insert(rec.end(), e.begin(), e.end());
+    out.push_back(static_cast<std::uint8_t>(t));
+    out.insert(out.end(), e.begin(), e.end());
   }
-  const std::size_t len = rec.size() - kRecordHeader;
-  util::put_u64(rec.data(), kManifestRecordMagic);
-  util::put_u32(rec.data() + 8, static_cast<std::uint32_t>(len));
-  util::append_u32(rec, util::crc32c(rec.data() + kRecordHeader, len));
-  return rec;
 }
 
 void BacklogDb::save_manifest() {
-  const std::vector<std::uint8_t> record = manifest_record(/*full=*/true);
   manifest_log_.reset();  // release the old file before replacing it
-  auto file = env_.create_file(kManifestTmpName);
-  file->append(record);
-  file->sync();
-  file->close();
+  {
+    RecordLog base(env_, kManifestTmpName, kManifestMagic, /*truncate=*/true);
+    base.append([this](std::vector<std::uint8_t>& out) {
+      manifest_record(/*full=*/true, out);
+    });
+    base.sync();
+  }
   env_.rename_file(kManifestTmpName, kManifestName);  // the commit point
   pending_manifest_runs_.clear();
   pending_dv_.clear();
-  manifest_log_ = env_.append_file(kManifestName);
+  manifest_log_ =
+      std::make_unique<RecordLog>(env_, kManifestName, kManifestMagic);
   retire_runs();
 }
 
 void BacklogDb::append_manifest_edit() {
-  const std::vector<std::uint8_t> record = manifest_record(/*full=*/false);
-  if (manifest_log_ == nullptr) manifest_log_ = env_.append_file(kManifestName);
-  manifest_log_->append(record);
-  manifest_log_->sync();
+  if (manifest_log_ == nullptr) {
+    save_manifest();
+    return;
+  }
+  try {
+    manifest_log_->append([this](std::vector<std::uint8_t>& out) {
+      manifest_record(/*full=*/false, out);
+    });
+    manifest_log_->sync();
+  } catch (...) {
+    manifest_log_.reset();
+    throw;
+  }
   pending_manifest_runs_.clear();
   pending_dv_.clear();
 }
@@ -937,36 +950,25 @@ void BacklogDb::apply_manifest_record(std::span<const std::uint8_t> payload) {
 }
 
 void BacklogDb::load_manifest() {
-  auto file = env_.open_file(kManifestName);
-  std::vector<std::uint8_t> buf(file->size());
-  file->read(0, buf);
-  // Replay the records in order. The first is the base and must be intact;
-  // after it, replay stops at the first torn or corrupt record (a torn tail
-  // means the CP that wrote it never committed — drop it).
-  std::size_t pos = 0;
-  while (pos < buf.size()) {
-    const bool base = pos == 0;
-    const std::size_t left = buf.size() - pos;
-    const std::uint8_t* rec = buf.data() + pos;
-    if (left < kRecordHeader || util::get_u64(rec) != kManifestRecordMagic) {
-      if (base)
-        throw std::runtime_error(
-            "manifest: bad magic (not a manifest of this format version)");
-      break;
-    }
-    const std::uint32_t len = util::get_u32(rec + 8);
-    const bool intact =
-        std::size_t{len} + 4 <= left - kRecordHeader &&
-        util::crc32c(rec + kRecordHeader, len) ==
-            util::get_u32(rec + kRecordHeader + len);
-    if (!intact) {
-      if (base) throw std::runtime_error("manifest: corrupt base record");
-      break;
-    }
-    apply_manifest_record({rec + kRecordHeader, len});
-    pos += kRecordHeader + len + 4;
+  // The first record is the base and must be intact; after it, a torn or
+  // corrupt record means the CP that wrote it never committed — the replay
+  // drops it and everything behind it.
+  const RecordLogReplay r = RecordLog::replay(
+      env_, kManifestName, kManifestMagic,
+      [this](std::span<const std::uint8_t> payload) {
+        apply_manifest_record(payload);
+        return true;
+      });
+  if (r.records > 0) return;
+  switch (r.stop) {
+    case RecordLogReplay::Stop::kEnd:
+      throw std::runtime_error("manifest: empty");
+    case RecordLogReplay::Stop::kForeignMagic:
+      throw std::runtime_error(
+          "manifest: bad magic (not a manifest of this format version)");
+    default:
+      throw std::runtime_error("manifest: corrupt base record");
   }
-  if (pos == 0) throw std::runtime_error("manifest: empty");
 }
 
 void BacklogDb::remove_orphan_runs() {

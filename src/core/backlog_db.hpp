@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/backref_record.hpp"
+#include "core/record_log.hpp"
 #include "core/result_cache.hpp"
 #include "core/snapshot_registry.hpp"
 #include "core/write_store.hpp"
@@ -232,7 +233,9 @@ class BacklogDb {
   /// entries added since the last manifest write, as one manifest edit
   /// *without* advancing the CP. Lets registry mutations made between
   /// consistency points — clone creation, snapshot deletion — survive a
-  /// crash instead of waiting for the next CP's edit.
+  /// crash instead of waiting for the next CP's edit. If the append or
+  /// sync fails, the pending runs and entries stay pending and the next
+  /// manifest write is a full base, which also discards any torn bytes.
   void append_manifest_edit();
 
   /// Names of every file that makes up the database's durable state: the
@@ -380,15 +383,16 @@ class BacklogDb {
   std::vector<CombinedRecord> collect_raw(BlockNo block_lo, BlockNo block_hi);
   void expand_inheritance(std::vector<CombinedRecord>& records) const;
 
-  // Manifest: the volume's only commit record. It is a sequence of
-  // CRC-framed records with one payload format. The first (the base) holds
-  // the full state; every CP appends an edit holding the new registry state
-  // and the runs and deletion-vector entries added since the last write.
-  // Edits only ever add — only maintenance erases deletion-vector entries or
-  // retires runs, and it rewrites the base. This keeps the per-CP manifest
-  // cost O(1) even with thousands of accumulated Level-0 runs.
+  // Manifest: the volume's only commit record. It is a RecordLog whose
+  // records share one payload format. The first (the base) holds the full
+  // state; every CP appends an edit holding the new registry state and the
+  // runs and deletion-vector entries added since the last write. Edits only
+  // ever add — only maintenance erases deletion-vector entries or retires
+  // runs, and it rewrites the base. This keeps the per-CP manifest cost O(1)
+  // even with thousands of accumulated Level-0 runs.
   void save_manifest();  // full rewrite (open/maintain), then retire_runs()
-  [[nodiscard]] std::vector<std::uint8_t> manifest_record(bool full) const;
+  // Appends the payload of the base (`full`) or of an edit to `out`.
+  void manifest_record(bool full, std::vector<std::uint8_t>& out) const;
   void apply_manifest_record(std::span<const std::uint8_t> payload);
   void load_manifest();
   void remove_orphan_runs();
@@ -426,7 +430,9 @@ class BacklogDb {
   // Runs that in-memory state no longer names but the committed manifest
   // may; save_manifest() unlinks them once the new base has committed.
   RunList retired_runs_;
-  std::unique_ptr<storage::WritableFile> manifest_log_;
+  // The open manifest, for edits. Null after a failed manifest write: the
+  // file may end in a torn edit, so the next write is a full base.
+  std::unique_ptr<RecordLog> manifest_log_;
 
   std::array<lsm::DeletionVector, 3> dvs_{  // indexed by Table
       lsm::DeletionVector{kFromRecordSize}, lsm::DeletionVector{kToRecordSize},

@@ -1,133 +1,79 @@
 #include "core/wal.hpp"
 
-#include <cstring>
+#include <stdexcept>
 #include <vector>
 
-#include "util/crc32c.hpp"
 #include "util/serde.hpp"
 
 namespace backlog::core {
 
 namespace {
 
-constexpr std::uint32_t kWalMagic = 0x4c415742;  // "BWAL" little-endian
+constexpr std::uint64_t kWalMagic = 0x324c4157474c4b42ULL;  // "BKLGWAL2"
 
 }  // namespace
 
 Wal::Wal(storage::Env& env, std::string name)
-    : env_(env), name_(std::move(name)), file_(env_.append_file(name_)) {}
+    : log_(env, std::move(name), kWalMagic) {}
 
 void Wal::append(Epoch epoch, std::span<const Update> ops) {
   if (ops.empty()) return;
   if (ops.size() > kMaxOpsPerRecord)
     throw std::invalid_argument("Wal::append: batch exceeds kMaxOpsPerRecord");
-  const std::uint32_t op_count = static_cast<std::uint32_t>(ops.size());
-  const std::uint32_t payload_len =
-      op_count * static_cast<std::uint32_t>(kOpSize);
-  scratch_.resize(kHeaderSize + payload_len);
-  std::uint8_t* h = scratch_.data();
-  util::put_u32(h, kWalMagic);
-  util::put_u64(h + 4, epoch);
-  util::put_u32(h + 12, op_count);
-  util::put_u32(h + 16, payload_len);
-  std::uint8_t* p = h + kHeaderSize;
-  for (const Update& op : ops) {
-    *p = static_cast<std::uint8_t>(op.kind);
-    encode_key(op.key, p + 1);
-    p += kOpSize;
-  }
-  // CRC spans the header minus its own field, then the payload — the same
-  // chained-seed layout net/frame uses.
-  std::uint32_t crc = util::crc32c(h, 20);
-  crc = util::crc32c(h + kHeaderSize, payload_len, crc);
-  util::put_u32(h + 20, crc);
-  file_->append(scratch_);
-  dirty_ = true;
+  log_.append([&](std::vector<std::uint8_t>& out) {
+    const std::size_t at = out.size();
+    out.resize(at + kPayloadHeaderSize + ops.size() * kOpSize);
+    std::uint8_t* p = out.data() + at;
+    util::put_u64(p, epoch);
+    util::put_u32(p + 8, static_cast<std::uint32_t>(ops.size()));
+    p += kPayloadHeaderSize;
+    for (const Update& op : ops) {
+      *p = static_cast<std::uint8_t>(op.kind);
+      encode_key(op.key, p + 1);
+      p += kOpSize;
+    }
+  });
 }
-
-void Wal::sync() {
-  if (!dirty_) return;
-  file_->sync();
-  dirty_ = false;
-}
-
-void Wal::reset() {
-  file_->close();
-  file_ = env_.create_file(name_);  // truncates
-  dirty_ = false;
-}
-
-std::uint64_t Wal::size_bytes() const noexcept { return file_->size(); }
 
 WalReplayStats Wal::replay(storage::Env& env, const std::string& name,
                            const WalReplayOptions& options,
                            const ApplyFn& apply) {
   WalReplayStats stats;
-  if (!env.file_exists(name)) return stats;
-  const std::uint64_t size = env.file_size(name);
-  if (size == 0) return stats;
-
-  std::vector<std::uint8_t> buf(size);
-  env.open_file(name)->read(0, buf);
-
   std::vector<Update> ops;
-  std::size_t pos = 0;
-  while (pos < buf.size()) {
-    const std::size_t remaining = buf.size() - pos;
-    // Untrusted decode: every length check happens before the checksum is
-    // computed, and any failure clean-rejects the tail — a crash mid-append
-    // legitimately leaves a partial record here.
-    if (remaining < kHeaderSize) break;
-    const std::uint8_t* h = buf.data() + pos;
-    if (util::get_u32(h) != kWalMagic) break;
-    const Epoch epoch = util::get_u64(h + 4);
-    const std::uint32_t op_count = util::get_u32(h + 12);
-    const std::uint32_t payload_len = util::get_u32(h + 16);
-    if (op_count > kMaxOpsPerRecord) break;
-    if (payload_len != op_count * static_cast<std::uint32_t>(kOpSize)) break;
-    if (remaining - kHeaderSize < payload_len) break;  // torn tail
-    std::uint32_t crc = util::crc32c(h, 20);
-    crc = util::crc32c(h + kHeaderSize, payload_len, crc);
-    if (crc != util::get_u32(h + 20)) break;
-
+  // The frame's CRC matched, so a payload that fails here was written
+  // wrong or corrupted past the CRC's reach: reject it like a torn frame.
+  const auto decode = [&](std::span<const std::uint8_t> payload) {
+    if (payload.size() < kPayloadHeaderSize) return false;
+    const Epoch epoch = util::get_u64(payload.data());
+    const std::uint32_t op_count = util::get_u32(payload.data() + 8);
+    if (op_count > kMaxOpsPerRecord ||
+        payload.size() != kPayloadHeaderSize + op_count * kOpSize)
+      return false;
     ops.clear();
-    ops.reserve(op_count);
-    bool bad_op = false;
-    const std::uint8_t* p = h + kHeaderSize;
+    const std::uint8_t* p = payload.data() + kPayloadHeaderSize;
     for (std::uint32_t i = 0; i < op_count; ++i, p += kOpSize) {
-      const std::uint8_t kind = *p;
-      if (kind > static_cast<std::uint8_t>(Update::Kind::kRemove)) {
-        bad_op = true;
-        break;
-      }
+      if (*p > static_cast<std::uint8_t>(Update::Kind::kRemove)) return false;
       Update op;
-      op.kind = static_cast<Update::Kind>(kind);
+      op.kind = static_cast<Update::Kind>(*p);
       op.key = decode_key(p + 1);
-      // A CRC-valid record can still carry ops the db would reject
-      // (impossible via the append path, which logs only already-applied
-      // batches — so treat it as corruption, not as input).
-      if (op.key.length == 0 || op.key.length > options.max_extent_blocks) {
-        bad_op = true;
-        break;
-      }
+      // The append path logs only batches the db already applied, so an op
+      // the db would refuse is corruption, not input.
+      if (op.key.length == 0 || op.key.length > options.max_extent_blocks)
+        return false;
       ops.push_back(op);
     }
-    if (bad_op) break;
-
-    ++stats.frames_scanned;
     if (epoch < options.min_epoch) {
       stats.ops_skipped += op_count;
     } else if (op_count > 0) {
       apply(epoch, ops);
       stats.ops_applied += op_count;
     }
-    pos += kHeaderSize + payload_len;
-  }
-
-  if (pos < buf.size()) {
-    stats.tail_rejected = true;
-    stats.bytes_rejected = buf.size() - pos;
-  }
+    return true;
+  };
+  const RecordLogReplay r = RecordLog::replay(env, name, kWalMagic, decode);
+  stats.frames_scanned = r.records;
+  stats.bytes_rejected = r.bytes_dropped;
+  stats.tail_rejected = r.stop != RecordLogReplay::Stop::kEnd;
   return stats;
 }
 

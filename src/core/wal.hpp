@@ -9,34 +9,23 @@
 // after that sync. A CP makes the logged window durable in run files, so
 // the log is truncated behind the committed epoch.
 //
-// Framing reuses the net/frame discipline byte for byte in spirit: a small
-// fixed header carrying magic + lengths + CRC32C, with every length
-// validated BEFORE the checksum is computed. The replay parser is an
-// untrusted-input decoder exactly like the run-file footer — the file is
-// whatever a crash (or an adversary) left on disk, so a torn, truncated,
-// or bit-flipped tail is *clean-rejected* (replay stops, reports the
-// rejected bytes) instead of throwing out of recovery.
-//
-// Record layout (little-endian, like every on-disk struct here):
-//   [0,4)   magic "BWAL"
-//   [4,12)  epoch — BacklogDb::current_cp() at append time; replay skips
+// Each batch is one RecordLog record (record_log.hpp: framing, CRC and
+// torn-tail rule) under the WAL's own magic. Its payload, little-endian:
+//   [0,8)   epoch — BacklogDb::current_cp() at append time; replay skips
 //           records below the recovered db's committed epoch (their ops are
 //           already durable in run files)
-//   [12,16) op_count
-//   [16,20) payload_len == op_count * 41 (redundant, so lengths can be
-//           validated against each other before trusting either)
-//   [20,24) CRC32C over header[0,20) + payload
-//   payload: op_count × { kind u8 (0=add, 1=remove), 40-byte big-endian
-//            BackrefKey (the encode_key format run files use) }
+//   [8,12)  op_count
+//   then    op_count × 41 bytes { kind u8 (0=add, 1=remove), 40-byte
+//           big-endian BackrefKey (the encode_key format run files use) }
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 
 #include "core/backref_record.hpp"
+#include "core/record_log.hpp"
 #include "storage/env.hpp"
 
 namespace backlog::core {
@@ -62,27 +51,23 @@ struct WalReplayOptions {
   std::uint64_t max_extent_blocks = kInfinity;
 };
 
-/// Append-only, CRC-framed log of Update batches. One Wal per volume
-/// directory (the file lives next to the manifest); the *group commit* —
-/// one fsync spanning every dirty volume on a shard — is the service
-/// layer's job, this class only exposes the per-file append/sync/reset.
+/// Append-only log of Update batches. One Wal per volume directory (the
+/// file lives next to the manifest); the *group commit* — one fsync
+/// spanning every dirty volume on a shard — is the service layer's job,
+/// this class only exposes the per-file append/sync/reset.
 /// Not thread-safe: owned and driven by the volume's shard thread.
 class Wal {
  public:
   static constexpr const char* kDefaultName = "WAL";
-  static constexpr std::size_t kHeaderSize = 24;
-  static constexpr std::size_t kOpSize = 1 + kKeySize;  // kind + key
-  /// Cap validated before any allocation or checksum on replay; generous
-  /// against the service's batch caps.
+  static constexpr std::size_t kPayloadHeaderSize = 12;  // epoch, op_count
+  static constexpr std::size_t kOpSize = 1 + kKeySize;   // kind, key
+  /// Largest op count of one record; replay rejects a record over it.
   static constexpr std::uint32_t kMaxOpsPerRecord = 1u << 20;
 
   /// Opens (creating if missing) `name` under `env`, preserving existing
   /// contents — recovery reads the old tail via replay() before the first
   /// append lands.
   explicit Wal(storage::Env& env, std::string name = kDefaultName);
-
-  Wal(const Wal&) = delete;
-  Wal& operator=(const Wal&) = delete;
 
   /// Appends one record. Buffered by the kernel only — call sync() (or let
   /// the shard's group-commit window do it) before acking durability.
@@ -91,35 +76,29 @@ class Wal {
 
   /// Durability barrier for everything appended so far. No-op when nothing
   /// was appended since the last sync.
-  void sync();
+  void sync() { log_.sync(); }
 
   /// True when appends since the last sync() await a durability barrier.
-  [[nodiscard]] bool dirty() const noexcept { return dirty_; }
+  [[nodiscard]] bool dirty() const noexcept { return log_.dirty(); }
 
   /// Truncates the log. Called after a consistency point commits: every
   /// logged op at or below the committed epoch is now durable in run files
   /// (and anything newer was re-checked by the caller before truncating).
-  void reset();
-
-  [[nodiscard]] std::uint64_t size_bytes() const noexcept;
+  void reset() { log_.truncate(); }
 
   using ApplyFn = std::function<void(Epoch, std::span<const Update>)>;
 
   /// Replays `name` (missing file == empty log), delivering each surviving
   /// record's ops to `apply` in append order. Never throws on bad bytes:
-  /// the first malformed, torn, over-cap, or CRC-failing record rejects
-  /// the remainder of the file (see WalReplayStats). Exceptions from
-  /// `apply` itself propagate — the callback is trusted code.
+  /// the first torn, corrupt or undecodable record rejects the remainder
+  /// of the file (see WalReplayStats). Exceptions from `apply` itself
+  /// propagate — the callback is trusted code.
   static WalReplayStats replay(storage::Env& env, const std::string& name,
                                const WalReplayOptions& options,
                                const ApplyFn& apply);
 
  private:
-  storage::Env& env_;
-  std::string name_;
-  std::unique_ptr<storage::WritableFile> file_;
-  std::vector<std::uint8_t> scratch_;  // reused encode buffer
-  bool dirty_ = false;
+  RecordLog log_;
 };
 
 }  // namespace backlog::core

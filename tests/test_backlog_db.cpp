@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "core/backlog_db.hpp"
+#include "core/record_log.hpp"
 #include "lsm/run_file.hpp"
 #include "storage/env.hpp"
-#include "util/crc32c.hpp"
 #include "util/fault_points.hpp"
 #include "util/serde.hpp"
 
@@ -629,16 +629,99 @@ TEST(BacklogDb, TornManifestEditIsDiscarded) {
   EXPECT_TRUE(db.query_raw(520).empty());
 }
 
+TEST(BacklogDb, FailedManifestEditLeavesTheDbRetryable) {
+  // A short write tears the CP's manifest edit. The retried CP and the next
+  // one must not land behind the torn bytes, where no replay reaches them.
+  bs::TempDir dir;
+  {
+    bu::FaultPoints faults;
+    bs::Env env(dir.path());
+    env.set_faults(&faults, "v");
+    bc::BacklogOptions opts;
+    opts.faults = &faults;
+    bc::BacklogDb db(env, opts);
+    for (std::uint64_t b = 0; b < 100; ++b) db.add_reference(key(b));
+    // The runs are written when "cp.flushed" fires; the next append is the
+    // manifest edit's.
+    const auto tear_next_append = [&faults] {
+      faults.arm("env.append",
+                 bu::FaultAction::fail(EIO, bu::FaultAction::Kind::kShortWrite)
+                     .once());
+    };
+    faults.arm("cp.flushed", bu::FaultAction::call(tear_next_append).once());
+    EXPECT_THROW(db.consistency_point(), std::system_error);
+    EXPECT_EQ(db.current_cp(), 1u);
+    db.consistency_point();
+    EXPECT_EQ(db.current_cp(), 2u);
+    db.consistency_point();
+    EXPECT_EQ(db.query_raw(0, 1000).size(), 100u);
+  }
+  bs::Env env(dir.path());
+  bc::BacklogDb db(env);
+  EXPECT_EQ(db.query_raw(0, 1000).size(), 100u);
+  EXPECT_EQ(db.current_cp(), 3u);
+}
+
 namespace {
 
-/// Appends one CRC-framed record with `payload` to the manifest, as an edit.
+/// A MANIFEST written by a build from before the WAL and the MANIFEST
+/// shared one record log: an empty db, one snapshot, one CP, no runs (a base
+/// and one edit).
+constexpr std::uint8_t kEarlierManifest[] = {
+    0x4d, 0x41, 0x4e, 0x46, 0x47, 0x4f, 0x4c, 0x32, 0x70, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x2b, 0x7e, 0xa2, 0x0f, 0x4d, 0x41, 0x4e, 0x46,
+    0x47, 0x4f, 0x4c, 0x32, 0x78, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x47, 0x0f, 0x40, 0xff};
+
+}  // namespace
+
+TEST(BacklogDb, ManifestOfAnEarlierBuildOpensAndIsWrittenIdentically) {
+  const std::vector<std::uint8_t> fixture(std::begin(kEarlierManifest),
+                                          std::end(kEarlierManifest));
+  {
+    bs::TempDir dir;
+    bs::Env env(dir.path());
+    env.create_file("MANIFEST")->append(fixture);
+    bc::BacklogDb db(env);
+    EXPECT_EQ(db.current_cp(), 2u);
+    EXPECT_EQ(db.registry().snapshots(0), std::vector<bc::Epoch>{1});
+  }
+  bs::TempDir dir;
+  bs::Env env(dir.path());
+  {
+    bc::BacklogDb db(env);
+    db.registry().take_snapshot(0);
+    db.consistency_point();
+  }
+  EXPECT_EQ(read_file(env, "MANIFEST"), fixture);
+}
+
+namespace {
+
+/// Appends one record with `payload` to the manifest, as an edit.
 void append_manifest_record(bs::Env& env, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> rec;
-  bu::append_u64(rec, manifest_magic(env));
-  bu::append_u32(rec, static_cast<std::uint32_t>(payload.size()));
-  rec.insert(rec.end(), payload.begin(), payload.end());
-  bu::append_u32(rec, bu::crc32c(payload.data(), payload.size()));
-  env.append_file("MANIFEST")->append(rec);
+  bc::RecordLog(env, "MANIFEST", manifest_magic(env))
+      .append([&](std::vector<std::uint8_t>& out) {
+        out.insert(out.end(), payload.begin(), payload.end());
+      });
 }
 
 }  // namespace
@@ -899,10 +982,10 @@ TEST(BacklogDb, ExtentRelocationMovesWholeExtent) {
 // pair, the scenario is rebuilt and that hit fails with EIO. The operation
 // must throw, and a reopen over a fresh Env must succeed and show exactly
 // the state before the operation or the state after it — never a mix, and
-// never a lost volume. A scenario that sets `retry_before_flushed` also
-// retries the operation on the same open db after every hit that fails it
-// before "cp.flushed": a failed flush must leave the in-memory state alone,
-// so the retry must reach exactly the state after, live and on reopen.
+// never a lost volume. A scenario that sets `retry` also retries the
+// operation on the same open db after every hit: a failed operation must
+// leave the db retryable, so the retry must reach exactly the state after,
+// CP number included, live and on reopen.
 
 namespace {
 
@@ -915,15 +998,22 @@ struct SweepScenario {
   std::uint64_t blocks = 0;  // every record lives below this block
   std::function<void(bc::BacklogDb&)> setup;  // runs with no fault armed
   std::function<void(bc::BacklogDb&)> op;     // the operation under test
-  bool retry_before_flushed = false;
+  bool retry = false;
   std::vector<std::string_view> must_hit;  // env.* points op must reach
 };
 
-std::vector<bc::CombinedRecord> reopened_state(const SweepScenario& sc,
-                                               const std::filesystem::path& dir) {
+/// What the sweep compares: every raw record and the CP number.
+using SweepState = std::pair<std::vector<bc::CombinedRecord>, bc::Epoch>;
+
+SweepState state_of(const SweepScenario& sc, bc::BacklogDb& db) {
+  return {db.query_raw(0, sc.blocks), db.current_cp()};
+}
+
+SweepState reopened_state(const SweepScenario& sc,
+                          const std::filesystem::path& dir) {
   bs::Env env(dir);
   bc::BacklogDb db(env, sc.opts);
-  return db.query_raw(0, sc.blocks);
+  return state_of(sc, db);
 }
 
 /// Builds the scenario in `dir`; with `arm` set, arms it around the
@@ -956,15 +1046,13 @@ void sweep(const SweepScenario& sc) {
   run_scenario(sc, before_dir.path(), nullptr);
   const auto before = reopened_state(sc, before_dir.path());
   std::array<std::uint64_t, kEnvPoints.size()> hits{};
-  std::array<std::uint64_t, kEnvPoints.size()> hits_before_flushed{};
   ASSERT_FALSE(run_scenario(sc, after_dir.path(), [&](bu::FaultPoints& f) {
     for (std::size_t i = 0; i < kEnvPoints.size(); ++i)
       f.arm(kEnvPoints[i], bu::FaultAction::call([&hits, i] { ++hits[i]; }));
-    f.arm("cp.flushed", bu::FaultAction::call(
-                            [&] { hits_before_flushed = hits; }));
   }));
   const auto after = reopened_state(sc, after_dir.path());
-  ASSERT_TRUE(before != after) << "the operation must change the state";
+  ASSERT_TRUE(before.first != after.first)
+      << "the operation must change the records";
   for (const std::string_view p : sc.must_hit) {
     const auto i = static_cast<std::size_t>(
         std::find(kEnvPoints.begin(), kEnvPoints.end(), p) - kEnvPoints.begin());
@@ -976,11 +1064,12 @@ void sweep(const SweepScenario& sc) {
   for (std::size_t i = 0; i < kEnvPoints.size(); ++i) {
     for (std::uint64_t hit = 0; hit < hits[i]; ++hit, ++swept) {
       SCOPED_TRACE(std::string(kEnvPoints[i]) + " hit " + std::to_string(hit));
-      const bool retry = sc.retry_before_flushed && hit < hits_before_flushed[i];
       const auto retry_op = [&](bc::BacklogDb& db) {
         sc.op(db);  // the one-shot fault has fired; nothing is armed
-        EXPECT_TRUE(db.query_raw(0, sc.blocks) == after)
+        const SweepState got = state_of(sc, db);
+        EXPECT_TRUE(got.first == after.first)
             << "the retried operation did not reach the state after";
+        EXPECT_EQ(got.second, after.second) << "the retry committed another CP";
         ++retried;
       };
       bs::TempDir dir;
@@ -989,21 +1078,23 @@ void sweep(const SweepScenario& sc) {
           [&](bu::FaultPoints& f) {
             f.arm(kEnvPoints[i], bu::FaultAction::fail(EIO).skip(hit).once());
           },
-          retry ? std::function<void(bc::BacklogDb&)>(retry_op) : nullptr))
+          sc.retry ? std::function<void(bc::BacklogDb&)>(retry_op) : nullptr))
           << "the injected failure did not fail the operation";
       try {
         const auto got = reopened_state(sc, dir.path());
-        EXPECT_TRUE(got == after || (!retry && got == before))
-            << "reopened with " << got.size() << " records; before had "
-            << before.size() << ", after " << after.size();
+        EXPECT_TRUE(got == after || (!sc.retry && got == before))
+            << "reopened with " << got.first.size() << " records at CP "
+            << got.second << "; before had " << before.first.size()
+            << " at CP " << before.second << ", after " << after.first.size()
+            << " at CP " << after.second;
       } catch (const std::exception& e) {
         ADD_FAILURE() << "reopen failed: " << e.what();
       }
     }
   }
   EXPECT_GT(swept, 0u);
-  if (sc.retry_before_flushed) {
-    EXPECT_GT(retried, 0u);
+  if (sc.retry) {
+    EXPECT_EQ(retried, swept);
   }
 }
 
@@ -1045,7 +1136,7 @@ TEST(FaultSweep, ConsistencyPoint) {
     for (std::uint64_t b = 200; b < 250; ++b) db.add_reference(key(b));
   };
   sc.op = [](bc::BacklogDb& db) { db.consistency_point(); };
-  sc.retry_before_flushed = true;
+  sc.retry = true;
   sweep(sc);
 }
 

@@ -1,12 +1,15 @@
 // The WAL durability pipeline under fire.
 //
-// Four suites:
+// Five suites:
 //
 //   * WalReplay — the log's untrusted-input decoder, driven directly: a
 //     torn tail truncated at *every* byte offset and a bit flip at every
 //     byte must clean-reject (never throw), applying exactly the intact
 //     record prefix; CRC-valid records carrying ops the db would refuse
 //     (kind out of range, zero/over-cap extents) are rejected the same way.
+//   * ManifestReplay — the same cuts and flips over a MANIFEST, which
+//     shares the WAL's record log: damage in the base fails the open, any
+//     other damage reopens to the last intact edit with no orphan runs.
 //   * WalCrashMatrix — fork/_exit crash injection at every commit-pipeline
 //     ordering point the fault registry declares (the wal.* and cp.* names
 //     in util/fault_points.hpp), each at two adjacent firings; a coverage
@@ -36,6 +39,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <set>
@@ -45,6 +49,7 @@
 #include <vector>
 
 #include "baseline/naive_backrefs.hpp"
+#include "core/backlog_db.hpp"
 #include "core/wal.hpp"
 #include "net/client.hpp"
 #include "net/handlers.hpp"
@@ -175,7 +180,17 @@ bsvc::ErrorCode code_of(std::future<void>& f) {
   return bsvc::ErrorCode::kOk;
 }
 
-// --- WAL replay: the untrusted decoder ---------------------------------------
+// --- record-log replay: the untrusted decoder --------------------------------
+
+std::vector<char> read_bytes(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const fs::path& file, const std::vector<char>& bytes) {
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 std::vector<bsvc::UpdateOp> record_ops(bc::BlockNo first, std::uint64_t n) {
   std::vector<bsvc::UpdateOp> ops;
@@ -194,14 +209,11 @@ std::vector<char> build_log(const fs::path& dir,
     for (const auto& r : recs) wal.append(epoch++, r);
     wal.sync();
   }
-  std::ifstream in(dir / bc::Wal::kDefaultName, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return read_bytes(dir / bc::Wal::kDefaultName);
 }
 
 void write_log(const fs::path& dir, const std::vector<char>& bytes) {
-  std::ofstream out(dir / bc::Wal::kDefaultName,
-                    std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  write_bytes(dir / bc::Wal::kDefaultName, bytes);
 }
 
 bc::WalReplayStats replay_count(const fs::path& dir, std::uint64_t* ops_seen,
@@ -264,72 +276,168 @@ TEST(WalReplay, RecordsBelowMinEpochAreSkippedNotApplied) {
   EXPECT_EQ(n, 8u);
 }
 
-TEST(WalReplay, TruncationAtEveryByteCleanRejectsTheTail) {
-  bs::TempDir dir;
-  const std::vector<std::uint64_t> per_record = {3, 1, 5};
-  const std::vector<char> good = build_log(
-      dir.path(), {record_ops(10, 3), record_ops(20, 1), record_ops(30, 5)});
-  // Byte offsets where a record boundary sits, and the op count intact at
-  // that prefix length.
-  std::vector<std::pair<std::size_t, std::uint64_t>> boundaries;
-  std::size_t off = 0;
-  std::uint64_t ops = 0;
-  boundaries.emplace_back(0, 0);
-  for (const std::uint64_t n : per_record) {
-    off += bc::Wal::kHeaderSize + n * bc::Wal::kOpSize;
-    ops += n;
-    boundaries.emplace_back(off, ops);
-  }
-  ASSERT_EQ(off, good.size());
+/// A record log to damage: its intact bytes, the offset at which each
+/// record ends, and a check of a damaged copy given the number of whole
+/// records before the damage and the bytes from there to EOF, which must be
+/// rejected.
+struct LogUnderTest {
+  std::vector<char> good;
+  std::vector<std::size_t> ends;
+  std::function<void(const std::vector<char>& bytes, std::size_t intact,
+                     std::size_t rejected)>
+      check;
+};
 
-  for (std::size_t cut = 0; cut <= good.size(); ++cut) {
-    write_log(dir.path(), {good.begin(), good.begin() + cut});
-    std::uint64_t n = 0;
-    bc::WalReplayStats st;
-    ASSERT_NO_THROW(st = replay_count(dir.path(), &n)) << "cut at " << cut;
+/// The whole records within the first `n` bytes: their count and end.
+std::pair<std::size_t, std::size_t> intact_prefix(const LogUnderTest& log,
+                                                  std::size_t n) {
+  std::size_t k = 0, end = 0;
+  while (k < log.ends.size() && log.ends[k] <= n) end = log.ends[k++];
+  return {k, end};
+}
+
+void truncate_at_every_byte(const LogUnderTest& log) {
+  ASSERT_FALSE(log.ends.empty());
+  ASSERT_EQ(log.ends.back(), log.good.size());
+  for (std::size_t cut = 0; cut <= log.good.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
     // The longest whole-record prefix within the cut survives; the rest is
     // rejected as a torn tail.
-    std::uint64_t want_ops = 0;
-    std::size_t boundary = 0;
-    for (const auto& [b, o] : boundaries) {
-      if (b <= cut) {
-        boundary = b;
-        want_ops = o;
-      }
-    }
-    EXPECT_EQ(n, want_ops) << "cut at " << cut;
-    EXPECT_EQ(st.tail_rejected, cut != boundary) << "cut at " << cut;
-    EXPECT_EQ(st.bytes_rejected, cut - boundary) << "cut at " << cut;
+    const auto [intact, boundary] = intact_prefix(log, cut);
+    log.check({log.good.begin(), log.good.begin() + cut}, intact,
+              cut - boundary);
   }
+}
+
+void flip_every_byte(const LogUnderTest& log) {
+  ASSERT_FALSE(log.ends.empty());
+  ASSERT_EQ(log.ends.back(), log.good.size());
+  for (std::size_t i = 0; i < log.good.size(); ++i) {
+    SCOPED_TRACE("flip at " + std::to_string(i));
+    auto bad = log.good;
+    bad[i] = static_cast<char>(bad[i] ^ 0x40);
+    // Records strictly before the flipped one survive; the flip's record
+    // and everything after it are rejected (a flipped magic is foreign, a
+    // flipped length overruns the file or misplaces the CRC, and the CRC
+    // covers every payload byte).
+    const auto [intact, boundary] = intact_prefix(log, i);
+    log.check(bad, intact, log.good.size() - boundary);
+  }
+}
+
+/// Three WAL records of 3, 1 and 5 ops; each check replays the damaged log.
+LogUnderTest wal_under_test(const fs::path& dir) {
+  const std::vector<std::uint64_t> per_record = {3, 1, 5};
+  LogUnderTest log;
+  log.good = build_log(dir, {record_ops(10, 3), record_ops(20, 1),
+                             record_ops(30, 5)});
+  std::vector<std::uint64_t> ops_before = {0};
+  std::size_t off = 0;
+  for (const std::uint64_t n : per_record) {
+    off += bc::RecordLog::kFrameOverhead + bc::Wal::kPayloadHeaderSize +
+           n * bc::Wal::kOpSize;
+    log.ends.push_back(off);
+    ops_before.push_back(ops_before.back() + n);
+  }
+  log.check = [dir, ops_before](const std::vector<char>& bytes,
+                                std::size_t intact, std::size_t rejected) {
+    write_log(dir, bytes);
+    std::uint64_t n = 0;
+    bc::WalReplayStats st;
+    ASSERT_NO_THROW(st = replay_count(dir, &n));
+    EXPECT_EQ(n, ops_before[intact]);
+    EXPECT_EQ(st.frames_scanned, intact);
+    EXPECT_EQ(st.tail_rejected, rejected != 0);
+    EXPECT_EQ(st.bytes_rejected, rejected);
+  };
+  return log;
+}
+
+/// What a reopened db shows: every raw record, the CP and the snapshots.
+using DbState =
+    std::tuple<std::vector<bc::CombinedRecord>, bc::Epoch, std::vector<bc::Epoch>>;
+DbState db_state(bc::BacklogDb& db) {
+  return {db.query_raw(0, kUniverse), db.current_cp(),
+          db.registry().snapshots(0)};
+}
+
+/// A MANIFEST with a base and three edits: one with runs, one with a
+/// snapshot, one with a relocation's runs and deletion-vector entries. Each
+/// check reopens a copy of `dir` whose MANIFEST holds the damaged bytes:
+/// damage inside the base fails the open, any other damage reopens to the
+/// state after the last intact edit and leaves no orphan run on disk.
+LogUnderTest manifest_under_test(const fs::path& dir) {
+  LogUnderTest log;
+  std::vector<DbState> states;
+  {
+    bs::Env env(dir);
+    {
+      bc::BacklogDb db(env);
+      for (std::uint64_t b = 0; b < 40; ++b) db.add_reference(key(b));
+      db.consistency_point();
+    }
+    bc::BacklogDb db(env);  // the reopen writes a base naming those runs
+    const auto record_end = [&] {
+      log.ends.push_back(env.file_size("MANIFEST"));
+      states.push_back(db_state(db));
+    };
+    record_end();
+    for (std::uint64_t b = 40; b < 60; ++b) db.add_reference(key(b));
+    for (std::uint64_t b = 0; b < 10; ++b) db.remove_reference(key(b));
+    db.consistency_point();
+    record_end();
+    db.registry().take_snapshot(0);
+    db.consistency_point();
+    record_end();
+    db.relocate(20, 10, 400);
+    db.consistency_point();
+    record_end();
+  }
+  log.good = read_bytes(dir / "MANIFEST");
+  log.check = [dir, states](const std::vector<char>& bytes, std::size_t intact,
+                            std::size_t) {
+    bs::TempDir copy;
+    for (const auto& de : fs::directory_iterator(dir)) {
+      if (de.path().filename() != "MANIFEST")
+        fs::create_hard_link(de.path(), copy.path() / de.path().filename());
+    }
+    write_bytes(copy.path() / "MANIFEST", bytes);
+    bs::Env env(copy.path());
+    env.set_sync(false);
+    if (intact == 0) {
+      EXPECT_THROW({ bc::BacklogDb db(env); }, std::runtime_error);
+      return;
+    }
+    std::unique_ptr<bc::BacklogDb> db;
+    ASSERT_NO_THROW(db = std::make_unique<bc::BacklogDb>(env));
+    EXPECT_TRUE(db_state(*db) == states[intact - 1]);
+    std::set<std::string> live, on_disk;
+    for (const std::string& f : db->live_files()) live.insert(f);
+    for (const auto& de : fs::directory_iterator(copy.path()))
+      on_disk.insert(de.path().filename().string());
+    EXPECT_EQ(on_disk, live) << "orphan or missing files";
+  };
+  return log;
+}
+
+TEST(WalReplay, TruncationAtEveryByteCleanRejectsTheTail) {
+  bs::TempDir dir;
+  truncate_at_every_byte(wal_under_test(dir.path()));
 }
 
 TEST(WalReplay, BitFlipAtEveryByteCleanRejectsFromTheFlippedRecord) {
   bs::TempDir dir;
-  const std::vector<std::uint64_t> per_record = {3, 1, 5};
-  const std::vector<char> good = build_log(
-      dir.path(), {record_ops(10, 3), record_ops(20, 1), record_ops(30, 5)});
+  flip_every_byte(wal_under_test(dir.path()));
+}
 
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    auto bad = good;
-    bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    write_log(dir.path(), bad);
-    std::uint64_t n = 0;
-    bc::WalReplayStats st;
-    ASSERT_NO_THROW(st = replay_count(dir.path(), &n)) << "flip at " << i;
-    // Records strictly before the flipped one apply; the flip's record and
-    // everything after it are rejected (CRC covers every byte, and a length
-    // flip fails the redundant-length cross-check before the CRC is read).
-    std::size_t off = 0;
-    std::uint64_t want_ops = 0;
-    for (const std::uint64_t nrec : per_record) {
-      const std::size_t end = off + bc::Wal::kHeaderSize + nrec * bc::Wal::kOpSize;
-      if (i < end) break;
-      want_ops += nrec;
-      off = end;
-    }
-    EXPECT_EQ(n, want_ops) << "flip at " << i;
-    EXPECT_TRUE(st.tail_rejected) << "flip at " << i;
-  }
+TEST(ManifestReplay, TruncationAtEveryByteReopensTheLastIntactEdit) {
+  bs::TempDir dir;
+  truncate_at_every_byte(manifest_under_test(dir.path()));
+}
+
+TEST(ManifestReplay, BitFlipAtEveryByteReopensTheLastIntactEdit) {
+  bs::TempDir dir;
+  flip_every_byte(manifest_under_test(dir.path()));
 }
 
 TEST(WalReplay, CrcValidRecordWithImpossibleOpsIsRejectedNotApplied) {
