@@ -228,46 +228,45 @@ CpFlushStats BacklogDb::consistency_point() {
   const storage::IoStats before = env_.stats();
 
   CpFlushStats s;
-  s.cp = registry_.current_cp();
   s.block_ops = ops_since_cp_;
   s.records_flushed = ws_.from_size() + ws_.to_size();
 
-  // Both tables are written before any run is installed, so a failed flush
-  // leaves the runs and the write store as they were and a retried CP
-  // flushes every record once. A run file cut short by the failure is an
-  // orphan that the next open removes.
-  RunList staged;
-  try {
-    flush_table(ws_.encode_from_sorted(), kFromRecordSize, Table::kFrom, staged);
-    flush_table(ws_.encode_to_sorted(), kToRecordSize, Table::kTo, staged);
-  } catch (...) {
-    for (const auto& meta : staged) {
-      try {
-        env_.delete_file(meta->name);
-      } catch (...) {  // best effort: an undeleted run is an orphan too
-      }
-    }
-    throw;
-  }
-  install_runs(staged);
-  ws_.clear();
-  if (options_.faults != nullptr)
-    options_.faults->check(util::fault_point("cp.flushed"),
-                           env_.fault_volume());
-
   // The CP is committed by the manifest write (the "root node written last"
   // rule of write-anywhere systems, §2) — so the registry advances first and
-  // the manifest records the post-CP state. A write that fails before it
-  // commits leaves no open manifest log; it rolls the registry back, so a
-  // retried CP commits the same CP number.
-  SnapshotRegistry committed = registry_;
-  registry_.advance_cp();
-  try {
-    append_manifest_edit();
-  } catch (...) {
-    if (manifest_log_ == nullptr) registry_ = std::move(committed);
-    throw;
+  // the manifest records the post-CP state. A failed write may be on disk
+  // all the same (a failed sync does not take the bytes back), so the CP
+  // keeps its number: retried with nothing new to flush, it only rewrites
+  // the manifest; else the next CP's write commits it along.
+  if (!cp_unconfirmed_ || !ws_.empty()) {
+    // Both tables are written before any run is installed, so a failed
+    // flush leaves the runs and the write store as they were and a retried
+    // CP flushes every record once. A run file cut short by the failure is
+    // an orphan that the next open removes.
+    RunList staged;
+    try {
+      flush_table(ws_.encode_from_sorted(), kFromRecordSize, Table::kFrom,
+                  staged);
+      flush_table(ws_.encode_to_sorted(), kToRecordSize, Table::kTo, staged);
+    } catch (...) {
+      for (const auto& meta : staged) {
+        try {
+          env_.delete_file(meta->name);
+        } catch (...) {  // best effort: an undeleted run is an orphan too
+        }
+      }
+      throw;
+    }
+    install_runs(staged);
+    ws_.clear();
+    if (options_.faults != nullptr)
+      options_.faults->check(util::fault_point("cp.flushed"),
+                             env_.fault_volume());
+    registry_.advance_cp();
+    cp_unconfirmed_ = true;
   }
+  s.cp = registry_.current_cp() - 1;
+  append_manifest_edit();
+  cp_unconfirmed_ = false;
   if (options_.faults != nullptr)
     options_.faults->check(util::fault_point("cp.registry_persisted"),
                            env_.fault_volume());
@@ -887,7 +886,8 @@ void BacklogDb::manifest_record(bool full,
 void BacklogDb::save_manifest() {
   manifest_log_.reset();  // release the old file before replacing it
   {
-    RecordLog base(env_, kManifestTmpName, kManifestMagic, /*truncate=*/true);
+    RecordLog base(env_, kManifestTmpName, kManifestMagic);
+    base.truncate();  // a failed earlier save may have left bytes behind
     base.append([this](std::vector<std::uint8_t>& out) {
       manifest_record(/*full=*/true, out);
     });
@@ -902,10 +902,7 @@ void BacklogDb::save_manifest() {
 }
 
 void BacklogDb::append_manifest_edit() {
-  if (manifest_log_ == nullptr) {
-    save_manifest();
-    return;
-  }
+  if (manifest_log_ == nullptr) return save_manifest();
   try {
     manifest_log_->append([this](std::vector<std::uint8_t>& out) {
       manifest_record(/*full=*/false, out);
@@ -960,15 +957,11 @@ void BacklogDb::load_manifest() {
         return true;
       });
   if (r.records > 0) return;
-  switch (r.stop) {
-    case RecordLogReplay::Stop::kEnd:
-      throw std::runtime_error("manifest: empty");
-    case RecordLogReplay::Stop::kForeignMagic:
-      throw std::runtime_error(
-          "manifest: bad magic (not a manifest of this format version)");
-    default:
-      throw std::runtime_error("manifest: corrupt base record");
-  }
+  if (r.bytes_dropped == 0) throw std::runtime_error("manifest: empty");
+  throw std::runtime_error(
+      r.foreign_magic
+          ? "manifest: bad magic (not a manifest of this format version)"
+          : "manifest: corrupt base record");
 }
 
 void BacklogDb::remove_orphan_runs() {

@@ -218,6 +218,8 @@ class BacklogDb {
 
   /// Flush the write store as new Level-0 runs (one per touched partition
   /// and table), persist the manifest, and advance the global CP number.
+  /// A CP whose manifest write fails keeps its number, since the write may
+  /// be on disk anyway; a retry commits that same number.
   CpFlushStats consistency_point();
 
   [[nodiscard]] Epoch current_cp() const noexcept { return registry_.current_cp(); }
@@ -433,6 +435,7 @@ class BacklogDb {
   // The open manifest, for edits. Null after a failed manifest write: the
   // file may end in a torn edit, so the next write is a full base.
   std::unique_ptr<RecordLog> manifest_log_;
+  bool cp_unconfirmed_ = false;  // current_cp()'s manifest write failed
 
   std::array<lsm::DeletionVector, 3> dvs_{  // indexed by Table
       lsm::DeletionVector{kFromRecordSize}, lsm::DeletionVector{kToRecordSize},

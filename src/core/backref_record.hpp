@@ -131,11 +131,6 @@ inline CombinedRecord decode_combined(const std::uint8_t* src) noexcept {
           util::get_be64(src + kKeySize + 8)};
 }
 
-/// Encode just a block number as a seek prefix (records sort block-first).
-inline void encode_block_prefix(BlockNo block, std::uint8_t* dst8) noexcept {
-  util::put_be64(dst8, block);
-}
-
 /// Human-readable form for logs, test failures and the examples.
 std::string to_string(const BackrefKey& k);
 std::string to_string(const CombinedRecord& r);

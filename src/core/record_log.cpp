@@ -8,31 +8,9 @@
 
 namespace backlog::core {
 
-namespace {
-
-using Stop = RecordLogReplay::Stop;
-
-/// kEnd when an intact record starts `rest`, else why not.
-Stop check_record(std::span<const std::uint8_t> rest, std::uint64_t magic) {
-  if (rest.size() < RecordLog::kHeaderSize) return Stop::kTorn;
-  if (util::get_u64(rest.data()) != magic) return Stop::kForeignMagic;
-  const std::uint32_t len = util::get_u32(rest.data() + 8);
-  if (rest.size() < RecordLog::kFrameOverhead + std::size_t{len})
-    return Stop::kTorn;
-  const std::uint8_t* payload = rest.data() + RecordLog::kHeaderSize;
-  return util::crc32c(payload, len) == util::get_u32(payload + len)
-             ? Stop::kEnd
-             : Stop::kCrc;
-}
-
-}  // namespace
-
-RecordLog::RecordLog(storage::Env& env, std::string name, std::uint64_t magic,
-                     bool truncate)
-    : env_(env),
-      name_(std::move(name)),
-      magic_(magic),
-      file_(truncate ? env_.create_file(name_) : env_.append_file(name_)) {}
+RecordLog::RecordLog(storage::Env& env, std::string name, std::uint64_t magic)
+    : env_(env), name_(std::move(name)), magic_(magic),
+      file_(env_.append_file(name_)) {}
 
 void RecordLog::write_frame() {
   const std::size_t len = frame_.size() - kHeaderSize;
@@ -64,14 +42,14 @@ RecordLogReplay RecordLog::replay(storage::Env& env, const std::string& name,
   std::vector<std::uint8_t> buf(env.file_size(name));
   if (!buf.empty()) env.open_file(name)->read(0, buf);
   std::span<const std::uint8_t> rest(buf);
-  while (!rest.empty()) {
-    out.stop = check_record(rest, magic);
-    if (out.stop != Stop::kEnd) break;
+  while (rest.size() >= kHeaderSize) {
+    out.foreign_magic = util::get_u64(rest.data()) != magic;
     const std::uint32_t len = util::get_u32(rest.data() + 8);
-    if (!fn(rest.subspan(kHeaderSize, len))) {
-      out.stop = Stop::kRejected;
+    if (out.foreign_magic || rest.size() < kFrameOverhead + std::size_t{len})
       break;
-    }
+    const auto payload = rest.subspan(kHeaderSize, len);
+    const std::uint32_t crc = util::get_u32(payload.data() + len);
+    if (util::crc32c(payload.data(), len) != crc || !fn(payload)) break;
     ++out.records;
     rest = rest.subspan(kFrameOverhead + len);
   }

@@ -18,18 +18,11 @@
 
 namespace backlog::core {
 
-/// Where and why a replay stopped.
+/// What a replay read, and where it stopped.
 struct RecordLogReplay {
-  enum class Stop : std::uint8_t {
-    kEnd,           ///< every byte was an intact record
-    kForeignMagic,  ///< another log's record, or another format version
-    kTorn,          ///< a header or payload runs past EOF
-    kCrc,           ///< the payload does not match its CRC
-    kRejected,      ///< the payload codec refused a CRC-valid record
-  };
-  Stop stop = Stop::kEnd;
   std::uint64_t records = 0;        ///< records delivered and accepted
-  std::uint64_t bytes_dropped = 0;  ///< from the stopping record to EOF
+  std::uint64_t bytes_dropped = 0;  ///< from the first bad record to EOF
+  bool foreign_magic = false;       ///< that record has another log's magic
 };
 
 /// Appends to one log file. Not thread-safe.
@@ -38,10 +31,8 @@ class RecordLog {
   static constexpr std::size_t kHeaderSize = 12;                  // magic, len
   static constexpr std::size_t kFrameOverhead = kHeaderSize + 4;  // and CRC
 
-  /// Opens `name` for appending: keeps its contents (creating it if
-  /// missing), or empties it when `truncate` is set.
-  RecordLog(storage::Env& env, std::string name, std::uint64_t magic,
-            bool truncate = false);
+  /// Opens `name` for appending, keeping its contents (missing == empty).
+  RecordLog(storage::Env& env, std::string name, std::uint64_t magic);
 
   /// Appends one record with one Env append. `encode(buf)` appends the
   /// payload to `buf`, the reused frame buffer, so it is never copied.
@@ -59,8 +50,8 @@ class RecordLog {
   void truncate();
 
   /// Delivers each intact record of `name` (missing == empty) to `fn` in
-  /// order. `fn` returns false to reject a CRC-valid payload, which stops
-  /// the replay (kRejected); exceptions from `fn` propagate.
+  /// order. `fn` returns false to reject a CRC-valid payload, which ends the
+  /// replay there; exceptions from `fn` propagate.
   using RecordFn = std::function<bool(std::span<const std::uint8_t>)>;
   static RecordLogReplay replay(storage::Env& env, const std::string& name,
                                 std::uint64_t magic, const RecordFn& fn);

@@ -53,9 +53,7 @@ WalReplayStats Wal::replay(storage::Env& env, const std::string& name,
     const std::uint8_t* p = payload.data() + kPayloadHeaderSize;
     for (std::uint32_t i = 0; i < op_count; ++i, p += kOpSize) {
       if (*p > static_cast<std::uint8_t>(Update::Kind::kRemove)) return false;
-      Update op;
-      op.kind = static_cast<Update::Kind>(*p);
-      op.key = decode_key(p + 1);
+      const Update op{static_cast<Update::Kind>(*p), decode_key(p + 1)};
       // The append path logs only batches the db already applied, so an op
       // the db would refuse is corruption, not input.
       if (op.key.length == 0 || op.key.length > options.max_extent_blocks)
@@ -73,7 +71,6 @@ WalReplayStats Wal::replay(storage::Env& env, const std::string& name,
   const RecordLogReplay r = RecordLog::replay(env, name, kWalMagic, decode);
   stats.frames_scanned = r.records;
   stats.bytes_rejected = r.bytes_dropped;
-  stats.tail_rejected = r.stop != RecordLogReplay::Stop::kEnd;
   return stats;
 }
 

@@ -30,15 +30,13 @@
 
 namespace backlog::core {
 
-/// Outcome of one replay pass. `tail_rejected` does not distinguish a torn
-/// write from corruption — both mean "everything from `bytes_rejected`
-/// before EOF was never acknowledged durable, drop it".
+/// Outcome of one replay pass. A rejected tail may be torn, corrupt or
+/// another log's: none of it was ever acknowledged durable.
 struct WalReplayStats {
   std::uint64_t frames_scanned = 0;   ///< well-formed records seen
   std::uint64_t ops_applied = 0;      ///< ops delivered to the apply callback
   std::uint64_t ops_skipped = 0;      ///< ops below min_epoch (already in runs)
-  std::uint64_t bytes_rejected = 0;   ///< trailing bytes dropped as torn/corrupt
-  bool tail_rejected = false;
+  std::uint64_t bytes_rejected = 0;   ///< the rejected tail, up to EOF
 };
 
 struct WalReplayOptions {
@@ -51,11 +49,9 @@ struct WalReplayOptions {
   std::uint64_t max_extent_blocks = kInfinity;
 };
 
-/// Append-only log of Update batches. One Wal per volume directory (the
-/// file lives next to the manifest); the *group commit* — one fsync
-/// spanning every dirty volume on a shard — is the service layer's job,
-/// this class only exposes the per-file append/sync/reset.
-/// Not thread-safe: owned and driven by the volume's shard thread.
+/// Append-only log of Update batches, one per volume directory; the group
+/// commit across a shard's volumes is the service layer's job. Not
+/// thread-safe: owned and driven by the volume's shard thread.
 class Wal {
  public:
   static constexpr const char* kDefaultName = "WAL";
@@ -74,16 +70,13 @@ class Wal {
   /// Empty batches append nothing.
   void append(Epoch epoch, std::span<const Update> ops);
 
-  /// Durability barrier for everything appended so far. No-op when nothing
-  /// was appended since the last sync.
+  /// Durability barrier; a no-op when nothing was appended since the last.
   void sync() { log_.sync(); }
 
   /// True when appends since the last sync() await a durability barrier.
   [[nodiscard]] bool dirty() const noexcept { return log_.dirty(); }
 
-  /// Truncates the log. Called after a consistency point commits: every
-  /// logged op at or below the committed epoch is now durable in run files
-  /// (and anything newer was re-checked by the caller before truncating).
+  /// Empties the log, once a committed CP holds every logged op in runs.
   void reset() { log_.truncate(); }
 
   using ApplyFn = std::function<void(Epoch, std::span<const Update>)>;

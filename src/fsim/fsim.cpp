@@ -270,7 +270,6 @@ void FileSystem::delete_clone_head(LineId line) {
 // --- time and consistency points ------------------------------------------------
 
 void FileSystem::advance_time(double seconds) {
-  sim_clock_ += seconds;
   seconds_since_cp_ += seconds;
 }
 
@@ -313,23 +312,6 @@ const std::map<Epoch, Image>& FileSystem::snapshot_images(LineId line) const {
   static const std::map<Epoch, Image> kEmpty;
   auto lit = snapshots_.find(line);
   return lit != snapshots_.end() ? lit->second : kEmpty;
-}
-
-void FileSystem::replay_journal_into(BackrefSink& sink) const {
-  for (const JournalOp& op : journal_) {
-    if (op.add) {
-      sink.add_reference(op.key);
-    } else {
-      sink.remove_reference(op.key);
-    }
-  }
-}
-
-BlockNo FileSystem::allocate_block_at_end() {
-  const BlockNo b = next_block_++;
-  ++stats_.allocated_blocks;
-  ref_block(b);
-  return b;
 }
 
 std::uint64_t FileSystem::relocate_extent(BlockNo old_block, std::uint64_t length,

@@ -173,10 +173,6 @@ class FileSystem {
     return journal_;
   }
 
-  /// Crash simulation: rebuild the sink's in-memory state by re-issuing the
-  /// journal into it (call on a freshly re-opened BacklogDb).
-  void replay_journal_into(BackrefSink& sink) const;
-
   // --- relocation support (the use cases of §3) --------------------------------
 
   /// Move physical extent [old_block, old_block+length) to new_block: updates
@@ -185,9 +181,6 @@ class FileSystem {
   /// mode). The destination must be unallocated. Returns pointers updated.
   std::uint64_t relocate_extent(BlockNo old_block, std::uint64_t length,
                                 BlockNo new_block);
-
-  /// Explicit allocation hook for relocation destinations and tests.
-  BlockNo allocate_block_at_end();
 
  private:
   // Mutable-file access with copy-on-write against shared snapshot images.
@@ -222,7 +215,6 @@ class FileSystem {
   InodeNo next_inode_ = 2;  // inodes 0/1 reserved (root/meta convention)
   std::uint64_t writes_since_cp_ = 0;
   double seconds_since_cp_ = 0.0;
-  double sim_clock_ = 0.0;
   std::deque<JournalOp> journal_;
   FsStats stats_;
 };

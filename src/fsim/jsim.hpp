@@ -72,7 +72,6 @@ class JournalingFileSystem {
   void recover_after_crash();
 
   [[nodiscard]] core::BacklogDb& db() { return *db_; }
-  [[nodiscard]] const std::deque<JournalOp>& journal() const { return journal_; }
   [[nodiscard]] std::uint64_t backref_ops() const { return backref_ops_; }
   [[nodiscard]] std::uint64_t block_writes() const { return block_writes_; }
   [[nodiscard]] std::uint64_t max_block() const { return next_block_; }

@@ -35,15 +35,6 @@ void MergeStream::sift_down(std::size_t i) {
   }
 }
 
-void MergeStream::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!less(i, parent)) return;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
 void MergeStream::heapify() {
   for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i);
 }

@@ -26,7 +26,6 @@ class MergeStream final : public RecordStream {
 
  private:
   void sift_down(std::size_t i);
-  void sift_up(std::size_t i);
   [[nodiscard]] bool less(std::size_t a, std::size_t b) const;
   void heapify();
 

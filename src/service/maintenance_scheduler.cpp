@@ -43,7 +43,6 @@ void MaintenanceScheduler::loop() {
         const std::size_t idx = (start + i) % tenants.size();
         if (vm_.schedule_maintenance(tenants[idx], policy_)) {
           ++handed_out;
-          scheduled_.fetch_add(1, std::memory_order_relaxed);
           m_probes_->add(metric_slot_);
           // Next sweep resumes after the tenant just served.
           cursor_ = idx + 1;

@@ -42,9 +42,6 @@ class MaintenanceScheduler {
   [[nodiscard]] std::uint64_t sweeps() const noexcept {
     return sweeps_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t probes_scheduled() const noexcept {
-    return scheduled_.load(std::memory_order_relaxed);
-  }
 
  private:
   void loop();
@@ -56,7 +53,6 @@ class MaintenanceScheduler {
   bool stop_ = false;
   std::size_t cursor_ = 0;  // round-robin start index into the tenant list
   std::atomic<std::uint64_t> sweeps_{0};
-  std::atomic<std::uint64_t> scheduled_{0};
   // Registry mirrors, bumped only from the (single) sweep thread via the
   // control slot.
   std::size_t metric_slot_;

@@ -224,6 +224,9 @@ VolumeManager::VolumeManager(ServiceOptions options)
   hot_.wal_replayed_ops = &metrics_.counter(
       "backlog_wal_replayed_ops_total",
       "Update ops replayed from WAL tails at volume open");
+  hot_.wal_dropped_bytes = &metrics_.counter(
+      "backlog_wal_dropped_bytes_total",
+      "WAL tail bytes dropped at volume open as torn, corrupt or foreign");
   hot_.volumes_wounded = &metrics_.counter(
       "backlog_volumes_wounded_total",
       "Volumes flipped read-only by persistent write errors");
@@ -444,6 +447,15 @@ void VolumeManager::recover_volume_on_shard(
   if (rs.ops_applied != 0) {
     v.db->consistency_point();
     hot_.wal_replayed_ops->add(metric_slot(), rs.ops_applied);
+  }
+  // Torn by a crash, or a whole WAL of another format version: say so.
+  if (rs.bytes_rejected != 0) {
+    hot_.wal_dropped_bytes->add(metric_slot(), rs.bytes_rejected);
+    std::fprintf(stderr,
+                 "backlog: volume '%s': WAL replay dropped a %llu-byte tail "
+                 "(torn, corrupt, or of another format version)\n",
+                 v.tenant.c_str(),
+                 static_cast<unsigned long long>(rs.bytes_rejected));
   }
   // Start a fresh, empty log: replayed ops are in runs now, and a rejected
   // torn/corrupt tail is garbage by definition. Deliberately not a

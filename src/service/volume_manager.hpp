@@ -1081,6 +1081,7 @@ class VolumeManager {
     MetricsRegistry::Counter* wal_records = nullptr;
     MetricsRegistry::Counter* wal_syncs = nullptr;
     MetricsRegistry::Counter* wal_replayed_ops = nullptr;
+    MetricsRegistry::Counter* wal_dropped_bytes = nullptr;
     MetricsRegistry::Counter* volumes_wounded = nullptr;
   };
 

@@ -146,10 +146,6 @@ BTree::FramePtr BTree::create_page(std::uint64_t* page_no_out) {
   return frame;
 }
 
-void BTree::mark_dirty(std::uint64_t page_no) {
-  if (auto it = frames_.find(page_no); it != frames_.end()) it->second->dirty = true;
-}
-
 void BTree::maybe_evict() {
   if (cache_pages_ == 0) return;
   // Scan from the cold end; skip frames pinned by callers (use_count > 1).

@@ -113,7 +113,6 @@ class BTree {
   // --- buffer manager ------------------------------------------------------
   FramePtr fetch(std::uint64_t page_no);
   FramePtr create_page(std::uint64_t* page_no_out);
-  void mark_dirty(std::uint64_t page_no);
   void maybe_evict();
   void write_back(std::uint64_t page_no, Frame& frame);
 

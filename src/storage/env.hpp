@@ -101,7 +101,6 @@ class Env {
   /// wall-clock numbers measure the algorithms, not the host's disk. Crash-
   /// consistency tests leave it on.
   void set_sync(bool enabled) noexcept { sync_enabled_ = enabled; }
-  [[nodiscard]] bool sync_enabled() const noexcept { return sync_enabled_; }
 
   /// Open for appending; truncates any existing file.
   std::unique_ptr<WritableFile> create_file(const std::string& name);

@@ -62,13 +62,6 @@ double Rng::uniform() noexcept {
 
 bool Rng::chance(double p) noexcept { return uniform() < p; }
 
-std::uint64_t Rng::geometric(double p) noexcept {
-  if (p >= 1.0) return 0;
-  if (p <= 0.0) return 0;  // degenerate; callers validate
-  const double u = uniform();
-  return static_cast<std::uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
-}
-
 ZipfSampler::ZipfSampler(std::uint64_t n, double alpha) : n_(n), alpha_(alpha) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n must be positive");
   if (alpha <= 0.0) throw std::invalid_argument("ZipfSampler: alpha must be > 0");

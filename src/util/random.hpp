@@ -30,9 +30,6 @@ class Rng {
   /// Bernoulli trial.
   bool chance(double p) noexcept;
 
-  /// Geometric: number of failures before first success, success prob p.
-  std::uint64_t geometric(double p) noexcept;
-
  private:
   std::uint64_t s_[4];
 };

@@ -650,7 +650,8 @@ TEST(BacklogDb, FailedManifestEditLeavesTheDbRetryable) {
     };
     faults.arm("cp.flushed", bu::FaultAction::call(tear_next_append).once());
     EXPECT_THROW(db.consistency_point(), std::system_error);
-    EXPECT_EQ(db.current_cp(), 1u);
+    // The failed CP keeps its number, and the retry commits that number.
+    EXPECT_EQ(db.current_cp(), 2u);
     db.consistency_point();
     EXPECT_EQ(db.current_cp(), 2u);
     db.consistency_point();

@@ -232,13 +232,13 @@ TEST(WalReplay, MissingAndEmptyLogsReplayNothing) {
   std::uint64_t n = 0;
   bc::WalReplayStats st = replay_count(dir.path(), &n);
   EXPECT_EQ(st.frames_scanned, 0u);
-  EXPECT_FALSE(st.tail_rejected);
+  EXPECT_EQ(st.bytes_rejected, 0u);
   EXPECT_EQ(n, 0u);
 
   build_log(dir.path(), {});  // creates the file, appends nothing
   st = replay_count(dir.path(), &n);
   EXPECT_EQ(st.frames_scanned, 0u);
-  EXPECT_FALSE(st.tail_rejected);
+  EXPECT_EQ(st.bytes_rejected, 0u);
 }
 
 TEST(WalReplay, RoundTripAppliesEveryRecordInOrder) {
@@ -256,7 +256,7 @@ TEST(WalReplay, RoundTripAppliesEveryRecordInOrder) {
       });
   EXPECT_EQ(st.frames_scanned, 3u);
   EXPECT_EQ(st.ops_applied, 10u);
-  EXPECT_FALSE(st.tail_rejected);
+  EXPECT_EQ(st.bytes_rejected, 0u);
   EXPECT_EQ(epochs, (std::vector<bc::Epoch>{1, 2, 3}));
   EXPECT_EQ(blocks, (std::vector<std::uint64_t>{10, 11, 12, 20, 21, 22, 23,
                                                 24, 30, 31}));
@@ -347,7 +347,6 @@ LogUnderTest wal_under_test(const fs::path& dir) {
     ASSERT_NO_THROW(st = replay_count(dir, &n));
     EXPECT_EQ(n, ops_before[intact]);
     EXPECT_EQ(st.frames_scanned, intact);
-    EXPECT_EQ(st.tail_rejected, rejected != 0);
     EXPECT_EQ(st.bytes_rejected, rejected);
   };
   return log;
@@ -440,6 +439,56 @@ TEST(ManifestReplay, BitFlipAtEveryByteReopensTheLastIntactEdit) {
   flip_every_byte(manifest_under_test(dir.path()));
 }
 
+TEST(ManifestReplay, BatchLoggedAfterAFailedCpSurvivesACrashBeforeTheRetry) {
+  // A CP's manifest edit fails: a failed sync leaves the whole edit in the
+  // file, a short write tears it. A batch acked after the failure is logged
+  // at current_cp(); a crash before any retry must replay it, whichever CP
+  // the reopen finds.
+  for (const bool tear : {false, true}) {
+    SCOPED_TRACE(tear ? "torn edit" : "failed sync");
+    bs::TempDir dir;
+    {
+      bu::FaultPoints faults;
+      bs::Env env(dir.path());
+      env.set_faults(&faults, "v");
+      bc::BacklogOptions opts;
+      opts.faults = &faults;
+      bc::BacklogDb db(env, opts);
+      bc::Wal wal(env);
+      const auto log_batch = [&](bc::BlockNo first) {
+        const std::vector<bsvc::UpdateOp> ops = record_ops(first, 100);
+        db.apply_many(ops);
+        wal.append(db.current_cp(), ops);
+        wal.sync();
+      };
+      log_batch(0);
+      // The runs are written when "cp.flushed" fires; the next append and
+      // sync are the manifest edit's.
+      const auto fail_the_edit = [&faults, tear] {
+        if (tear)
+          faults.arm("env.append",
+                     bu::FaultAction::fail(EIO, bu::FaultAction::Kind::kShortWrite)
+                         .once());
+        else
+          faults.arm("env.sync", bu::FaultAction::fail(EIO).once());
+      };
+      faults.arm("cp.flushed", bu::FaultAction::call(fail_the_edit).once());
+      EXPECT_THROW(db.consistency_point(), std::system_error);
+      log_batch(100);
+    }  // dropped without a retry, as in a crash
+    bs::Env env(dir.path());
+    bc::BacklogDb db(env);
+    EXPECT_EQ(db.current_cp(), tear ? 1u : 2u);
+    bc::WalReplayOptions ropts;
+    ropts.min_epoch = db.current_cp();
+    bc::Wal::replay(env, bc::Wal::kDefaultName, ropts,
+                    [&db](bc::Epoch, std::span<const bc::Update> ops) {
+                      db.apply_many(ops);
+                    });
+    EXPECT_EQ(db.query_raw(0, kUniverse).size(), 200u);
+  }
+}
+
 TEST(WalReplay, CrcValidRecordWithImpossibleOpsIsRejectedNotApplied) {
   // The append path can be coaxed into logging ops the db would refuse —
   // replay must treat them as corruption, not input.
@@ -456,7 +505,7 @@ TEST(WalReplay, CrcValidRecordWithImpossibleOpsIsRejectedNotApplied) {
     std::uint64_t n = 0;
     const bc::WalReplayStats st = replay_count(dir.path(), &n);
     EXPECT_EQ(n, 0u);
-    EXPECT_TRUE(st.tail_rejected);
+    EXPECT_GT(st.bytes_rejected, 0u);
   }
   {
     bs::TempDir dir;
@@ -473,7 +522,7 @@ TEST(WalReplay, CrcValidRecordWithImpossibleOpsIsRejectedNotApplied) {
     opts.max_extent_blocks = 128;
     const bc::WalReplayStats st = replay_count(dir.path(), &n, opts);
     EXPECT_EQ(n, 0u);
-    EXPECT_TRUE(st.tail_rejected);
+    EXPECT_GT(st.bytes_rejected, 0u);
   }
 }
 
@@ -836,6 +885,7 @@ TEST(WoundedVolume, SyncFailureUnderGroupCommitWoundsOnlyThatVolume) {
 TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
   bs::TempDir dir;
   std::set<KeyTuple> committed;
+  std::uint64_t torn = 0;
   {
     bu::FaultPoints faults;
     bsvc::ServiceOptions so = wal_options(dir.path());
@@ -856,7 +906,6 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
                    .on("w"));
     auto f = vm.apply_batch("w", record_ops(100, 200));  // big enough to tear
     EXPECT_EQ(code_of(f), bsvc::ErrorCode::kWounded);
-    std::uint64_t torn = 0;
     vm.with_env("w", [&torn](bs::Env& env, bc::BacklogDb&) {
         torn = env.file_size(bc::Wal::kDefaultName);
       }).get();
@@ -864,6 +913,8 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
   }
   bsvc::VolumeManager vm(wal_options(dir.path()));
   vm.open_volume("w");  // replay clean-rejects the torn tail — no throw
+  EXPECT_EQ(vm.metrics().counter("backlog_wal_dropped_bytes_total", "").total(),
+            torn);
   EXPECT_EQ(live_keys(vm, "w"), committed);
   expect_disk_matches_manifest(vm, dir.path(), "w");
   // Healed on reopen: the wound does not persist across recovery.
