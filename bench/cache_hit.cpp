@@ -105,7 +105,7 @@ ModeResult run_mode(bool shared) {
   std::deque<bc::BacklogDb> dbs;
   std::function<void(std::size_t, bc::BlockNo)> query =
       [&vm](std::size_t v, bc::BlockNo b) {
-        (void)vm->query("vol" + std::to_string(v), b).get();
+        (void)vm->query_batch("vol" + std::to_string(v), {{b}}).get();
       };
   if (!shared) {
     vm.reset();

@@ -418,7 +418,7 @@ void chaos_loop(bsvc::VolumeManager& vm, const Config& cfg,
         std::fprintf(stderr,
                      "wound check failed: write did not fail kWounded\n");
       }
-      vm.query("wound-a", 0).get();  // reads must survive the wound
+      vm.query_batch("wound-a", {{0}}).get();  // reads survive the wound
       try {
         vm.close_volume("wound-a");
       } catch (const std::exception&) {
@@ -599,7 +599,7 @@ int run(const Config& cfg) {
       reaper.put(discard_value(vm.consistency_point(name)));
     }
     if (st.arrivals % kQueryEveryArrivals == 0 && st.next_block > 0) {
-      reaper.put(discard_value(vm.query(name, st.next_block - 1)));
+      reaper.put(discard_value(vm.query_batch(name, {{st.next_block - 1}})));
     }
   }
   const double dispatch_secs =

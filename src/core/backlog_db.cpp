@@ -126,14 +126,13 @@ void BacklogDb::detach_private_cache() noexcept {
 }
 
 void BacklogDb::add_reference(const BackrefKey& key) {
-  if (key.length == 0)
-    throw std::invalid_argument("add_reference: zero-length extent");
-  if (key.length > options_.max_extent_blocks)
-    throw std::invalid_argument("add_reference: extent exceeds max_extent_blocks");
-  max_extent_seen_ = std::max(max_extent_seen_, key.length);
-  ws_.add_reference(key, registry_.current_cp());
-  ++ops_since_cp_;
-  ++mutations_;
+  const Update op{Update::Kind::kAdd, key};
+  apply_many({&op, 1});
+}
+
+void BacklogDb::remove_reference(const BackrefKey& key) {
+  const Update op{Update::Kind::kRemove, key};
+  apply_many({&op, 1});
 }
 
 void BacklogDb::apply_many(std::span<const Update> ops) {
@@ -151,18 +150,6 @@ void BacklogDb::apply_many(std::span<const Update> ops) {
   max_extent_seen_ = std::max(max_extent_seen_, max_len);
   ws_.apply_many(ops, registry_.current_cp());
   ops_since_cp_ += ops.size();
-  ++mutations_;
-}
-
-void BacklogDb::remove_reference(const BackrefKey& key) {
-  if (key.length == 0)
-    throw std::invalid_argument("remove_reference: zero-length extent");
-  if (key.length > options_.max_extent_blocks)
-    throw std::invalid_argument(
-        "remove_reference: extent exceeds max_extent_blocks");
-  max_extent_seen_ = std::max(max_extent_seen_, key.length);
-  ws_.remove_reference(key, registry_.current_cp());
-  ++ops_since_cp_;
   ++mutations_;
 }
 
@@ -215,6 +202,15 @@ void BacklogDb::flush_table(const std::vector<std::uint8_t>& sorted,
   }
 }
 
+void BacklogDb::discard_runs(const RunList& staged) noexcept {
+  for (const auto& meta : staged) {
+    try {
+      env_.delete_file(meta->name);
+    } catch (...) {  // best effort: an undeleted run is an orphan too
+    }
+  }
+}
+
 void BacklogDb::install_runs(RunList& staged) {
   for (auto& meta : staged) {
     track_run_added(*meta);
@@ -248,12 +244,7 @@ CpFlushStats BacklogDb::consistency_point() {
                   staged);
       flush_table(ws_.encode_to_sorted(), kToRecordSize, Table::kTo, staged);
     } catch (...) {
-      for (const auto& meta : staged) {
-        try {
-          env_.delete_file(meta->name);
-        } catch (...) {  // best effort: an undeleted run is an orphan too
-        }
-      }
+      discard_runs(staged);
       throw;
     }
     install_runs(staged);
@@ -735,65 +726,66 @@ std::uint64_t BacklogDb::relocate(BlockNo old_block, std::uint64_t length,
                                   BlockNo new_block) {
   if (length == 0) return 0;
   const BlockNo block_hi = old_block + length;
-  std::uint64_t moved = 0;
 
-  // 1. Write-store entries: re-key in place.
-  moved += ws_.rekey_block_range(old_block, block_hi, new_block);
-
-  // 2. Read-store records: suppress through the deletion vectors and
-  //    re-emit re-keyed copies as fresh Level-0 runs. The record bytes
-  //    (epochs included) are otherwise preserved, so join results and
-  //    version masks are unchanged.
-  const std::uint64_t first_part = partition_of(old_block);
-  const std::uint64_t last_part = partition_of(block_hi - 1);
-  std::vector<std::uint8_t> new_from, new_to, new_combined;
-  for (std::uint64_t pid = first_part; pid <= last_part; ++pid) {
+  // 1. Read the extent's read-store records, per table. Partitions are
+  //    block ranges visited in order and each stream is sorted, so every
+  //    table's records arrive sorted — and stay sorted when re-keyed, since
+  //    all their blocks shift by the same amount.
+  constexpr Table kTables[] = {Table::kFrom, Table::kTo, Table::kCombined};
+  std::array<std::vector<std::uint8_t>, std::size(kTables)> old_recs;
+  for (std::uint64_t pid = partition_of(old_block);
+       pid <= partition_of(block_hi - 1); ++pid) {
     auto it = partitions_.find(pid);
     if (it == partitions_.end()) continue;
-    Partition& part = it->second;
-
-    auto rewrite = [&](Table table, std::vector<std::uint8_t>& out) {
-      auto stream = table_stream(part, table, old_block, block_hi, false);
-      while (stream->valid()) {
-        const std::span<const std::uint8_t> rec = stream->record();
-        dv(table).insert(rec);
-        pending_dv_.emplace_back(table,
-                                 std::vector<std::uint8_t>(rec.begin(), rec.end()));
-        const std::size_t n = out.size();
-        out.insert(out.end(), rec.begin(), rec.end());
-        const BlockNo b = util::get_be64(out.data() + n);
-        util::put_be64(out.data() + n, b - old_block + new_block);
-        ++moved;
-        stream->next();
+    for (const Table table : kTables) {
+      std::vector<std::uint8_t>& out =
+          old_recs[static_cast<std::size_t>(table)];
+      for (auto stream = table_stream(it->second, table, old_block, block_hi,
+                                      false);
+           stream->valid(); stream->next()) {
+        out.insert(out.end(), stream->record().begin(), stream->record().end());
       }
-    };
-    rewrite(Table::kFrom, new_from);
-    rewrite(Table::kTo, new_to);
-    rewrite(Table::kCombined, new_combined);
+    }
   }
 
-  auto sort_records = [](std::vector<std::uint8_t>& buf, std::size_t rec_size) {
-    const std::size_t n = buf.size() / rec_size;
-    std::vector<std::uint32_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return std::memcmp(buf.data() + a * rec_size, buf.data() + b * rec_size,
-                         rec_size) < 0;
-    });
-    std::vector<std::uint8_t> sorted(buf.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      std::memcpy(sorted.data() + i * rec_size, buf.data() + order[i] * rec_size,
-                  rec_size);
-    }
-    buf = std::move(sorted);
-  };
+  // 2. Write the re-keyed copies as fresh Level-0 runs before anything in
+  //    memory changes: a failed write deletes what it staged (as a failed
+  //    CP does) and leaves the db as it was, so a retry starts over.
   RunList staged;
-  sort_records(new_from, kFromRecordSize);
-  flush_table(new_from, kFromRecordSize, Table::kFrom, staged);
-  sort_records(new_to, kToRecordSize);
-  flush_table(new_to, kToRecordSize, Table::kTo, staged);
-  sort_records(new_combined, kCombinedRecordSize);
-  flush_table(new_combined, kCombinedRecordSize, Table::kCombined, staged);
+  try {
+    for (const Table table : kTables) {
+      const std::size_t rec_size =
+          record_size_of(static_cast<std::uint8_t>(table));
+      std::vector<std::uint8_t> rekeyed =
+          old_recs[static_cast<std::size_t>(table)];
+      for (std::size_t off = 0; off < rekeyed.size(); off += rec_size) {
+        const BlockNo b = util::get_be64(rekeyed.data() + off);
+        util::put_be64(rekeyed.data() + off, b - old_block + new_block);
+      }
+      flush_table(rekeyed, rec_size, table, staged);
+    }
+  } catch (...) {
+    discard_runs(staged);
+    throw;
+  }
+
+  // 3. Commit in memory: re-key the write store, suppress the old copies
+  //    through the deletion vectors (record bytes, epochs included, are
+  //    otherwise preserved, so join results and version masks are
+  //    unchanged) and install the new runs.
+  std::uint64_t moved = ws_.rekey_block_range(old_block, block_hi, new_block);
+  for (const Table table : kTables) {
+    const std::vector<std::uint8_t>& recs =
+        old_recs[static_cast<std::size_t>(table)];
+    const std::size_t rec_size =
+        record_size_of(static_cast<std::uint8_t>(table));
+    for (std::size_t off = 0; off < recs.size(); off += rec_size, ++moved) {
+      const std::span<const std::uint8_t> rec(recs.data() + off, rec_size);
+      dv(table).insert(rec);
+      pending_dv_.emplace_back(
+          table, std::vector<std::uint8_t>(rec.begin(), rec.end()));
+    }
+  }
   install_runs(staged);
   ++mutations_;
   return moved;

@@ -301,7 +301,8 @@ class BacklogDb {
   /// (file system) is responsible for updating its own block pointers.
   /// Durable at the next consistency point: the CP's manifest edit commits
   /// the deletion-vector entries and the re-keyed runs together, and a crash
-  /// before it leaves the records at their old blocks.
+  /// before it leaves the records at their old blocks. A failed run write
+  /// throws with the db unchanged, so the call can be retried.
   std::uint64_t relocate(BlockNo old_block, std::uint64_t length,
                          BlockNo new_block);
 
@@ -359,6 +360,9 @@ class BacklogDb {
   // metas to `staged`; installs nothing.
   void flush_table(const std::vector<std::uint8_t>& sorted,
                    std::size_t record_size, Table table, RunList& staged);
+  // Deletes the files of runs staged by a write that then failed (best
+  // effort: a file left behind is an orphan, which the next open removes).
+  void discard_runs(const RunList& staged) noexcept;
   // Registers written runs with the partitions and the next manifest edit.
   void install_runs(RunList& staged);
 

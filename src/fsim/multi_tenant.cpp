@@ -117,7 +117,8 @@ TenantReplayResult replay_one(service::VolumeManager& vm,
   const double t0 = now_seconds();
 
   std::vector<std::future<void>> applied;      // current CP window's batches
-  std::deque<std::future<std::vector<core::BackrefEntry>>> queries;
+  std::deque<std::future<std::vector<std::vector<core::BackrefEntry>>>>
+      queries;
   core::BlockNo last_added = 0;
 
   std::vector<service::UpdateOp> batch;
@@ -135,7 +136,7 @@ TenantReplayResult replay_one(service::VolumeManager& vm,
 
   auto drain_queries = [&](std::size_t keep) {
     while (queries.size() > keep) {
-      if (queries.front().get().empty()) ++r.empty_query_results;
+      if (queries.front().get().front().empty()) ++r.empty_query_results;
       queries.pop_front();
     }
   };
@@ -220,7 +221,7 @@ TenantReplayResult replay_one(service::VolumeManager& vm,
     if (options.query_every_ops != 0 && last_added != 0 &&
         ops_in_window % options.query_every_ops == 0) {
       flush_batch();  // the queried block must already be applied (FIFO)
-      queries.push_back(vm.query(wl.tenant, last_added));
+      queries.push_back(vm.query_batch(wl.tenant, {{last_added}}));
       ++r.queries;
       drain_queries(32);
     }

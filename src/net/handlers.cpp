@@ -116,7 +116,17 @@ void ServiceHost::stop() {
   stopped_ = true;
   endpoint_.stop();
   scheduler_.stop();
-  for (const auto& t : vm_.tenants()) vm_.close_volume(t);
+  // Every volume closes even when one's flush fails (a wounded volume
+  // refuses its close CP); the first error surfaces after the last close.
+  std::exception_ptr first_error;
+  for (const auto& t : vm_.tenants()) {
+    try {
+      vm_.close_volume(t);
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 ServiceEndpoint::ServiceEndpoint(service::VolumeManager& vm)

@@ -9,7 +9,6 @@ namespace backlog::service {
 const char* to_string(TraceVerb v) noexcept {
   switch (v) {
     case TraceVerb::kApplyBatch: return "apply_batch";
-    case TraceVerb::kQuery: return "query";
     case TraceVerb::kQueryBatch: return "query_batch";
     case TraceVerb::kCp: return "cp";
     case TraceVerb::kSnapshot: return "snapshot";

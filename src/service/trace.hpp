@@ -36,7 +36,6 @@ namespace backlog::service {
 /// Which service verb a span measured.
 enum class TraceVerb : std::uint8_t {
   kApplyBatch,
-  kQuery,
   kQueryBatch,
   kCp,
   kSnapshot,
@@ -54,7 +53,7 @@ struct TraceCtx {
   std::uint64_t id = 0;        ///< service-unique span id
   std::uint64_t t_submit = 0;  ///< steady-clock µs at run_on entry
   std::uint64_t t_admit = 0;   ///< stamped by the QoS release thunk; 0 = ungated
-  std::uint32_t ops = 1;       ///< logical ops in the verb (batch size)
+  std::uint32_t ops = 1;       ///< batch size; 1 for a control verb
   std::uint16_t submit_shard = 0;
   TraceVerb verb = TraceVerb::kControl;
   bool active = false;
@@ -93,7 +92,7 @@ struct TraceSpan {
 /// One human-readable record per span — the slow-op log format (documented
 /// in README "Observability"; ordinary sampled spans print "span" instead of
 /// "slow-op"):
-///   slow-op id=7 verb=query tenant=t0 ops=1 shard=0->1 migrated
+///   slow-op id=7 verb=query_batch tenant=t0 ops=1 shard=0->1 migrated
 ///     gate=0us queue=521us exec=130us (io=90us core=40us) commit=0us e2e=651us
 [[nodiscard]] std::string format_span(const TraceSpan& s);
 

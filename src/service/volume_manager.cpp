@@ -24,6 +24,13 @@ namespace {
 /// is a crashed clone and is discarded.
 constexpr char kCloneStagingSuffix[] = ".cloning";
 
+/// How often the QoS pacer re-checks throttled volumes' wait queues. The
+/// pacer thread only exists once some volume has a QoS configured.
+constexpr std::chrono::milliseconds kQosPacerInterval{1};
+
+/// Capacity of each shard's slow-op log (oldest evicted).
+constexpr std::size_t kSlowOpRingSize = 256;
+
 /// A name component unique across every volume instance of the service
 /// (see BacklogOptions::file_tag): a process-wide random nonce
 /// mixed with an instance counter. Uniqueness is what matters — stability
@@ -196,7 +203,7 @@ VolumeManager::VolumeManager(ServiceOptions options)
   telemetry_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     telemetry_.push_back(std::make_unique<ShardTelemetry>(
-        options_.trace_ring_size, options_.slow_op_ring_size));
+        options_.trace_ring_size, kSlowOpRingSize));
   }
   // The per-volume series' families, registered up front so a scrape
   // shows them before any volume opens; each volume attaches its children.
@@ -308,6 +315,32 @@ TraceSpan VolumeManager::end_execute(Volume& v, const TraceCtx& ctx,
   s.set_tenant(v.tenant);
   if (ctx.t_admit != 0) v.time(kGateWaitMicros, s.gate_wait_micros);
   return s;
+}
+
+VolumeManager::DoneFn VolumeManager::ack_of(
+    Volume& v, const TraceCtx& ctx, std::shared_ptr<std::promise<void>> prom,
+    std::shared_ptr<PendingSpan> pending) {
+  return [this, prom = std::move(prom), ctx, pending = std::move(pending),
+          vp = &v](std::exception_ptr ep) {
+    if (pending && pending->executed)
+      finish_deferred_trace(*vp, ctx, pending->span, now_micros());
+    else if (pending)
+      pending->acked = true;
+    ep ? prom->set_exception(std::move(ep)) : prom->set_value();
+  };
+}
+
+void VolumeManager::end_span(Volume& v, const TraceCtx& ctx,
+                             const TraceSpan& s,
+                             PendingSpan* pending) noexcept {
+  if (pending == nullptr) {
+    finish_trace(ctx, s);
+  } else if (pending->acked) {
+    finish_deferred_trace(v, ctx, s, 0);
+  } else {
+    pending->span = s;
+    pending->executed = true;
+  }
 }
 
 void VolumeManager::finish_deferred_trace(Volume& v, const TraceCtx& ctx,
@@ -497,7 +530,7 @@ void VolumeManager::stop_pacer() {
 void VolumeManager::pacer_loop() {
   std::unique_lock lock(pacer_mu_);
   while (!pacer_stop_) {
-    pacer_cv_.wait_for(lock, options_.qos_pacer_interval,
+    pacer_cv_.wait_for(lock, kQosPacerInterval,
                        [&] { return pacer_stop_; });
     if (pacer_stop_) break;
     lock.unlock();
@@ -718,21 +751,22 @@ void VolumeManager::open_volume(const std::string& tenant) {
 void VolumeManager::close_volume(const std::string& tenant) {
   run_on(unregister_volume(tenant),
          [this](Volume& v) {
-           // Commit anything still buffered, then retire (persists the
-           // manifest base via the CP's edit append). Retirement happens even
-           // if the flush fails: the tenant is already unrouted, so the
-           // volume must actually close — a queued background probe checks
-           // v.db and a subsequent open_volume() re-opens the directory —
-           // while the caller still sees the flush error. Unflushed entries
-           // are then lost to journal replay, exactly as in a crash.
+           // Commit anything still buffered, then retire. commit_cp
+           // truncates the WAL behind the CP, and refuses a wounded volume,
+           // whose write store may hold a batch refused with kWounded (its
+           // acked batches replay from the WAL at the next open).
+           // Retirement happens even if the flush fails: the tenant is
+           // already unrouted, so the volume must actually close — a queued
+           // background probe checks v.db and a subsequent open_volume()
+           // re-opens the directory — while the caller still sees the flush
+           // error. Unflushed entries are then lost to journal replay,
+           // exactly as in a crash.
            struct Teardown {
              VolumeManager& vm;
              Volume& v;
              ~Teardown() { vm.retire(v); }
            } teardown{*this, v};
-           if (v.db->quick_stats().ws_entries != 0) {
-             v.db->consistency_point();
-           }
+           flush_buffered_cp(v);
          })
       .get();
 }
@@ -780,21 +814,14 @@ std::future<void> VolumeManager::apply_batch(const std::string& tenant,
   // with a single promise.
   const double ops_cost = static_cast<double>(batch.size());
   const double bytes_cost = ops_cost * core::kFromRecordSize;
-  const auto op_count = static_cast<std::uint32_t>(batch.size());
   std::shared_ptr<Volume> vol = find(tenant);
-  return run_on_deferred(
+  return run_on(
       vol,
       [this, vol, batch = std::move(batch)](Volume&, DoneFn done) {
         apply_on_shard(vol, batch, std::move(done));
       },
-      ops_cost, bytes_cost, TraceVerb::kApplyBatch, op_count);
-}
-
-void VolumeManager::record_update_batch(Volume& v, std::size_t ops,
-                                        std::uint64_t t0) {
-  v.count(kUpdates, ops);
-  v.count(kBatches);
-  v.time(kUpdateBatchMicros, now_micros() - t0);
+      /*background=*/false, ops_cost, bytes_cost, /*bypass_gate=*/false,
+      TraceVerb::kApplyBatch);
 }
 
 void VolumeManager::wound(Volume& v, const char* what, const DoneFn& done) {
@@ -831,9 +858,11 @@ void VolumeManager::apply_on_shard(const std::shared_ptr<Volume>& vol,
   const std::uint64_t t0 = now_micros();
   // 1. Apply to the db first. apply_many validates the whole batch up front,
   //    so an invalid op throws with nothing applied and nothing logged;
-  //    run_on_deferred routes the exception into the future.
+  //    run_on routes the exception into the future.
   v.db->apply_many(batch);
-  record_update_batch(v, batch.size(), t0);
+  v.count(kUpdates, batch.size());
+  v.count(kBatches);
+  v.time(kUpdateBatchMicros, now_micros() - t0);
   // Without a WAL (or with nothing to log) there is nothing to make
   // durable: ack at the end of execute.
   if (!v.wal || batch.empty()) {
@@ -922,17 +951,21 @@ std::future<std::vector<std::vector<core::BackrefEntry>>>
 VolumeManager::query_batch(const std::string& tenant,
                            std::vector<QueryRange> ranges) {
   const double ops_cost = static_cast<double>(ranges.size());
-  const auto op_count = static_cast<std::uint32_t>(ranges.size());
   return run_on(
       find(tenant),
-      [this, ranges = std::move(ranges)](Volume& v) {
+      [ranges = std::move(ranges)](Volume& v) {
         std::vector<std::vector<core::BackrefEntry>> out;
         out.reserve(ranges.size());
-        for (const QueryRange& r : ranges) out.push_back(timed_query(v, r));
+        for (const QueryRange& r : ranges) {
+          const std::uint64_t t0 = now_micros();
+          out.push_back(v.db->query(r.first, r.count, r.opts));
+          v.count(kQueries);
+          v.time(kQueryMicros, now_micros() - t0);
+        }
         return out;
       },
       /*background=*/false, ops_cost, 0, /*bypass_gate=*/false,
-      TraceVerb::kQueryBatch, op_count);
+      TraceVerb::kQueryBatch);
 }
 
 std::future<core::CpFlushStats> VolumeManager::consistency_point(
@@ -1218,27 +1251,6 @@ MigrationStats VolumeManager::migrate_volume(const std::string& tenant,
   }
   ms.moved = true;
   return ms;
-}
-
-std::future<std::vector<core::BackrefEntry>> VolumeManager::query(
-    const std::string& tenant, core::BlockNo first, std::uint64_t count,
-    core::QueryOptions opts) {
-  return run_on(
-      find(tenant),
-      [this, first, count, opts](Volume& v) {
-        return timed_query(v, {first, count, opts});
-      },
-      /*background=*/false, /*ops_cost=*/1, 0, /*bypass_gate=*/false,
-      TraceVerb::kQuery);
-}
-
-std::vector<core::BackrefEntry> VolumeManager::timed_query(
-    Volume& v, const QueryRange& r) {
-  const std::uint64_t t0 = now_micros();
-  std::vector<core::BackrefEntry> out = v.db->query(r.first, r.count, r.opts);
-  v.count(kQueries);
-  v.time(kQueryMicros, now_micros() - t0);
-  return out;
 }
 
 core::MaintenanceStats VolumeManager::timed_maintain(Volume& v) {

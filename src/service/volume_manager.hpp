@@ -40,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -113,10 +114,6 @@ struct ServiceOptions {
   /// caches. Linux-only; silently unpinned elsewhere (see shards_pinned()).
   bool pin_shards = false;
 
-  /// How often the QoS pacer re-checks throttled volumes' wait queues. The
-  /// pacer thread only exists once some volume has a QoS configured.
-  std::chrono::milliseconds qos_pacer_interval{1};
-
   /// Fault-injection registry (borrowed; must outlive the manager). Every
   /// hosted volume's Env, BacklogDb, WAL pipeline and clone commit fire
   /// their points through it (util/fault_points.hpp), targeted by tenant
@@ -159,10 +156,9 @@ struct ServiceOptions {
   /// Ops whose end-to-end latency reaches this land in the slow-op log with
   /// their full stage breakdown (0 = off). Exact, not sampled.
   std::uint64_t slow_op_micros = 0;
-  /// Capacity of each shard's sampled-span ring / slow-op log (oldest
-  /// evicted, pushes never block the shard thread).
+  /// Capacity of each shard's sampled-span ring (oldest evicted, pushes
+  /// never block the shard thread). The slow-op log has a fixed 256 slots.
   std::size_t trace_ring_size = 1024;
-  std::size_t slow_op_ring_size = 256;
 };
 
 /// Thresholds steering background maintenance (see MaintenanceScheduler).
@@ -291,7 +287,7 @@ class VolumeManager {
   /// charge with the batch's total cost, one task, one promise — and is
   /// applied in order via BacklogDb::apply_many. Ordering: the batch
   /// occupies a single slot in the tenant's FIFO, atomically ordered against
-  /// interleaved apply_batch()/query() calls and preserved across live
+  /// interleaved apply_batch()/query_batch() calls and preserved across live
   /// migrations (a batch is parked/replayed as one unit, never split).
   /// Validation is up front: an invalid op fails the whole batch with
   /// std::invalid_argument and nothing is applied or logged. A batch
@@ -382,7 +378,7 @@ class VolumeManager {
   // --- per-tenant QoS --------------------------------------------------------
 
   /// Install (or replace) the tenant's QoS: token-bucket admission for
-  /// apply_batch()/query() plus the weighted-fair share of its shard.
+  /// apply_batch()/query_batch() plus the weighted-fair share of its shard.
   /// Applies to ops submitted after the call. Throws std::invalid_argument
   /// on nonsensical settings.
   void set_qos(const std::string& tenant, const TenantQos& qos);
@@ -417,15 +413,11 @@ class VolumeManager {
 
   // --- queries ---------------------------------------------------------------
 
-  std::future<std::vector<core::BackrefEntry>> query(
-      const std::string& tenant, core::BlockNo first, std::uint64_t count = 1,
-      core::QueryOptions opts = {});
-
-  /// Batched owner queries: all of `ranges` execute in one task on the
-  /// tenant's shard (one QoS charge of ranges.size() ops, one promise);
-  /// result i answers ranges[i]. Like any foreground task the batch sits in
-  /// the tenant's FIFO, so it observes every update applied before it was
-  /// submitted — the batch counterpart of query().
+  /// The query verb, the service form of the paper's owner query (§4.2):
+  /// all of `ranges` execute in one task on the tenant's shard (one QoS
+  /// charge of ranges.size() ops, one promise); result i answers
+  /// ranges[i]. Like any foreground task the batch sits in the tenant's
+  /// FIFO, so it observes every update applied before it was submitted.
   std::future<std::vector<std::vector<core::BackrefEntry>>> query_batch(
       const std::string& tenant, std::vector<QueryRange> ranges);
 
@@ -713,9 +705,37 @@ class VolumeManager {
     dispatch(vol, std::move(task), background);
   }
 
-  /// Run `fn(Volume&)` on the volume's shard; the future carries the result
-  /// or the exception. Tasks capture the Volume by shared_ptr, so a volume
+  /// Completion callback of a deferred op: exactly one call, with null on
+  /// success or the exception the future should carry.
+  using DoneFn = std::function<void(std::exception_ptr)>;
+
+  /// Whether `fn` is a deferred op body, `fn(Volume&, DoneFn)`, rather than
+  /// a synchronous one, `fn(Volume&)`; and the value its future carries.
+  template <typename Fn>
+  static constexpr bool kDeferred = std::is_invocable_v<Fn&, Volume&, DoneFn>;
+  template <typename Fn>
+  using OpResult = typename std::conditional_t<
+      kDeferred<Fn>, std::type_identity<void>,
+      std::invoke_result<Fn&, Volume&>>::type;
+
+  /// Where a traced deferred op's span, ended by execute, meets its ack.
+  struct PendingSpan {
+    TraceSpan span;
+    bool executed = false;
+    bool acked = false;
+  };
+
+  /// Run the op `fn` on the volume's shard; the future carries its result
+  /// or exception. Tasks capture the Volume by shared_ptr, so a volume
   /// outlives any task still referencing it even after close_volume().
+  ///
+  /// An op is acked when its future resolves. A synchronous op, `fn(v)`, is
+  /// acked when it returns, with its result. A deferred op, `fn(v, done)`
+  /// (the update verb), is acked when it calls `done`: inside fn without a
+  /// WAL, or from the shard's group-commit flush after the WAL sync
+  /// covering the op. It must either throw (the future then carries that
+  /// exception) or arrange exactly one `done` call, and must not throw
+  /// after arranging it.
   ///
   /// Foreground tasks pass through the volume's QoS gate: `ops_cost` /
   /// `bytes_cost` are charged against the tenant's token buckets (0 for
@@ -725,37 +745,47 @@ class VolumeManager {
   /// they carry no ordering promise, and waiting behind a fully throttled
   /// tenant's queue would let one tenant stall fleet monitoring.
   ///
-  /// `verb`/`op_count` label the op for tracing (see trace.hpp): while
-  /// tracing is enabled a TraceCtx rides by value inside the task body,
-  /// survives a migration park/replay with it, and is finished into the
-  /// executing shard's trace ring / slow-op log by finish_trace() when `fn`
-  /// returns.
+  /// `verb` labels the op for tracing (see trace.hpp), with `ops_cost` as
+  /// its op count (1 for a control verb): while tracing is enabled a
+  /// TraceCtx rides by value inside the task body and survives a migration
+  /// park/replay with it. The span's execute stage ends when `fn` returns
+  /// and the span finishes at the ack. A deferred op's time in between is
+  /// its commit_wait stage, 0 when `done` fired inside fn.
   template <typename Fn>
   auto run_on(std::shared_ptr<Volume> vol, Fn fn, bool background = false,
               double ops_cost = 0, double bytes_cost = 0,
-              bool bypass_gate = false, TraceVerb verb = TraceVerb::kControl,
-              std::uint32_t op_count = 1)
-      -> std::future<std::invoke_result_t<Fn&, Volume&>> {
-    using R = std::invoke_result_t<Fn&, Volume&>;
+              bool bypass_gate = false, TraceVerb verb = TraceVerb::kControl)
+      -> std::future<OpResult<Fn>> {
+    using R = OpResult<Fn>;
     auto prom = std::make_shared<std::promise<R>>();
     std::future<R> fut = prom->get_future();
-    const TraceCtx ctx = begin_op(*vol, verb, op_count, background);
+    const TraceCtx ctx = begin_op(*vol, verb, ops_cost, background);
     auto make_body = [this, prom, fn = std::move(fn)](TraceCtx ctx) mutable {
       return [this, fn = std::move(fn), prom, ctx](Volume& v) mutable {
         try {
           const std::uint64_t t_exec = start_body(v, ctx);
           const std::uint64_t io_before =
               ctx.active ? v.env->stats().io_micros : 0;
-          if constexpr (std::is_void_v<R>) {
+          std::shared_ptr<PendingSpan> pending;
+          [[maybe_unused]] std::conditional_t<std::is_void_v<R>, bool,
+                                              std::optional<R>> result{};
+          if constexpr (kDeferred<Fn>) {
+            if (ctx.active) pending = std::make_shared<PendingSpan>();
+            fn(v, ack_of(v, ctx, prom, pending));
+          } else if constexpr (std::is_void_v<R>) {
             fn(v);
-            if (ctx.active)
-              finish_trace(ctx, end_execute(v, ctx, t_exec, io_before));
-            prom->set_value();
           } else {
-            R result = fn(v);
-            if (ctx.active)
-              finish_trace(ctx, end_execute(v, ctx, t_exec, io_before));
-            prom->set_value(std::move(result));
+            result.emplace(fn(v));
+          }
+          if (ctx.active)
+            end_span(v, ctx, end_execute(v, ctx, t_exec, io_before),
+                     pending.get());
+          // A synchronous op is acked here, a deferred one by its `done`.
+          if constexpr (!kDeferred<Fn>) {
+            if constexpr (std::is_void_v<R>)
+              prom->set_value();
+            else
+              prom->set_value(std::move(*result));
           }
         } catch (...) {
           prom->set_exception(std::current_exception());
@@ -767,71 +797,19 @@ class VolumeManager {
     return fut;
   }
 
-  /// Completion callback of a deferred update op: exactly one call, with
-  /// null on success or the exception the future should carry.
-  using DoneFn = std::function<void(std::exception_ptr)>;
+  /// The `done` handed to a deferred op: resolves `prom` and, for a traced
+  /// op (`pending` set), finishes its span if execute has already ended.
+  /// Both halves run on the op's shard (migration settles the commit window
+  /// before ownership moves), so `pending` needs no lock.
+  DoneFn ack_of(Volume& v, const TraceCtx& ctx,
+                std::shared_ptr<std::promise<void>> prom,
+                std::shared_ptr<PendingSpan> pending);
 
-  /// Deferred-completion sibling of run_on for the update verb: same
-  /// routing, QoS gating and queue-wait accounting, but the future resolves
-  /// when `fn`'s DoneFn is invoked — inside fn without a WAL, or by the
-  /// shard's group-commit flush after the WAL sync covering the op — instead
-  /// of when fn returns.
-  /// `fn(v, done)` must either throw (the future then carries that
-  /// exception) or arrange exactly one `done` call, and must not throw
-  /// after arranging it. A traced span's execute stage ends when fn returns
-  /// (apply + any WAL append); the span finishes when `done` fires, and the
-  /// time in between is its commit_wait stage — 0 when `done` fired inside
-  /// fn (no WAL, window 0, or an error).
-  template <typename Fn>
-  std::future<void> run_on_deferred(std::shared_ptr<Volume> vol, Fn fn,
-                                    double ops_cost, double bytes_cost,
-                                    TraceVerb verb, std::uint32_t op_count) {
-    auto prom = std::make_shared<std::promise<void>>();
-    std::future<void> fut = prom->get_future();
-    const TraceCtx ctx = begin_op(*vol, verb, op_count, /*background=*/false);
-    auto make_body = [this, prom, fn = std::move(fn)](TraceCtx ctx) mutable {
-      return [this, fn = std::move(fn), prom, ctx](Volume& v) mutable {
-        const auto resolve = [prom](std::exception_ptr ep) {
-          if (ep)
-            prom->set_exception(std::move(ep));
-          else
-            prom->set_value();
-        };
-        try {
-          const std::uint64_t t_exec = start_body(v, ctx);
-          if (!ctx.active) {
-            fn(v, resolve);
-            return;
-          }
-          // Both halves run on this shard: the sweep that fires a parked
-          // `done` runs where the append did (migration settles the window
-          // before ownership moves), so the state needs no lock.
-          struct Deferred {
-            TraceSpan span;
-            bool executed = false;
-            bool acked = false;
-          };
-          const std::uint64_t io_before = v.env->stats().io_micros;
-          auto st = std::make_shared<Deferred>();
-          fn(v, [this, resolve, ctx, st, vp = &v](std::exception_ptr ep) {
-            if (st->executed)
-              finish_deferred_trace(*vp, ctx, st->span, util::now_micros());
-            else
-              st->acked = true;
-            resolve(std::move(ep));
-          });
-          st->span = end_execute(v, ctx, t_exec, io_before);
-          st->executed = true;
-          if (st->acked) finish_deferred_trace(v, ctx, st->span, 0);
-        } catch (...) {
-          prom->set_exception(std::current_exception());
-        }
-      };
-    };
-    submit_op(std::move(vol), std::move(make_body), ctx, *prom,
-              /*ungated=*/false, ops_cost, bytes_cost, /*background=*/false);
-    return fut;
-  }
+  /// Shard-thread end of a traced op's execute stage: a synchronous op
+  /// (`pending` null) finishes its span now; a deferred one finishes it
+  /// with a 0 commit wait if already acked, else leaves it for the ack.
+  void end_span(Volume& v, const TraceCtx& ctx, const TraceSpan& s,
+                PendingSpan* pending) noexcept;
 
   /// Submit-side trace context of a new op on `vol`. Queue-wait accounting
   /// without double timestamping: a foreground op stamps its submission
@@ -844,11 +822,11 @@ class VolumeManager {
   /// While tracing is enabled every foreground op is stamped instead — a
   /// full span needs its submit time unconditionally, and the slow-op check
   /// must be exact, not sampled.
-  TraceCtx begin_op(Volume& vol, TraceVerb verb, std::uint32_t op_count,
+  TraceCtx begin_op(Volume& vol, TraceVerb verb, double ops_cost,
                     bool background) {
     TraceCtx ctx;
     ctx.verb = verb;
-    ctx.ops = op_count;
+    ctx.ops = ops_cost > 0 ? static_cast<std::uint32_t>(ops_cost) : 1;
     if (background) return ctx;
     if (trace_.enabled()) {
       ctx.active = true;
@@ -960,13 +938,8 @@ class VolumeManager {
     std::vector<PendingAck> pending;
   };
 
-  /// Shard-thread query / maintenance pass with its stats accounting.
-  std::vector<core::BackrefEntry> timed_query(Volume& v, const QueryRange& r);
+  /// Shard-thread maintenance pass with its stats accounting.
   core::MaintenanceStats timed_maintain(Volume& v);
-
-  /// Shard-thread bookkeeping of one update batch of `ops` ops that
-  /// started executing at `t0`.
-  void record_update_batch(Volume& v, std::size_t ops, std::uint64_t t0);
 
   /// Shard-thread body of apply_batch(), one for both durability modes:
   /// fail fast if wounded, apply the batch through apply_many, record it,

@@ -1196,5 +1196,6 @@ TEST(FaultSweep, RelocateThenConsistencyPoint) {
     db.relocate(10, 20, 5000);
     db.consistency_point();
   };
+  sc.retry = true;
   sweep(sc);
 }

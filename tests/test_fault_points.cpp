@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/fault_points.hpp"
@@ -21,6 +22,7 @@ namespace bc = backlog::core;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
 namespace bu = backlog::util;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -209,7 +211,7 @@ TEST(FaultPoints, OneCloneWalCpScenarioHitsEveryDeclaredPoint) {
     vm.consistency_point("alpha").get();
     const bc::Epoch snap = vm.take_snapshot("alpha").get();
     vm.clone_volume("alpha", "beta", 0, snap);
-    EXPECT_FALSE(vm.query("beta", 10).get().empty());
+    EXPECT_FALSE(query_one(vm, "beta", 10).get().empty());
     vm.maintain("alpha").get();  // retires the replaced runs: env.delete
   }
   for (std::size_t i = 0; i < bu::kFaultPoints.size(); ++i) {

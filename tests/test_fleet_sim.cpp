@@ -21,6 +21,7 @@
 
 #include "fsim/fleet_sim.hpp"
 #include "fsim/multi_tenant.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/json.hpp"
@@ -31,6 +32,7 @@ namespace bf = backlog::fsim;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
 namespace util = backlog::util;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -274,7 +276,7 @@ TEST(FleetSim, VolumeManagerKillHooksValidate) {
   ops[0].key.inode = 2;
   ops[0].key.length = 1;
   vm.apply_batch("a", std::move(ops)).get();
-  EXPECT_EQ(vm.query("a", 1).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "a", 1).get().size(), 1u);
 }
 
 // The chaos smoke: the multi-tenant ground-truth verifier replays

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fsim/multi_tenant.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 
@@ -20,6 +21,7 @@ namespace bc = backlog::core;
 namespace bf = backlog::fsim;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -126,7 +128,7 @@ TEST(Service, OptionsValidation) {
   EXPECT_THROW(vm.open_volume("a/b"), std::invalid_argument);
   vm.open_volume("alice");
   EXPECT_THROW(vm.open_volume("alice"), std::invalid_argument);
-  EXPECT_THROW(vm.query("nobody", 1).get(), std::invalid_argument);
+  EXPECT_THROW(query_one(vm, "nobody", 1).get(), std::invalid_argument);
 }
 
 TEST(Service, VolumeLifecycleAndReopen) {
@@ -144,8 +146,8 @@ TEST(Service, VolumeLifecycleAndReopen) {
   {
     bsvc::VolumeManager vm(service_options(dir, 2));
     vm.open_volume("alice");
-    EXPECT_EQ(vm.query("alice", 300).get().size(), 1u);
-    EXPECT_EQ(vm.query("alice", 100).get().size(), 1u);
+    EXPECT_EQ(query_one(vm, "alice", 300).get().size(), 1u);
+    EXPECT_EQ(query_one(vm, "alice", 100).get().size(), 1u);
   }
 }
 
@@ -180,8 +182,10 @@ TEST(Service, QueryWhileMaintenanceOnOneShard) {
 
   std::vector<std::future<std::vector<bc::BackrefEntry>>> queries;
   for (int i = 0; i < 50; ++i) {
-    queries.push_back(vm.query("alice", 1 + static_cast<bc::BlockNo>(i * 7)));
-    queries.push_back(vm.query("bob", 999));  // bob is empty: 0 results, no error
+    queries.push_back(
+        query_one(vm, "alice", 1 + static_cast<bc::BlockNo>(i * 7)));
+    // bob is empty: 0 results, no error
+    queries.push_back(query_one(vm, "bob", 999));
   }
   auto bob_apply = vm.apply_batch("bob", {add(999)});
   release.set_value();
@@ -202,7 +206,7 @@ TEST(Service, QueryWhileMaintenanceOnOneShard) {
   EXPECT_EQ(stats.tenants.at("alice").maintenance_runs, 1u);
   EXPECT_LE(vm.quick_stats("alice").get().l0_runs(), 1u);
   // Maintenance must not have disturbed visibility.
-  EXPECT_EQ(vm.query("alice", 1).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "alice", 1).get().size(), 1u);
 }
 
 TEST(Service, MaintenanceSkipsMidCpWindow) {
@@ -223,7 +227,7 @@ TEST(Service, MaintenanceSkipsMidCpWindow) {
   EXPECT_EQ(stats.tenants.at("alice").maintenance_runs, 0u);
   EXPECT_EQ(stats.tenants.at("alice").maintenance_skipped, 1u);
   // Buffered updates are intact.
-  EXPECT_EQ(vm.query("alice", 1).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "alice", 1).get().size(), 1u);
 }
 
 TEST(Service, IoStatsIsolationAcrossVolumes) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "fsim/multi_tenant.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 
@@ -22,6 +23,7 @@ namespace bc = backlog::core;
 namespace bf = backlog::fsim;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -80,7 +82,7 @@ TEST(Balancer, CleanOnlyMigrationAbortsOnBufferedUpdates) {
   EXPECT_FALSE(moved.forced_cp);
   EXPECT_FALSE(moved.aborted_dirty);
   EXPECT_EQ(vm.current_shard("alice"), away);
-  EXPECT_EQ(vm.query("alice", 1).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "alice", 1).get().size(), 1u);
 }
 
 namespace {

@@ -32,6 +32,7 @@
 
 #include "core/backlog_db.hpp"
 #include "fsim/multi_tenant.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 
@@ -71,7 +72,22 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return counted_aligned(n, al);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, they allocate from a heap that free() must not see,
+// which an ASan build reports as an alloc-dealloc mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_thread_allocs;
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_thread_allocs;
+  return std::malloc(n ? n : 1);
+}
 void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
@@ -88,6 +104,7 @@ namespace bc = backlog::core;
 namespace bf = backlog::fsim;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -265,7 +282,8 @@ TEST(ServiceBatch, BatchAndSingleOpsInterleaveInFifoOrder) {
 
   vm.apply_batch("alice", {add(1)}).get();
   auto b1 = vm.apply_batch("alice", {add(2), add(3)});
-  auto q1 = vm.query("alice", 2);  // submitted after b1: must see it (FIFO)
+  // Submitted after b1: must see it (FIFO).
+  auto q1 = query_one(vm, "alice", 2);
   auto b2 = vm.apply_batch("alice", {remove(1), add(4)});
   auto q2 = vm.query_batch("alice", {{1, 1, {}}, {2, 1, {}}, {4, 1, {}}});
 
@@ -281,8 +299,8 @@ TEST(ServiceBatch, BatchAndSingleOpsInterleaveInFifoOrder) {
   EXPECT_EQ(results[2].size(), 1u);
 
   // query_batch answers match the single-query verb exactly.
-  EXPECT_EQ(results[1], vm.query("alice", 2).get());
-  EXPECT_EQ(results[2], vm.query("alice", 4).get());
+  EXPECT_EQ(results[1], query_one(vm, "alice", 2).get());
+  EXPECT_EQ(results[2], query_one(vm, "alice", 4).get());
 
   // Degenerate batches are legal no-ops.
   EXPECT_NO_THROW(vm.apply_batch("alice", {}).get());
@@ -415,7 +433,7 @@ TEST(ServiceBatch, PinShardsAppliesThreadAffinity) {
   // The pinned pool still serves real traffic end to end.
   vm.apply_batch("alice", batch_of(1, 64)).get();
   vm.consistency_point("alice").get();
-  EXPECT_EQ(vm.query("alice", 1).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "alice", 1).get().size(), 1u);
 #else
   GTEST_SKIP() << "thread affinity is Linux-only";
 #endif

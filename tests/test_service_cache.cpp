@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/backlog_db.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/block_cache.hpp"
 #include "storage/env.hpp"
@@ -24,6 +25,7 @@
 namespace bc = backlog::core;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -238,7 +240,7 @@ TEST(ServiceCache, TinySharedBudgetForcesEvictionKeepsAnswers) {
   for (int sweep = 0; sweep < 2; ++sweep) {
     for (const char* t : {"alice", "bob"}) {
       for (bc::BlockNo b = 0; b < 1600; b += 97) {
-        const auto r = vm.query(t, b).get();
+        const auto r = query_one(vm, t, b).get();
         ASSERT_EQ(r.size(), 1u) << t << " block " << b << " sweep " << sweep;
       }
     }
@@ -258,7 +260,7 @@ TEST(ServiceCache, CapacityZeroDisablesPageCaching) {
   vm.open_volume("alice");
   fill_volume(vm, "alice", 200);
   for (bc::BlockNo b = 0; b < 800; b += 31) {
-    ASSERT_EQ(vm.query("alice", b).get().size(), 1u);
+    ASSERT_EQ(query_one(vm, "alice", b).get().size(), 1u);
   }
   const auto s = vm.block_cache().stats();
   EXPECT_FALSE(vm.block_cache().enabled());
@@ -277,14 +279,14 @@ TEST(ServiceCache, CowCloneDedupesCachedPages) {
   vm.clone_volume("alice", "beta", 0, snap);
 
   // Warm the cache through the source...
-  for (bc::BlockNo b = 0; b < 1600; b += 13) vm.query("alice", b).get();
+  for (bc::BlockNo b = 0; b < 1600; b += 13) query_one(vm, "alice", b).get();
   const auto warm = vm.block_cache().stats();
   EXPECT_GT(warm.entries, 0u);
 
   // ...then read the same history through the clone: its runs are hard
   // links to alice's, so (dev, ino, page) keys match and the sweep is
   // nearly all hits — no second copy of the shared pages is cached.
-  for (bc::BlockNo b = 0; b < 1600; b += 13) vm.query("beta", b).get();
+  for (bc::BlockNo b = 0; b < 1600; b += 13) query_one(vm, "beta", b).get();
   const auto after = vm.block_cache().stats();
   EXPECT_GT(after.hits, warm.hits);
   // The clone's sweep reads only pages alice already cached (plus its own
@@ -299,8 +301,8 @@ TEST(ServiceCache, ClearCachesAndReportRoundTrip) {
   bsvc::VolumeManager vm(so);
   vm.open_volume("alice");
   fill_volume(vm, "alice", 100);
-  vm.query("alice", 5).get();
-  vm.query("alice", 5).get();  // result-cache hit
+  query_one(vm, "alice", 5).get();
+  query_one(vm, "alice", 5).get();  // result-cache hit
 
   auto report = vm.cache_stats();
   ASSERT_EQ(report.tenants.size(), 1u);
@@ -314,7 +316,7 @@ TEST(ServiceCache, ClearCachesAndReportRoundTrip) {
   ASSERT_EQ(report.tenants.size(), 1u);
   EXPECT_EQ(report.tenants[0].result.entries, 0u);
   // Cold again, but answers unchanged.
-  ASSERT_EQ(vm.query("alice", 5).get().size(), 1u);
+  ASSERT_EQ(query_one(vm, "alice", 5).get().size(), 1u);
 }
 
 TEST(ServiceCache, HostedVolumesIgnoreCachePagesAndReadThroughTheSharedCache) {
@@ -329,7 +331,7 @@ TEST(ServiceCache, HostedVolumesIgnoreCachePagesAndReadThroughTheSharedCache) {
   vm.open_volume("alice");
   fill_volume(vm, "alice", 200);
   for (bc::BlockNo b = 0; b < 800; b += 31) {
-    ASSERT_EQ(vm.query("alice", b).get().size(), 1u);
+    ASSERT_EQ(query_one(vm, "alice", b).get().size(), 1u);
   }
   const auto report = vm.cache_stats();
   EXPECT_EQ(report.block.capacity_bytes, 256 * bs::kPageSize);
@@ -348,7 +350,7 @@ TEST(ServiceCache, DestroyVolumeInvalidatesOnlyLastLinks) {
   fill_volume(vm, "alice", 400);
   const bc::Epoch snap = vm.take_snapshot("alice").get();
   vm.clone_volume("alice", "beta", 0, snap);
-  for (bc::BlockNo b = 0; b < 1600; b += 13) vm.query("alice", b).get();
+  for (bc::BlockNo b = 0; b < 1600; b += 13) query_one(vm, "alice", b).get();
   const auto warm = vm.block_cache().stats();
   ASSERT_GT(warm.entries, 0u);
 
@@ -357,7 +359,7 @@ TEST(ServiceCache, DestroyVolumeInvalidatesOnlyLastLinks) {
   // pages must survive and beta's queries still verify (clone queries
   // return the inherited record expanded into the clone's line too).
   for (bc::BlockNo b = 0; b < 1600; b += 97) {
-    ASSERT_FALSE(vm.query("beta", b).get().empty());
+    ASSERT_FALSE(query_one(vm, "beta", b).get().empty());
   }
   vm.destroy_volume("beta");
   // Last links gone: everything cached for those files must be dropped.

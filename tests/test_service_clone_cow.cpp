@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cow_invariants.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/fault_points.hpp"
@@ -41,6 +42,7 @@ namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
 namespace bu = backlog::util;
 namespace fs = std::filesystem;
+using backlog::testing::query_one;
 
 #if defined(__SANITIZE_THREAD__)
 #define BACKLOG_TSAN 1
@@ -164,8 +166,8 @@ TEST(ServiceCloneCow, CloneSharesRunFilesWithoutCopyingData) {
   // sees them.
   vm.apply_batch("beta", {add(10000)}).get();
   vm.consistency_point("beta").get();
-  EXPECT_FALSE(vm.query("beta", 10000).get().empty());
-  EXPECT_TRUE(vm.query("alpha", 10000).get().empty());
+  EXPECT_FALSE(query_one(vm, "beta", 10000).get().empty());
+  EXPECT_TRUE(query_one(vm, "alpha", 10000).get().empty());
   EXPECT_EQ(scan_strings(vm, "alpha"), before);
 
   expect_cow_invariants(vm, dir.path(), {"alpha", "beta"});
@@ -522,7 +524,7 @@ TEST(ServiceCloneCowStress, ClonesRaceWritesCompactionDeletesAndMigration) {
     vm.clone_volume(prev, name, 0, snap);
     // The anchor snapshot's content must be visible in every clone.
     for (const bc::BlockNo b : {bc::BlockNo{1}, kSeeded / 2, kSeeded}) {
-      ASSERT_FALSE(vm.query(name, b).get().empty())
+      ASSERT_FALSE(query_one(vm, name, b).get().empty())
           << name << " lost block " << b;
     }
     if (i % 2 == 1) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "fsim/multi_tenant.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/hash.hpp"
@@ -26,6 +27,7 @@ namespace bc = backlog::core;
 namespace bf = backlog::fsim;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -68,7 +70,7 @@ std::uint64_t key_checksum(const bc::BackrefKey& k) {
 std::vector<bc::BackrefEntry> query_now(bsvc::VolumeManager& vm,
                                         const std::string& tenant,
                                         bc::BlockNo b) {
-  return vm.query(tenant, b).get();
+  return query_one(vm, tenant, b).get();
 }
 
 }  // namespace
@@ -162,15 +164,15 @@ TEST(ServiceMigration, QueriesRaceMigrationsAndAlwaysSeePriorWrites) {
   for (int i = 0; i < 2; ++i) {
     hammers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
-        ASSERT_EQ(vm.query("alice", 7).get().size(), 1u);
-        ASSERT_EQ(vm.query("alice", 8).get().size(), 1u);
+        ASSERT_EQ(query_one(vm, "alice", 7).get().size(), 1u);
+        ASSERT_EQ(query_one(vm, "alice", 8).get().size(), 1u);
         alice_queries.fetch_add(2, std::memory_order_relaxed);
       }
     });
   }
   hammers.emplace_back([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      ASSERT_EQ(vm.query("bob", 7).get().size(), 1u);
+      ASSERT_EQ(query_one(vm, "bob", 7).get().size(), 1u);
       bob_ops.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -187,7 +189,8 @@ TEST(ServiceMigration, QueriesRaceMigrationsAndAlwaysSeePriorWrites) {
     const bsvc::MigrationStats ms = vm.migrate_volume("alice", target);
     EXPECT_TRUE(ms.moved);
     replayed += ms.replayed_tasks;
-    EXPECT_EQ(vm.query("alice", fresh).get().size(), 1u) << "round " << round;
+    EXPECT_EQ(query_one(vm, "alice", fresh).get().size(), 1u)
+        << "round " << round;
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : hammers) t.join();
@@ -222,7 +225,7 @@ TEST(ServiceMigration, ApplyBatchesSpanMigrationsAtomicallyAndInOrder) {
   std::atomic<std::uint64_t> bob_ops{0};
   std::thread bystander([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      ASSERT_EQ(vm.query("bob", 7).get().size(), 1u);
+      ASSERT_EQ(query_one(vm, "bob", 7).get().size(), 1u);
       bob_ops.fetch_add(1, std::memory_order_relaxed);
     }
   });

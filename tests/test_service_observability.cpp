@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/clock.hpp"
@@ -68,7 +69,22 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return counted_aligned(n, al);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, they allocate from a heap that free() must not see,
+// which an ASan build reports as an alloc-dealloc mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_thread_allocs;
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_thread_allocs;
+  return std::malloc(n ? n : 1);
+}
 void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
@@ -85,6 +101,7 @@ namespace bc = backlog::core;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
 namespace butil = backlog::util;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -281,7 +298,7 @@ TEST(Observability, TraceRingOverflowEvictsOldest) {
 TEST(Observability, TraceSpanTenantTruncationAndFormat) {
   bsvc::TraceSpan s;
   s.id = 42;
-  s.verb = bsvc::TraceVerb::kQuery;
+  s.verb = bsvc::TraceVerb::kQueryBatch;
   s.set_tenant(std::string(100, 'x'));  // longer than the inline array
   EXPECT_EQ(std::string(s.tenant), std::string(sizeof(s.tenant) - 1, 'x'));
 
@@ -294,7 +311,7 @@ TEST(Observability, TraceSpanTenantTruncationAndFormat) {
   s.migrated = true;
   const std::string line = bsvc::format_span(s);
   EXPECT_NE(line.find("slow-op"), std::string::npos);
-  EXPECT_NE(line.find("verb=query"), std::string::npos);
+  EXPECT_NE(line.find("verb=query_batch"), std::string::npos);
   EXPECT_NE(line.find("migrated"), std::string::npos);
   EXPECT_NE(line.find("gate=10us"), std::string::npos);
   EXPECT_NE(line.find("core=18us"), std::string::npos);    // 30 - 12
@@ -426,15 +443,15 @@ TEST(Observability, VerbCountersMatchServiceStats) {
 
   vm.apply_batch("alice", batch_of(100, 8)).get();
   vm.apply_batch("bob", batch_of(200, 16)).get();
-  vm.query("alice", 100).get();
-  vm.query("bob", 200).get();
+  query_one(vm, "alice", 100).get();
+  query_one(vm, "bob", 200).get();
   vm.consistency_point("alice").get();
   vm.maintain("alice").get();
   const bc::Epoch v = vm.take_snapshot("bob").get();
   vm.create_clone("bob", 0, v).get();
   vm.clone_volume("bob", "carol", 0, v);
   vm.apply_batch("carol", batch_of(300, 4)).get();
-  vm.query("carol", 300).get();
+  query_one(vm, "carol", 300).get();
   vm.migrate_volume("alice", 1 - vm.current_shard("alice"));
 
   // 1 op/s, burst 1, wait queue 1: admitted, queued, rejected. Clearing
@@ -456,7 +473,7 @@ TEST(Observability, VerbCountersMatchServiceStats) {
   // Volumes leave: their series stay in the lifetime totals.
   vm.close_volume("bob");
   vm.destroy_volume("carol");
-  vm.query("alice", 100).get();
+  query_one(vm, "alice", 100).get();
 
   const bsvc::ServiceStats stats = vm.stats();
   bsvc::MetricsRegistry& reg = vm.metrics();
@@ -531,7 +548,7 @@ TEST(Observability, MetricsPollerComputesWindowedRates) {
 
   for (int i = 0; i < 10; ++i)
     vm.apply_batch("alice", batch_of(i * 100, 50)).get();
-  vm.query("alice", 0).get();
+  query_one(vm, "alice", 0).get();
 
   // Deterministic window: exactly one second after the prime.
   const bsvc::RateSample s = poller.poll_once(t0 + 1'000'000);
@@ -559,7 +576,7 @@ TEST(Observability, MetricsPollerRatesSurviveVolumeClose) {
   vm.apply_batch("alice", batch_of(0, 50)).get();
   vm.consistency_point("alice").get();
   vm.clear_caches();
-  vm.query("alice", 0).get();  // a cache miss: alice read pages too
+  query_one(vm, "alice", 0).get();  // a cache miss: alice read pages too
   vm.apply_batch("alice", batch_of(1000, 50)).get();
   bsvc::MetricsPoller poller(vm, std::chrono::milliseconds(1000));
 
@@ -601,7 +618,7 @@ TEST(Observability, SampledSpansTelescopeExactly) {
   vm.apply_batch("alice", batch_of(0, 4)).get();
   const std::uint64_t apply_wall = butil::now_micros() - t_apply;
   vm.apply_batch("alice", batch_of(100, 8)).get();
-  vm.query("alice", 0).get();
+  query_one(vm, "alice", 0).get();
   vm.query_batch("alice", {{0, 1, {}}, {100, 1, {}}}).get();
   vm.consistency_point("alice").get();
 
@@ -623,7 +640,10 @@ TEST(Observability, SampledSpansTelescopeExactly) {
   EXPECT_LE(updates[0].end_to_end_micros(), apply_wall);
   EXPECT_EQ(updates[0].ops, 4u);
   EXPECT_EQ(updates[1].ops, 8u);
-  EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kQueryBatch)[0].ops, 2u);
+  const auto queries = spans_of(spans, bsvc::TraceVerb::kQueryBatch);
+  ASSERT_EQ(queries.size(), 2u);
+  EXPECT_EQ(queries[0].ops, 1u);
+  EXPECT_EQ(queries[1].ops, 2u);
   EXPECT_EQ(spans_of(spans, bsvc::TraceVerb::kCp).size(), 1u);
   EXPECT_EQ(vm.metrics().counter("backlog_trace_spans_total", "").total(),
             spans.size());
@@ -793,7 +813,7 @@ TEST(Observability, SlowOpSpansMigrationParkReplay) {
   EXPECT_EQ(s.exec_shard, target);
   EXPECT_GE(s.queue_wait_micros, 5000u);  // at least the held park window
   expect_telescopes(s);
-  EXPECT_EQ(vm.query("alice", 2).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "alice", 2).get().size(), 1u);
 }
 
 TEST(Observability, GateWaitStageSplitsFromQueueWait) {
@@ -881,7 +901,6 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
   o.trace_sample_every = 4;
   o.slow_op_micros = 500;
   o.trace_ring_size = 64;
-  o.slow_op_ring_size = 64;
   o.wal_enabled = true;  // deferred spans finish in the commit sweep
   o.wal_commit_window_micros = 1000;
   bsvc::VolumeManager vm(o);
@@ -904,7 +923,7 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
         ++tenant;
         auto fut = vm.apply_batch(name, batch_of(next, 16));
         next += 16;
-        ASSERT_NO_THROW(vm.query(name, next - 16).get());
+        ASSERT_NO_THROW(query_one(vm, name, next - 16).get());
         ASSERT_NO_THROW(fut.get());
         applied.fetch_add(16, std::memory_order_relaxed);
       }

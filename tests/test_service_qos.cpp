@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "fsim/multi_tenant.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 
@@ -25,6 +26,7 @@ namespace bc = backlog::core;
 namespace bf = backlog::fsim;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -203,7 +205,7 @@ TEST(ServiceQos, ZeroRateBucketThrottlesEverythingAndBackpressures) {
   // Unthrottle: the queued ops are released in order and complete.
   vm.clear_qos("frozen");
   for (auto& f : queued) EXPECT_NO_THROW(f.get());
-  EXPECT_EQ(vm.query("frozen", 100).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "frozen", 100).get().size(), 1u);
   EXPECT_EQ(vm.stats().tenants.at("frozen").updates, 4u);
   const auto stats = vm.stats().tenants.at("frozen");
   EXPECT_EQ(stats.throttle_queued, 4u);
@@ -212,9 +214,7 @@ TEST(ServiceQos, ZeroRateBucketThrottlesEverythingAndBackpressures) {
 
 TEST(ServiceQos, BurstOneAdmitsOneThenPaces) {
   bs::TempDir dir;
-  bsvc::ServiceOptions so = service_options(dir, 1);
-  so.qos_pacer_interval = std::chrono::milliseconds(1);
-  bsvc::VolumeManager vm(so);
+  bsvc::VolumeManager vm(service_options(dir, 1));
   vm.open_volume("drip");
 
   bsvc::TenantQos qos;
@@ -232,7 +232,7 @@ TEST(ServiceQos, BurstOneAdmitsOneThenPaces) {
   EXPECT_EQ(snap.queued, 1u);
   EXPECT_NO_THROW(second.get());  // the pacer releases it
   EXPECT_GE(vm.qos("drip").released, 1u);
-  EXPECT_EQ(vm.query("drip", 2).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "drip", 2).get().size(), 1u);
 }
 
 TEST(ServiceQos, ThrottleUnthrottleTransitionPreservesOrderAndData) {
@@ -261,7 +261,7 @@ TEST(ServiceQos, ThrottleUnthrottleTransitionPreservesOrderAndData) {
   cp.get();
   // All 8 updates were applied, in order, before the CP committed them.
   for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(vm.query("alice", 10 + i).get().size(), 1u) << i;
+    EXPECT_EQ(query_one(vm, "alice", 10 + i).get().size(), 1u) << i;
   // And the gate is inert again: fresh ops flow with no queueing.
   const auto before = vm.qos("alice").queued;
   vm.apply_batch("alice", {add(99)}).get();
@@ -285,8 +285,8 @@ TEST(ServiceQos, CloseVolumeFlushesThrottledOps) {
   EXPECT_NO_THROW(f1.get());
   EXPECT_NO_THROW(f2.get());
   vm.open_volume("alice");
-  EXPECT_EQ(vm.query("alice", 1).get().size(), 1u);
-  EXPECT_EQ(vm.query("alice", 2).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "alice", 1).get().size(), 1u);
+  EXPECT_EQ(query_one(vm, "alice", 2).get().size(), 1u);
 }
 
 TEST(ServiceQos, InvalidConfigsAreRejected) {
@@ -337,8 +337,8 @@ TEST(ServiceQos, ApplyBatchIsChargedOnceAndRejectedAtomically) {
   vm.clear_qos("frozen");
   EXPECT_NO_THROW(queued.get());
   for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(vm.query("frozen", 100 + i).get().size(), 1u) << i;
-  EXPECT_TRUE(vm.query("frozen", 200).get().empty());
+    EXPECT_EQ(query_one(vm, "frozen", 100 + i).get().size(), 1u) << i;
+  EXPECT_TRUE(query_one(vm, "frozen", 200).get().empty());
   EXPECT_NO_THROW(vm.apply_batch("frozen", batch_of(200, 8)).get());
   EXPECT_EQ(vm.stats().tenants.at("frozen").updates, 16u);
 }
@@ -367,7 +367,7 @@ TEST(ServiceQos, ApplyBatchQueuesBehindThrottledSinglesInOrder) {
   EXPECT_NO_THROW(b.get());
   cp.get();
   for (int blk = 1; blk <= 4; ++blk)
-    EXPECT_EQ(vm.query("alice", blk).get().size(), 1u) << blk;
+    EXPECT_EQ(query_one(vm, "alice", blk).get().size(), 1u) << blk;
 }
 
 // --- fleet shapes ------------------------------------------------------------
@@ -481,7 +481,8 @@ std::uint64_t victim_p99_under_flood(bsvc::VolumeManager& vm,
   flood[1].wait();
   cps[1].wait();
   for (int i = 0; i < kVictimQueries; ++i) {
-    vm.query("victim", 1).get();  // sequential: each waits its real latency
+    // Sequential: each waits its real latency.
+    query_one(vm, "victim", 1).get();
   }
   // Lift the throttle (no-op in the unthrottled run) so the queued tail of
   // the flood drains at shard speed instead of token speed — the sampling

@@ -42,6 +42,7 @@
 
 #include "baseline/naive_backrefs.hpp"
 #include "cow_invariants.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/random.hpp"
@@ -51,6 +52,7 @@ namespace bc = backlog::core;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
 namespace bu = backlog::util;
+using backlog::testing::query_one;
 
 namespace {
 
@@ -230,7 +232,7 @@ std::set<ExpectedEntry> service_query(bsvc::VolumeManager& vm,
                                       const std::string& tenant,
                                       bc::BlockNo block) {
   std::set<ExpectedEntry> out;
-  for (const bc::BackrefEntry& e : vm.query(tenant, block).get()) {
+  for (const bc::BackrefEntry& e : query_one(vm, tenant, block).get()) {
     out.emplace(e.rec, e.versions);
   }
   return out;

@@ -53,6 +53,7 @@
 #include "core/wal.hpp"
 #include "net/client.hpp"
 #include "net/handlers.hpp"
+#include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
 #include "util/fault_points.hpp"
@@ -64,6 +65,7 @@ namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
 namespace bu = backlog::util;
 namespace fs = std::filesystem;
+using backlog::testing::query_one;
 
 #if defined(__SANITIZE_THREAD__)
 #define BACKLOG_TSAN 1
@@ -112,7 +114,7 @@ constexpr std::uint64_t kUniverse = 512;
 
 std::set<KeyTuple> live_keys(bsvc::VolumeManager& vm, const std::string& t) {
   std::set<KeyTuple> out;
-  for (const auto& e : vm.query(t, 0, kUniverse).get()) {
+  for (const auto& e : query_one(vm, t, 0, kUniverse).get()) {
     if (e.rec.to == bc::kInfinity) out.insert(tup(e.rec.key));
   }
   return out;
@@ -608,7 +610,7 @@ void run_wal_crash_case(std::string_view point, int ordinal,
   // round-trips.
   vm.apply_batch("alpha", {add(450)}).get();
   vm.consistency_point("alpha").get();
-  EXPECT_FALSE(vm.query("alpha", 450).get().empty());
+  EXPECT_FALSE(query_one(vm, "alpha", 450).get().empty());
 }
 
 /// One row per durability point of the commit pipeline: the batches that
@@ -799,7 +801,53 @@ TEST(WalGroupCommit, ConsistencyPointTruncatesTheLog) {
   EXPECT_GT(wal_size(), 0u);
 }
 
+TEST(WalGroupCommit, CleanCloseCommitsACountedCpAndEmptiesTheLog) {
+  bs::TempDir dir;
+  const fs::path wal = dir.path() / "a" / bc::Wal::kDefaultName;
+  std::set<KeyTuple> model;
+  apply_to_model(model, {add(10), add(11)});
+  bsvc::VolumeManager vm(wal_options(dir.path()));
+  vm.open_volume("a");
+  vm.apply_batch("a", {add(10), add(11)}).get();
+  ASSERT_GT(fs::file_size(wal), 0u);
+  vm.close_volume("a");
+  // The close CP is the volume's commit: everything logged below it goes.
+  EXPECT_EQ(fs::file_size(wal), 0u) << "clean close left the WAL behind";
+  EXPECT_EQ(vm.stats().total.cps, 1u) << "the close CP was not counted";
+  EXPECT_EQ(vm.stats().total.cp_micros.count(), 1u);
+  vm.open_volume("a");
+  EXPECT_EQ(live_keys(vm, "a"), model);
+  EXPECT_EQ(vm.metrics().counter("backlog_wal_replayed_ops_total", "").total(),
+            0u);
+}
+
 // --- wounded volumes ---------------------------------------------------------
+
+TEST(WoundedVolume, CloseDropsTheBatchRefusedWithKWounded) {
+  // The refused batch was applied in memory before its log write failed.
+  // The close must not commit it: only acked batches may become durable.
+  bs::TempDir dir;
+  std::set<KeyTuple> acked;
+  apply_to_model(acked, {add(10)});
+  bu::FaultPoints faults;
+  bsvc::ServiceOptions so = wal_options(dir.path());
+  so.faults = &faults;
+  bsvc::VolumeManager vm(so);
+  vm.open_volume("w");
+  vm.apply_batch("w", {add(10)}).get();  // acked, logged, not committed
+  faults.arm("env.append", bu::FaultAction::fail().on("w").once());
+  auto refused = vm.apply_batch("w", {add(20)});
+  EXPECT_EQ(code_of(refused), bsvc::ErrorCode::kWounded);
+  try {
+    vm.close_volume("w");
+    ADD_FAILURE() << "closing a wounded volume with buffered ops succeeded";
+  } catch (const bsvc::ServiceError& e) {
+    EXPECT_EQ(e.code(), bsvc::ErrorCode::kWounded);
+  }
+  EXPECT_FALSE(vm.has_volume("w"));  // closed all the same
+  vm.open_volume("w");  // the acked batch replays from the WAL
+  EXPECT_EQ(live_keys(vm, "w"), acked);
+}
 
 TEST(WoundedVolume, PersistentWriteErrorFlipsReadOnlyWithTypedErrors) {
   bs::TempDir dir;
@@ -823,7 +871,7 @@ TEST(WoundedVolume, PersistentWriteErrorFlipsReadOnlyWithTypedErrors) {
     // applied in memory before the log write failed (the apply-before-log
     // ordering), so it is *visible* here — but it was never acked, and the
     // reopen below proves it is not durable.
-    EXPECT_FALSE(vm.query("w", 10).get().empty());
+    EXPECT_FALSE(query_one(vm, "w", 10).get().empty());
     std::set<KeyTuple> ghost = committed;
     apply_to_model(ghost, {add(20)});
     EXPECT_EQ(live_keys(vm, "w"), ghost);
@@ -920,7 +968,7 @@ TEST(WoundedVolume, TornPageFaultRecoversCleanlyToLastAckedState) {
   // Healed on reopen: the wound does not persist across recovery.
   vm.apply_batch("w", {add(400)}).get();
   vm.consistency_point("w").get();
-  EXPECT_FALSE(vm.query("w", 400).get().empty());
+  EXPECT_FALSE(query_one(vm, "w", 400).get().empty());
 }
 
 TEST(WoundedVolume, TypedErrorSurfacesOverTheWire) {
