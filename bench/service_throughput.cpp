@@ -369,7 +369,7 @@ void run_dispatch_overhead(std::uint64_t total, std::size_t batch) {
   const double t0 = bench::now_seconds();
   double wall = 0;
   {
-    service::WorkerPool pool(1, /*bg_starvation_limit=*/8);
+    service::WorkerPool pool(1);
     // Windowed backpressure: fence every 4096 tasks so the queue depth
     // stays bounded — an unbounded producer would balloon the ring to the
     // full op count and the measurement would charge ring growth (and at
@@ -523,7 +523,7 @@ int main() {
   {
     // One throwaway pool answers "did pinning take?" for the header line
     // (run_config reports the same state per row).
-    service::WorkerPool probe(1, 8, /*pin_threads=*/true);
+    service::WorkerPool probe(1, /*pin_threads=*/true);
     std::printf("host hardware concurrency: %u, shard pinning: %s\n\n",
                 std::thread::hardware_concurrency(),
                 probe.pinned() ? "on" : "off (unsupported platform)");

@@ -249,18 +249,14 @@ CpFlushStats BacklogDb::consistency_point() {
     }
     install_runs(staged);
     ws_.clear();
-    if (options_.faults != nullptr)
-      options_.faults->check(util::fault_point("cp.flushed"),
-                             env_.fault_volume());
+    env_.check_fault(util::fault_point("cp.flushed"));
     registry_.advance_cp();
     cp_unconfirmed_ = true;
   }
   s.cp = registry_.current_cp() - 1;
   append_manifest_edit();
   cp_unconfirmed_ = false;
-  if (options_.faults != nullptr)
-    options_.faults->check(util::fault_point("cp.registry_persisted"),
-                           env_.fault_volume());
+  env_.check_fault(util::fault_point("cp.registry_persisted"));
   ops_since_cp_ = 0;
   ++mutations_;
 

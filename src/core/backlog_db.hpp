@@ -90,14 +90,6 @@ struct BacklogOptions {
   /// standalone default) keeps the legacy `<table>_<partition>_<id>.run`
   /// names. Characters are restricted to [A-Za-z0-9._-].
   std::string file_tag;
-
-  /// Fault-injection registry (borrowed; outlives the db). A consistency
-  /// point fires "cp.flushed" once its run files are on disk (registry not
-  /// yet advanced) and "cp.registry_persisted" once the manifest edit
-  /// commits it, for the volume named by the Env's fault_volume(). Crash
-  /// tests _exit there to freeze the on-disk state between the two. Null
-  /// (the default) disables injection.
-  util::FaultPoints* faults = nullptr;
 };
 
 /// One masked query result: a Combined record plus the retained snapshot /
@@ -219,7 +211,11 @@ class BacklogDb {
   /// Flush the write store as new Level-0 runs (one per touched partition
   /// and table), persist the manifest, and advance the global CP number.
   /// A CP whose manifest write fails keeps its number, since the write may
-  /// be on disk anyway; a retry commits that same number.
+  /// be on disk anyway; a retry commits that same number. Through the Env's
+  /// fault registry (Env::set_faults) it fires "cp.flushed" once its run
+  /// files are on disk (registry not yet advanced) and
+  /// "cp.registry_persisted" once the manifest edit commits it; crash tests
+  /// _exit there to freeze the on-disk state between the two.
   CpFlushStats consistency_point();
 
   [[nodiscard]] Epoch current_cp() const noexcept { return registry_.current_cp(); }

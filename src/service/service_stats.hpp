@@ -165,10 +165,10 @@ struct TenantStats {
   LatencyHistogram cp_micros;
   LatencyHistogram query_micros;
   LatencyHistogram maintenance_micros;
-  /// Submission-to-execution delay of every foreground task — shard queue
-  /// time plus any QoS gate wait. The verb histograms above measure on-shard
-  /// execution only, so this is where a noisy neighbour (or a throttle)
-  /// becomes visible to monitoring.
+  /// Submission-to-execution delay of every op (maintenance probes
+  /// excluded) — shard queue time plus any QoS gate wait. The verb
+  /// histograms above measure on-shard execution only, so this is where a
+  /// noisy neighbour (or a throttle) becomes visible to monitoring.
   LatencyHistogram queue_wait_micros;
   /// QoS-gate wait alone (pacer hold time of throttle-queued ops). Only
   /// populated while tracing is enabled — the span machinery stamps the

@@ -1,32 +1,26 @@
 // Per-shard task queue of the volume service's worker pool.
 //
-// Foreground work is organized into *flows* (one flow per hosted volume)
-// scheduled by weighted stride scheduling: each flow carries a virtual pass
-// time advanced by 1/weight per dequeued task, and the dequeue always serves
-// the backlogged flow with the smallest pass. Within a flow tasks are
-// strictly FIFO — the service's per-tenant ordering guarantee — while across
-// flows a tenant with a thousand queued tasks shares the shard with a tenant
-// that has one: the weighted-fair half of per-tenant QoS (see qos.hpp; the
-// other half, token-bucket admission, runs before tasks ever reach this
-// queue). A flow that drains is forgotten; when it reappears it joins at the
-// current virtual time, so idling earns no credit and a returning flow
-// can't starve the shard.
+// Work is organized into *flows* (one flow per hosted volume) scheduled by
+// weighted stride scheduling: each flow carries a virtual pass time advanced
+// by 1/weight per dequeued task, and the dequeue always serves the
+// backlogged flow with the smallest pass. Within a flow tasks are strictly
+// FIFO — the service's per-tenant ordering guarantee, which covers every op
+// of a volume, its maintenance probes included — while across flows a
+// tenant with a thousand queued tasks shares the shard with a tenant that
+// has one: the weighted-fair half of per-tenant QoS (see qos.hpp; the other
+// half, token-bucket admission, runs before tasks ever reach this queue). A
+// flow that drains is forgotten; when it reappears it joins at the current
+// virtual time, so idling earns no credit and a returning flow can't starve
+// the shard.
 //
-// Background (maintenance) tasks stay in a single low-priority deque:
-// foreground work always runs first, but a 1-in-N anti-starvation rule
-// dispatches one background task after N consecutive foreground tasks while
-// background work is pending, so compaction makes progress under sustained
-// load without ever stalling the foreground path for long.
-//
-// Hot-path shape (the batching PR): tasks are InlineTask — no allocation on
-// push for the service's dispatch wrappers — and the storage is RingDeque,
-// which reuses its slots at steady state (see task.hpp). The consumer
-// drains in *chunks*: pop_many() moves up to K runnable tasks out under one
-// lock acquisition, selecting per task exactly as pop() would (stride
-// fairness and the background anti-starvation rule are applied inside the
-// chunk, so chunking changes the locking, never the schedule), and the
-// worker runs the chunk without re-locking. One mutex round-trip then costs
-// 1/K of a task instead of a whole one.
+// Hot-path shape: tasks are InlineTask — no allocation on push for the
+// service's dispatch wrappers — and the storage is RingDeque, which reuses
+// its slots at steady state (see task.hpp). The consumer drains in
+// *chunks*: pop_many() moves up to K runnable tasks out under one lock
+// acquisition, selecting per task exactly as pop() would (stride fairness
+// is applied inside the chunk, so chunking changes the locking, never the
+// schedule), and the worker runs the chunk without re-locking. One mutex
+// round-trip then costs 1/K of a task instead of a whole one.
 //
 // Producers are arbitrary API threads and the MaintenanceScheduler; the
 // single consumer is the shard's worker thread (MPSC), which is what lets
@@ -54,12 +48,7 @@ using Task = InlineTask;
 
 class ShardQueue {
  public:
-  /// `bg_starvation_limit`: dispatch a pending background task after this
-  /// many consecutive foreground tasks.
-  explicit ShardQueue(std::size_t bg_starvation_limit = 8)
-      : limit_(bg_starvation_limit == 0 ? 1 : bg_starvation_limit) {}
-
-  /// Enqueue a foreground task on flow `flow` (0 = the shared default flow).
+  /// Enqueue a task on flow `flow` (0 = the shared default flow).
   /// `weight` is the flow's current fair-share weight; the latest push wins,
   /// so a QoS change applies from the next dequeue on.
   void push(Task t, std::uint64_t flow = 0, std::uint32_t weight = 1) {
@@ -76,17 +65,8 @@ class ShardQueue {
       }
       f.weight = weight == 0 ? 1 : weight;
       f.q.push_back(std::move(t));
-      ++fg_size_;
-      depth_.store(fg_size_ + bg_.size(), std::memory_order_relaxed);
-    }
-    cv_.notify_one();
-  }
-
-  void push_background(Task t) {
-    {
-      std::lock_guard lock(mu_);
-      bg_.push_back(std::move(t));
-      depth_.store(fg_size_ + bg_.size(), std::memory_order_relaxed);
+      ++size_;
+      depth_.store(size_, std::memory_order_relaxed);
     }
     cv_.notify_one();
   }
@@ -95,9 +75,9 @@ class ShardQueue {
   /// queue is closed *and* fully drained (pending tasks still run).
   Task pop() {
     std::unique_lock lock(mu_);
-    cv_.wait(lock, [&] { return closed_ || fg_size_ > 0 || !bg_.empty(); });
+    cv_.wait(lock, [&] { return closed_ || size_ > 0; });
     Task t = take_locked();
-    depth_.store(fg_size_ + bg_.size(), std::memory_order_relaxed);
+    depth_.store(size_, std::memory_order_relaxed);
     return t;
   }
 
@@ -107,7 +87,7 @@ class ShardQueue {
   /// per-task identical to repeated pop() calls.
   std::size_t pop_many(std::vector<Task>& out, std::size_t max) {
     std::unique_lock lock(mu_);
-    cv_.wait(lock, [&] { return closed_ || fg_size_ > 0 || !bg_.empty(); });
+    cv_.wait(lock, [&] { return closed_ || size_ > 0; });
     std::size_t n = 0;
     while (n < max) {
       Task t = take_locked();
@@ -115,7 +95,7 @@ class ShardQueue {
       out.push_back(std::move(t));
       ++n;
     }
-    depth_.store(fg_size_ + bg_.size(), std::memory_order_relaxed);
+    depth_.store(size_, std::memory_order_relaxed);
     return n;
   }
 
@@ -127,11 +107,10 @@ class ShardQueue {
     cv_.notify_all();
   }
 
-  /// Pending tasks (foreground + background) — the balancer's queue-depth
-  /// load signal.
+  /// Pending tasks — the balancer's queue-depth load signal.
   [[nodiscard]] std::size_t depth() const {
     std::lock_guard lock(mu_);
-    return fg_size_ + bg_.size();
+    return size_;
   }
 
   /// Lock-free approximation of depth() (one relaxed load), for hot-path
@@ -149,18 +128,10 @@ class ShardQueue {
     std::uint32_t weight = 1;
   };
 
-  /// One scheduling decision (caller holds mu_): a background task when the
-  /// anti-starvation rule fires or no foreground work exists, else the next
-  /// task of the smallest-pass flow. Empty task = nothing runnable.
+  /// One scheduling decision (caller holds mu_): the next task of the
+  /// smallest-pass flow. Empty task = nothing runnable.
   Task take_locked() {
-    const bool take_bg =
-        !bg_.empty() && (fg_size_ == 0 || fg_since_bg_ >= limit_);
-    if (take_bg) {
-      fg_since_bg_ = 0;
-      return bg_.pop_front();
-    }
-    if (fg_size_ == 0) return {};
-    ++fg_since_bg_;
+    if (size_ == 0) return {};
     // Serve the backlogged flow with the smallest pass; ties go to the
     // first flow in id order. Empty flows linger until virtual time
     // passes their finish tag (see push) and are purged here. Linear
@@ -182,19 +153,16 @@ class ShardQueue {
     Flow& f = best->second;
     virtual_time_ = std::max(virtual_time_, f.pass);
     f.pass += 1.0 / f.weight;
-    --fg_size_;
+    --size_;
     return f.q.pop_front();
   }
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::uint64_t, Flow> flows_;  // only flows with queued work
-  RingDeque<Task> bg_;
-  std::size_t fg_size_ = 0;
-  std::atomic<std::size_t> depth_{0};  // fg + bg mirror for depth_approx()
+  std::size_t size_ = 0;
+  std::atomic<std::size_t> depth_{0};  // size_ mirror for depth_approx()
   double virtual_time_ = 0;
-  std::size_t fg_since_bg_ = 0;
-  std::size_t limit_;
   bool closed_ = false;
 };
 

@@ -4,10 +4,9 @@
 // The original queue carried std::function<void()> per operation. That type
 // erases through a 16-byte inline buffer, so every real task body — a verb
 // lambda plus its promise and volume handle — heap-allocated at enqueue and
-// freed at execute, twice per op once the dispatch wrapper nested a second
-// std::function. InlineTask replaces it with a move-only callable whose
-// inline buffer is sized for the service's dispatch wrapper (the chasing
-// wrapper around a verb body: this + volume shared_ptr + body + flags), so
+// freed at execute. InlineTask replaces it with a move-only callable whose
+// inline buffer is sized for the service's op task (a verb body with its
+// volume handle, promise and trace context; see VolumeManager::run_on), so
 // the steady-state enqueue path performs no allocation at all; oversized
 // callables (e.g. volume-open tasks capturing paths and options) fall back
 // to the heap transparently. RingDeque replaces std::deque as the queue's
@@ -31,11 +30,10 @@ namespace backlog::service {
 /// Move-only type-erased `void()` callable with a large inline buffer.
 class InlineTask {
  public:
-  /// Sized for the dispatch wrapper of the widest common verb body (an
-  /// apply_batch body: vector + promise + trace context + service pointer,
-  /// wrapped with the volume handle); measured ~128 bytes since the trace
-  /// ctx rides in the body, kept with headroom so small verb additions
-  /// don't silently fall off the fast path.
+  /// Sized for the op task of the widest common verb body (an apply_batch
+  /// body: vector + promise + trace context + service pointer + volume
+  /// handle), with headroom so small verb additions don't silently fall
+  /// off the fast path.
   static constexpr std::size_t kInlineBytes = 192;
 
   InlineTask() noexcept = default;

@@ -137,7 +137,7 @@ constexpr SeriesFamily<LatencyHistogram> kTimedFamilies[] = {
 };
 
 /// Clears the volume's maintenance-pending flag on every exit path of a
-/// background probe.
+/// maintenance probe.
 struct PendingGuard {
   std::atomic<bool>& flag;
   ~PendingGuard() { flag.store(false, std::memory_order_release); }
@@ -194,8 +194,7 @@ VolumeManager::VolumeManager(ServiceOptions options)
       block_cache_(options_.cache.capacity_bytes,
                    options_.cache.block_cache_shards),
       metrics_(options_.shards + 1),  // one slot per shard + the API slot
-      pool_(options_.shards, options_.bg_starvation_limit,
-            options_.pin_shards) {
+      pool_(options_.shards, options_.pin_shards) {
   trace_.sample_every.store(options_.trace_sample_every,
                             std::memory_order_relaxed);
   trace_.slow_op_micros.store(options_.slow_op_micros,
@@ -448,9 +447,6 @@ core::BacklogOptions VolumeManager::volume_db_options() {
   // ctor attaches it to the volume's Env for unlink invalidation).
   opts.shared_cache = &block_cache_;
   opts.result_cache_entries = options_.cache.result_cache_entries;
-  // The cp.* points fire inside BacklogDb::consistency_point, the wal.*
-  // points through inject(): one registry sees the full ordered sequence.
-  opts.faults = options_.faults;
   return opts;
 }
 
@@ -461,6 +457,8 @@ void VolumeManager::recover_volume_on_shard(
   // WAL durability is meaningless without real fsyncs: enabling it forces
   // them even when the service otherwise runs unsynced.
   v.env->set_sync(options_.sync_writes || options_.wal_enabled);
+  // The env.* and cp.* points fire through the Env, the wal.* points
+  // through inject(): one registry sees the full ordered sequence.
   v.env->set_faults(options_.faults, v.tenant);
   v.db = std::make_unique<core::BacklogDb>(*v.env, db_opts);
   if (!options_.wal_enabled) return;
@@ -635,23 +633,16 @@ bool VolumeManager::shard_alive(std::size_t shard) const {
   return pool_.shard_alive(shard);
 }
 
-void VolumeManager::dispatch(const std::shared_ptr<Volume>& vol, Task task,
-                             bool background) {
+void VolumeManager::dispatch(const std::shared_ptr<Volume>& vol, Task task) {
   std::shared_lock lock(routing_mu_);
-  if (!background)
-    vol->dispatched_ops.fetch_add(1, std::memory_order_relaxed);
+  vol->dispatched_ops.fetch_add(1, std::memory_order_relaxed);
   if (vol->parked) {
     std::lock_guard pl(vol->park_mu);
-    vol->parked_tasks.push_back({std::move(task), background});
+    vol->parked_tasks.push_back(std::move(task));
     return;
   }
-  const std::size_t shard = vol->shard.load(std::memory_order_relaxed);
-  if (background) {
-    pool_.submit_background(shard, std::move(task));
-  } else {
-    pool_.submit(shard, std::move(task), vol->flow_id,
-                 vol->qos_weight.load(std::memory_order_relaxed));
-  }
+  pool_.submit(vol->shard.load(std::memory_order_relaxed), std::move(task),
+               vol->flow_id, vol->qos_weight.load(std::memory_order_relaxed));
 }
 
 std::shared_ptr<VolumeManager::Volume> VolumeManager::register_volume(
@@ -671,19 +662,16 @@ std::shared_ptr<VolumeManager::Volume> VolumeManager::register_volume(
 void VolumeManager::recover_volume(const std::shared_ptr<Volume>& vol) {
   auto prom = std::make_shared<std::promise<void>>();
   std::future<void> fut = prom->get_future();
-  dispatch(
-      vol,
-      [this, vol, prom, dir = options_.root / vol->tenant,
-       db_opts = volume_db_options()] {
-        try {
-          recover_volume_on_shard(*vol, dir, db_opts);
-          link_series(*vol, /*attach=*/true);
-          prom->set_value();
-        } catch (...) {
-          prom->set_exception(std::current_exception());
-        }
-      },
-      /*background=*/false);
+  dispatch(vol, [this, vol, prom, dir = options_.root / vol->tenant,
+                db_opts = volume_db_options()] {
+    try {
+      recover_volume_on_shard(*vol, dir, db_opts);
+      link_series(*vol, /*attach=*/true);
+      prom->set_value();
+    } catch (...) {
+      prom->set_exception(std::current_exception());
+    }
+  });
   fut.get();
 }
 
@@ -756,11 +744,11 @@ void VolumeManager::close_volume(const std::string& tenant) {
            // whose write store may hold a batch refused with kWounded (its
            // acked batches replay from the WAL at the next open).
            // Retirement happens even if the flush fails: the tenant is
-           // already unrouted, so the volume must actually close — a queued
-           // background probe checks v.db and a subsequent open_volume()
-           // re-opens the directory — while the caller still sees the flush
-           // error. Unflushed entries are then lost to journal replay,
-           // exactly as in a crash.
+           // already unrouted, so the volume must actually close — a probe
+           // queued behind this task checks v.db and a subsequent
+           // open_volume() re-opens the directory — while the caller still
+           // sees the flush error. Unflushed entries are then lost to
+           // journal replay, exactly as in a crash.
            struct Teardown {
              VolumeManager& vm;
              Volume& v;
@@ -820,8 +808,7 @@ std::future<void> VolumeManager::apply_batch(const std::string& tenant,
       [this, vol, batch = std::move(batch)](Volume&, DoneFn done) {
         apply_on_shard(vol, batch, std::move(done));
       },
-      /*background=*/false, ops_cost, bytes_cost, /*bypass_gate=*/false,
-      TraceVerb::kApplyBatch);
+      ops_cost, bytes_cost, /*bypass_gate=*/false, TraceVerb::kApplyBatch);
 }
 
 void VolumeManager::wound(Volume& v, const char* what, const DoneFn& done) {
@@ -964,15 +951,14 @@ VolumeManager::query_batch(const std::string& tenant,
         }
         return out;
       },
-      /*background=*/false, ops_cost, 0, /*bypass_gate=*/false,
-      TraceVerb::kQueryBatch);
+      ops_cost, 0, /*bypass_gate=*/false, TraceVerb::kQueryBatch);
 }
 
 std::future<core::CpFlushStats> VolumeManager::consistency_point(
     const std::string& tenant) {
   return run_on(
-      find(tenant), [this](Volume& v) { return commit_cp(v); },
-      /*background=*/false, 0, 0, /*bypass_gate=*/false, TraceVerb::kCp);
+      find(tenant), [this](Volume& v) { return commit_cp(v); }, 0, 0,
+      /*bypass_gate=*/false, TraceVerb::kCp);
 }
 
 std::future<std::uint64_t> VolumeManager::relocate(const std::string& tenant,
@@ -1004,8 +990,7 @@ std::future<core::Epoch> VolumeManager::take_snapshot(const std::string& tenant,
         v.count(kSnapshots);
         return version;
       },
-      /*background=*/false, 0, 0, /*bypass_gate=*/false,
-      TraceVerb::kSnapshot);
+      0, 0, /*bypass_gate=*/false, TraceVerb::kSnapshot);
 }
 
 std::future<core::LineId> VolumeManager::create_clone(const std::string& tenant,
@@ -1163,12 +1148,14 @@ MigrationStats VolumeManager::migrate_volume(const std::string& tenant,
     vol->parked = true;
   }
 
-  // Phase 2 — drain barrier on the source shard (submitted directly: run_on
-  // would park it; the volume's own flow keeps it FIFO behind all of the
-  // tenant's queued ops). It forces a consistency point when updates are
-  // buffered, so the handoff is also a durability point — unless the caller
-  // asked for a clean-only move, where buffered updates abort the handoff
-  // instead (the Balancer's polite mode).
+  // Phase 2 — drain barrier on the source shard (submitted directly:
+  // dispatch would park it). The volume's own flow keeps it FIFO behind
+  // every queued task of the volume, maintenance probes included, so no
+  // task of the volume runs on the source after the barrier. It forces a
+  // consistency point when updates are buffered, so the handoff is also a
+  // durability point — unless the caller asked for a clean-only move,
+  // where buffered updates abort the handoff instead (the Balancer's
+  // polite mode).
   enum class Drain : std::uint8_t { kClean, kForcedCp, kDirtyAbort };
   auto prom = std::make_shared<std::promise<Drain>>();
   std::future<Drain> drained = prom->get_future();
@@ -1203,7 +1190,7 @@ MigrationStats VolumeManager::migrate_volume(const std::string& tenant,
   // Caller must hold routing_mu_ exclusively, so no new parkers interleave
   // and nothing submitted later can jump ahead of the replayed ops.
   const auto replay = [&](std::size_t shard) {
-    std::deque<ParkedTask> parked;
+    std::deque<Task> parked;
     {
       std::lock_guard pl(vol->park_mu);
       parked.swap(vol->parked_tasks);
@@ -1211,13 +1198,8 @@ MigrationStats VolumeManager::migrate_volume(const std::string& tenant,
     ms.replayed_tasks = parked.size();
     const std::uint32_t weight =
         vol->qos_weight.load(std::memory_order_relaxed);
-    for (ParkedTask& pt : parked) {
-      if (pt.background) {
-        pool_.submit_background(shard, std::move(pt.task));
-      } else {
-        pool_.submit(shard, std::move(pt.task), vol->flow_id, weight);
-      }
-    }
+    for (Task& t : parked)
+      pool_.submit(shard, std::move(t), vol->flow_id, weight);
     vol->parked = false;
   };
 
@@ -1274,8 +1256,7 @@ std::future<core::MaintenanceStats> VolumeManager::maintain(
         throw_if_wounded(v);
         return timed_maintain(v);
       },
-      /*background=*/false, 0, 0, /*bypass_gate=*/false,
-      TraceVerb::kMaintenance);
+      0, 0, /*bypass_gate=*/false, TraceVerb::kMaintenance);
 }
 
 bool VolumeManager::schedule_maintenance(const std::string& tenant,
@@ -1292,53 +1273,52 @@ bool VolumeManager::schedule_maintenance(const std::string& tenant,
           expected, true, std::memory_order_acq_rel)) {
     return false;  // a probe is already queued or running
   }
-  const std::uint64_t l0 = policy.l0_run_threshold;
-  run_on(
-      vol,
-      [this, l0](Volume& v) {
-        PendingGuard guard{v.maintenance_pending};
-        // A wounded volume cannot write new runs; skip instead of failing
-        // the background probe with an exception nobody awaits.
-        if (v.wounded.load(std::memory_order_relaxed)) {
-          v.count(kMaintenanceSkipped);
-          return;
-        }
-        const core::QuickStats q = v.db->quick_stats();
-        // maintain() requires an empty write store; mid-CP-window volumes
-        // are retried on a later sweep rather than forced through an early
-        // consistency point.
-        if (q.ws_entries != 0) {
-          v.count(kMaintenanceSkipped);
-          return;
-        }
-        if (q.l0_runs() < l0) {
-          v.count(kMaintenanceSkipped);
-          return;
-        }
-        timed_maintain(v);
-      },
-      /*background=*/true);
+  // An ordinary task of the volume's flow, so a migration parks and
+  // replays it like any op. Dispatched bare rather than through run_on: a
+  // probe passes no QoS gate, records no span or queue wait, and nobody
+  // awaits it — a volume closed while it was queued is left alone, and a
+  // failed pass is reported here for a later sweep to retry.
+  dispatch(vol, [this, vol, l0 = policy.l0_run_threshold] {
+    PendingGuard guard{vol->maintenance_pending};
+    Volume& v = *vol;
+    if (v.db == nullptr) return;
+    try {
+      // maintain() requires an empty write store: a mid-CP-window volume
+      // is retried on a later sweep rather than forced through an early
+      // consistency point. A wounded volume cannot write new runs.
+      const core::QuickStats q = v.db->quick_stats();
+      if (v.wounded.load(std::memory_order_relaxed) || q.ws_entries != 0 ||
+          q.l0_runs() < l0) {
+        v.count(kMaintenanceSkipped);
+        return;
+      }
+      timed_maintain(v);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "backlog: volume '%s': maintenance failed: %s\n",
+                   v.tenant.c_str(), e.what());
+    }
+  });
   return true;
 }
 
 std::future<core::DbStats> VolumeManager::db_stats(const std::string& tenant) {
   return run_on(
-      find(tenant), [](Volume& v) { return v.db->stats(); },
-      /*background=*/false, 0, 0, /*bypass_gate=*/true);
+      find(tenant), [](Volume& v) { return v.db->stats(); }, 0, 0,
+      /*bypass_gate=*/true);
 }
 
 std::future<core::QuickStats> VolumeManager::quick_stats(
     const std::string& tenant) {
   return run_on(
-      find(tenant), [](Volume& v) { return v.db->quick_stats(); },
-      /*background=*/false, 0, 0, /*bypass_gate=*/true);
+      find(tenant), [](Volume& v) { return v.db->quick_stats(); }, 0, 0,
+      /*bypass_gate=*/true);
 }
 
 std::future<storage::IoStats> VolumeManager::io_stats(
     const std::string& tenant) {
   return run_on(
-      find(tenant), [](Volume& v) { return v.env->stats(); },
-      /*background=*/false, 0, 0, /*bypass_gate=*/true);
+      find(tenant), [](Volume& v) { return v.env->stats(); }, 0, 0,
+      /*bypass_gate=*/true);
 }
 
 ServiceStats VolumeManager::stats() {

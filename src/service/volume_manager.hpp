@@ -15,17 +15,17 @@
 // clone_volume() materializes a writable clone of one tenant's snapshot as
 // a brand-new, independently addressable tenant.
 //
-// Ordering guarantee: foreground operations for one tenant execute in
-// submission order — per-flow FIFO while the tenant is settled (each volume
-// is its own weighted-fair flow in its shard's queue), and the park/replay
-// handoff of a migration preserves that order end to end. Per-tenant QoS
-// (set_qos) inserts a token-bucket gate *before* the queue: throttled ops
-// wait in a bounded per-volume FIFO drained by a pacer thread, and every
-// later op of that tenant — metered or not — queues behind them, so the
-// ordering guarantee survives throttling. Background maintenance runs at
-// lower priority and only between foreground tasks (see shard_queue.hpp),
-// and it skips the volume whenever the write store is non-empty —
-// maintenance never interposes inside a tenant's CP window.
+// Ordering guarantee: every operation of one tenant executes in submission
+// order — per-flow FIFO while the tenant is settled (each volume is its own
+// weighted-fair flow in its shard's queue), and the park/replay handoff of a
+// migration preserves that order end to end. Per-tenant QoS (set_qos)
+// inserts a token-bucket gate *before* the queue: throttled ops wait in a
+// bounded per-volume FIFO drained by a pacer thread, and every later op of
+// that tenant — metered or not — queues behind them, so the ordering
+// guarantee survives throttling. A background maintenance probe is an
+// ordinary task of its volume's flow, FIFO behind the volume's earlier ops;
+// it skips the volume whenever the write store is non-empty — maintenance
+// never interposes inside a tenant's CP window.
 #pragma once
 
 #include <array>
@@ -105,19 +105,15 @@ struct ServiceOptions {
   /// Env fsync behaviour for hosted volumes (benches disable it).
   bool sync_writes = false;
 
-  /// Anti-starvation ratio of the per-shard queues: one background task may
-  /// run after this many consecutive foreground tasks.
-  std::size_t bg_starvation_limit = 8;
-
   /// Pin each shard's worker thread to CPU (shard mod hardware cores) via
   /// pthread_setaffinity_np, keeping a shard's working set on one core's
   /// caches. Linux-only; silently unpinned elsewhere (see shards_pinned()).
   bool pin_shards = false;
 
   /// Fault-injection registry (borrowed; must outlive the manager). Every
-  /// hosted volume's Env, BacklogDb, WAL pipeline and clone commit fire
-  /// their points through it (util/fault_points.hpp), targeted by tenant
-  /// name. Null (the default) disables injection.
+  /// hosted volume's Env (and the BacklogDb on top of it), WAL pipeline and
+  /// clone commit fire their points through it (util/fault_points.hpp),
+  /// targeted by tenant name. Null (the default) disables injection.
   util::FaultPoints* faults = nullptr;
 
   // --- durability (group-commit WAL; see README "Durability") --------------
@@ -395,14 +391,14 @@ class VolumeManager {
   /// One shard's instantaneous load signals.
   struct ShardLoad {
     std::size_t shard = 0;
-    std::size_t queue_depth = 0;           ///< pending tasks (fg + bg)
+    std::size_t queue_depth = 0;           ///< pending tasks
     std::uint64_t latency_ewma_micros = 0; ///< EWMA of task execution time
     std::uint64_t busy_micros = 0;         ///< cumulative task-execution time
   };
   [[nodiscard]] std::vector<ShardLoad> shard_loads() const;
 
   /// Where every volume currently lives plus its cumulative dispatched
-  /// foreground-op count (monotonic; the Balancer differences successive
+  /// task count (monotonic; the Balancer differences successive
   /// readings into a rate). One locked pass, no shard round-trips.
   struct VolumePlacement {
     std::string tenant;
@@ -416,7 +412,7 @@ class VolumeManager {
   /// The query verb, the service form of the paper's owner query (§4.2):
   /// all of `ranges` execute in one task on the tenant's shard (one QoS
   /// charge of ranges.size() ops, one promise); result i answers
-  /// ranges[i]. Like any foreground task the batch sits in the tenant's
+  /// ranges[i]. Like any task of the volume the batch sits in the tenant's
   /// FIFO, so it observes every update applied before it was submitted.
   std::future<std::vector<std::vector<core::BackrefEntry>>> query_batch(
       const std::string& tenant, std::vector<QueryRange> ranges);
@@ -426,15 +422,16 @@ class VolumeManager {
 
   // --- maintenance -----------------------------------------------------------
 
-  /// Explicit foreground maintenance (e.g. backlogctl): runs at normal
-  /// priority, fails if the write store is non-empty (core contract).
+  /// Explicit maintenance (e.g. backlogctl): an op like any other (QoS
+  /// gate, tracing); fails if the write store is non-empty (core contract).
   std::future<core::MaintenanceStats> maintain(const std::string& tenant);
 
   /// Background maintenance probe (MaintenanceScheduler entry point): at
-  /// most one in flight per volume; the probe re-checks the threshold on
-  /// the shard against a QuickStats snapshot and silently skips when the
-  /// volume is below it or mid-CP-window. Returns false if the tenant is
-  /// unknown or a probe is already pending.
+  /// most one in flight per volume, queued in the volume's flow like any of
+  /// its ops but outside the QoS gate and tracing. The probe re-checks the
+  /// threshold on the shard against a QuickStats snapshot and counts a skip
+  /// when the volume is below it, mid-CP-window or wounded. Returns false if
+  /// the tenant is unknown or a probe is already pending.
   bool schedule_maintenance(const std::string& tenant,
                             const MaintenancePolicy& policy);
 
@@ -531,11 +528,6 @@ class VolumeManager {
   }
 
  private:
-  struct ParkedTask {
-    Task task;
-    bool background = false;
-  };
-
   /// A volume's per-op series. Each is a child of the registry family of
   /// the same name (see link_series), so it is recorded exactly once. The
   /// counters below kOwnCounters live in Volume::counters; the two throttle
@@ -557,12 +549,12 @@ class VolumeManager {
     // deque has its own tiny mutex because parkers only hold routing_mu_
     // shared. `shard` is atomic only so the submit path can take one
     // *relaxed* peek outside the lock (the queue-depth heuristic in
-    // run_on); every routing decision still reads it under routing_mu_,
+    // begin_op); every routing decision still reads it under routing_mu_,
     // which carries the ordering.
     std::atomic<std::size_t> shard{0};
     bool parked = false;
     std::mutex park_mu;
-    std::deque<ParkedTask> parked_tasks;
+    std::deque<Task> parked_tasks;
     // Weighted-fair scheduling identity: one flow per volume, assigned at
     // registration and stable across migrations. The weight mirrors the
     // volume's TenantQos (1 when unconfigured).
@@ -570,8 +562,8 @@ class VolumeManager {
     std::atomic<std::uint32_t> qos_weight{1};
     // Token-bucket admission gate (API-thread side; see qos.hpp).
     QosGate gate;
-    // Foreground tasks handed to the pool for this volume (monotonic,
-    // incremented at dispatch) — the Balancer's per-volume rate signal.
+    // Tasks handed to the pool for this volume (monotonic, incremented at
+    // dispatch) — the Balancer's per-volume rate signal.
     std::atomic<std::uint64_t> dispatched_ops{0};
     // Created, used and destroyed only on the owning shard's thread.
     std::unique_ptr<storage::Env> env;
@@ -653,57 +645,15 @@ class VolumeManager {
                                const core::BacklogOptions& db_opts);
 
   /// Route one task to wherever the volume currently lives: its shard's
-  /// queue, or the volume's parked deque while a migration handoff is in
-  /// flight (replayed on the target in order). Readers share routing_mu_;
-  /// only migrate_volume() ever takes it exclusively — the hot path pays
-  /// one uncontended shared lock, the dbs themselves stay lock-free.
-  void dispatch(const std::shared_ptr<Volume>& vol, Task task,
-                bool background);
-
-  /// Wrap `body` in a staleness check and route it to the volume. A
-  /// foreground task always runs on the owning shard (the migration drain
-  /// queues behind it), but a *background* task can linger in the
-  /// low-priority queue past the drain barrier and be popped by the old
-  /// owner after the volume moved — touching the volume there would race
-  /// the new owner. The wrapper detects that (current_shard() no longer
-  /// matches the routing table) and re-dispatches itself to chase the
-  /// volume to its new home instead of running.
-  ///
-  /// Templated on the body so the whole wrapper is one concrete lambda
-  /// stored directly in an InlineTask — the enqueue path never builds a
-  /// std::function and never allocates for the common verb shapes
-  /// (task.hpp has the sizing).
-  template <typename Body>
-  void submit_chasing(std::shared_ptr<Volume> vol, Body body,
-                      bool background) {
-    Task task = [this, vol, body = std::move(body), background]() mutable {
-      bool stale = false;
-      {
-        std::shared_lock rl(routing_mu_);
-        // A migration's drain barrier only covers the foreground queue, so
-        // a *background* task can be popped by the old owner after the
-        // volume moved (shard mismatch) — or, worse, in the drain-to-flip
-        // window, where the shard field still points here but the target
-        // may take over the moment the drain's promise lands (parked
-        // flag). Either way the task must not touch the volume here.
-        // Foreground tasks can never be stale: FIFO puts them ahead of the
-        // drain, and they must run in place — re-parking them would
-        // reorder against operations parked at dispatch.
-        stale = vol->shard.load(std::memory_order_relaxed) !=
-                    WorkerPool::current_shard() ||
-                (background && vol->parked);
-      }
-      if (stale) {
-        // Chase the volume to its current home (or into the parked deque,
-        // which replays on the new owner). The routing-lock read above
-        // also carries the happens-before edge from the previous handoff.
-        submit_chasing(std::move(vol), std::move(body), background);
-        return;
-      }
-      body(*vol);
-    };
-    dispatch(vol, std::move(task), background);
-  }
+  /// queue, in the volume's flow, or the volume's parked deque while a
+  /// migration handoff is in flight (replayed on the target in order).
+  /// Either way the task is FIFO behind every earlier task of the volume,
+  /// so it runs on the shard that owns the volume when it runs: the
+  /// migration's drain barrier queues behind it. Readers share
+  /// routing_mu_; only migrate_volume() ever takes it exclusively — the
+  /// hot path pays one uncontended shared lock, the dbs themselves stay
+  /// lock-free.
+  void dispatch(const std::shared_ptr<Volume>& vol, Task task);
 
   /// Completion callback of a deferred op: exactly one call, with null on
   /// success or the exception the future should carry.
@@ -727,7 +677,10 @@ class VolumeManager {
 
   /// Run the op `fn` on the volume's shard; the future carries its result
   /// or exception. Tasks capture the Volume by shared_ptr, so a volume
-  /// outlives any task still referencing it even after close_volume().
+  /// outlives any task still referencing it even after close_volume(). The
+  /// task is one concrete lambda stored inline in an InlineTask, so the
+  /// enqueue path never allocates for the common verb shapes (task.hpp has
+  /// the sizing).
   ///
   /// An op is acked when its future resolves. A synchronous op, `fn(v)`, is
   /// acked when it returns, with its result. A deferred op, `fn(v, done)`
@@ -737,7 +690,7 @@ class VolumeManager {
   /// exception) or arrange exactly one `done` call, and must not throw
   /// after arranging it.
   ///
-  /// Foreground tasks pass through the volume's QoS gate: `ops_cost` /
+  /// Ops pass through the volume's QoS gate: `ops_cost` /
   /// `bytes_cost` are charged against the tenant's token buckets (0 for
   /// control verbs, which still queue behind throttled ops to preserve
   /// order). A rejected op's future carries ServiceError(kThrottled).
@@ -752,16 +705,19 @@ class VolumeManager {
   /// and the span finishes at the ack. A deferred op's time in between is
   /// its commit_wait stage, 0 when `done` fired inside fn.
   template <typename Fn>
-  auto run_on(std::shared_ptr<Volume> vol, Fn fn, bool background = false,
-              double ops_cost = 0, double bytes_cost = 0,
-              bool bypass_gate = false, TraceVerb verb = TraceVerb::kControl)
+  auto run_on(std::shared_ptr<Volume> vol, Fn fn, double ops_cost = 0,
+              double bytes_cost = 0, bool bypass_gate = false,
+              TraceVerb verb = TraceVerb::kControl)
       -> std::future<OpResult<Fn>> {
     using R = OpResult<Fn>;
     auto prom = std::make_shared<std::promise<R>>();
     std::future<R> fut = prom->get_future();
-    const TraceCtx ctx = begin_op(*vol, verb, ops_cost, background);
-    auto make_body = [this, prom, fn = std::move(fn)](TraceCtx ctx) mutable {
-      return [this, fn = std::move(fn), prom, ctx](Volume& v) mutable {
+    const TraceCtx ctx = begin_op(*vol, verb, ops_cost);
+    auto make_body = [this, prom, fn = std::move(fn)](
+                         std::shared_ptr<Volume> owner, TraceCtx ctx) mutable {
+      return [this, owner = std::move(owner), fn = std::move(fn), prom,
+              ctx]() mutable {
+        Volume& v = *owner;
         try {
           const std::uint64_t t_exec = start_body(v, ctx);
           const std::uint64_t io_before =
@@ -792,8 +748,8 @@ class VolumeManager {
         }
       };
     };
-    submit_op(std::move(vol), std::move(make_body), ctx, *prom,
-              background || bypass_gate, ops_cost, bytes_cost, background);
+    submit_op(std::move(vol), std::move(make_body), ctx, *prom, bypass_gate,
+              ops_cost, bytes_cost);
     return fut;
   }
 
@@ -812,22 +768,19 @@ class VolumeManager {
                 PendingSpan* pending) noexcept;
 
   /// Submit-side trace context of a new op on `vol`. Queue-wait accounting
-  /// without double timestamping: a foreground op stamps its submission
-  /// time only when it can actually wait — a QoS gate is armed or the
-  /// target shard's queue is non-empty (one relaxed peek; racy, but this is
-  /// a stats heuristic). The execute side then reuses the worker loop's
+  /// without double timestamping: an op stamps its submission time only
+  /// when it can actually wait — a QoS gate is armed or the target shard's
+  /// queue is non-empty (one relaxed peek; racy, but this is a stats
+  /// heuristic). The execute side then reuses the worker loop's
   /// task-boundary timestamp instead of reading the clock again, so the
-  /// common uncontended op pays for *zero* extra clock reads. Background
-  /// probes idle by design; their wait would only pollute the histogram.
-  /// While tracing is enabled every foreground op is stamped instead — a
-  /// full span needs its submit time unconditionally, and the slow-op check
-  /// must be exact, not sampled.
-  TraceCtx begin_op(Volume& vol, TraceVerb verb, double ops_cost,
-                    bool background) {
+  /// common uncontended op pays for *zero* extra clock reads. While tracing
+  /// is enabled every op is stamped instead — a full span needs its submit
+  /// time unconditionally, and the slow-op check must be exact, not
+  /// sampled.
+  TraceCtx begin_op(Volume& vol, TraceVerb verb, double ops_cost) {
     TraceCtx ctx;
     ctx.verb = verb;
     ctx.ops = ops_cost > 0 ? static_cast<std::uint32_t>(ops_cost) : 1;
-    if (background) return ctx;
     if (trace_.enabled()) {
       ctx.active = true;
       ctx.id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
@@ -861,8 +814,8 @@ class VolumeManager {
     return t_exec;
   }
 
-  /// Route the body `make_body(ctx)` builds to the volume: straight to its
-  /// shard when `ungated` or no QoS gate is armed, otherwise through the
+  /// Route the task `make_body(vol, ctx)` builds to the volume: straight to
+  /// its shard when `ungated` or no QoS gate is armed, otherwise through the
   /// gate, which runs the release thunk inline (admitted), keeps it for the
   /// pacer (queued) or drops it (rejected — `prom` then carries the
   /// backpressure signal). The thunk builds the body itself so a traced
@@ -870,16 +823,16 @@ class VolumeManager {
   template <typename MakeBody, typename Promise>
   void submit_op(std::shared_ptr<Volume> vol, MakeBody make_body, TraceCtx ctx,
                  Promise& prom, bool ungated, double ops_cost,
-                 double bytes_cost, bool background) {
+                 double bytes_cost) {
     if (ungated || !vol->gate.gated()) {
-      submit_chasing(std::move(vol), make_body(ctx), background);
+      dispatch(vol, make_body(vol, ctx));
       return;
     }
     Volume* gate_vol = vol.get();
     std::function<void()> release = [this, make_body = std::move(make_body),
                                      vol = std::move(vol), ctx]() mutable {
       if (ctx.active) ctx.t_admit = util::now_micros();
-      submit_chasing(std::move(vol), make_body(ctx), /*background=*/false);
+      dispatch(vol, make_body(vol, ctx));
     };
     // The gate counts the decision itself (the tenant's throttle series).
     if (gate_vol->gate.admit(ops_cost, bytes_cost, util::now_micros(),
@@ -911,8 +864,7 @@ class VolumeManager {
       std::vector<std::future<std::invoke_result_t<Fn&, Volume&>>> futs;
       futs.reserve(group.size());
       for (const auto& vol : group) {
-        futs.push_back(run_on(vol, fn, /*background=*/false, 0, 0,
-                              /*bypass_gate=*/true));
+        futs.push_back(run_on(vol, fn, 0, 0, /*bypass_gate=*/true));
       }
       for (std::size_t i = 0; i < group.size(); ++i) {
         try {

@@ -99,8 +99,7 @@ void WorkerPool::start_worker(std::size_t i) {
   s->alive.store(true, std::memory_order_release);
 }
 
-WorkerPool::WorkerPool(std::size_t shards, std::size_t bg_starvation_limit,
-                       bool pin_threads) {
+WorkerPool::WorkerPool(std::size_t shards, bool pin_threads) {
   pin_requested_ = pin_threads;
   if (pin_threads) {
 #if defined(__linux__)
@@ -110,7 +109,7 @@ WorkerPool::WorkerPool(std::size_t shards, std::size_t bg_starvation_limit,
   }
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(bg_starvation_limit));
+    shards_.push_back(std::make_unique<Shard>());
   }
   std::lock_guard<std::mutex> lk(lifecycle_mu_);
   for (std::size_t i = 0; i < shards; ++i) start_worker(i);

@@ -55,8 +55,7 @@ class WorkerPool {
   /// Most tasks a worker pops per queue lock acquisition.
   static constexpr std::size_t kDequeueChunk = 16;
 
-  WorkerPool(std::size_t shards, std::size_t bg_starvation_limit,
-             bool pin_threads = false);
+  explicit WorkerPool(std::size_t shards, bool pin_threads = false);
   /// Closes every queue, drains pending tasks, joins the threads.
   ~WorkerPool();
 
@@ -71,10 +70,9 @@ class WorkerPool {
   /// Sentinel returned by current_shard() off the pool's threads.
   static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
-  /// Shard index of the calling worker thread (kNoShard for API threads).
-  /// Lets a task detect that it was popped by a shard that no longer owns
-  /// its volume — possible for background tasks, which can linger in the
-  /// low-priority queue past a migration's foreground drain barrier.
+  /// Shard index of the calling worker thread (kNoShard for API threads):
+  /// the metrics slot a task writes, the group-commit window an append
+  /// joins, and the shard a trace span reports as its executor.
   [[nodiscard]] static std::size_t current_shard() noexcept;
 
   /// Monotonic micros at which the currently executing task was handed to
@@ -88,9 +86,6 @@ class WorkerPool {
   void submit(std::size_t shard, Task t, std::uint64_t flow = 0,
               std::uint32_t weight = 1) {
     shards_[shard]->queue.push(std::move(t), flow, weight);
-  }
-  void submit_background(std::size_t shard, Task t) {
-    shards_[shard]->queue.push_background(std::move(t));
   }
 
   // --- chaos hooks (fault injection) -----------------------------------------
@@ -159,9 +154,6 @@ class WorkerPool {
     std::atomic<bool> stop{false};
     std::atomic<bool> alive{false};
     std::thread thread;
-
-    explicit Shard(std::size_t bg_starvation_limit)
-        : queue(bg_starvation_limit) {}
   };
 
   /// Spawns (or re-spawns) shard i's worker on its existing queue and

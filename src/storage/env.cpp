@@ -88,8 +88,7 @@ void Env::invalidate_cached_file(const std::filesystem::path& path,
 }
 
 std::unique_ptr<WritableFile> Env::create_file(const std::string& name) {
-  if (faults_ != nullptr)
-    faults_->check(util::fault_point("env.create"), fault_volume_);
+  check_fault(util::fault_point("env.create"));
   // O_TRUNC reuses the existing inode: stale pages of the old contents must
   // not survive under the same (dev, ino) key.
   invalidate_cached_file(full(name), /*last_link_only=*/false);
@@ -130,8 +129,7 @@ std::uint64_t Env::link_count(const std::string& name) const {
 }
 
 void Env::delete_file(const std::string& name) {
-  if (faults_ != nullptr)
-    faults_->check(util::fault_point("env.delete"), fault_volume_);
+  check_fault(util::fault_point("env.delete"));
   // Removing the *last* hard link frees the inode for recycling; a later
   // file may be handed the same (dev, ino) and would alias any cached pages
   // left behind. Links held by other volumes (CoW-shared runs) keep the
@@ -144,8 +142,7 @@ void Env::delete_file(const std::string& name) {
 }
 
 void Env::rename_file(const std::string& from, const std::string& to) {
-  if (faults_ != nullptr)
-    faults_->check(util::fault_point("env.rename"), fault_volume_);
+  check_fault(util::fault_point("env.rename"));
   // rename over an existing target unlinks the target exactly like
   // delete_file would.
   invalidate_cached_file(full(to), /*last_link_only=*/true);
@@ -154,16 +151,14 @@ void Env::rename_file(const std::string& from, const std::string& to) {
 
 void Env::link_file_to(const std::string& name,
                        const std::filesystem::path& dst_dir) {
-  if (faults_ != nullptr)
-    faults_->check(util::fault_point("env.link"), fault_volume_);
+  check_fault(util::fault_point("env.link"));
   std::filesystem::create_hard_link(full(name), dst_dir / name);
   ++stats_.files_created;
 }
 
 void Env::copy_file_to(const std::string& name,
                        const std::filesystem::path& dst_dir) {
-  if (faults_ != nullptr)
-    faults_->check(util::fault_point("env.copy"), fault_volume_);
+  check_fault(util::fault_point("env.copy"));
   std::filesystem::copy_file(full(name), dst_dir / name,
                              std::filesystem::copy_options::overwrite_existing);
   const std::uint64_t bytes = std::filesystem::file_size(dst_dir / name);
@@ -234,8 +229,7 @@ void WritableFile::append(std::span<const std::uint8_t> data) {
 
 void WritableFile::sync() {
   if (fd_ < 0) return;
-  if (env_.faults_ != nullptr)
-    env_.faults_->check(util::fault_point("env.sync"), env_.fault_volume_);
+  env_.check_fault(util::fault_point("env.sync"));
   if (!env_.sync_enabled_) return;
   const std::uint64_t start = util::now_micros();
   if (::fsync(fd_) < 0) throw_errno("fsync");

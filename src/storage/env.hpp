@@ -143,14 +143,16 @@ class Env {
   /// Attach the fault-injection registry (borrowed; must outlive the Env)
   /// and the volume name its actions target. create_file, link_file_to,
   /// copy_file_to, rename_file, delete_file and WritableFile::append/sync
-  /// then fire the env.* points (see util/fault_points.hpp). Null (the
-  /// default) disables injection.
+  /// then fire the env.* points (see util/fault_points.hpp), and the
+  /// BacklogDb over this Env fires its cp.* points through check_fault().
+  /// Null (the default) disables injection.
   void set_faults(util::FaultPoints* faults, std::string volume) {
     faults_ = faults;
     fault_volume_ = std::move(volume);
   }
-  [[nodiscard]] const std::string& fault_volume() const noexcept {
-    return fault_volume_;
+  /// Fires `point` (a util::fault_point index) for this Env's volume.
+  void check_fault(std::size_t point) const {
+    if (faults_ != nullptr) faults_->check(point, fault_volume_);
   }
 
   /// Names (not paths) of regular files directly under the root, sorted.

@@ -637,9 +637,7 @@ TEST(BacklogDb, FailedManifestEditLeavesTheDbRetryable) {
     bu::FaultPoints faults;
     bs::Env env(dir.path());
     env.set_faults(&faults, "v");
-    bc::BacklogOptions opts;
-    opts.faults = &faults;
-    bc::BacklogDb db(env, opts);
+    bc::BacklogDb db(env);
     for (std::uint64_t b = 0; b < 100; ++b) db.add_reference(key(b));
     // The runs are written when "cp.flushed" fires; the next append is the
     // manifest edit's.
@@ -1026,10 +1024,8 @@ bool run_scenario(const SweepScenario& sc, const std::filesystem::path& dir,
   bu::FaultPoints faults;
   bs::Env env(dir);
   env.set_sync(false);  // the points still fire; reopen reads the page cache
-  env.set_faults(&faults, "sweep");
-  bc::BacklogOptions opts = sc.opts;
-  opts.faults = &faults;  // the cp.* landmarks
-  bc::BacklogDb db(env, opts);
+  env.set_faults(&faults, "sweep");  // the env.* points and cp.* landmarks
+  bc::BacklogDb db(env, sc.opts);
   sc.setup(db);
   if (!arm) return false;
   arm(faults);

@@ -212,7 +212,7 @@ TEST(FleetSim, JsonEscapeHostileStrings) {
 // --- shard kill/restart -------------------------------------------------------
 
 TEST(FleetSim, KilledShardQueuesWorkAndRestartDrainsIt) {
-  bsvc::WorkerPool pool(2, 8);
+  bsvc::WorkerPool pool(2);
   ASSERT_TRUE(pool.shard_alive(0));
   ASSERT_TRUE(pool.kill_shard(0));
   EXPECT_FALSE(pool.shard_alive(0));
@@ -244,7 +244,7 @@ TEST(FleetSim, KilledShardQueuesWorkAndRestartDrainsIt) {
 TEST(FleetSim, PoolTeardownWithDeadShardDropsNothing) {
   std::atomic<int> ran{0};
   {
-    bsvc::WorkerPool pool(1, 8);
+    bsvc::WorkerPool pool(1);
     ASSERT_TRUE(pool.kill_shard(0));
     for (int i = 0; i < 25; ++i) {
       pool.submit(0, bsvc::Task([&] { ran.fetch_add(1); }));

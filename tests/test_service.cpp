@@ -1,5 +1,5 @@
 // Tests of the multi-tenant volume service: tenant routing, the worker
-// pool's foreground/background interleaving, cross-volume isolation,
+// pool's interleaving of ops and maintenance probes, cross-volume isolation,
 // options validation, QuickStats bookkeeping, and a concurrent multi-tenant
 // stress test verified against per-trace ground truth (run under
 // ThreadSanitizer in CI).
@@ -168,9 +168,10 @@ TEST(Service, QueryWhileMaintenanceOnOneShard) {
   }
   ASSERT_GE(vm.quick_stats("alice").get().l0_runs(), 12u);
 
-  // Hold the shard on a gate task so the probe stays queued while we check
-  // the one-probe-in-flight rule, then flood the shard with foreground
-  // queries for both tenants plus updates for bob.
+  // Hold the shard on a gate task so the probe stays queued (in alice's
+  // flow, behind the gate task) while we check the one-probe-in-flight
+  // rule, then flood the shard with queries for both tenants plus updates
+  // for bob.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   auto blocker = vm.with_db("alice", [released](bc::BacklogDb&) { released.wait(); });
@@ -196,8 +197,9 @@ TEST(Service, QueryWhileMaintenanceOnOneShard) {
     EXPECT_EQ(queries[i].get().size(), 1u);
   }
 
-  // The background probe eventually runs and compacts alice down to the
-  // single post-maintenance From run holding the live records.
+  // The probe runs once the gate task releases alice's flow and compacts
+  // alice down to the single post-maintenance From run holding the live
+  // records.
   for (int spin = 0; spin < 100; ++spin) {
     if (vm.stats().tenants.at("alice").maintenance_runs > 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -7,8 +7,8 @@
 // global operator new — a warmed ShardQueue push/pop_many cycle performs
 // *zero* heap allocations, and an apply_batch call allocates O(1) on the
 // API thread regardless of batch size; (b) chunked dequeue (pop_many) is
-// schedule-equivalent to repeated pop() — stride fairness and the
-// background anti-starvation rule hold inside chunks; (c) the batch verbs
+// schedule-equivalent to repeated pop() — stride fairness and per-flow
+// FIFO hold inside chunks; (c) the batch verbs
 // keep per-tenant FIFO order against interleaved single queries, validate
 // atomically with and without the WAL, and match the sequential
 // add/remove callbacks' pruning semantics exactly;
@@ -187,8 +187,8 @@ TEST(InlineTask, OversizedCapturesSpillToHeapAndDestroyOnce) {
 
 // --- chunked dequeue ---------------------------------------------------------
 
-TEST(ShardQueue, PopManyKeepsStrideFairnessAndBgAntiStarvation) {
-  bsvc::ShardQueue q(/*bg_starvation_limit=*/4);
+TEST(ShardQueue, PopManyKeepsStrideFairnessAndFlowFifo) {
+  bsvc::ShardQueue q;
   std::vector<int> order;
   std::vector<int> seq1, seq2;
   for (int i = 0; i < 16; ++i) {
@@ -207,9 +207,6 @@ TEST(ShardQueue, PopManyKeepsStrideFairnessAndBgAntiStarvation) {
         },
         /*flow=*/2);
   }
-  for (int i = 0; i < 4; ++i) {
-    q.push_background([&order] { order.push_back(0); });
-  }
   q.close();
 
   std::vector<bsvc::Task> chunk;
@@ -223,9 +220,9 @@ TEST(ShardQueue, PopManyKeepsStrideFairnessAndBgAntiStarvation) {
     max_chunk = std::max(max_chunk, n);
     for (bsvc::Task& t : chunk) t();
   }
-  ASSERT_EQ(order.size(), 36u);
+  ASSERT_EQ(order.size(), 32u);
   EXPECT_EQ(max_chunk, 8u) << "dequeue never actually chunked";
-  EXPECT_LE(chunks, 6u);
+  EXPECT_EQ(chunks, 4u);
 
   // Stride fairness holds inside chunks: both flows appear early and often.
   EXPECT_GE(std::count(order.begin(), order.begin() + 8, 1), 3);
@@ -235,15 +232,6 @@ TEST(ShardQueue, PopManyKeepsStrideFairnessAndBgAntiStarvation) {
     EXPECT_EQ(seq1[i], i);
     EXPECT_EQ(seq2[i], i);
   }
-  // The 1-in-4 anti-starvation rule fired *inside* a chunk: the first
-  // background task ran after exactly 4 foreground tasks, and all
-  // background work finished before the foreground backlog drained.
-  const auto first_bg = std::find(order.begin(), order.end(), 0);
-  ASSERT_NE(first_bg, order.end());
-  EXPECT_EQ(first_bg - order.begin(), 4);
-  const auto last_bg =
-      std::find(order.rbegin(), order.rend(), 0).base() - order.begin();
-  EXPECT_LT(last_bg, 32);
 }
 
 TEST(ShardQueue, SteadyStatePushPopManyIsAllocationFree) {

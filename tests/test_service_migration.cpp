@@ -7,10 +7,13 @@
 // here with per-volume op checksums against trace ground truth; (c) other
 // tenants never block on a migration; (d) per-tenant FIFO order survives the
 // handoff (queries racing 20+ migrations always observe their preceding
-// writes).
+// writes); (e) a maintenance probe, an ordinary task of its volume's flow,
+// only ever runs on the shard that owns the volume.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,12 +24,14 @@
 #include "query_one.hpp"
 #include "service/service.hpp"
 #include "storage/env.hpp"
+#include "util/fault_points.hpp"
 #include "util/hash.hpp"
 
 namespace bc = backlog::core;
 namespace bf = backlog::fsim;
 namespace bs = backlog::storage;
 namespace bsvc = backlog::service;
+namespace bu = backlog::util;
 using backlog::testing::query_one;
 
 namespace {
@@ -365,4 +370,115 @@ TEST(ServiceMigration, ConcurrentStressNoLostOrDuplicatedUpdates) {
   EXPECT_EQ(stats.total.migrations, total_migrations);
   EXPECT_GT(stats.total.snapshots, 0u);
   EXPECT_GT(stats.total.clones, 0u);
+}
+
+TEST(ServiceMigration, MaintenanceProbesRunOnlyOnTheOwningShard) {
+  // A probe queued for a volume must never touch it on a shard that no
+  // longer owns it: not when it was queued ahead of a handoff's park, not
+  // when it parked with the handoff, and not while the volume ping-pongs
+  // between shards. Every pass creates run files, so an env.create callback
+  // compares the hitting shard with the routing table. The write store
+  // stays empty, so no drain forces a CP and every hit is a maintenance
+  // pass.
+  bs::TempDir dir;
+  bu::FaultPoints faults;
+  bsvc::ServiceOptions o = service_options(dir, 3);
+  o.faults = &faults;
+  bsvc::VolumeManager vm(o);
+  vm.open_volume("alice");
+  bc::BlockNo next = 1;
+  for (int cp = 0; cp < 4; ++cp) {
+    std::vector<bsvc::UpdateOp> batch;
+    for (int i = 0; i < 50; ++i) batch.push_back(add(next++));
+    vm.apply_batch("alice", std::move(batch)).get();
+    vm.consistency_point("alice").get();
+  }
+
+  std::atomic<std::uint64_t> creates{0}, misplaced{0};
+  faults.arm("env.create", bu::FaultAction::call([&] {
+                             creates.fetch_add(1);
+                             if (bsvc::WorkerPool::current_shard() !=
+                                 vm.current_shard("alice"))
+                               misplaced.fetch_add(1);
+                           }).on("alice"));
+  bsvc::MaintenancePolicy policy;
+  policy.l0_run_threshold = 0;  // every probe runs a pass
+  const auto runs = [&] {
+    return vm.stats().tenants.at("alice").maintenance_runs;
+  };
+  const auto wait_for_runs = [&](std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (runs() < n && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(runs(), n);
+  };
+
+  // A with_db blocker holds the source shard while the probe is queued
+  // ahead of the park (it runs there before the drain barrier) or behind
+  // it (it parks and replays on the target).
+  std::uint64_t probes = 0;
+  for (int round = 0; round < 6; ++round) {
+    const bool probe_first = round % 2 == 0;
+    const std::size_t src = vm.current_shard("alice");
+    const std::size_t dst = (src + 1) % vm.shard_count();
+    std::promise<void> started, release;
+    std::shared_future<void> released = release.get_future().share();
+    auto blocker = vm.with_db("alice", [&started, released](bc::BacklogDb&) {
+      started.set_value();
+      released.wait();
+    });
+    started.get_future().wait();
+    if (probe_first) {
+      ASSERT_TRUE(vm.schedule_maintenance("alice", policy));
+    }
+    auto moved = std::async(std::launch::async,
+                            [&] { return vm.migrate_volume("alice", dst); });
+    // The drain barrier reaches the held queue only once the volume is
+    // parked.
+    while (vm.shard_loads()[src].queue_depth < (probe_first ? 2u : 1u))
+      std::this_thread::yield();
+    if (!probe_first) {
+      ASSERT_TRUE(vm.schedule_maintenance("alice", policy));
+    }
+    release.set_value();
+    blocker.get();
+    const bsvc::MigrationStats ms = moved.get();
+    EXPECT_TRUE(ms.moved);
+    EXPECT_FALSE(ms.forced_cp);
+    if (!probe_first) {
+      EXPECT_EQ(ms.replayed_tasks, 1u);
+    }
+    wait_for_runs(++probes);
+  }
+
+  // Ping-pong: one thread keeps moving the volume while this one keeps
+  // scheduling probes.
+  std::atomic<bool> done{false};
+  std::thread migrator([&] {
+    for (int i = 0; i < 40; ++i) {
+      const std::size_t to = (vm.current_shard("alice") + 1) % vm.shard_count();
+      EXPECT_FALSE(vm.migrate_volume("alice", to).forced_cp);
+    }
+    done.store(true);
+  });
+  while (!done.load()) {
+    if (vm.schedule_maintenance("alice", policy)) ++probes;
+    std::this_thread::yield();
+  }
+  migrator.join();
+  wait_for_runs(probes);
+
+  EXPECT_GT(creates.load(), 0u);
+  EXPECT_EQ(misplaced.load(), 0u) << "of " << creates.load() << " creates";
+  EXPECT_GT(runs(), 0u);
+  EXPECT_EQ(vm.quick_stats("alice").get().ws_entries, 0u);
+  std::size_t live = 0;
+  vm.with_db("alice",
+             [&](bc::BacklogDb& db) {
+               for (const auto& rec : db.scan_all())
+                 if (rec.to == bc::kInfinity) ++live;
+             })
+      .get();
+  EXPECT_EQ(live, 200u);
 }

@@ -453,9 +453,7 @@ TEST(ManifestReplay, BatchLoggedAfterAFailedCpSurvivesACrashBeforeTheRetry) {
       bu::FaultPoints faults;
       bs::Env env(dir.path());
       env.set_faults(&faults, "v");
-      bc::BacklogOptions opts;
-      opts.faults = &faults;
-      bc::BacklogDb db(env, opts);
+      bc::BacklogDb db(env);
       bc::Wal wal(env);
       const auto log_batch = [&](bc::BlockNo first) {
         const std::vector<bsvc::UpdateOp> ops = record_ops(first, 100);
