@@ -506,11 +506,10 @@ int run(const Config& cfg) {
   const std::vector<bfs::ArrivalEvent> schedule =
       bfs::build_arrival_schedule(olo);
 
-  // The PR 6 observability substrate is the SLO source: MetricsPoller for
-  // windowed rates, the registry queue-wait histogram for the fleet row,
+  // The observability substrate is the SLO source: MetricsPoller for the
+  // run's update rate, the registry queue-wait histogram for the fleet row,
   // per-tenant ServiceStats histograms for the per-class verdicts.
-  bsvc::MetricsPoller poller(vm, std::chrono::milliseconds(250));
-  poller.start();
+  bsvc::MetricsPoller poller(vm);
 
   // Chaos substrate: ground-truth verifier fleet + churn volumes +
   // aggressive balancer + the chaos actor itself.
@@ -567,6 +566,10 @@ int run(const Config& cfg) {
   }
 
   // --- the open-loop dispatcher ---------------------------------------------
+  // Prime the poller after calibration and chaos setup: its one window then
+  // covers dispatch, drain and the verifier epilogue, so every offered
+  // update op is inside it.
+  poller.poll_once();
   Reaper reaper;
   std::thread reaper_threads[2];
   for (auto& rt : reaper_threads) rt = std::thread([&] { reaper.run(); });
@@ -657,7 +660,6 @@ int run(const Config& cfg) {
     }
   }
 
-  poller.stop();
   const bsvc::RateSample rates = poller.poll_once();
   bsvc::ServiceStats stats = vm.stats();
 
@@ -732,6 +734,7 @@ int run(const Config& cfg) {
       .num("fleet_p99_queue_wait_us", fleet_wait.p99())
       .num("fleet_max_queue_wait_us", fleet_wait.max_micros())
       .num("poller_update_ops_per_sec", rates.update_ops_per_sec)
+      .num("poller_window_s", rates.window_seconds)
       .num("hardware_concurrency", cores);
   fleet_row.print();
 

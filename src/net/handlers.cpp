@@ -130,7 +130,7 @@ void ServiceHost::stop() {
 }
 
 ServiceEndpoint::ServiceEndpoint(service::VolumeManager& vm)
-    : vm_(vm), poller_(vm, std::chrono::milliseconds(100)) {
+    : vm_(vm), poller_(vm) {
   register_handlers();
 }
 

@@ -38,31 +38,13 @@ Balancer::Balancer(VolumeManager& vm, BalancerPolicy policy)
 Balancer::~Balancer() { stop(); }
 
 void Balancer::start() {
-  std::lock_guard lock(thread_mu_);
-  if (thread_.joinable() || stop_) return;
-  thread_ = std::thread([this] { loop(); });
+  if (tick_ == 0)
+    tick_ = vm_.ticker().every(policy_.poll_interval, [this] { run_once(); });
 }
 
 void Balancer::stop() {
-  {
-    std::lock_guard lock(thread_mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  // Join so callers observe stable moves()/history() afterwards (a cycle in
-  // flight completes its handoffs first).
-  if (thread_.joinable()) thread_.join();
-}
-
-void Balancer::loop() {
-  std::unique_lock lock(thread_mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, policy_.poll_interval, [&] { return stop_; });
-    if (stop_) break;
-    lock.unlock();
-    run_once();
-    lock.lock();
-  }
+  vm_.ticker().cancel(tick_);
+  tick_ = 0;
 }
 
 std::vector<BalancerMove> Balancer::run_once() {

@@ -1,7 +1,7 @@
 // Balancer — autonomous load-balancing placement on top of migrate_volume.
 //
-// PR 2 built the *mechanism* (live drain/park/replay migration); this is the
-// *policy*: a control thread that periodically
+// migrate_volume is the *mechanism* (live drain/park/replay migration); this
+// is the *policy*: a cycle, run periodically on the service's ticker, that
 //
 //   1. polls the per-shard load signals (queue depth, task-latency EWMA —
 //      see WorkerPool) and every volume's dispatched-op counter, differencing
@@ -27,19 +27,18 @@
 //   * min_load_to_act — an idle service is never shuffled.
 //
 // run_once() takes an explicit timestamp and returns the moves it made, so
-// tests drive convergence deterministically; start() runs the same cycle on
-// a timer thread.
+// tests drive convergence deterministically; start() registers the same
+// cycle on the service's ticker (see ticker.hpp: a blocked handoff delays
+// the ticker's other callbacks).
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/volume_manager.hpp"
@@ -75,7 +74,7 @@ struct BalancerMove {
 
 class Balancer {
  public:
-  /// Does not start the thread; call start() or drive run_once() directly.
+  /// Does not start cycling; call start() or drive run_once() directly.
   /// `vm` must outlive this object.
   explicit Balancer(VolumeManager& vm, BalancerPolicy policy = {});
   ~Balancer();
@@ -83,15 +82,15 @@ class Balancer {
   Balancer(const Balancer&) = delete;
   Balancer& operator=(const Balancer&) = delete;
 
-  /// Start the periodic thread (idempotent).
+  /// Run a cycle every poll_interval on vm.ticker() (idempotent).
   void start();
-  /// Stop and join it (idempotent; also called by the destructor): a cycle
-  /// in flight completes its handoffs first, and moves()/history() are
-  /// stable once this returns. Call start/stop from one thread.
+  /// Stop cycling (idempotent; also called by the destructor): a cycle in
+  /// flight completes its handoffs first, and moves()/history() are stable
+  /// once this returns. Call start/stop from one thread.
   void stop();
 
   /// One rebalancing cycle at `now_micros`; returns the moves made.
-  /// Thread-safe against the periodic thread (cycles serialize).
+  /// Thread-safe against the periodic cycle (cycles serialize).
   std::vector<BalancerMove> run_once(std::uint64_t now_micros);
   std::vector<BalancerMove> run_once();  ///< … at the current wall clock
 
@@ -111,12 +110,10 @@ class Balancer {
   [[nodiscard]] std::vector<BalancerMove> history() const;
 
  private:
-  void loop();
-
   VolumeManager& vm_;
   BalancerPolicy policy_;
 
-  mutable std::mutex cycle_mu_;  // serializes run_once with the periodic thread
+  mutable std::mutex cycle_mu_;  // serializes run_once with the periodic cycle
   // Previous dispatched-op reading per tenant (cycle_mu_).
   std::map<std::string, std::uint64_t> prev_ops_;
   // Last completed move per tenant, for the cooldown (cycle_mu_).
@@ -135,10 +132,7 @@ class Balancer {
   MetricsRegistry::Counter* m_moves_;
   MetricsRegistry::Gauge* g_imbalance_;
 
-  std::mutex thread_mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
+  Ticker::Id tick_ = 0;  // the periodic cycle's registration; 0 when stopped
 };
 
 }  // namespace backlog::service

@@ -12,49 +12,30 @@ MaintenanceScheduler::MaintenanceScheduler(VolumeManager& vm,
       m_probes_(&vm.metrics().counter(
           "backlog_maintenance_probes_total",
           "Background maintenance probes handed to shards")),
-      thread_([this] { loop(); }) {}
+      tick_(vm.ticker().every(policy_.poll_interval, [this] { sweep(); })) {}
 
-MaintenanceScheduler::~MaintenanceScheduler() {
-  stop();
-  if (thread_.joinable()) thread_.join();
-}
+MaintenanceScheduler::~MaintenanceScheduler() { stop(); }
 
-void MaintenanceScheduler::stop() {
-  {
-    std::lock_guard lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-}
+void MaintenanceScheduler::stop() { vm_.ticker().cancel(tick_); }
 
-void MaintenanceScheduler::loop() {
-  std::unique_lock lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, policy_.poll_interval, [&] { return stop_; });
-    if (stop_) break;
-    lock.unlock();
-
-    const std::vector<std::string> tenants = vm_.tenants();
-    if (!tenants.empty()) {
-      std::size_t handed_out = 0;
-      const std::size_t start = cursor_ % tenants.size();
-      for (std::size_t i = 0;
-           i < tenants.size() && handed_out < policy_.budget_per_sweep; ++i) {
-        const std::size_t idx = (start + i) % tenants.size();
-        if (vm_.schedule_maintenance(tenants[idx], policy_)) {
-          ++handed_out;
-          m_probes_->add(metric_slot_);
-          // Next sweep resumes after the tenant just served.
-          cursor_ = idx + 1;
-        }
+void MaintenanceScheduler::sweep() {
+  const std::vector<std::string> tenants = vm_.tenants();
+  if (!tenants.empty()) {
+    std::size_t handed_out = 0;
+    const std::size_t start = cursor_ % tenants.size();
+    for (std::size_t i = 0;
+         i < tenants.size() && handed_out < policy_.budget_per_sweep; ++i) {
+      const std::size_t idx = (start + i) % tenants.size();
+      if (vm_.schedule_maintenance(tenants[idx], policy_)) {
+        ++handed_out;
+        m_probes_->add(metric_slot_);
+        // Next sweep resumes after the tenant just served.
+        cursor_ = idx + 1;
       }
-      if (handed_out == 0) cursor_ = start + 1;
     }
-    sweeps_.fetch_add(1, std::memory_order_relaxed);
-    m_sweeps_->add(metric_slot_);
-
-    lock.lock();
+    if (handed_out == 0) cursor_ = start + 1;
   }
+  m_sweeps_->add(metric_slot_);
 }
 
 }  // namespace backlog::service

@@ -176,9 +176,7 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-MetricsPoller::MetricsPoller(VolumeManager& vm,
-                             std::chrono::milliseconds interval)
-    : vm_(vm), interval_(interval) {
+MetricsPoller::MetricsPoller(VolumeManager& vm) : vm_(vm) {
   MetricsRegistry& reg = vm.metrics();
   for (const RateSeries& r : kRates)
     g_rates_.push_back(&reg.gauge(r.gauge, r.help));
@@ -190,38 +188,6 @@ MetricsPoller::MetricsPoller(VolumeManager& vm,
         "backlog_shard_busy_fraction",
         "Fraction of wall time the shard thread spent executing tasks",
         "shard=\"" + std::to_string(i) + "\""));
-  }
-}
-
-MetricsPoller::~MetricsPoller() { stop(); }
-
-void MetricsPoller::start() {
-  {
-    const std::lock_guard<std::mutex> lock(stop_mu_);
-    if (thread_.joinable()) return;
-    stopping_ = false;
-  }
-  thread_ = std::thread([this] { loop(); });
-}
-
-void MetricsPoller::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(stop_mu_);
-    stopping_ = true;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void MetricsPoller::loop() {
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  while (!stopping_) {
-    if (stop_cv_.wait_for(lock, interval_, [this] { return stopping_; })) {
-      return;
-    }
-    lock.unlock();
-    poll_once();
-    lock.lock();
   }
 }
 

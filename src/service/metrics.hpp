@@ -24,15 +24,13 @@
 //
 // MetricsPoller turns cumulative service totals (VolumeManager::stats(),
 // whose counters are these family totals, plus the WorkerPool busy clock)
-// into windowed rates: ops/s, queries/s, throttles/s, cache-free IO bytes/s
-// (the Env only charges cache-miss reads, so read rates are cache-free by
-// construction) and per-shard busy fraction. poll_once() takes an explicit
-// timestamp so tests get deterministic windows.
+// into windowed rates on demand: ops/s, queries/s, throttles/s, cache-free
+// IO bytes/s (the Env only charges cache-miss reads, so read rates are
+// cache-free by construction) and per-shard busy fraction. poll_once()
+// takes an explicit timestamp so tests get deterministic windows.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -40,7 +38,6 @@
 #include <mutex>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/service_stats.hpp"
@@ -254,23 +251,20 @@ struct RateSample {
   std::vector<double> shard_busy_fraction;  ///< per shard, 0..1
 };
 
-/// Periodically (or on demand) diffs the service's lifetime totals
+/// Diffs, on demand, the service's lifetime totals
 /// (VolumeManager::stats().total) and the WorkerPool busy clocks into rates
 /// and mirrors them into registry gauges (backlog_update_ops_per_sec,
 /// backlog_shard_busy_fraction{shard="k"}, ...). The first poll primes the
-/// window and reports zero rates.
+/// window and reports zero rates. It has no thread: the gauges refresh only
+/// when someone calls poll_once() (backlogd does on each `poll_rates`
+/// request).
 class MetricsPoller {
  public:
-  /// Registers its gauges in vm.metrics(). Does not start a thread; call
-  /// start() for background polling or poll_once() to drive it manually.
-  MetricsPoller(VolumeManager& vm, std::chrono::milliseconds interval);
-  ~MetricsPoller();
+  /// Registers its gauges in vm.metrics().
+  explicit MetricsPoller(VolumeManager& vm);
 
   MetricsPoller(const MetricsPoller&) = delete;
   MetricsPoller& operator=(const MetricsPoller&) = delete;
-
-  void start();
-  void stop();
 
   /// One deterministic sample: scrape cumulative stats, diff against the
   /// previous sample over (`now_micros` - prev stamp). Thread-safe.
@@ -282,10 +276,7 @@ class MetricsPoller {
   [[nodiscard]] RateSample last() const;
 
  private:
-  void loop();
-
   VolumeManager& vm_;
-  std::chrono::milliseconds interval_;
 
   mutable std::mutex mu_;
   bool primed_ = false;
@@ -296,11 +287,6 @@ class MetricsPoller {
 
   std::vector<MetricsRegistry::Gauge*> g_rates_;  ///< one per rate series
   std::vector<MetricsRegistry::Gauge*> g_busy_;
-
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stopping_ = false;
-  std::thread thread_;
 };
 
 }  // namespace backlog::service

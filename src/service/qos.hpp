@@ -5,10 +5,11 @@
 //  * admission control — a pair of token buckets (operations/s and bytes/s)
 //    consulted at enqueue time, on the API thread, before a foreground task
 //    reaches its shard. An op that doesn't fit waits in a bounded per-volume
-//    FIFO; a dedicated pacer thread releases waiters as tokens refill. When
-//    the wait queue is full the op is rejected immediately with
-//    ErrorCode::kThrottled (surfaced through the returned future) — the
-//    backpressure signal a client of the service is expected to handle.
+//    FIFO; a pacer on the service's ticker releases waiters every 1 ms as
+//    tokens refill. When the wait queue is full the op is rejected
+//    immediately with ErrorCode::kThrottled (surfaced through the returned
+//    future) — the backpressure signal a client of the service is expected
+//    to handle.
 //    Batched verbs (apply_batch / query_batch) are one admission unit:
 //    the gate is consulted once with the batch's total cost, the batch
 //    occupies one wait-queue slot, and a rejection fails the whole batch
@@ -189,9 +190,9 @@ struct QosSnapshot {
 };
 
 /// The per-volume QoS gate: buckets + bounded wait queue. Admission runs on
-/// API threads; drain() runs on the service's pacer thread; close() runs on
-/// the volume-lifecycle paths. All three serialize on one small mutex; the
-/// no-QoS fast path is a single relaxed atomic load.
+/// API threads; drain() runs on the service's ticker thread (the pacer);
+/// close() runs on the volume-lifecycle paths. All three serialize on one
+/// small mutex; the no-QoS fast path is a single relaxed atomic load.
 class QosGate {
  public:
   /// Install (or replace) the tenant's QoS. Buckets reset to the new burst;

@@ -5,9 +5,12 @@
 //   Balancer              — autonomous load-balancing placement
 //   TenantQos / QosGate   — per-tenant admission control + fair scheduling
 //   MetricsRegistry       — named counters/gauges/histograms, per-volume
-//                           children, rate poller: each statistic's one record
+//                           children, on-demand rate poller: each
+//                           statistic's one record
 //   ServiceStats          — snapshot of it: per-tenant rows + lifetime total
 //   TraceRing / TraceSpan — sampled per-op tracing and slow-op forensics
+//   Ticker                — the one thread that runs the periodic loops
+//                           (QoS pacer, maintenance sweep, balancer cycle)
 //
 // See volume_manager.hpp for the threading model.
 #pragma once
@@ -18,6 +21,7 @@
 #include "service/qos.hpp"
 #include "service/service_stats.hpp"
 #include "service/shard_queue.hpp"
+#include "service/ticker.hpp"
 #include "service/trace.hpp"
 #include "service/volume_manager.hpp"
 #include "service/worker_pool.hpp"

@@ -9,7 +9,6 @@
 #include <set>
 #include <stdexcept>
 #include <system_error>
-#include <thread>
 
 #include "util/clock.hpp"
 
@@ -25,7 +24,7 @@ namespace {
 constexpr char kCloneStagingSuffix[] = ".cloning";
 
 /// How often the QoS pacer re-checks throttled volumes' wait queues. The
-/// pacer thread only exists once some volume has a QoS configured.
+/// pacer is registered on the ticker once some volume has a QoS configured.
 constexpr std::chrono::milliseconds kQosPacerInterval{1};
 
 /// Capacity of each shard's slow-op log (oldest evicted).
@@ -498,10 +497,11 @@ void VolumeManager::recover_volume_on_shard(
 }
 
 VolumeManager::~VolumeManager() {
-  // Stop the pacer first, then flush every gate: a throttled op still
-  // waiting for tokens must reach its shard (and its promise) before the
-  // pool drains — stranding promises at teardown would hang callers.
-  stop_pacer();
+  // Stop the ticker first (the pacer with it), then flush every gate: a
+  // throttled op still waiting for tokens must reach its shard (and its
+  // promise) before the pool drains — stranding promises at teardown would
+  // hang callers.
+  ticker_.stop();
   std::vector<std::shared_ptr<Volume>> vols;
   {
     std::lock_guard lock(mu_);
@@ -510,47 +510,26 @@ VolumeManager::~VolumeManager() {
   for (const auto& vol : vols) vol->gate.clear();
 }
 
-void VolumeManager::ensure_pacer() {
-  std::lock_guard lock(pacer_mu_);
-  if (pacer_.joinable()) return;
-  pacer_ = std::thread([this] { pacer_loop(); });
-}
-
-void VolumeManager::stop_pacer() {
-  {
-    std::lock_guard lock(pacer_mu_);
-    pacer_stop_ = true;
-  }
-  pacer_cv_.notify_all();
-  if (pacer_.joinable()) pacer_.join();
-}
-
-void VolumeManager::pacer_loop() {
-  std::unique_lock lock(pacer_mu_);
-  while (!pacer_stop_) {
-    pacer_cv_.wait_for(lock, kQosPacerInterval,
-                       [&] { return pacer_stop_; });
-    if (pacer_stop_) break;
-    lock.unlock();
-    std::vector<std::shared_ptr<Volume>> gated;
-    {
-      std::lock_guard l(mu_);
-      for (const auto& [name, vol] : volumes_) {
-        if (vol->gate.gated()) gated.push_back(vol);
-      }
-    }
-    const std::uint64_t now = now_micros();
-    for (const auto& vol : gated) vol->gate.drain(now);
-    lock.lock();
-  }
-}
-
 void VolumeManager::set_qos(const std::string& tenant, const TenantQos& qos) {
   validate_qos(qos);
   const std::shared_ptr<Volume> vol = find(tenant);
   vol->gate.configure(qos, now_micros());
   vol->qos_weight.store(qos.weight, std::memory_order_relaxed);
-  ensure_pacer();
+  // The first QoS starts the pacer, which drains the gated volumes' wait
+  // queues as their tokens refill.
+  std::call_once(pacer_once_, [this] {
+    ticker_.every(kQosPacerInterval, [this] {
+      std::vector<std::shared_ptr<Volume>> gated;
+      {
+        std::lock_guard l(mu_);
+        for (const auto& [name, v] : volumes_) {
+          if (v->gate.gated()) gated.push_back(v);
+        }
+      }
+      const std::uint64_t now = now_micros();
+      for (const auto& v : gated) v->gate.drain(now);
+    });
+  });
 }
 
 void VolumeManager::clear_qos(const std::string& tenant) {

@@ -20,18 +20,17 @@
 // weighted-fair flow in its shard's queue), and the park/replay handoff of a
 // migration preserves that order end to end. Per-tenant QoS (set_qos)
 // inserts a token-bucket gate *before* the queue: throttled ops wait in a
-// bounded per-volume FIFO drained by a pacer thread, and every later op of
-// that tenant — metered or not — queues behind them, so the ordering
-// guarantee survives throttling. A background maintenance probe is an
-// ordinary task of its volume's flow, FIFO behind the volume's earlier ops;
-// it skips the volume whenever the write store is non-empty — maintenance
-// never interposes inside a tenant's CP window.
+// bounded per-volume FIFO drained by a pacer on the service's ticker (see
+// ticker.hpp), and every later op of that tenant — metered or not — queues
+// behind them, so the ordering guarantee survives throttling. A background
+// maintenance probe is an ordinary task of its volume's flow, FIFO behind
+// the volume's earlier ops; it skips the volume whenever the write store is
+// non-empty — maintenance never interposes inside a tenant's CP window.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
@@ -44,7 +43,6 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -55,6 +53,7 @@
 #include "service/metrics.hpp"
 #include "service/qos.hpp"
 #include "service/service_stats.hpp"
+#include "service/ticker.hpp"
 #include "service/trace.hpp"
 #include "service/worker_pool.hpp"
 #include "storage/block_cache.hpp"
@@ -488,6 +487,10 @@ class VolumeManager {
   /// counters with one uncontended relaxed store). Scrape with
   /// to_prometheus()/to_json(); windowed rates come from MetricsPoller.
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
+
+  /// The thread that runs the service's periodic loops (see ticker.hpp).
+  /// MaintenanceScheduler and Balancer register on it.
+  [[nodiscard]] Ticker& ticker() noexcept { return ticker_; }
 
   /// Adjust tracing at runtime (overrides the ServiceOptions seeds, applies
   /// to ops submitted after the call). sample_every=0 disables sampling,
@@ -960,12 +963,6 @@ class VolumeManager {
   void finish_deferred_trace(Volume& v, const TraceCtx& ctx, TraceSpan s,
                              std::uint64_t t_ack) noexcept;
 
-  /// Lazily start / stop the QoS pacer thread (drains throttled volumes'
-  /// wait queues as tokens refill).
-  void ensure_pacer();
-  void stop_pacer();
-  void pacer_loop();
-
   /// Per-hosted-volume BacklogOptions: the shared defaults plus a fresh
   /// file_tag (globally unique run names) and the shared block cache.
   [[nodiscard]] core::BacklogOptions volume_db_options();
@@ -1021,10 +1018,10 @@ class VolumeManager {
   // only for the two brief writes of a migration handoff.
   mutable std::shared_mutex routing_mu_;
   std::atomic<std::uint64_t> next_flow_id_{1};  // 0 = the shared default flow
-  std::mutex pacer_mu_;
-  std::condition_variable pacer_cv_;
-  bool pacer_stop_ = false;
-  std::thread pacer_;
+  // Runs the periodic loops: the QoS pacer (registered by the first
+  // set_qos), the maintenance sweep and the balancer cycle.
+  Ticker ticker_;
+  std::once_flag pacer_once_;
   // Observability state. The registry has one slot per shard plus one for
   // API/control threads; telemetry_ is indexed by shard and only touched on
   // that shard's thread.

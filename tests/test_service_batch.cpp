@@ -13,6 +13,8 @@
 // atomically with and without the WAL, and match the sequential
 // add/remove callbacks' pruning semantics exactly;
 // (d) ServiceOptions::pin_shards actually pins the worker threads.
+// The Ticker, the service's one periodic thread, is tested here beside the
+// other service primitives: fixed-delay timing and cancel's waits.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
@@ -23,11 +25,17 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <new>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/backlog_db.hpp"
@@ -259,6 +267,107 @@ TEST(ShardQueue, SteadyStatePushPopManyIsAllocationFree) {
   EXPECT_EQ(thread_allocs() - before, 0u)
       << "steady-state enqueue/dequeue touched the allocator";
   EXPECT_EQ(ran, (32u + 256u) * 8u);
+}
+
+// --- Ticker ------------------------------------------------------------------
+
+TEST(Ticker, OverrunningCallbackWaitsOnePeriodAfterItReturns) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kPeriod = std::chrono::milliseconds(10);
+  std::mutex mu;
+  std::vector<std::pair<Clock::time_point, Clock::time_point>> runs;
+  const auto count = [&] {
+    const std::lock_guard lock(mu);
+    return runs.size();
+  };
+  bsvc::Ticker ticker;
+  ticker.every(kPeriod, [&] {
+    const Clock::time_point begin = Clock::now();
+    std::this_thread::sleep_for(3 * kPeriod);
+    const std::lock_guard lock(mu);
+    runs.emplace_back(begin, Clock::now());
+  });
+  while (count() < 3) std::this_thread::sleep_for(kPeriod);
+  ticker.stop();
+  // Fixed delay, not fixed rate: a run three periods long is not followed
+  // at once by the run it overran.
+  for (std::size_t i = 1; i < runs.size(); ++i)
+    EXPECT_GE(runs[i].first - runs[i - 1].second, kPeriod) << "run " << i;
+}
+
+TEST(Ticker, CancelWaitsForTheRunningCallbackWhichNeverRunsAgain) {
+  std::atomic<int> started{0}, finished{0};
+  bsvc::Ticker ticker;
+  const bsvc::Ticker::Id id = ticker.every(std::chrono::milliseconds(1), [&] {
+    started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished.fetch_add(1);
+  });
+  while (started.load() == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ticker.cancel(id);
+  EXPECT_EQ(finished.load(), started.load());  // the run in flight ended
+  const int runs = started.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(started.load(), runs);
+}
+
+TEST(Ticker, CancelDoesNotWaitForAnotherBlockedCallback) {
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> blocked{false};
+  std::atomic<int> a_runs{0};
+  bsvc::Ticker ticker;
+  const bsvc::Ticker::Id a =
+      ticker.every(std::chrono::milliseconds(1), [&] { a_runs.fetch_add(1); });
+  ticker.every(std::chrono::milliseconds(1), [&] {
+    blocked.store(true);
+    released.wait();
+  });
+  while (!blocked.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::future<void> cancelled =
+      std::async(std::launch::async, [&] { ticker.cancel(a); });
+  EXPECT_EQ(cancelled.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  const int runs = a_runs.load();
+  release.set_value();
+  cancelled.get();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(a_runs.load(), runs);
+}
+
+TEST(Ticker, EarlierRegistrationWakesALongWait) {
+  std::atomic<int> runs{0};
+  bsvc::Ticker ticker;
+  ticker.every(std::chrono::hours(1), [] {});
+  // The thread now sleeps until the hour is up; the new entry (which also
+  // regrows the entry vector under that wait) must wake it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ticker.every(std::chrono::milliseconds(1), [&] { runs.fetch_add(1); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (runs.load() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GT(runs.load(), 0);
+}
+
+TEST(Ticker, ThrowingCallbackStaysRegistered) {
+  std::atomic<int> runs{0};
+  bsvc::Ticker ticker;
+  ticker.every(std::chrono::milliseconds(1), [&] {
+    if (runs.fetch_add(1) == 0) throw std::runtime_error("first run fails");
+  });
+  while (runs.load() < 2)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+TEST(Ticker, NonPositivePeriodThrows) {
+  bsvc::Ticker ticker;
+  EXPECT_THROW(ticker.every(std::chrono::milliseconds(0), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(ticker.every(std::chrono::milliseconds(-1), [] {}),
+               std::invalid_argument);
 }
 
 // --- batch verbs: semantics --------------------------------------------------

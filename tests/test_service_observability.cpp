@@ -537,7 +537,7 @@ TEST(Observability, MetricsPollerComputesWindowedRates) {
   bs::TempDir dir;
   bsvc::VolumeManager vm(service_options(dir, 2));
   vm.open_volume("alice");
-  bsvc::MetricsPoller poller(vm, std::chrono::milliseconds(1000));
+  bsvc::MetricsPoller poller(vm);
 
   const std::uint64_t t0 = butil::now_micros();
   const bsvc::RateSample primed = poller.poll_once(t0);
@@ -578,7 +578,7 @@ TEST(Observability, MetricsPollerRatesSurviveVolumeClose) {
   vm.clear_caches();
   query_one(vm, "alice", 0).get();  // a cache miss: alice read pages too
   vm.apply_batch("alice", batch_of(1000, 50)).get();
-  bsvc::MetricsPoller poller(vm, std::chrono::milliseconds(1000));
+  bsvc::MetricsPoller poller(vm);
 
   const std::uint64_t t0 = butil::now_micros();
   poller.poll_once(t0);
@@ -908,10 +908,17 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
   for (int i = 0; i < kTenants; ++i) {
     vm.open_volume(tenant_name(i));
   }
-  bsvc::MetricsPoller poller(vm, std::chrono::milliseconds(5));
-  poller.start();
+  bsvc::MetricsPoller poller(vm);
 
   std::atomic<bool> stop{false};
+  // The poller has no thread of its own: sample every 5 ms from this one,
+  // so its gauge writes race the scrapes below.
+  std::thread polling([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      poller.poll_once();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
   std::atomic<std::uint64_t> applied{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 2; ++w) {
@@ -957,7 +964,7 @@ TEST(Observability, ScrapeWhileHotStressIsRaceFree) {
   stop.store(true, std::memory_order_release);
   for (auto& t : workers) t.join();
   churn.join();
-  poller.stop();
+  polling.join();
 
   EXPECT_GT(scrapes, 0u);
   EXPECT_GT(applied.load(), 0u);

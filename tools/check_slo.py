@@ -14,7 +14,10 @@ it only means something on hardware with headroom: the gate self-skips
 (exit 0) when the capture's hardware_concurrency is below --min-cores.
 Correctness rows are exempt from the skip: when a "chaos" row is present,
 verifier_divergence and dropped_ops must be zero on any machine — chaos
-may slow the fleet down, it may never lose or corrupt an op.
+may slow the fleet down, it may never lose or corrupt an op. So is the
+"fleet" row's accounting: the poller's window spans the whole run, so the
+update ops it saw applied (poller_update_ops_per_sec x poller_window_s)
+must cover every offered op (chaos only adds more).
 
 Exit codes: 0 ok (or skipped), 1 gate failed, 2 bad invocation/inputs.
 """
@@ -72,6 +75,33 @@ def check_chaos(rows):
     return failures
 
 
+def check_fleet(rows):
+    """Accounting side of the fleet row, never skipped on core count: the
+    update ops the poller saw applied over its window must include every
+    offered op (0.1% tolerance for the float rate x window product)."""
+    failures = []
+    for row in rows:
+        if row.get("bench") != "fleet_sim" or row.get("row") != "fleet":
+            continue
+        offered = row.get("offered_ops")
+        rate = row.get("poller_update_ops_per_sec")
+        window = row.get("poller_window_s")
+        if offered is None or rate is None or window is None:
+            print("FAIL: fleet row lacks offered_ops, "
+                  "poller_update_ops_per_sec or poller_window_s")
+            failures.append("fleet row cannot show its applied update ops")
+            continue
+        applied = rate * window
+        ok = applied >= offered * (1 - 1e-3)
+        print(f"{'ok' if ok else 'FAIL'}: {row.get('scenario')}/fleet: "
+              f"{applied:.0f} update ops applied over {window:.3f} s vs "
+              f"{offered} offered")
+        if not ok:
+            failures.append(f"fleet: {applied:.0f} update ops applied < "
+                            f"{offered} offered")
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("capture", help="fleet_sim JSONROW capture (txt or jsonl)")
@@ -88,7 +118,7 @@ def main():
     slo = [r for r in rows
            if r.get("bench") == "fleet_sim" and r.get("row") == "slo"]
 
-    failures = check_chaos(rows)
+    failures = check_chaos(rows) + check_fleet(rows)
 
     if not slo:
         sys.exit("error: capture has no fleet_sim slo rows")
@@ -99,7 +129,7 @@ def main():
               "SLO latency gate skipped (no headroom to absorb open-loop "
               "arrivals on this host)")
         if failures:
-            print(f"\nchaos correctness failed:")
+            print(f"\ncorrectness failed:")
             for f in failures:
                 print(f"  {f}")
             return 1
